@@ -96,13 +96,15 @@ def cmd_analyze(args) -> int:
         colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
         report["three_edge_colourable"] = colouring is not None
         if report["bridgeless"]:
-            scc = run("scc", lambda: solvers.shortest_cycle_cover(
-                g, cap=args.cap, node_limit=args.node_limit, seed_order=args.seed_order))
-            report["scc"] = scc.length
-            tau = run("tau", lambda: solvers.perfect_matching_index(g))
-            report["tau"] = tau.tau
-            odd = run("oddness", lambda: solvers.oddness(g))
-            report["oddness"] = odd[0]
+            # scc, tau and oddness read one enumeration of the perfect matchings
+            with solvers._sharing_matchings(g):
+                scc = run("scc", lambda: solvers.shortest_cycle_cover(
+                    g, cap=args.cap, node_limit=args.node_limit, seed_order=args.seed_order))
+                report["scc"] = scc.length
+                tau = run("tau", lambda: solvers.perfect_matching_index(g))
+                report["tau"] = tau.tau
+                odd = run("oddness", lambda: solvers.oddness(g))
+                report["oddness"] = odd[0]
         else:
             report["scc"] = None
             report["tau"] = None
@@ -125,19 +127,37 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _edge_index(g):
+    """Edge id per vertex pair (either order); the lowest id of a parallel class."""
+    index = {}
+    for e, (u, v) in enumerate(g.edges):
+        index.setdefault((u, v), e)
+        index.setdefault((v, u), e)
+    return index
+
+
+def _walk_edges(index, verts):
+    """Edge ids along the closed vertex walk, or the first missing pair."""
+    edges = []
+    for i, u in enumerate(verts):
+        v = verts[(i + 1) % len(verts)]
+        e = index.get((u, v))
+        if e is None:
+            return None, (u, v)
+        edges.append(e)
+    return edges, None
+
+
 def _verify_cover(graphs, args) -> int:
     g = graphs[0]
     cert = json.loads(_read_text(args.verify_cover))
+    index = _edge_index(g)
     circuits = []
     for verts in cert["circuits"]:
-        edges = []
-        for i, u in enumerate(verts):
-            v = verts[(i + 1) % len(verts)]
-            e = next((e for e, uv in enumerate(g.edges) if set(uv) == {u, v}), None)
-            if e is None:
-                print(f"no edge {u}-{v} in the graph", file=sys.stderr)
-                return 1
-            edges.append(e)
+        edges, missing = _walk_edges(index, verts)
+        if missing:
+            print(f"no edge {missing[0]}-{missing[1]} in the graph", file=sys.stderr)
+            return 1
         circuits.append(circuit_from_walk(edges, verts))
     cover = CycleCover.of(circuits)
     report = validate(cover, g)
@@ -189,14 +209,10 @@ def cmd_cdc(args) -> int:
     must = []
     if args.contains:
         verts = [int(x) for x in args.contains.split(",")]
-        edges = []
-        for i, u in enumerate(verts):
-            v = verts[(i + 1) % len(verts)]
-            e = next((e for e, uv in enumerate(g.edges) if set(uv) == {u, v}), None)
-            if e is None:
-                print(f"--contains names a missing edge {u}-{v}", file=sys.stderr)
-                return 1
-            edges.append(e)
+        edges, missing = _walk_edges(_edge_index(g), verts)
+        if missing:
+            print(f"--contains names a missing edge {missing[0]}-{missing[1]}", file=sys.stderr)
+            return 1
         must.append(circuit_from_walk(edges, verts))
     res = solvers.find_cdc(g, must_contain=must, k=args.k,
                            two_factor_class=args.two_factor_class,

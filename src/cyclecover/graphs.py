@@ -81,10 +81,6 @@ class Multigraph:
     def opposite(self, dart: int) -> int:
         return dart ^ 1
 
-    def dart_vertex(self, dart: int) -> int:
-        u, v = self.edges[dart >> 1]
-        return u if dart & 1 == 0 else v
-
     def incident_darts(self, v: int):
         out = []
         for e, (a, b) in enumerate(self.edges):
@@ -95,9 +91,6 @@ class Multigraph:
         return tuple(out)
 
     # -- edge view -----------------------------------------------------------
-
-    def endpoints(self, e: int):
-        return self.edges[e]
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
@@ -112,26 +105,6 @@ class Multigraph:
 
     def degrees(self):
         return tuple(len(lst) for lst in self.incident_edges)
-
-    def neighbors(self, v: int):
-        return tuple(self.other_end(e, v) for e in self.incident_edges[v])
-
-    @classmethod
-    def from_labeled(cls, edge_list, vertex_labels=None):
-        """Build from an edge list over arbitrary hashable vertex labels.
-
-        Labels are sorted to fix the internal numbering, so the result is
-        deterministic for a given input.
-        """
-        if vertex_labels is None:
-            seen = set()
-            for u, v in edge_list:
-                seen.add(u)
-                seen.add(v)
-            vertex_labels = sorted(seen)
-        index = {lab: i for i, lab in enumerate(vertex_labels)}
-        edges = [(index[u], index[v]) for u, v in edge_list]
-        return cls(len(vertex_labels), edges, vertex_labels)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, m={self.m})"
@@ -199,37 +172,57 @@ def is_connected(g: Multigraph) -> bool:
 
 def bridges(g: Multigraph):
     """Edge ids of all bridges (DFS lowpoint; parallel edges are never bridges)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out = []
-    timer = itertools.count()
-    for root in range(g.n):
-        if disc[root] != -1:
+    _, found = _lowpoint_pass(_adjacency(g), [0] * g.n, ())
+    return sorted(e for e, _, _ in found)
+
+
+def _adjacency(g: Multigraph):
+    return [[(e, g.other_end(e, v)) for e in g.incident_edges[v]] for v in range(g.n)]
+
+
+def _lowpoint_pass(adj, x, cut):
+    """One iterative lowpoint DFS of the graph minus the edges in ``cut``.
+
+    Returns the DFS roots, one per component, and (edge, root, subtree sum)
+    for each bridge, where the subtree is the side of the bridge away from
+    the root.  The sums are of ``x``, which the pass turns in place into
+    subtree sums, so ``x[root]`` ends as the sum over the root's component.
+    """
+    n = len(adj)
+    disc = [0] * n
+    low = [0] * n
+    timer = 0
+    roots = []
+    found = []
+    for root in range(n):
+        if disc[root]:
             continue
-        # iterative DFS carrying the edge used to enter each vertex
-        stack = [(root, -1, iter(g.incident_edges[root]))]
-        disc[root] = low[root] = next(timer)
+        roots.append(root)
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e == in_edge or e in g.loops:
+            for e, w in it:
+                if e == in_edge or e in cut:
                     continue
-                w = g.other_end(e, v)
-                if disc[w] == -1:
-                    disc[w] = low[w] = next(timer)
-                    stack.append((w, e, iter(g.incident_edges[w])))
-                    advanced = True
+                if not disc[w]:
+                    timer += 1
+                    disc[w] = low[w] = timer
+                    stack.append((w, e, iter(adj[w])))
                     break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
                 stack.pop()
                 if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        out.append(in_edge)
-    return sorted(out)
+                    p = stack[-1][0]
+                    x[p] += x[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] > disc[p]:
+                        found.append((in_edge, root, x[v]))
+    return roots, found
 
 
 def is_bridgeless(g: Multigraph) -> bool:
@@ -237,64 +230,48 @@ def is_bridgeless(g: Multigraph) -> bool:
     return not bridges(g)
 
 
-def _component_has_circuit(g: Multigraph, vertices, removed):
-    """A connected component contains a circuit iff it has >= |V| edges."""
-    vset = set(vertices)
-    cnt = 0
-    for e, (u, v) in enumerate(g.edges):
-        if e in removed:
-            continue
-        if u in vset and v in vset:
-            cnt += 1
-    return cnt >= len(vertices)
-
-
-def _components_without(g: Multigraph, removed):
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for e in g.incident_edges[v]:
-                if e in removed:
-                    continue
-                w = g.other_end(e, v)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no edge cut of size < k separates two circuit-containing parts.
 
-    Implemented as an exhaustive scan over edge subsets of size < k; only
+    Pair-and-bridge search: if S is a minimal such cut, every edge c of S is
+    a bridge of G - (S - {c}).  So for every edge set T of size <= k - 2 the
+    bridges c > max(T) of G - T are tried as the last edge of S = T + {c};
+    the cut T itself (the empty cut included) is tested on the way.  Only
     k <= 4 is supported, which is all the constructions ever need.
     """
     if k > 4:
         raise Unsupported("cyclic connectivity decision implemented for k <= 4 only")
-    for size in range(1, k):
-        for removed in itertools.combinations(range(g.m), size):
-            removed = set(removed)
-            comps = _components_without(g, removed)
-            if len(comps) < 2:
-                continue
-            with_circuit = 0
-            for comp in comps:
-                if _component_has_circuit(g, comp, removed):
-                    with_circuit += 1
-                    if with_circuit >= 2:
-                        break
-            if with_circuit >= 2:
+    adj = _adjacency(g)
+    excess = [len(lst) - 2 for lst in adj]
+    for size in range(k - 1):
+        for cut in itertools.combinations(range(g.m), size):
+            if _separates_circuits(g, adj, excess, cut):
                 return False
     return True
+
+
+def _separates_circuits(g, adj, excess, cut):
+    """Whether G - cut, or G - cut - c for a bridge c > max(cut), has two
+    components that contain circuits.
+
+    A connected vertex set with b edges leaving it contains a circuit iff
+    its sum of (degree - 2) is at least b.  The side of a bridge has b = 1,
+    and so has the rest of its component.
+    """
+    x = excess[:]
+    for e in cut:
+        u, v = g.edges[e]
+        x[u] -= 1
+        x[v] -= 1
+    roots, found = _lowpoint_pass(adj, x, cut)
+    cyclic = sum(x[r] >= 0 for r in roots)
+    if cyclic >= 2:
+        return True
+    lo = cut[-1] if cut else -1
+    for c, r, a in found:
+        if c > lo and cyclic - (x[r] >= 0) + (a >= 1) + (x[r] - a >= 1) >= 2:
+            return True
+    return False
 
 
 def girth(g: Multigraph) -> int:
@@ -345,9 +322,6 @@ class ReductionMap:
     reduced: "CubicGraph"
     edge_path: tuple
     suppressed_vertices: tuple
-
-    def identity(self) -> bool:
-        return not self.suppressed_vertices
 
 
 def suppress_degree_two(g: Multigraph):

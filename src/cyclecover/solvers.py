@@ -9,6 +9,8 @@ value orders, so results are deterministic for a given graph.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .covers import Circuit, CycleCover, KCdc, decompose_even_subgraph, trace_circuit
@@ -451,8 +453,9 @@ def _optimal_cover(g, cap, node_limit=None, space_cache=None, seed_order=None):
         return None if node_limit is None else node_limit - nodes
 
     # 4m/3: some perfect matching complement extends to a CDC
-    for pm in enumerate_perfect_matchings(g):
-        f = frozenset(range(g.m)) - pm
+    full = (1 << g.m) - 1
+    for pm in _matchings(g).masks:
+        f = _edge_set(full & ~pm)
         comps = decompose_even_subgraph(g, f)
         walks = [(list(c.edges), list(c.vertices)) for c in comps]
         lite = _LiteSpace(g, walks + _alternating_circuits(g, f))
@@ -621,6 +624,84 @@ def enumerate_perfect_matchings(g: Multigraph):
     return res
 
 
+def _edge_set(mask):
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+class _Matchings:
+    """The perfect matchings of one graph as edge masks, in enumeration order.
+
+    ``factor_counts`` lists, per matching, the (odd components, components)
+    of the complementary 2-factor; it is computed on first use.
+    """
+
+    __slots__ = ("g", "masks", "_counts")
+
+    def __init__(self, g):
+        self.g = g
+        self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
+        self._counts = None
+
+    @property
+    def factor_counts(self):
+        if self._counts is None:
+            g = self.g
+            # turns[v][e]: the other two (edge, far end) pairs at v
+            turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
+                     for v, inc in enumerate(g.incident_edges)]
+            counts = []
+            for pm in self.masks:
+                mate = [0] * g.n
+                for e in range(pm.bit_length()):
+                    if pm >> e & 1:
+                        u, v = g.edges[e]
+                        mate[u] = mate[v] = e
+                seen = [False] * g.n
+                odd = comps = 0
+                for start in range(g.n):
+                    if seen[start]:
+                        continue
+                    # walk the factor circuit through start: enter each vertex
+                    # by a factor edge, leave by the edge that is not its mate
+                    v, e = start, mate[start]
+                    length = 0
+                    while True:
+                        seen[v] = True
+                        (a, wa), (b, wb) = turns[v][e]
+                        v, e = (wb, b) if a == mate[v] else (wa, a)
+                        length += 1
+                        if v == start:
+                            break
+                    comps += 1
+                    odd += length & 1
+                counts.append((odd, comps))
+            self._counts = counts
+        return self._counts
+
+
+# the matching store shared by the solvers inside ``_sharing_matchings``
+_SHARED = ContextVar("cyclecover_shared_matchings", default=None)
+
+
+@contextmanager
+def _sharing_matchings(g):
+    """Within the block, every solver called on ``g`` reads one matching store."""
+    token = _SHARED.set([g, None])
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _matchings(g) -> _Matchings:
+    slot = _SHARED.get()
+    if slot is None or slot[0] is not g:
+        return _Matchings(g)
+    if slot[1] is None:
+        slot[1] = _Matchings(g)
+    return slot[1]
+
+
 @dataclass(frozen=True)
 class TauResult:
     """Perfect matching index with a witness; ``tau is None`` means AboveLimit."""
@@ -635,11 +716,10 @@ class TauResult:
 
 def perfect_matching_index(g: CubicGraph, limit: int = 5) -> TauResult:
     """Smallest k <= limit with k perfect matchings covering E(g)."""
-    pms = enumerate_perfect_matchings(g)
-    if not pms:
+    masks = _matchings(g).masks
+    if not masks:
         return TauResult(None, ())
     m = g.m
-    masks = [_mask(pm) for pm in pms]
     per_edge = [tuple(i for i, mk in enumerate(masks) if mk >> e & 1) for e in range(m)]
     if any(not lst for lst in per_edge):
         return TauResult(None, ())
@@ -655,7 +735,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5) -> TauResult:
                 return True
             if depth == k:
                 return False
-            missing = m - bin(covmask).count("1")
+            missing = m - covmask.bit_count()
             if missing > (k - depth) * size:
                 return False
             x = ~covmask & full
@@ -681,7 +761,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5) -> TauResult:
     for k in range(3, limit + 1):
         sol = cover_with(k)
         if sol is not None:
-            return TauResult(k, tuple(pms[i] for i in sol))
+            return TauResult(k, tuple(_edge_set(masks[i]) for i in sol))
     return TauResult(None, ())
 
 
@@ -691,19 +771,12 @@ def oddness(g: CubicGraph):
     Among minimisers the witness has the fewest components in total, then is
     first in matching enumeration order.
     """
-    pms = enumerate_perfect_matchings(g)
-    if not pms:
+    store = _matchings(g)
+    if not store.masks:
         raise NoTwoFactor("graph has no perfect matching, hence no 2-factor")
-    all_edges = frozenset(range(g.m))
-    best = None
-    for pm in pms:
-        f = all_edges - pm
-        comps = decompose_even_subgraph(g, f)
-        odd = sum(1 for c in comps if len(c) % 2)
-        key = (odd, len(comps))
-        if best is None or key < best[0]:
-            best = (key, f)
-    return best[0][0], best[1]
+    counts = store.factor_counts
+    best = min(range(len(counts)), key=counts.__getitem__)
+    return counts[best][0], _edge_set(((1 << g.m) - 1) & ~store.masks[best])
 
 
 # --------------------------------------------------------------------------
@@ -711,7 +784,12 @@ def oddness(g: CubicGraph):
 # --------------------------------------------------------------------------
 
 def circumference(g: Multigraph):
-    """Exact longest circuit by anchored DFS with a reachability bound."""
+    """Exact longest circuit by DFS from each anchor v0, the least vertex of
+    the circuits it explores.
+
+    A branch is cut when the path plus every free vertex (unvisited, above
+    v0; reachable or not) cannot beat the best circuit so far.
+    """
     adj = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         if u == v:
@@ -721,6 +799,7 @@ def circumference(g: Multigraph):
     for lst in adj:
         lst.sort()
     best = [0, None]
+    n = g.n
 
     def dfs(v0, cur, first_edge, visited_mask, path_edges, path_verts):
         for e, w in adj[cur]:
@@ -733,7 +812,8 @@ def circumference(g: Multigraph):
             if w < v0 or visited_mask >> w & 1:
                 continue
             # extending to w gives a circuit of at most (path vertices + w) + free
-            if len(path_edges) + 2 + _count_free(g, visited_mask | 1 << w, v0) <= best[0]:
+            free = n - v0 - 1 - ((visited_mask | 1 << w) >> (v0 + 1)).bit_count()
+            if len(path_edges) + 2 + free <= best[0]:
                 continue
             path_edges.append(e)
             path_verts.append(w)
@@ -754,15 +834,6 @@ def circumference(g: Multigraph):
     from .covers import circuit_from_walk
 
     return best[0], circuit_from_walk(edges, verts)
-
-
-def _count_free(g, visited_mask, v0):
-    # unvisited vertices with labels >= v0 (the only ones the path may still use)
-    free = 0
-    for v in range(v0 + 1, g.n):
-        if not visited_mask >> v & 1:
-            free += 1
-    return free
 
 
 # --------------------------------------------------------------------------

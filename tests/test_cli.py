@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import DATA
+from cyclecover import flower, petersen, solvers
 from cyclecover.cli import main
 from cyclecover.families import write_adjacency, write_graph6
 
@@ -168,3 +171,29 @@ def test_analyze_batch_stream_order():
 
 def test_main_callable_directly():
     assert main(["generate", "petersen"]) == 0
+
+
+def test_analyze_enumerates_matchings_once_per_graph(monkeypatch, capsys, tmp_path):
+    # scc, tau and oddness of one report share one enumeration
+    calls = []
+    original = solvers.enumerate_perfect_matchings
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings", counting)
+    path = tmp_path / "two.g6"
+    path.write_text(write_graph6(petersen()) + "\n" + write_graph6(flower(5)) + "\n")
+    assert main(["analyze", str(path), "--json", "--no-timing"]) == 0
+    reports = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [r["oddness"] for r in reports] == [2, 2]
+    assert calls == [10, 20]
+
+
+def test_analyze_golden(monkeypatch, capsys):
+    # reports on random cubic graphs (n 24 to 32, with and without triangles)
+    monkeypatch.chdir(DATA)
+    assert main(["analyze", "analyze_golden.g6", "--json", "--no-timing"]) == 0
+    with open(os.path.join(DATA, "analyze_golden.jsonl"), encoding="ascii") as fh:
+        assert capsys.readouterr().out == fh.read()

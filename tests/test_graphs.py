@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
+from conftest import load_corpus
 from cyclecover import build_graph, petersen
 from cyclecover.covers import decompose_even_subgraph
 from cyclecover.errors import (
@@ -14,6 +18,7 @@ from cyclecover.graphs import (
     CubicGraph,
     Multigraph,
     bridges,
+    connected_components,
     contract_two_factor,
     cyclic_connectivity_at_least,
     girth,
@@ -97,6 +102,50 @@ def test_two_cut_join_and_connectivity(k4):
     assert (joined.n, joined.m) == (8, 12)
     assert isinstance(joined, CubicGraph)
     assert not cyclic_connectivity_at_least(joined, 3)
+
+
+def _scan_cyclic_connectivity(g, k):
+    """Oracle: try every edge cut of size 1..k-1 and count the components of
+    the rest that hold a circuit (at least as many edges as vertices)."""
+    for size in range(1, k):
+        for cut in itertools.combinations(range(g.m), size):
+            rest = Multigraph(g.n, [uv for e, uv in enumerate(g.edges) if e not in cut])
+            comp = {v: i for i, vs in enumerate(connected_components(rest)) for v in vs}
+            edges = Counter(comp[u] for u, _ in rest.edges)
+            verts = Counter(comp.values())
+            if sum(edges[c] >= verts[c] for c in verts) >= 2:
+                return False
+    return True
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+
+
+def _k4_beside(edges):
+    """K4 and, disjoint from it, the graph with the given edges."""
+    return build_graph(_K4 + [(u + 4, v + 4) for u, v in edges])
+
+
+def _connectivity_cases():
+    cases = [(f"corpus-{i}", g) for i, g in enumerate(load_corpus(12))]
+    cases += [
+        # disconnected: the empty cut already separates two circuits
+        ("2K4", _k4_beside(_K4)),
+        ("K4+prism", _k4_beside(_PRISM)),
+        # digons at both ends of a 4-circuit
+        ("digons", build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])),
+        ("P+P", two_cut_join(petersen(), 0, petersen(), 0)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cyclic_connectivity_matches_exhaustive_scan(k):
+    cases = _connectivity_cases()
+    assert any(g.has_parallel_edges for _, g in cases)
+    for name, g in cases:
+        assert cyclic_connectivity_at_least(g, k) is _scan_cyclic_connectivity(g, k), name
 
 
 def test_two_cut_join_rejects_bridge():

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import load_bridgeless_corpus, load_snarks18
 from cyclecover import flower
 from cyclecover.covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
 from cyclecover.errors import Bridged, NoThreePaths
@@ -126,6 +127,24 @@ def test_oddness(k4, pete):
     comps = decompose_even_subgraph(pete, factor)
     assert sorted(len(c) for c in comps) == [5, 5]
     assert oddness(flower(5))[0] == 2
+
+
+def _oddness_by_decomposition(g):
+    """(oddness, witness) straight from each 2-factor's circuit decomposition."""
+    best = None
+    for pm in enumerate_perfect_matchings(g):
+        f = frozenset(range(g.m)) - pm
+        comps = decompose_even_subgraph(g, f)
+        key = (sum(len(c) % 2 for c in comps), len(comps))
+        if best is None or key < best[0]:
+            best = (key, f)
+    return best[0][0], best[1]
+
+
+def test_oddness_matches_decomposition(k4, prism, pete, j5):
+    # the small corpus graphs have ties that only the component count breaks
+    for g in (k4, prism, pete, j5, *load_snarks18(), *load_bridgeless_corpus(10)):
+        assert oddness(g) == _oddness_by_decomposition(g)
 
 
 def test_oddness_always_even(k4, pete, prism, k33):
