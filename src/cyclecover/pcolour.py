@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import CycleCover, decompose_even_subgraph, validate
+from .covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
 from .constructions import ConstructionResult
 from .errors import Aborted, BadLine, HasParallelEdges, PartialAssignment, PreimageNotEven
 from .families import petersen
 from .graphs import CubicGraph
-from .solvers import _CircuitSpace, _CoverEngine
+from .solvers import _structured_covers
 
 REFERENCE = petersen()
 
@@ -151,21 +151,13 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
 
 
 def _optimal_p_covers():
-    """All shortest covers of the reference Petersen graph, cached."""
+    """All shortest covers of the reference Petersen graph (length 21), cached."""
     global _P_COVERS
     if _P_COVERS is None:
-        space = _CircuitSpace(REFERENCE)
-        eng = _CoverEngine(REFERENCE, space, coverage=1, cap=2)
-        seen = {}
-
-        def collect(chosen):
-            key = tuple(sorted(chosen))
-            if key not in seen:
-                from .covers import trace_circuit
-                seen[key] = CycleCover.of(trace_circuit(REFERENCE, space.elists[i]) for i in chosen)
-
-        eng.search("all", bound=21, collect=collect)
-        _P_COVERS = tuple(sorted(seen.values(), key=lambda c: tuple(x.edges for x in c.circuits)))
+        _, covers, _ = _structured_covers(REFERENCE)
+        _P_COVERS = tuple(sorted((CycleCover.of(trace_circuit(REFERENCE, edges) for edges in circuits)
+                                  for _, circuits in covers),
+                                 key=lambda c: tuple(x.edges for x in c.circuits)))
     return _P_COVERS
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .covers import Circuit, CycleCover, KCdc, decompose_even_subgraph, trace_circuit
+from .covers import Circuit, CycleCover, KCdc, trace_circuit
 from .errors import (
     Bridged,
     NodeLimitExceeded,
@@ -29,19 +29,24 @@ from .graphs import CubicGraph, Multigraph, bridges, is_connected
 # --------------------------------------------------------------------------
 
 class _CircuitSpace:
-    """All simple circuits of a graph, as parallel arrays of bitmasks.
+    """Simple circuits of a graph, as parallel arrays of bitmasks.
 
-    Order: increasing (length, sorted edge tuple); this is also the canonical
-    candidate order of the cover engines, where trying short circuits first
-    keeps the lower bound tight.  ``by_edge[e]`` lists the circuits through
-    edge ``e`` in that order.
+    Holds every circuit of ``g``, or only the given ``walks``: pairs of the
+    edge ids and the vertices of one circuit.  Order: increasing
+    (length, sorted edge tuple); this is also the canonical candidate order
+    of the cover engines, where trying short circuits first keeps the lower
+    bound tight.  ``by_edge[e]`` lists the circuits through edge ``e`` in
+    that order.
     """
 
     __slots__ = ("g", "masks", "vmasks", "elists", "vlists", "lengths", "by_edge")
 
-    def __init__(self, g: Multigraph):
+    def __init__(self, g: Multigraph, walks=None):
         self.g = g
-        raw = _raw_circuits(g)
+        if walks is None:
+            raw = _raw_circuits(g)
+        else:
+            raw = [(tuple(sorted(edges)), tuple(verts)) for edges, verts in walks]
         raw.sort(key=lambda t: (len(t[0]), t[0]))
         self.elists = [t[0] for t in raw]
         self.vlists = [t[1] for t in raw]
@@ -308,93 +313,72 @@ def _check_coverable(g):
         raise Bridged(f"no cycle cover exists: bridge(s) at edges {b}")
 
 
-def _seeded_cdc(g, space, seed_circuits, node_limit=None):
-    """Circuit-form CDC through the given circuits, or None; shares ``space``."""
-    eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=node_limit)
-    index_of = {space.elists[i]: i for i in range(len(space))}
-    seeds = []
-    for c in seed_circuits:
-        ci = index_of.get(tuple(sorted(c.edges)))
-        if ci is None or not eng.seed_feasible(ci):
-            return None, eng.nodes
-        eng.add(ci)
-        seeds.append(ci)
-    found = eng.search("first", bound=2 * g.m)
-    return found, eng.nodes
+def _alternating_circuits(g, rest, x=-1):
+    """All circuits that pass, at every vertex other than x, one edge of the
+    2-regular subgraph E - rest and one edge of ``rest`` (an edge mask).
 
-
-class _LiteSpace:
-    """Same interface as _CircuitSpace over an explicit circuit list."""
-
-    __slots__ = ("g", "masks", "vmasks", "elists", "vlists", "lengths", "by_edge")
-
-    def __init__(self, g, walks):
-        walks = sorted(walks, key=lambda t: (len(t[0]), tuple(sorted(t[0]))))
-        self.g = g
-        self.elists = [tuple(sorted(t[0])) for t in walks]
-        self.vlists = [tuple(t[1]) for t in walks]
-        self.lengths = [len(t[0]) for t in walks]
-        self.masks = [_mask(t[0]) for t in walks]
-        self.vmasks = [_mask(t[1]) for t in walks]
-        by_edge = [[] for _ in range(g.m)]
-        for i, edges in enumerate(self.elists):
-            for e in edges:
-                by_edge[e].append(i)
-        self.by_edge = [tuple(lst) for lst in by_edge]
-
-
-def _alternating_circuits(g, f_edges):
-    """All circuits alternating between matching edges and 2-factor edges.
-
-    These are the only circuits that can complete a CDC through the 2-factor
-    (each visit of a remaining circuit must use the vertex's matching edge).
+    With x = -1, E - rest is a 2-factor and ``rest`` its perfect matching;
+    otherwise E - rest misses x, whose three edges are all in ``rest``, and
+    a circuit may pass x by any two of them.  These are the only circuits
+    that can complete a CDC through the circuits of E - rest (see
+    ``_structured_covers``).  Each circuit comes once, as the (edges,
+    vertices) walk that leaves its least ``rest`` edge e0 at the first end
+    of e0.
     """
     f_adj = [[] for _ in range(g.n)]
-    m_edge = [-1] * g.n
+    r_edge = [-1] * g.n
     for e, (u, v) in enumerate(g.edges):
-        if e in f_edges:
+        if rest >> e & 1:
+            r_edge[u] = r_edge[v] = e
+        else:
             f_adj[u].append((e, v))
             f_adj[v].append((e, u))
-        else:
-            m_edge[u] = e
-            m_edge[v] = e
-    out = {}
+    x_adj = [(e, g.other_end(e, x)) for e in g.incident_edges[x]] if x >= 0 else ()
+    out = []
 
-    def close_or_extend(cur, e0, u0, visited, path_e, path_v):
-        # arrived at cur via its matching edge; continue along a factor edge
+    def extend(cur, e_in, e0, u0, visited, path_e, path_v):
+        # cur was entered by the rest edge e_in
+        if cur == x:
+            for e2, y in x_adj:
+                if e2 <= e0 or e2 == e_in or visited >> y & 1:
+                    continue
+                path_e.append(e2)
+                path_v.append(y)
+                extend(y, e2, e0, u0, visited | 1 << y, path_e, path_v)
+                path_v.pop()
+                path_e.pop()
+            return
+        # continue along a factor edge, then along the far end's rest edge
         for f, w in f_adj[cur]:
             if w == u0:
-                key = frozenset(path_e + [f])
-                if key not in out:
-                    out[key] = (tuple(path_e + [f]), tuple(path_v))
+                out.append((path_e + [f], tuple(path_v)))
                 continue
             if visited >> w & 1:
                 continue
-            e2 = m_edge[w]
+            e2 = r_edge[w]
             if e2 <= e0:
                 continue
-            x = g.other_end(e2, w)
-            if visited >> x & 1 or x == u0:
+            y = g.other_end(e2, w)
+            if y == u0:
+                if u0 == x:
+                    out.append((path_e + [f, e2], (*path_v, w)))
                 continue
-            path_e.append(f)
-            path_e.append(e2)
-            path_v.append(w)
-            path_v.append(x)
-            close_or_extend(x, e0, u0, visited | 1 << w | 1 << x, path_e, path_v)
-            path_v.pop()
-            path_v.pop()
-            path_e.pop()
-            path_e.pop()
+            if visited >> y & 1:
+                continue
+            path_e += (f, e2)
+            path_v += (w, y)
+            extend(y, e2, e0, u0, visited | 1 << w | 1 << y, path_e, path_v)
+            del path_v[-2:]
+            del path_e[-2:]
 
     for e0, (u0, v0) in enumerate(g.edges):
-        if e0 in f_edges or u0 == v0:
-            continue
-        close_or_extend(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
-    return list(out.values())
+        if rest >> e0 & 1 and u0 != v0:
+            extend(v0, e0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+    return out
 
 
 def _two_regular_avoiding(g, x):
-    """All 2-regular edge sets covering exactly the vertices other than x."""
+    """All 2-regular edge sets covering exactly the vertices other than x, as masks."""
     usable = [e for e in range(g.m) if x not in g.edges[e]]
     deg = [0] * g.n
     incident_left = [0] * g.n
@@ -406,7 +390,7 @@ def _two_regular_avoiding(g, x):
 
     def rec(i, chosen):
         if i == len(usable):
-            out.append(frozenset(chosen))
+            out.append(_mask(chosen))
             return
         e = usable[i]
         u, v = g.edges[e]
@@ -436,67 +420,70 @@ def _two_regular_avoiding(g, x):
     return out
 
 
-def _optimal_cover(g, cap, node_limit=None, space_cache=None, seed_order=None):
-    """Optimal length with a witness cover, by structure then deepening.
+def _left(node_limit, used):
+    """What remains of a node budget (None: no limit)."""
+    return None if node_limit is None else node_limit - used
 
-    Length 4m/3 covers are exactly CDCs through a 2-factor minus that factor
-    (completed by matching/factor-alternating circuits only), and 4m/3 + 1
-    covers come from a 2-regular subgraph missing one vertex; both stages are
-    exhaustive, so failure proves the level empty.  Longer optima fall back to
-    iterative deepening of the direct branch and bound over all circuits.
-    Returns (length, CycleCover, nodes).
+
+def _structured_covers(g, node_limit=None, first=False):
+    """The covers of length 4m/3 or 4m/3 + 1, found through their weight-1 edges.
+
+    A cover of length 2n + excess (2n = 4m/3) has vertex weights 4, that is
+    edge weights 1, 1, 2, except that at excess 1 one vertex x has weight 6,
+    with edge weights 2, 2, 2 (an edge of weight 3 would need weight 6 at
+    both ends).  So no cap above 2 changes these covers.  The weight-1 edges
+    C form a 2-factor, or a 2-regular subgraph missing x, and adding C's
+    circuits to the cover gives a cycle double cover.  The covers of that
+    length are therefore the CDCs through C's circuits, minus those
+    circuits, over the circuits of ``_alternating_circuits``.  A cover
+    determines C and x, so each one is found exactly once.  2-factors come
+    first; each level is searched exhaustively, and one node budget covers
+    every search.
+
+    Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
+    circuits as sorted edge tuples) in search order, only the first one with
+    ``first``.  Returns (None, [], nodes) when the optimum is longer.
     """
-    nodes = 0
-    base = 2 * g.n  # = ceil(4m/3) for a cubic graph
-
-    def budget():
-        return None if node_limit is None else node_limit - nodes
-
-    # 4m/3: some perfect matching complement extends to a CDC
+    store = _matchings(g)
     full = (1 << g.m) - 1
-    for pm in _matchings(g).masks:
-        f = _edge_set(full & ~pm)
-        comps = decompose_even_subgraph(g, f)
-        walks = [(list(c.edges), list(c.vertices)) for c in comps]
-        lite = _LiteSpace(g, walks + _alternating_circuits(g, f))
-        eng = _CoverEngine(g, lite, coverage=2, cap=2, node_limit=budget())
-        seed_keys = {tuple(sorted(c.edges)) for c in comps}
-        seeds = [i for i, el in enumerate(lite.elists) if el in seed_keys]
-        for i in seeds:
-            assert eng.seed_feasible(i)
-            eng.add(i)
-        found = eng.search("first", bound=2 * g.m)
-        nodes += eng.nodes
-        if found is not None:
-            rest = list(found)
+    levels = (((-1, pm) for pm in store.masks),
+              ((x, full & ~c) for x in range(g.n) for c in _two_regular_avoiding(g, x)))
+    nodes = 0
+    for excess, level in enumerate(levels):
+        covers = []
+        for x, rest in level:
+            factor = [(c, {v for e in c for v in g.edges[e]}) for c in store.circuits(rest, x)]
+            space = _CircuitSpace(g, factor + _alternating_circuits(g, rest, x))
+            eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=_left(node_limit, nodes))
+            seeds = [i for i, mask in enumerate(space.masks) if not mask & rest]
             for i in seeds:
-                rest.remove(i)
-            cover = CycleCover.of(trace_circuit(g, lite.elists[i]) for i in rest)
-            assert cover.length == base
-            return base, cover, nodes
+                eng.add(i)
+            if first:
+                found = eng.search("first", bound=2 * g.m)
+                cdcs = [] if found is None else [found]
+            else:
+                cdcs = []
+                eng.search("all", bound=2 * g.m, collect=cdcs.append)
+            nodes += eng.nodes
+            # every CDC starts with the seeds and holds no second copy of one
+            covers += [(full & ~rest, tuple(space.elists[i] for i in cdc[len(seeds):]))
+                       for cdc in cdcs]
+            if first and covers:
+                break
+        if covers:
+            return 2 * g.n + excess, covers, nodes
+    return None, [], nodes
 
-    def full_space():
-        if space_cache is not None and space_cache:
-            return space_cache[0]
-        sp = _CircuitSpace(g)
-        if space_cache is not None:
-            space_cache.append(sp)
-        return sp
 
-    # 4m/3 + 1: weight-1 edges form a 2-regular subgraph missing one vertex
-    space = full_space()
-    for x in range(g.n):
-        for c_edges in _two_regular_avoiding(g, x):
-            comps = decompose_even_subgraph(g, c_edges)
-            found, used = _seeded_cdc(g, space, comps, budget())
-            nodes += used
-            if found is not None:
-                rest = _multiset_minus(space, found, comps)
-                cover = CycleCover.of(trace_circuit(g, space.elists[i]) for i in rest)
-                assert cover.length == base + 1
-                return base + 1, cover, nodes
+def _deepening(g, cap, node_limit=None, seed_order=None):
+    """Optimal length above 4m/3 + 1, by iterative deepening of the direct
+    branch and bound over all circuits.
 
-    # longer optima: direct iterative deepening
+    ``seed_order`` shuffles the exploration order; the witness is then
+    re-derived in the canonical order.  Returns (length, witness indices,
+    space, nodes).
+    """
+    space = _CircuitSpace(g)
     by_edge = None
     if seed_order is not None:
         rng = random.Random(seed_order)
@@ -505,51 +492,44 @@ def _optimal_cover(g, cap, node_limit=None, space_cache=None, seed_order=None):
             lst = list(lst)
             rng.shuffle(lst)
             by_edge.append(tuple(lst))
-    target = base + 2
+    nodes = 0
+    target = 2 * g.n + 2
     while True:
-        eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=budget(), by_edge=by_edge)
+        eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=_left(node_limit, nodes),
+                           by_edge=by_edge)
         found = eng.search("first", bound=target)
         nodes += eng.nodes
         if found is not None:
             if by_edge is not None:
                 # witness must not depend on the shuffled exploration order
-                eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=budget())
+                eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=_left(node_limit, nodes))
                 found = eng.search("first", bound=target)
                 nodes += eng.nodes
-            cover = _cover_from_indices(g, space, found)
-            return target, cover, nodes
+            return target, found, space, nodes
         if target > 2 * g.m * cap:
             raise AssertionError("no cover found below the trivial bound")
         target += 1
 
 
-def _multiset_minus(space, cdc_indices, removed_circuits):
-    """Indices of ``cdc_indices`` minus one copy of each removed circuit."""
-    index_of = {}
-    for i in cdc_indices:
-        index_of.setdefault(space.elists[i], []).append(i)
-    for c in removed_circuits:
-        key = tuple(sorted(c.edges))
-        lst = index_of.get(key)
-        if not lst:
-            raise AssertionError("removed circuit missing from the CDC")
-        lst.pop()
-    return tuple(sorted(i for lst in index_of.values() for i in lst))
-
-
 def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None, seed_order=None) -> SccResult:
     """Minimum-length cycle cover subject to every edge weight <= cap.
 
-    ``seed_order`` shuffles exploration in the deepening fallback only; the
-    reported witness is re-derived canonically there, so it never changes
-    results.
+    The witness is the first cover of ``_structured_covers``, else that of
+    ``_deepening``.  ``seed_order`` shuffles exploration in the deepening
+    only; the reported witness is re-derived canonically there, so it never
+    changes results.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    best_len, cover, nodes = _optimal_cover(g, cap, node_limit, seed_order=seed_order)
-    assert cover.length == best_len
-    return SccResult(best_len, cover, True, cap, nodes)
+    length, covers, nodes = _structured_covers(g, node_limit, first=True)
+    if covers:
+        cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
+    else:
+        length, found, space, used = _deepening(g, cap, _left(node_limit, nodes), seed_order)
+        cover, nodes = _cover_from_indices(g, space, found), nodes + used
+    assert cover.length == length
+    return SccResult(length, cover, True, cap, nodes)
 
 
 @dataclass(frozen=True)
@@ -557,26 +537,46 @@ class WeightSpectrum:
     optimal_length: int
     per_edge: tuple
     n_optimal_covers: int
+    nodes: int
 
 
 def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> WeightSpectrum:
-    """Weights attained per edge over all optimal covers (same cap and rules)."""
+    """Weights attained per edge over all optimal covers (same cap and rules).
+
+    At 4m/3 and 4m/3 + 1 each optimal cover comes once from
+    ``_structured_covers``, with weight 1 on its weight-1 edges and 2
+    elsewhere.  Longer optima enumerate every cover over all circuits.
+    ``nodes`` counts the search nodes of every stage, all within one
+    ``node_limit``.
+    """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    cache = []
-    best_len, _, nodes = _optimal_cover(g, cap, node_limit, space_cache=cache)
-    space = cache[0] if cache else _CircuitSpace(g)
-    eng2 = _CoverEngine(g, space, coverage=1, cap=cap,
-                        node_limit=None if node_limit is None else node_limit - nodes)
+    length, covers, nodes = _structured_covers(g, node_limit)
+    if covers:
+        attained = [set() for _ in range(g.m)]
+        for ones in {ones for ones, _ in covers}:
+            for e in range(g.m):
+                attained[e].add(2 - (ones >> e & 1))
+        return WeightSpectrum(length, tuple(frozenset(s) for s in attained), len(covers), nodes)
+    length, _, space, used = _deepening(g, cap, _left(node_limit, nodes))
+    nodes += used
+    spec = _spectrum_over(space, cap, length, _left(node_limit, nodes))
+    return replace(spec, nodes=nodes + spec.nodes)
+
+
+def _spectrum_over(space, cap, length, node_limit=None):
+    """The spectrum of the covers of the given length over every circuit of
+    ``space`` (the engine visits each multiset once); ``nodes`` counts this
+    search only."""
+    g = space.g
+    eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit)
     attained = [set() for _ in range(g.m)]
-    seen = set()
+    covers = 0
 
     def collect(chosen):
-        key = tuple(sorted(chosen))
-        if key in seen:
-            return
-        seen.add(key)
+        nonlocal covers
+        covers += 1
         w = [0] * g.m
         for ci in chosen:
             for e in space.elists[ci]:
@@ -584,8 +584,8 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
         for e in range(g.m):
             attained[e].add(w[e])
 
-    eng2.search("all", bound=best_len, collect=collect)
-    return WeightSpectrum(best_len, tuple(frozenset(s) for s in attained), len(seen))
+    eng.search("all", bound=length, collect=collect)
+    return WeightSpectrum(length, tuple(frozenset(s) for s in attained), covers, eng.nodes)
 
 
 # --------------------------------------------------------------------------
@@ -635,47 +635,56 @@ class _Matchings:
     of the complementary 2-factor; it is computed on first use.
     """
 
-    __slots__ = ("g", "masks", "_counts")
+    __slots__ = ("g", "masks", "_turns", "_counts")
 
     def __init__(self, g):
         self.g = g
         self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
+        self._turns = None
         self._counts = None
+
+    def circuits(self, rest, skip=-1):
+        """The circuits of the 2-regular subgraph E - rest, as edge id lists
+        in walk order.  Every vertex other than ``skip`` has exactly one edge
+        in ``rest`` (an edge mask), its mate; ``skip`` has none in E - rest.
+        """
+        g = self.g
+        if self._turns is None:
+            # turns[v][e]: the other two (edge, far end) pairs at v
+            self._turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
+                           for v, inc in enumerate(g.incident_edges)]
+        turns = self._turns
+        mate = [0] * g.n
+        for e in range(rest.bit_length()):
+            if rest >> e & 1:
+                u, v = g.edges[e]
+                mate[u] = mate[v] = e
+        seen = [False] * g.n
+        if skip >= 0:
+            seen[skip] = True
+        out = []
+        for start in range(g.n):
+            if seen[start]:
+                continue
+            # walk the circuit through start: enter each vertex by a factor
+            # edge, leave by the edge that is not its mate
+            v, e = start, mate[start]
+            edges = []
+            while True:
+                seen[v] = True
+                (a, wa), (b, wb) = turns[v][e]
+                v, e = (wb, b) if a == mate[v] else (wa, a)
+                edges.append(e)
+                if v == start:
+                    break
+            out.append(edges)
+        return out
 
     @property
     def factor_counts(self):
         if self._counts is None:
-            g = self.g
-            # turns[v][e]: the other two (edge, far end) pairs at v
-            turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
-                     for v, inc in enumerate(g.incident_edges)]
-            counts = []
-            for pm in self.masks:
-                mate = [0] * g.n
-                for e in range(pm.bit_length()):
-                    if pm >> e & 1:
-                        u, v = g.edges[e]
-                        mate[u] = mate[v] = e
-                seen = [False] * g.n
-                odd = comps = 0
-                for start in range(g.n):
-                    if seen[start]:
-                        continue
-                    # walk the factor circuit through start: enter each vertex
-                    # by a factor edge, leave by the edge that is not its mate
-                    v, e = start, mate[start]
-                    length = 0
-                    while True:
-                        seen[v] = True
-                        (a, wa), (b, wb) = turns[v][e]
-                        v, e = (wb, b) if a == mate[v] else (wa, a)
-                        length += 1
-                        if v == start:
-                            break
-                    comps += 1
-                    odd += length & 1
-                counts.append((odd, comps))
-            self._counts = counts
+            self._counts = [(sum(len(c) & 1 for c in circuits), len(circuits))
+                            for circuits in map(self.circuits, self.masks)]
         return self._counts
 
 

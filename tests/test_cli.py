@@ -8,7 +8,7 @@ import pytest
 from conftest import DATA
 from cyclecover import flower, petersen, solvers
 from cyclecover.cli import main
-from cyclecover.families import write_adjacency, write_graph6
+from cyclecover.families import parse_graph6, write_adjacency, write_graph6
 
 
 def run_cli(args, stdin_text=None):
@@ -89,6 +89,20 @@ def test_node_limit_abort_exit_code():
     _, g6, _ = run_cli(["generate", "flower", "5"])
     code, _, err = run_cli(["scc", "-", "--node-limit", "1"], stdin_text=g6)
     assert code == 3
+
+
+def test_spectrum_node_limit_aborts(tmp_path, capsys):
+    g6 = write_graph6(flower(5))
+    path = tmp_path / "j5.g6"
+    path.write_text(g6 + "\n")
+    # the graph6 round trip renumbers the edges, so count on the parsed graph
+    needed = solvers.edge_weight_spectrum(parse_graph6(g6)).nodes
+    for limit in (50, needed - 1):
+        assert main(["spectrum", str(path), "--node-limit", str(limit), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "search aborted" in captured.err
+    assert main(["spectrum", str(path), "--node-limit", str(needed), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_optimal_covers"] == 182
 
 
 def test_cdc_infeasible_exit_code():

@@ -9,7 +9,7 @@ structure (no vertex-weight bound, no 2-factor guidance).
 import pytest
 
 from conftest import load_bridgeless_corpus
-from cyclecover.solvers import shortest_cycle_cover
+from cyclecover.solvers import edge_weight_spectrum, shortest_cycle_cover
 
 
 def oracle_circuits(g):
@@ -83,3 +83,46 @@ def test_oracle_agrees_on_small_named(k4, prism, k33, pete):
 def test_oracle_equivalence_small(max_n):
     for g in load_bridgeless_corpus(max_n):
         assert shortest_cycle_cover(g).length == oracle_scc(g)
+
+
+def oracle_spectrum(g, cap=2):
+    """(optimal length, number of optimal covers, per-edge weight sets) by
+    listing every circuit multiset with all edge weights at most ``cap``,
+    one total length at a time from m upwards; no pruning beyond length and
+    the cap."""
+    circuits = oracle_circuits(g)
+    weight = [0] * g.m
+    for length in range(g.m, cap * g.m + 1):
+        covers = []
+
+        def rec(start, left):
+            if left == 0:
+                if all(weight):
+                    covers.append(tuple(weight))
+                return
+            for i in range(start, len(circuits)):
+                c = circuits[i]
+                if len(c) > left:
+                    return  # circuits are sorted by length
+                if any(weight[e] == cap for e in c):
+                    continue
+                for e in c:
+                    weight[e] += 1
+                rec(i, left - len(c))  # i again: a circuit may repeat
+                for e in c:
+                    weight[e] -= 1
+
+        rec(0, length)
+        if covers:
+            return length, len(covers), tuple(frozenset(w[e] for w in covers) for e in range(g.m))
+    raise AssertionError("no cover within the trivial bound")
+
+
+def test_spectrum_matches_oracle(pete):
+    # the smaller graphs solve at 4m/3 and Petersen at 4m/3 + 1, so both levels run
+    excess = []
+    for g in (*load_bridgeless_corpus(8), pete):
+        spec = edge_weight_spectrum(g)
+        assert (spec.optimal_length, spec.n_optimal_covers, spec.per_edge) == oracle_spectrum(g)
+        excess.append(spec.optimal_length - 4 * g.m // 3)
+    assert excess == [0] * (len(excess) - 1) + [1]

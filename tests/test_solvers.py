@@ -3,11 +3,13 @@ from collections import Counter
 import pytest
 
 from conftest import load_bridgeless_corpus, load_snarks18
-from cyclecover import flower
+from cyclecover import flower, permutation_snark, two_cut_join
 from cyclecover.covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
-from cyclecover.errors import Bridged, NoThreePaths
+from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
 from cyclecover.solvers import (
+    _CircuitSpace,
+    _spectrum_over,
     circumference,
     edge_colouring_3,
     edge_weight_spectrum,
@@ -90,6 +92,15 @@ def test_scc_rejects_bridge():
 def test_cap3_matches_cap2(k4, pete, prism, k33):
     for g in (k4, pete, prism, k33):
         assert shortest_cycle_cover(g, cap=3).length == shortest_cycle_cover(g, cap=2).length
+
+
+def test_scc_deepening_petersen_pair(pete):
+    # optimum 4m/3 + 2: both structural levels come up empty
+    g = two_cut_join(pete, 0, pete, 0)
+    res = shortest_cycle_cover(g)
+    assert res.length == 42 == 4 * g.m // 3 + 2
+    assert validate(res.cover, g).ok
+    assert shortest_cycle_cover(g, seed_order=7).cover == res.cover
 
 
 def test_perfect_matchings(k4, pete):
@@ -200,6 +211,51 @@ def test_spectrum_petersen(pete):
     assert spec.optimal_length == 21
     assert spec.n_optimal_covers == 20
     assert all(1 in s for s in spec.per_edge)
+
+
+# two permutation graphs on 14 vertices, with 46 and 21 optimal covers
+_PERMS = ((1, 0, 5, 2, 6, 4, 3), (6, 0, 3, 1, 4, 2, 5))
+
+
+def _full_space(g, length, cap=2):
+    """(length, covers, per_edge) of the covers of that length, enumerated
+    over every circuit of g: the route kept for optima above 4m/3 + 1."""
+    spec = _spectrum_over(_CircuitSpace(g), cap, length)
+    return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
+
+
+def test_spectrum_matches_full_space_route(k4, pete):
+    join = two_cut_join(pete, 0, k4, 0)
+    for g in (*map(permutation_snark, _PERMS), join):
+        spec = edge_weight_spectrum(g)
+        length = spec.optimal_length
+        assert (length, spec.n_optimal_covers, spec.per_edge) == _full_space(g, length)
+        assert _full_space(g, length - 1)[1] == 0
+    assert edge_weight_spectrum(join).optimal_length == 4 * join.m // 3 + 1
+
+
+def test_spectrum_cap3_matches_cap2(pete):
+    # no edge of a cover of length 4m/3 or 4m/3 + 1 can reach weight 3
+    for g in (pete, permutation_snark(_PERMS[0])):
+        spec = edge_weight_spectrum(g, cap=3)
+        assert spec == edge_weight_spectrum(g)
+        assert _full_space(g, spec.optimal_length, cap=3)[1:] == (spec.n_optimal_covers,
+                                                                 spec.per_edge)
+
+
+def test_spectrum_flower5(j5):
+    spec = edge_weight_spectrum(j5)
+    assert (spec.optimal_length, spec.n_optimal_covers) == (40, 182)
+    assert all(s == frozenset({1, 2}) for s in spec.per_edge)
+
+
+def test_spectrum_node_budget_spans_every_search(j5):
+    # J5's covers come from CDC searches through several 2-factors, so a
+    # budget of one node less than their sum fits each search on its own
+    spec = edge_weight_spectrum(j5)
+    assert edge_weight_spectrum(j5, node_limit=spec.nodes) == spec
+    with pytest.raises(NodeLimitExceeded):
+        edge_weight_spectrum(j5, node_limit=spec.nodes - 1)
 
 
 def test_three_disjoint_paths_contracted_petersen(pete):
