@@ -16,7 +16,6 @@ import time
 from . import constructions, families, pcolour as pcol, solvers
 from .covers import CycleCover, circuit_from_walk, validate
 from .errors import (
-    Aborted,
     Bridged,
     GraphError,
     HypothesisViolated,
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     except StrongCdcNotFound as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 3 if exc.aborted else 2
-    except (NodeLimitExceeded, Aborted) as exc:
+    except NodeLimitExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 3
     except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:

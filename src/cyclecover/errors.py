@@ -66,15 +66,16 @@ class Bridged(GraphError):
 
 
 class NodeLimitExceeded(GraphError):
-    """Search aborted by the configured node limit (not a proof of infeasibility)."""
+    """Search aborted by the configured node limit (not a proof of infeasibility).
+
+    ``nodes`` is the budget spent over the whole call when it stopped: the
+    nodes of every search stage that shares the limit, which is one more
+    than the limit.
+    """
 
     def __init__(self, message: str = "node limit exceeded", nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
-
-
-class Aborted(NodeLimitExceeded):
-    """Petersen-colouring search hit its node limit."""
 
 
 class NoThreePaths(GraphError):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
 from .constructions import ConstructionResult
-from .errors import Aborted, BadLine, HasParallelEdges, PartialAssignment, PreimageNotEven
+from .errors import BadLine, HasParallelEdges, PartialAssignment, PreimageNotEven
 from .families import petersen
 from .graphs import CubicGraph
-from .solvers import _structured_covers
+from .solvers import _label_search, _structured_covers
 
 REFERENCE = petersen()
 
@@ -52,72 +52,10 @@ def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
 
 
 def find_petersen_colouring(g: CubicGraph, node_limit=None):
-    """Backtracking search for a Petersen colouring; None if none exists.
-
-    Deterministic: always branches on the edge with the most constrained
-    endpoints, trying reference edges in increasing order.
-    """
-    m = g.m
-    assignment = [None] * m
-    assigned_at = [0] * g.n  # count of coloured edges at each vertex
-    nodes = [0]
-
-    def candidates(e):
-        u, v = g.edges[e]
-        cands = None
-        for x in (u, v):
-            done = [assignment[f] for f in g.incident_edges[x] if f != e and assignment[f] is not None]
-            if not done:
-                continue
-            opts = set()
-            for star in _P_STARS:
-                if all(p in star for p in done):
-                    opts.update(star - set(done))
-            cands = opts if cands is None else (cands & opts)
-        if cands is None:
-            cands = set(range(REFERENCE.m))
-        return sorted(cands)
-
-    def pick():
-        best, key = -1, None
-        for e in range(m):
-            if assignment[e] is not None:
-                continue
-            u, v = g.edges[e]
-            k = (-(assigned_at[u] + assigned_at[v]), e)
-            if key is None or k < key:
-                key, best = k, e
-        return best
-
-    def rec():
-        e = pick()
-        if e == -1:
-            return True
-        u, v = g.edges[e]
-        for p in candidates(e):
-            nodes[0] += 1
-            if node_limit is not None and nodes[0] > node_limit:
-                raise Aborted(nodes=nodes[0])
-            assignment[e] = p
-            assigned_at[u] += 1
-            assigned_at[v] += 1
-            ok = True
-            for x in (u, v):
-                if assigned_at[x] == 3:
-                    images = frozenset(assignment[f] for f in g.incident_edges[x])
-                    if images not in _P_STAR_SET:
-                        ok = False
-                        break
-            if ok and rec():
-                return True
-            assignment[e] = None
-            assigned_at[u] -= 1
-            assigned_at[v] -= 1
-        return False
-
-    if rec():
-        return PetersenColouring(tuple(assignment))
-    return None
+    """A Petersen colouring by the labelling search of ``solvers`` (the labels
+    are the edges of P, the stars its vertex stars); None if none exists."""
+    assignment = _label_search(g, _P_STARS, node_limit=node_limit)
+    return None if assignment is None else PetersenColouring(tuple(assignment))
 
 
 def is_balanced(colouring: PetersenColouring, m: int) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import combinations
 
 from .covers import Circuit, CycleCover, KCdc, trace_circuit
 from .errors import (
@@ -129,9 +130,11 @@ class _CoverEngine:
     edge; candidate circuits are tried longest first; a tried candidate is
     banned for the rest of the node so every multiset is visited once.
     The lower bound is  (1/2) * sum_v nexteven(max(4, w(v) + deficit(v))).
+    ``nodes`` starts at the nodes a caller already spent under the same
+    ``node_limit``, so it and an abort's count are running totals.
     """
 
-    def __init__(self, g, space, coverage, cap, node_limit=None, by_edge=None):
+    def __init__(self, g, space, coverage, cap, node_limit=None, by_edge=None, nodes=0):
         self.g = g
         self.space = space
         self.coverage = coverage
@@ -150,7 +153,7 @@ class _CoverEngine:
         self.vfull_mask = 0
         self.banned = [False] * len(space.masks)
         self.chosen = []
-        self.nodes = 0
+        self.nodes = nodes
 
     def _c(self, v):
         x = self.wv[v] + self.deficit[v]
@@ -420,11 +423,6 @@ def _two_regular_avoiding(g, x):
     return out
 
 
-def _left(node_limit, used):
-    """What remains of a node budget (None: no limit)."""
-    return None if node_limit is None else node_limit - used
-
-
 def _structured_covers(g, node_limit=None, first=False):
     """The covers of length 4m/3 or 4m/3 + 1, found through their weight-1 edges.
 
@@ -454,7 +452,7 @@ def _structured_covers(g, node_limit=None, first=False):
         for x, rest in level:
             factor = [(c, {v for e in c for v in g.edges[e]}) for c in store.circuits(rest, x)]
             space = _CircuitSpace(g, factor + _alternating_circuits(g, rest, x))
-            eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=_left(node_limit, nodes))
+            eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=node_limit, nodes=nodes)
             seeds = [i for i, mask in enumerate(space.masks) if not mask & rest]
             for i in seeds:
                 eng.add(i)
@@ -464,7 +462,7 @@ def _structured_covers(g, node_limit=None, first=False):
             else:
                 cdcs = []
                 eng.search("all", bound=2 * g.m, collect=cdcs.append)
-            nodes += eng.nodes
+            nodes = eng.nodes
             # every CDC starts with the seeds and holds no second copy of one
             covers += [(full & ~rest, tuple(space.elists[i] for i in cdc[len(seeds):]))
                        for cdc in cdcs]
@@ -475,13 +473,13 @@ def _structured_covers(g, node_limit=None, first=False):
     return None, [], nodes
 
 
-def _deepening(g, cap, node_limit=None, seed_order=None):
+def _deepening(g, cap, node_limit=None, seed_order=None, nodes=0):
     """Optimal length above 4m/3 + 1, by iterative deepening of the direct
     branch and bound over all circuits.
 
     ``seed_order`` shuffles the exploration order; the witness is then
     re-derived in the canonical order.  Returns (length, witness indices,
-    space, nodes).
+    space, nodes), counting on from the ``nodes`` already spent.
     """
     space = _CircuitSpace(g)
     by_edge = None
@@ -492,19 +490,18 @@ def _deepening(g, cap, node_limit=None, seed_order=None):
             lst = list(lst)
             rng.shuffle(lst)
             by_edge.append(tuple(lst))
-    nodes = 0
     target = 2 * g.n + 2
     while True:
-        eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=_left(node_limit, nodes),
-                           by_edge=by_edge)
+        eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit,
+                           by_edge=by_edge, nodes=nodes)
         found = eng.search("first", bound=target)
-        nodes += eng.nodes
+        nodes = eng.nodes
         if found is not None:
             if by_edge is not None:
                 # witness must not depend on the shuffled exploration order
-                eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=_left(node_limit, nodes))
+                eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit, nodes=nodes)
                 found = eng.search("first", bound=target)
-                nodes += eng.nodes
+                nodes = eng.nodes
             return target, found, space, nodes
         if target > 2 * g.m * cap:
             raise AssertionError("no cover found below the trivial bound")
@@ -526,8 +523,8 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None, seed_orde
     if covers:
         cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
     else:
-        length, found, space, used = _deepening(g, cap, _left(node_limit, nodes), seed_order)
-        cover, nodes = _cover_from_indices(g, space, found), nodes + used
+        length, found, space, nodes = _deepening(g, cap, node_limit, seed_order, nodes)
+        cover = _cover_from_indices(g, space, found)
     assert cover.length == length
     return SccResult(length, cover, True, cap, nodes)
 
@@ -559,18 +556,16 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
             for e in range(g.m):
                 attained[e].add(2 - (ones >> e & 1))
         return WeightSpectrum(length, tuple(frozenset(s) for s in attained), len(covers), nodes)
-    length, _, space, used = _deepening(g, cap, _left(node_limit, nodes))
-    nodes += used
-    spec = _spectrum_over(space, cap, length, _left(node_limit, nodes))
-    return replace(spec, nodes=nodes + spec.nodes)
+    length, _, space, nodes = _deepening(g, cap, node_limit, nodes=nodes)
+    return _spectrum_over(space, cap, length, node_limit, nodes)
 
 
-def _spectrum_over(space, cap, length, node_limit=None):
+def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
     """The spectrum of the covers of the given length over every circuit of
-    ``space`` (the engine visits each multiset once); ``nodes`` counts this
-    search only."""
+    ``space`` (the engine visits each multiset once); ``nodes`` counts on
+    from the nodes already spent."""
     g = space.g
-    eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit)
+    eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit, nodes=nodes)
     attained = [set() for _ in range(g.m)]
     covers = 0
 
@@ -858,6 +853,9 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
+    Each edge is labelled by the pair of classes that hold it: at a vertex
+    every class is used twice or not at all, so the three pairs form a
+    triangle of classes, and with a 2-factor class a triangle through it.
     """
     if k is None:
         if two_factor_class:
@@ -879,152 +877,19 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
         return _cover_from_indices(g, space, found)
     if must_contain:
         raise Unsupported("must_contain is only available in the circuit-form search")
-    return _kcdc_search(g, k, two_factor_class, node_limit)
-
-
-def _kcdc_search(g: CubicGraph, k: int, two_factor_class: bool, node_limit=None):
-    """Backtracking over per-edge class pairs with unit propagation.
-
-    Every edge gets an unordered pair of the k classes; at each vertex every
-    class must appear an even number of times among the six slots, and the
-    designated 2-factor class (the last one) exactly twice.  Interchangeable
-    classes are broken by first-use order.
-    """
     if k < 2:
         raise Unsupported("k-CDC search needs k >= 2")
-    m, n = g.m, g.n
-    tf = k - 1 if two_factor_class else None
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    pairs = list(combinations(range(k), 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
-    assign = [None] * m
-    counts = [[0] * k for _ in range(n)]
-    left = [g.degree(v) for v in range(n)]
-    nodes = [0]
-
-    free_classes = [c for c in range(k) if c != tf]
-
-    def vertex_ok(v):
-        # all classes truly even once the vertex closed; 2-factor class == 2
-        for c in range(k):
-            if counts[v][c] % 2:
-                return False
-        if tf is not None and counts[v][tf] != 2:
-            return False
-        return True
-
-    def forced_pair(v):
-        odd = [c for c in range(k) if counts[v][c] % 2]
-        if len(odd) != 2:
-            return None
-        if tf is not None:
-            want_tf = counts[v][tf] % 2 == 1
-            if want_tf and tf not in odd:
-                return None
-            if counts[v][tf] == 2 and tf in odd:
-                return None
-        return (odd[0], odd[1])
-
-    def do_assign(e, p, trail):
-        u, v = g.edges[e]
-        a, b = p
-        assign[e] = p
-        trail.append(e)
-        for x in (u, v):
-            counts[x][a] += 1
-            counts[x][b] += 1
-            left[x] -= 1
-        for x in (u, v):
-            if tf is not None and counts[x][tf] > 2:
-                return False
-            if left[x] == 0 and not vertex_ok(x):
-                return False
-            if tf is not None and counts[x][tf] + left[x] < 2:
-                return False
-        return True
-
-    def undo(trail, upto):
-        while len(trail) > upto:
-            e = trail.pop()
-            a, b = assign[e]
-            assign[e] = None
-            u, v = g.edges[e]
-            for x in (u, v):
-                counts[x][a] -= 1
-                counts[x][b] -= 1
-                left[x] += 1
-
-    def propagate(trail):
-        # close every vertex with one open edge and a forced pair
-        changed = True
-        while changed:
-            changed = False
-            for v in range(n):
-                if left[v] != 1:
-                    continue
-                e = next(e for e in g.incident_edges[v] if assign[e] is None)
-                p = forced_pair(v)
-                if p is None:
-                    return False
-                if not do_assign(e, p, trail):
-                    return False
-                changed = True
-        return True
-
-    def pick_edge():
-        best_e, best_key = -1, None
-        for e in range(m):
-            if assign[e] is not None:
-                continue
-            u, v = g.edges[e]
-            key = (left[u] + left[v], e)
-            if best_key is None or key < best_key:
-                best_key, best_e = key, e
-        return best_e
-
-    def max_used_free():
-        mu = -1
-        for e in range(m):
-            p = assign[e]
-            if p is None:
-                continue
-            for c in p:
-                if c != tf and c > mu:
-                    mu = c
-        return mu
-
-    def rec():
-        e = pick_edge()
-        if e == -1:
-            return True
-        mu = max_used_free()
-        for p in pairs:
-            a, b = p
-            fa = [c for c in p if c != tf]
-            # first-use order for interchangeable classes
-            ok = True
-            prev = mu
-            for c in sorted(fa):
-                if c > prev + 1:
-                    ok = False
-                    break
-                prev = max(prev, c)
-            if not ok:
-                continue
-            nodes[0] += 1
-            if node_limit is not None and nodes[0] > node_limit:
-                raise NodeLimitExceeded(nodes=nodes[0])
-            trail = []
-            if do_assign(e, p, trail) and propagate(trail) and rec():
-                return True
-            undo(trail, 0)
-        return False
-
-    if rec():
-        classes = []
-        for c in range(k):
-            classes.append(frozenset(e for e in range(m) if c in assign[e]))
-        return KCdc.of(classes)
-    return None
+    tf = k - 1 if two_factor_class else None
+    stars = [{pair_id[a, b], pair_id[a, c], pair_id[b, c]}
+             for a, b, c in combinations(range(k), 3) if tf in (None, c)]
+    # the classes other than the 2-factor class are interchangeable
+    symbols = [_mask(c for c in p if c != tf) for p in pairs]
+    labels = _label_search(g, stars, symbols, node_limit)
+    if labels is None:
+        return None
+    return KCdc.of(frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(k))
 
 
 # --------------------------------------------------------------------------
@@ -1099,70 +964,106 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
 
 
 # --------------------------------------------------------------------------
-# 3-edge-colouring
+# edge labellings: 3-edge-colourings, Petersen colourings, k-class CDCs
 # --------------------------------------------------------------------------
 
-def edge_colouring_3(g: Multigraph):
-    """Proper 3-edge-colouring as {edge: 1|2|3}, or None (proven impossible).
+def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
+    """First labelling of the edges of ``g`` (loopless) in which the labels
+    at every vertex of degree 3 form one of ``stars``, and the labels at any
+    vertex are pairwise in a common star; None when none exists (complete
+    proof).
 
-    Backtracking on the most-constrained edge; the first vertex's edges are
-    fixed to colours 1,2,3, which is harmless up to colour permutation.
+    ``stars`` are sets of three labels, and two labels lie in at most one
+    star, so any two labels at a vertex fix the third.  Each edge keeps a
+    bitmask domain.  Labelling an edge narrows the other edges at its ends to
+    the labels that share a star with it, and fixes the third edge of a
+    vertex whose other two edges are labelled; a domain that falls to one
+    label is labelled at once.  The search branches on the smallest domain,
+    then the lowest edge id, and tries its labels in ascending order, one
+    node each.  ``symbols[a]`` masks the interchangeable symbols that label
+    ``a`` uses; a branch may use no new symbol above the highest used one
+    plus one, which stays sound when propagation uses symbols out of order.
     """
-    if g.loops:
-        return None
+    count = 1 + max((max(star) for star in stars), default=-1)
+    adj = [0] * count
+    third = {}
+    for star in stars:
+        for a in star:
+            for b in star:
+                if a != b:
+                    adj[a] |= 1 << b
+                    (third[a, b],) = set(star) - {a, b}
+    symbols = symbols or [0] * count
     m = g.m
-    colour = [0] * m
-    used = [0] * g.n  # bitmask of colours at each vertex
+    # ends[e]: for each end of e, the other edges there
+    ends = [[[f for f in g.incident_edges[v] if f != e] for v in g.edges[e]] for e in range(m)]
+    full = _mask(a for star in stars for a in star)
+    dom = [full] * m
+    lab = [-1] * m
+    trail = []  # (edge, domain, label) before each change
+    used = 0  # symbols of the labelled edges
+    nodes = 0
 
-    def set_colour(e, c):
-        colour[e] = c
-        u, v = g.edges[e]
-        used[u] |= 1 << c
-        used[v] |= 1 << c
+    def narrow(f, d, queue):
+        if d != dom[f]:
+            if not d:
+                return False
+            trail.append((f, dom[f], -1))
+            dom[f] = d
+            if not d & (d - 1):
+                queue.append((f, d.bit_length() - 1))
+        return True
 
-    def clear_colour(e):
-        c = colour[e]
-        colour[e] = 0
-        u, v = g.edges[e]
-        used[u] &= ~(1 << c)
-        used[v] &= ~(1 << c)
-
-    def avail(e):
-        u, v = g.edges[e]
-        free = ~(used[u] | used[v])
-        return [c for c in (1, 2, 3) if free >> c & 1]
-
-    start = next((v for v in range(g.n) if g.degree(v) == 3), None)
-    seeds = []
-    if start is not None:
-        for c, e in enumerate(g.incident_edges[start], start=1):
-            seeds.append((e, c))
+    def label(e, a):
+        nonlocal used
+        queue = [(e, a)]
+        while queue:
+            e, a = queue.pop()
+            trail.append((e, dom[e], -1))
+            dom[e], lab[e] = 1 << a, a
+            used |= symbols[a]
+            for others in ends[e]:
+                done = [lab[f] for f in others if lab[f] >= 0]
+                for f in others:
+                    if lab[f] < 0:
+                        d = 1 << third[a, done[0]] if len(others) == 2 and done else adj[a]
+                        if not narrow(f, dom[f] & d, queue):
+                            return False
+        return True
 
     def rec():
-        best_e, best_av = -1, None
+        nonlocal used, nodes
+        best, size = -1, count + 1
         for e in range(m):
-            if colour[e]:
-                continue
-            av = avail(e)
-            if not av:
-                return False
-            if best_av is None or len(av) < len(best_av):
-                best_e, best_av = e, av
-                if len(av) == 1:
-                    break
-        if best_e == -1:
+            if lab[e] < 0 and dom[e].bit_count() < size:
+                best, size = e, dom[e].bit_count()
+        if best < 0:
             return True
-        for c in best_av:
-            set_colour(best_e, c)
-            if rec():
+        mark, before = len(trail), used
+        d = dom[best]
+        for a in range(count):
+            if not d >> a & 1:
+                continue
+            # first use: symbols above the highest used one must run on from it
+            high = (used | symbols[a]) >> used.bit_length()
+            if high & (high + 1):
+                continue
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                raise NodeLimitExceeded(nodes=nodes)
+            if label(best, a) and rec():
                 return True
-            clear_colour(best_e)
+            while len(trail) > mark:
+                e, dom[e], lab[e] = trail.pop()
+            used = before
         return False
 
-    for e, c in seeds:
-        if c not in avail(e):
-            return None
-        set_colour(e, c)
-    if rec():
-        return {e: colour[e] for e in range(m)}
-    return None
+    return lab if rec() else None
+
+
+def edge_colouring_3(g: Multigraph):
+    """Proper 3-edge-colouring as {edge: 1|2|3}, or None (proven impossible)."""
+    if g.loops:
+        return None
+    colours = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
+    return None if colours is None else {e: c + 1 for e, c in enumerate(colours)}

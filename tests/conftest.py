@@ -3,6 +3,7 @@ import os
 import pytest
 
 from cyclecover import build_graph, flower, petersen
+from cyclecover.covers import validate
 from cyclecover.families import parse_graph6
 from cyclecover.graphs import is_bridgeless
 
@@ -57,3 +58,16 @@ def load_bridgeless_corpus(max_n):
 def load_snarks18():
     with open(os.path.join(DATA, "snarks18.g6")) as fh:
         return [parse_graph6(line.strip()) for line in fh if line.strip()]
+
+
+def check_kcdc(g, kcdc, k, two_factor_class=False):
+    """A k-class CDC witness: its classes double cover g, and with
+    ``two_factor_class`` the last one spans every vertex with degree 2."""
+    assert kcdc.k == k
+    assert validate(kcdc.as_cover(g), g).is_cdc
+    if two_factor_class:
+        deg = [0] * g.n
+        for e in kcdc.classes[-1]:
+            for v in g.edges[e]:
+                deg[v] += 1
+        assert deg == [2] * g.n

@@ -5,16 +5,21 @@ import sys
 
 import pytest
 
+import cyclecover
 from conftest import DATA
 from cyclecover import flower, petersen, solvers
 from cyclecover.cli import main
 from cyclecover.families import parse_graph6, write_adjacency, write_graph6
 
+# the child runs the package under test, installed or not
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(cyclecover.__file__)), os.environ.get("PYTHONPATH")))))
+
 
 def run_cli(args, stdin_text=None):
     proc = subprocess.run(
         [sys.executable, "-m", "cyclecover.cli", *args],
-        input=stdin_text, capture_output=True, text=True, timeout=600)
+        input=stdin_text, capture_output=True, text=True, timeout=600, env=_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -89,6 +94,14 @@ def test_node_limit_abort_exit_code():
     _, g6, _ = run_cli(["generate", "flower", "5"])
     code, _, err = run_cli(["scc", "-", "--node-limit", "1"], stdin_text=g6)
     assert code == 3
+    _, g6, _ = run_cli(["generate", "flower", "7"])
+    code, out, err = run_cli(["pcolour", "find", "-", "--node-limit", "5"], stdin_text=g6)
+    assert code == 3 and out == "" and "search aborted" in err
+    # Petersen has no such CDC (exit 2 without a limit), but an abort is no proof
+    _, g6, _ = run_cli(["generate", "petersen"])
+    code, out, err = run_cli(["cdc", "-", "--k", "5", "--two-factor-class", "--node-limit", "1"],
+                             stdin_text=g6)
+    assert code == 3 and out == "" and "search aborted" in err
 
 
 def test_spectrum_node_limit_aborts(tmp_path, capsys):

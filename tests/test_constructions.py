@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import check_kcdc, load_bridgeless_corpus
 from cyclecover import flower
 from cyclecover.constructions import (
     cover_from_cdc,
@@ -277,7 +278,9 @@ def test_tau4_construction(k4, j5, pete):
 
 
 def test_tauthm_equivalence_small(k4, prism, k33, pete):
-    for g in (k4, prism, k33, pete, flower(5)):
+    for g in (k4, prism, k33, pete, flower(5), *load_bridgeless_corpus(10)):
         tau_ok = perfect_matching_index(g, limit=4).tau is not None
-        cdc_ok = find_cdc(g, k=5, two_factor_class=True) is not None
-        assert tau_ok == cdc_ok
+        kcdc = find_cdc(g, k=5, two_factor_class=True)
+        assert tau_ok == (kcdc is not None)
+        if kcdc is not None:
+            check_kcdc(g, kcdc, 5, two_factor_class=True)

@@ -1,10 +1,13 @@
 """Corpus-wide invariants of the solvers and constructions."""
 
-from conftest import load_bridgeless_corpus
+from conftest import check_kcdc, load_bridgeless_corpus, load_corpus
 from cyclecover.covers import decompose_even_subgraph, trace_circuit, validate
+from cyclecover.graphs import is_bridgeless
+from cyclecover.pcolour import find_petersen_colouring, verify_petersen_colouring
 from cyclecover.solvers import (
     edge_colouring_3,
     enumerate_perfect_matchings,
+    find_cdc,
     perfect_matching_index,
     oddness,
     shortest_cycle_cover,
@@ -41,9 +44,30 @@ def test_cap_three_never_improves():
 
 
 def test_tau3_iff_colourable_corpus():
+    # a cubic graph has a 3-class or a 4-class CDC exactly when it is
+    # 3-edge-colourable
     for g in load_bridgeless_corpus(10):
         res = perfect_matching_index(g)
-        assert (res.tau == 3) == (edge_colouring_3(g) is not None)
+        colour = edge_colouring_3(g)
+        assert (res.tau == 3) == (colour is not None)
+        if colour is not None:
+            assert sorted(colour) == list(range(g.m))
+            for v in range(g.n):
+                assert sorted(colour[e] for e in g.incident_edges[v]) == [1, 2, 3]
+        for k in (3, 4):
+            kcdc = find_cdc(g, k=k)
+            assert (kcdc is not None) == (colour is not None)
+            if kcdc is not None:
+                check_kcdc(g, kcdc, k)
+
+
+def test_petersen_colouring_iff_bridgeless_corpus():
+    # Jaeger's conjecture holds on the corpus; a bridge rules a colouring out
+    for g in load_corpus(12):
+        colouring = find_petersen_colouring(g)
+        assert (colouring is not None) == is_bridgeless(g)
+        if colouring is not None:
+            assert verify_petersen_colouring(g, colouring) == (True, None)
 
 
 def test_oddness_even_and_matching_symmetric_differences():

@@ -254,8 +254,10 @@ def test_spectrum_node_budget_spans_every_search(j5):
     # budget of one node less than their sum fits each search on its own
     spec = edge_weight_spectrum(j5)
     assert edge_weight_spectrum(j5, node_limit=spec.nodes) == spec
-    with pytest.raises(NodeLimitExceeded):
+    with pytest.raises(NodeLimitExceeded) as exc:
         edge_weight_spectrum(j5, node_limit=spec.nodes - 1)
+    # the abort reports the whole budget spent, not the last search's count
+    assert exc.value.nodes == spec.nodes
 
 
 def test_three_disjoint_paths_contracted_petersen(pete):
