@@ -24,6 +24,7 @@ from .errors import (
     NoThreePaths,
     NoTwoFactor,
     NotTwoConnectedReduced,
+    PreimageNotEven,
     StrongCdcNotFound,
     TauTooLarge,
 )
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (Bridged, HypothesisViolated, TauTooLarge, NotTwoConnectedReduced,
-            NoThreePaths, NoTwoFactor, LinksNotDisjoint) as exc:
+            NoThreePaths, NoTwoFactor, LinksNotDisjoint, PreimageNotEven) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
     except StrongCdcNotFound as exc:

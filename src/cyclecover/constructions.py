@@ -20,7 +20,6 @@ from .covers import (
     validate,
 )
 from .errors import (
-    DoubledSetNotMatching,
     HypothesisViolated,
     LinksNotDisjoint,
     NoTwoFactorClass,
@@ -148,14 +147,15 @@ def hamiltonian_3ec(g: CubicGraph, ham: Circuit, swap: bool = False):
     return colour
 
 
-def _pair_class(g, colour, pair):
-    return frozenset(e for e in range(g.m) if colour[e] in pair)
+def _colouring_cover(g, colour, pairs=((1, 2), (1, 3), (2, 3))) -> CycleCover:
+    """The circuits of the colour-pair classes of a 3-edge-colouring.
 
-
-def _colouring_cdc(g, colour) -> CycleCover:
+    All three classes give a CDC; (1, 3) and (2, 3) alone give a cover of
+    length 4m/3 whose weight-1 edges are the (1, 2) class.
+    """
     circuits = []
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        circuits.extend(decompose_even_subgraph(g, _pair_class(g, colour, pair)))
+    for pair in pairs:
+        circuits.extend(decompose_even_subgraph(g, (e for e in range(g.m) if colour[e] in pair)))
     return CycleCover.of(circuits)
 
 
@@ -211,11 +211,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     cert = {"circuit": longest, "k": k}
 
     if k == 0:
-        colour = hamiltonian_3ec(g, longest)
-        circuits = []
-        for pair in ((1, 3), (2, 3)):
-            circuits.extend(decompose_even_subgraph(g, _pair_class(g, colour, pair)))
-        cover = CycleCover.of(circuits)
+        cover = _colouring_cover(g, hamiltonian_3ec(g, longest), ((1, 3), (2, 3)))
         return _check_result(g, cover, base, "circumference", cert)
 
     c_set = longest.edge_set
@@ -265,7 +261,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
         if best is None or len(lifted_13) > len(best[1]):
             best = (colour, lifted_13)
     colour, c13 = best
-    cdc2 = relabel_cover(lift_cover(_colouring_cdc(g2, colour), rmap2), emap2, g)
+    cdc2 = relabel_cover(lift_cover(_colouring_cover(g2, colour), rmap2), emap2, g)
 
     merged = merge_cdcs(g, cdc1, cdc2, [longest])
     cover = cover_from_cdc(g, merged, c13)
@@ -430,7 +426,7 @@ def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
         raise AssertionError("2-factor image has an odd component")
 
     colour = _phase_colouring(g1, rmap1, emap1, f_images, set(ends))
-    cdc1 = relabel_cover(lift_cover(_colouring_cdc(g1, colour), rmap1), emap1, g)
+    cdc1 = relabel_cover(lift_cover(_colouring_cover(g1, colour), rmap1), emap1, g)
     c13 = _lift_colour_class(g, colour, (1, 3), rmap1, emap1)
 
     # the touched components plus the links, suppressed, with a CDC through
@@ -489,17 +485,19 @@ def five_cdc_from_pm_cover(g: CubicGraph, matchings) -> KCdc:
             count[e] += 1
     if any(c == 0 for c in count):
         raise NotACover("matchings do not cover every edge")
+    # four perfect matchings covering E give every vertex the weights 2, 1,
+    # 1, so the checks below are internal
     doubled = frozenset(e for e in range(g.m) if count[e] >= 2)
     if any(c > 2 for c in count):
-        raise DoubledSetNotMatching("an edge is covered more than twice")
+        raise AssertionError("an edge is covered more than twice")
     seen = set()
     for e in doubled:
         u, v = g.edges[e]
         if u in seen or v in seen:
-            raise DoubledSetNotMatching("doubly covered edges are not a matching")
+            raise AssertionError("doubly covered edges are not a matching")
         seen.update((u, v))
     if len(seen) != g.n:
-        raise DoubledSetNotMatching("doubly covered edges are not a perfect matching")
+        raise AssertionError("doubly covered edges are not a perfect matching")
     all_edges = frozenset(range(g.m))
     classes = [doubled ^ mm for mm in matchings] + [all_edges - doubled]
     kcdc = KCdc.of(classes)
@@ -564,9 +562,7 @@ def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
     if result.tau == 3:
         colour = edge_colouring_3(g)
         assert colour is not None
-        cdc = _colouring_cdc(g, colour)
-        factor = _pair_class(g, colour, (1, 2))
-        cover = cover_from_cdc(g, cdc, factor)
+        cover = _colouring_cover(g, colour, ((1, 3), (2, 3)))
         cert = {"tau": 3, "matchings": result.matchings}
     else:
         kcdc = five_cdc_from_pm_cover(g, result.matchings)

@@ -300,48 +300,33 @@ def validate(obj, g: Multigraph) -> CoverReport:
                 problems.append(f"class {i} is not an even subgraph")
         w = obj.edge_weight(g.m)
         length = sum(w)
-        missing = tuple(e for e in range(g.m) if w[e] == 0)
         for e in range(g.m):
             if w[e] != 2:
                 problems.append(f"edge {e} lies in {w[e]} classes, expected 2")
                 break
-        hist = {}
-        for x in w:
-            hist[x] = hist.get(x, 0) + 1
-        return CoverReport(
-            kind=kind,
-            ok=not problems,
-            problems=tuple(problems),
-            length=length,
-            weight_histogram=hist,
-            missing_edges=missing,
-            is_cdc=all(x == 2 for x in w),
-            is_one_two_cover=all(1 <= x <= 2 for x in w),
-            weight_one_edges=frozenset(e for e in range(g.m) if w[e] == 1),
-        )
-
-    if not isinstance(obj, CycleCover):
+    elif isinstance(obj, CycleCover):
+        kind = "cycle cover"
+        for c in obj.circuits:
+            _check_circuit(g, c, problems)
+        w = obj.edge_weight(g.m)
+        missing = tuple(e for e in range(g.m) if w[e] == 0)
+        if missing:
+            problems.append(f"edges not covered: {missing}")
+        length = obj.length
+        if 2 * length != sum(obj.vertex_weight(g)):
+            problems.append("length identity violated: length != (1/2) sum of vertex weights")
+    else:
         raise TypeError(f"cannot validate {type(obj).__name__}")
-    for c in obj.circuits:
-        _check_circuit(g, c, problems)
-    w = obj.edge_weight(g.m)
-    missing = tuple(e for e in range(g.m) if w[e] == 0)
-    if missing:
-        problems.append(f"edges not covered: {missing}")
-    length = obj.length
-    vw = obj.vertex_weight(g)
-    if 2 * length != sum(vw):
-        problems.append("length identity violated: length != (1/2) sum of vertex weights")
     hist = {}
     for x in w:
         hist[x] = hist.get(x, 0) + 1
     return CoverReport(
-        kind="cycle cover",
+        kind=kind,
         ok=not problems,
         problems=tuple(problems),
         length=length,
         weight_histogram=hist,
-        missing_edges=missing,
+        missing_edges=tuple(e for e in range(g.m) if w[e] == 0),
         is_cdc=all(x == 2 for x in w),
         is_one_two_cover=all(1 <= x <= 2 for x in w),
         weight_one_edges=frozenset(e for e in range(g.m) if w[e] == 1),

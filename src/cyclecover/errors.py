@@ -131,10 +131,6 @@ class NotACover(GraphError):
     """Perfect matchings do not cover the edge set as required."""
 
 
-class DoubledSetNotMatching(GraphError):
-    """Internal consistency failure: doubly covered edges are not a perfect matching."""
-
-
 class NoTwoFactorClass(GraphError):
     """5-CDC has no colour class that is a 2-factor."""
 

@@ -125,11 +125,14 @@ class _SearchStop(Exception):
 class _CoverEngine:
     """Branch and bound over circuit multisets.
 
-    ``coverage`` is the per-edge target (1 for covers, 2 for double covers),
-    ``cap`` the per-edge maximum.  Branches on the most-weighted deficient
-    edge; candidate circuits are tried longest first; a tried candidate is
-    banned for the rest of the node so every multiset is visited once.
-    The lower bound is  (1/2) * sum_v nexteven(max(4, w(v) + deficit(v))).
+    ``coverage[e]`` is the weight edge e must reach (1 for covers, 2 for
+    double covers, less on edges of circuits a caller has already placed),
+    ``cap[e]`` the most it may take, and ``vcap[v]``, the sum of the caps at
+    v, bounds the weight of vertex v.  Branches on the deficient edge whose
+    ends have the least spare capacity, vcap - w(v); candidate circuits are
+    tried in space order, shortest first; a tried candidate is banned for the
+    rest of the node so every multiset is visited once.
+    The lower bound is  (1/2) * sum_v nexteven(w(v) + deficit(v)).
     ``nodes`` starts at the nodes a caller already spent under the same
     ``node_limit``, so it and an abort's count are running totals.
     """
@@ -142,33 +145,33 @@ class _CoverEngine:
         self.node_limit = node_limit
         self.by_edge = by_edge if by_edge is not None else space.by_edge
         m, n = g.m, g.n
+        self.vcap = [0] * n
+        self.deficit = [0] * n
+        for e, ends in enumerate(g.edges):
+            for v in ends:
+                self.vcap[v] += cap[e]
+                self.deficit[v] += coverage[e]
         self.w = [0] * m
         self.wv = [0] * n
-        self.deficit = [coverage * g.degree(v) for v in range(n)]
         self.contrib = [self._c(v) for v in range(n)]
         self.total = sum(self.contrib)
-        self.short = coverage * m  # sum of remaining edge deficits
+        self.short = sum(coverage)  # sum of remaining edge deficits
         self.length = 0
-        self.sat_mask = 0
-        self.vfull_mask = 0
+        self.sat_mask = _mask(e for e in range(m) if cap[e] == 0)
+        self.vfull_mask = _mask(v for v in range(n) if self.vcap[v] <= 1)
         self.banned = [False] * len(space.masks)
         self.chosen = []
         self.nodes = nodes
 
     def _c(self, v):
         x = self.wv[v] + self.deficit[v]
-        if x < 4:
-            x = 4
         return x + (x & 1)
-
-    def lower_bound(self):
-        return self.total // 2
 
     # -- state updates -----------------------------------------------------
 
     def _apply(self, ci, sign):
         g = self.g
-        coverage, cap = self.coverage, self.cap
+        coverage, cap, vcap = self.coverage, self.cap, self.vcap
         wv, w, deficit, contrib = self.wv, self.w, self.deficit, self.contrib
         for v in self.space.vlists[ci]:
             wv[v] += 2 * sign
@@ -176,69 +179,41 @@ class _CoverEngine:
             old = w[e]
             w[e] = new = old + sign
             if sign > 0:
-                if old < coverage:
+                if old < coverage[e]:
                     u, x = g.edges[e]
                     deficit[u] -= 1
                     deficit[x] -= 1
                     self.short -= 1
-                if new == cap:
+                if new == cap[e]:
                     self.sat_mask |= 1 << e
             else:
-                if new < coverage:
+                if new < coverage[e]:
                     u, x = g.edges[e]
                     deficit[u] += 1
                     deficit[x] += 1
                     self.short += 1
-                if old == cap:
+                if old == cap[e]:
                     self.sat_mask &= ~(1 << e)
-        lim = 3 * cap - 1
         for v in self.space.vlists[ci]:
             c = self._c(v)
             self.total += c - contrib[v]
             contrib[v] = c
-            if sign > 0 and wv[v] >= lim:
+            # full: one more circuit through v would exceed vcap[v]
+            if sign > 0 and wv[v] >= vcap[v] - 1:
                 self.vfull_mask |= 1 << v
-            elif sign < 0 and wv[v] < lim:
+            elif sign < 0 and wv[v] < vcap[v] - 1:
                 self.vfull_mask &= ~(1 << v)
         self.length += sign * self.space.lengths[ci]
 
-    def add(self, ci):
-        self.chosen.append(ci)
-        self._apply(ci, +1)
-
-    def remove(self):
-        ci = self.chosen.pop()
-        self._apply(ci, -1)
-
-    def seed_feasible(self, ci):
-        mask = self.space.masks[ci]
-        if mask & self.sat_mask:
-            return False
-        if self.space.vmasks[ci] & self.vfull_mask:
-            return False
-        return True
-
     def _pick_edge(self):
-        w, coverage = self.w, self.coverage
-        wv = self.wv
+        w, coverage, wv, vcap = self.w, self.coverage, self.wv, self.vcap
         best, key = -1, None
-        for e in range(self.g.m):
-            if w[e] < coverage:
-                u, v = self.g.edges[e]
-                k = -(wv[u] + wv[v])
+        for e, (u, v) in enumerate(self.g.edges):
+            if w[e] < coverage[e]:
+                k = vcap[u] - wv[u] + vcap[v] - wv[v]
                 if key is None or k < key:
                     key, best = k, e
         return best
-
-    def _dead_vertex(self, ci):
-        # a saturated vertex must have no deficient edge left
-        lim = 3 * self.cap
-        for v in self.space.vlists[ci]:
-            if self.wv[v] == lim:
-                for e in self.g.incident_edges[v]:
-                    if self.w[e] < self.coverage:
-                        return True
-        return False
 
     # -- search modes --------------------------------------------------------
 
@@ -284,19 +259,16 @@ class _CoverEngine:
                 self.nodes += 1
                 if self.node_limit is not None and self.nodes > self.node_limit:
                     raise NodeLimitExceeded(nodes=self.nodes)
-                self.add(ci)
-                if self.total // 2 <= self.bound and not self._dead_vertex(ci):
+                self.chosen.append(ci)
+                self._apply(ci, +1)
+                if self.total // 2 <= self.bound:
                     self._dfs(first_mode)
-                self.remove()
+                self._apply(self.chosen.pop(), -1)
                 banned[ci] = True
                 unban.append(ci)
         finally:
             for ci in unban:
                 banned[ci] = False
-
-
-def _cover_from_indices(g, space, indices):
-    return CycleCover.of(trace_circuit(g, space.elists[i]) for i in indices)
 
 
 @dataclass(frozen=True)
@@ -432,11 +404,11 @@ def _structured_covers(g, node_limit=None, first=False):
     both ends).  So no cap above 2 changes these covers.  The weight-1 edges
     C form a 2-factor, or a 2-regular subgraph missing x, and adding C's
     circuits to the cover gives a cycle double cover.  The covers of that
-    length are therefore the CDCs through C's circuits, minus those
-    circuits, over the circuits of ``_alternating_circuits``.  A cover
-    determines C and x, so each one is found exactly once.  2-factors come
-    first; each level is searched exhaustively, and one node budget covers
-    every search.
+    length are therefore the multisets of circuits of
+    ``_alternating_circuits`` that cover every edge of C once and every other
+    edge twice.  A cover determines C and x, so each one is found exactly
+    once.  2-factors come first; each level is searched exhaustively, and one
+    node budget covers every search.
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
     circuits as sorted edge tuples) in search order, only the first one with
@@ -450,22 +422,17 @@ def _structured_covers(g, node_limit=None, first=False):
     for excess, level in enumerate(levels):
         covers = []
         for x, rest in level:
-            factor = [(c, {v for e in c for v in g.edges[e]}) for c in store.circuits(rest, x)]
-            space = _CircuitSpace(g, factor + _alternating_circuits(g, rest, x))
-            eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=node_limit, nodes=nodes)
-            seeds = [i for i, mask in enumerate(space.masks) if not mask & rest]
-            for i in seeds:
-                eng.add(i)
+            space = _CircuitSpace(g, _alternating_circuits(g, rest, x))
+            demand = [1 + (rest >> e & 1) for e in range(g.m)]
+            eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit, nodes=nodes)
             if first:
-                found = eng.search("first", bound=2 * g.m)
-                cdcs = [] if found is None else [found]
+                hit = eng.search("first", bound=2 * g.n + excess)
+                hits = [] if hit is None else [hit]
             else:
-                cdcs = []
-                eng.search("all", bound=2 * g.m, collect=cdcs.append)
+                hits = []
+                eng.search("all", bound=2 * g.n + excess, collect=hits.append)
             nodes = eng.nodes
-            # every CDC starts with the seeds and holds no second copy of one
-            covers += [(full & ~rest, tuple(space.elists[i] for i in cdc[len(seeds):]))
-                       for cdc in cdcs]
+            covers += [(full & ~rest, tuple(space.elists[i] for i in hit)) for hit in hits]
             if first and covers:
                 break
         if covers:
@@ -490,16 +457,17 @@ def _deepening(g, cap, node_limit=None, seed_order=None, nodes=0):
             lst = list(lst)
             rng.shuffle(lst)
             by_edge.append(tuple(lst))
+    ones, caps = [1] * g.m, [cap] * g.m
     target = 2 * g.n + 2
     while True:
-        eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit,
-                           by_edge=by_edge, nodes=nodes)
+        eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, by_edge=by_edge,
+                           nodes=nodes)
         found = eng.search("first", bound=target)
         nodes = eng.nodes
         if found is not None:
             if by_edge is not None:
                 # witness must not depend on the shuffled exploration order
-                eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit, nodes=nodes)
+                eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, nodes=nodes)
                 found = eng.search("first", bound=target)
                 nodes = eng.nodes
             return target, found, space, nodes
@@ -524,7 +492,7 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None, seed_orde
         cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
     else:
         length, found, space, nodes = _deepening(g, cap, node_limit, seed_order, nodes)
-        cover = _cover_from_indices(g, space, found)
+        cover = CycleCover.of(space.circuit(i) for i in found)
     assert cover.length == length
     return SccResult(length, cover, True, cap, nodes)
 
@@ -565,7 +533,7 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
     ``space`` (the engine visits each multiset once); ``nodes`` counts on
     from the nodes already spent."""
     g = space.g
-    eng = _CoverEngine(g, space, coverage=1, cap=cap, node_limit=node_limit, nodes=nodes)
+    eng = _CoverEngine(g, space, [1] * g.m, [cap] * g.m, node_limit=node_limit, nodes=nodes)
     attained = [set() for _ in range(g.m)]
     covers = 0
 
@@ -638,10 +606,10 @@ class _Matchings:
         self._turns = None
         self._counts = None
 
-    def circuits(self, rest, skip=-1):
-        """The circuits of the 2-regular subgraph E - rest, as edge id lists
-        in walk order.  Every vertex other than ``skip`` has exactly one edge
-        in ``rest`` (an edge mask), its mate; ``skip`` has none in E - rest.
+    def circuits(self, rest):
+        """The circuits of the 2-factor E - rest, as edge id lists in walk
+        order; every vertex has exactly one edge in ``rest`` (an edge mask),
+        its mate.
         """
         g = self.g
         if self._turns is None:
@@ -655,8 +623,6 @@ class _Matchings:
                 u, v = g.edges[e]
                 mate[u] = mate[v] = e
         seen = [False] * g.n
-        if skip >= 0:
-            seen[skip] = True
         out = []
         for start in range(g.n):
             if seen[start]:
@@ -847,9 +813,11 @@ def circumference(g: Multigraph):
 def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, node_limit=None):
     """Search for a cycle double cover.
 
-    Without ``k``: circuit-form search; ``must_contain`` pre-places circuits
-    and the result is a ``CycleCover`` with every edge weight exactly 2, or
-    ``None`` when the search space is exhausted (proven infeasible).
+    Without ``k``: circuit-form search; the result is a ``CycleCover`` with
+    every edge weight exactly 2 that holds the circuits of ``must_contain``,
+    or ``None`` when the search space is exhausted (proven infeasible).  The
+    forced circuits lower each edge's demand, 2 less the times they pass it,
+    and the search covers every edge to its demand.
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
@@ -861,20 +829,21 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
         if two_factor_class:
             raise Unsupported("a 2-factor class constraint needs the k-class search")
         space = _CircuitSpace(g)
-        eng = _CoverEngine(g, space, coverage=2, cap=2, node_limit=node_limit)
-        index_of = {tuple(space.elists[i]): i for i in range(len(space))}
+        circuits = set(space.elists)
+        demand = [2] * g.m
         for c in must_contain:
-            key = tuple(sorted(c.edges))
-            ci = index_of.get(key)
-            if ci is None:
-                return None  # circuit not a circuit of g: nothing can contain it
-            if not eng.seed_feasible(ci):
-                return None
-            eng.add(ci)
-        found = eng.search("first", bound=2 * g.m)
+            if tuple(sorted(c.edges)) not in circuits:
+                return None  # not a circuit of g: nothing can contain it
+            for e in c.edges:
+                demand[e] -= 1
+        if any(d < 0 for d in demand):
+            return None
+        eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit)
+        found = eng.search("first", bound=sum(demand))
         if found is None:
             return None
-        return _cover_from_indices(g, space, found)
+        return CycleCover.of([trace_circuit(g, c.edges) for c in must_contain]
+                             + [space.circuit(i) for i in found])
     if must_contain:
         raise Unsupported("must_contain is only available in the circuit-form search")
     if k < 2:

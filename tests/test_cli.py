@@ -7,8 +7,9 @@ import pytest
 
 import cyclecover
 from conftest import DATA
-from cyclecover import flower, petersen, solvers
+from cyclecover import build_graph, cover_via_oddness2, flower, petersen, solvers
 from cyclecover.cli import main
+from cyclecover.errors import LinksNotDisjoint
 from cyclecover.families import parse_graph6, write_adjacency, write_graph6
 
 # the child runs the package under test, installed or not
@@ -224,3 +225,53 @@ def test_analyze_golden(monkeypatch, capsys):
     assert main(["analyze", "analyze_golden.g6", "--json", "--no-timing"]) == 0
     with open(os.path.join(DATA, "analyze_golden.jsonl"), encoding="ascii") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_hypothesis_exit_codes(tmp_path, capsys):
+    from test_graphs import _bridged_cubic
+
+    # three blocks of _bridged_cubic at one centre vertex: deleting the centre
+    # leaves three odd components, so there is no perfect matching
+    block = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (4, 3)]
+    edges = [(u + 5 * i, v + 5 * i) for i in range(3) for u, v in block]
+    edges += [(4 + 5 * i, 15) for i in range(3)]
+    path = tmp_path / "nopm.adj"
+    path.write_text(write_adjacency(build_graph(edges)))
+    assert main(["oddness", str(path)]) == 2
+    assert "no perfect matching" in capsys.readouterr().err
+
+    path = tmp_path / "bridged.adj"
+    path.write_text(write_adjacency(_bridged_cubic()))
+    assert main(["construct", "--via", "circumference", str(path)]) == 2
+    assert "2-connected" in capsys.readouterr().err
+
+    with pytest.raises(LinksNotDisjoint):
+        cover_via_oddness2(petersen(), links=[5, 5, 6])
+
+
+def test_construct_circumference_abort_exit_code(tmp_path, capsys):
+    # the CDC search through a 9-circuit of Petersen needs more than one node
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main(["construct", "--via", "circumference", str(path), "--node-limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "search failed: CDC search aborted" in captured.err
+
+
+def test_broken_colouring_exit_codes(tmp_path, capsys):
+    # send two edges at vertex 0 to one edge of P: no star of P is hit there
+    g = petersen()
+    gfile = tmp_path / "p.g6"
+    gfile.write_text(write_graph6(g) + "\n")
+    assert main(["pcolour", "find", str(gfile)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    g = parse_graph6(write_graph6(g))
+    e, f = g.incident_edges[0][:2]
+    lines[f] = lines[f].split("->")[0] + "->" + lines[e].split("->")[1]
+    cfile = tmp_path / "broken.txt"
+    cfile.write_text("\n".join(lines) + "\n")
+    assert main(["pcolour", "verify", str(gfile), "--colouring", str(cfile), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+    assert main(["pcolour", "pullback", str(gfile), "--colouring", str(cfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "star condition" in captured.err

@@ -1,10 +1,11 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from conftest import load_bridgeless_corpus, load_snarks18
-from cyclecover import flower, permutation_snark, two_cut_join
-from cyclecover.covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
+from cyclecover import build_graph, flower, permutation_snark, two_cut_join
+from cyclecover.covers import Circuit, CycleCover, decompose_even_subgraph, trace_circuit, validate
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
 from cyclecover.solvers import (
@@ -182,7 +183,7 @@ def test_edge_colouring(k4, pete):
     assert edge_colouring_3(g) is not None
 
 
-def test_find_cdc_circuit_form(k4, pete):
+def test_find_cdc_circuit_form(k4, pete, j5):
     cdc = find_cdc(k4)
     assert validate(cdc, k4).is_cdc
     # strong CDC through a 9-circuit of the Petersen graph
@@ -190,6 +191,27 @@ def test_find_cdc_circuit_form(k4, pete):
     cdc = find_cdc(pete, must_contain=[circ])
     assert cdc is not None and validate(cdc, pete).is_cdc
     assert circ in cdc.circuits
+    # a third copy of a circuit leaves its edges a negative demand
+    assert find_cdc(pete, must_contain=[circ] * 3) is None
+    ham = trace_circuit(k4, [0, 2, 3, 5])  # 0-1-2-3
+    assert find_cdc(k4, must_contain=[ham] * 3) is None
+    # forced entries that are no circuit of g: three edges of a graph of
+    # girth 5, and the two 4-circuits of the cube taken as one
+    assert find_cdc(pete, must_contain=[Circuit((0, 1, 2), (0, 1, 2))]) is None
+    cube = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                        (0, 4), (1, 5), (2, 6), (3, 7)])
+    assert find_cdc(cube, must_contain=[Circuit(tuple(range(8)), tuple(range(8)))]) is None
+    # every vertex of a CDC lies on three circuits that pairwise share an
+    # edge; forcing two of them leaves that edge no demand and its ends a
+    # target weight of 2
+    for g in [pete, j5, *load_bridgeless_corpus(12)]:
+        pair = next((c1, c2) for c1, c2 in combinations(find_cdc(g).circuits, 2)
+                    if c1.edge_set & c2.edge_set)
+        got = find_cdc(g, must_contain=pair)
+        assert got is not None and validate(got, g).is_cdc
+        rest = list(got.circuits)
+        for c in pair:
+            rest.remove(c)  # raises unless the CDC holds both
 
 
 def test_find_cdc_k5_two_factor(pete):
