@@ -406,6 +406,11 @@ def main(argv=None) -> int:
     except NodeLimitExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the recursive searches go about n deep; running out of stack is an
+        # abort, never a proof that no answer exists
+        print("search aborted: recursion limit exceeded", file=sys.stderr)
+        return 3
     except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

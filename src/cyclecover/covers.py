@@ -269,6 +269,9 @@ def _check_circuit(g: Multigraph, c: Circuit, problems):
     if len(c) < 2:
         problems.append(f"circuit {c.edges} shorter than 2")
         return
+    if len(c.vertices) != len(c):
+        problems.append(f"circuit {c.edges} has {len(c.vertices)} vertices")
+        return
     if len(set(c.vertices)) != len(c.vertices):
         problems.append(f"circuit {c.edges} repeats a vertex")
     L = len(c)
@@ -287,18 +290,23 @@ def validate(obj, g: Multigraph) -> CoverReport:
     """Check all type invariants of a cover or k-CDC; never raises.
 
     The report carries length, the weight histogram, whether the object is a
-    (1,2)-cover, and whether it covers every edge exactly twice.
+    (1,2)-cover, and whether it covers every edge exactly twice.  An id that
+    names no edge of ``g`` is a problem and adds no weight.
     """
     problems = []
+    w = [0] * g.m  # edge weights over the ids that name an edge of g
     if isinstance(obj, KCdc):
         kind = f"{obj.k}-CDC"
         for i, cls in enumerate(obj.classes):
+            known = []
             for e in cls:
-                if not 0 <= e < g.m:
+                if 0 <= e < g.m:
+                    known.append(e)
+                    w[e] += 1
+                else:
                     problems.append(f"class {i} references unknown edge {e}")
-            if not is_even_subgraph(g, cls):
+            if not is_even_subgraph(g, known):
                 problems.append(f"class {i} is not an even subgraph")
-        w = obj.edge_weight(g.m)
         length = sum(w)
         for e in range(g.m):
             if w[e] != 2:
@@ -308,12 +316,15 @@ def validate(obj, g: Multigraph) -> CoverReport:
         kind = "cycle cover"
         for c in obj.circuits:
             _check_circuit(g, c, problems)
-        w = obj.edge_weight(g.m)
+            for e in c.edges:
+                if 0 <= e < g.m:
+                    w[e] += 1
         missing = tuple(e for e in range(g.m) if w[e] == 0)
         if missing:
             problems.append(f"edges not covered: {missing}")
         length = obj.length
-        if 2 * length != sum(obj.vertex_weight(g)):
+        # each edge adds its weight to two vertex weights
+        if length != sum(w):
             problems.append("length identity violated: length != (1/2) sum of vertex weights")
     else:
         raise TypeError(f"cannot validate {type(obj).__name__}")

@@ -238,10 +238,19 @@ def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     bridges c > max(T) of G - T are tried as the last edge of S = T + {c};
     the cut T itself (the empty cut included) is tested on the way.  Only
     k <= 4 is supported, which is all the constructions ever need.
+
+    At k = 4 a triangle on three distinct vertices decides at once when
+    n > 4: b <= 3 edges leave it, and the other n - 3 vertices span
+    (3n - 9 - b) / 2 edges, at least n - 3 as n >= 6, so they hold a
+    circuit too.
     """
     if k > 4:
         raise Unsupported("cyclic connectivity decision implemented for k <= 4 only")
     adj = _adjacency(g)
+    if k == 4 and g.n > 4:
+        near = [{w for _, w in lst if w != v} for v, lst in enumerate(adj)]
+        if any(near[u] & near[v] for u, v in g.edges):
+            return False
     excess = [len(lst) - 2 for lst in adj]
     for size in range(k - 1):
         for cut in itertools.combinations(range(g.m), size):

@@ -556,35 +556,52 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
 # --------------------------------------------------------------------------
 
 def enumerate_perfect_matchings(g: Multigraph):
-    """All perfect matchings as frozensets of edge ids, deterministic order."""
-    res = []
-    matched = [False] * g.n
+    """All perfect matchings as frozensets of edge ids, sorted by their
+    sorted edge tuples.
 
-    def rec(chosen):
-        v = -1
-        for x in range(g.n):
-            if not matched[x]:
-                v = x
-                break
-        if v == -1:
-            res.append(frozenset(chosen))
+    The search keeps the free vertices as a bitmask, branches on the free
+    vertex with the fewest free neighbours and backs up at a free vertex
+    with none.  Branching on a vertex splits the matchings by the edge that
+    covers it, so each is found once; the order comes from the final sort.
+    """
+    options = [[] for _ in range(g.n)]  # (edge, far end bit) per vertex
+    near = [0] * g.n  # neighbour mask per vertex
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            options[u].append((e, 1 << v))
+            options[v].append((e, 1 << u))
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+    found = []
+    chosen = []
+
+    def rec(free):
+        if not free:
+            found.append(tuple(sorted(chosen)))
             return
-        for e in g.incident_edges[v]:
-            u, w = g.edges[e]
-            if u == w:
-                continue
-            other = w if u == v else u
-            if other == v or matched[other]:
-                continue
-            matched[v] = matched[other] = True
-            chosen.append(e)
-            rec(chosen)
-            chosen.pop()
-            matched[v] = matched[other] = False
+        fewest = g.n
+        x = free
+        while x:
+            bit = x & -x
+            v = bit.bit_length() - 1
+            k = (free & near[v]).bit_count()
+            if k < fewest:
+                if not k:
+                    return
+                best, fewest = v, k
+                if k == 1:
+                    break
+            x ^= bit
+        rest = free & ~(1 << best)
+        for e, w in options[best]:
+            if rest & w:
+                chosen.append(e)
+                rec(rest ^ w)
+                chosen.pop()
 
-    rec([])
-    res.sort(key=lambda s: tuple(sorted(s)))
-    return res
+    rec((1 << g.n) - 1)
+    found.sort()
+    return [frozenset(t) for t in found]
 
 
 def _edge_set(mask):

@@ -275,3 +275,16 @@ def test_broken_colouring_exit_codes(tmp_path, capsys):
     assert main(["pcolour", "pullback", str(gfile), "--colouring", str(cfile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "star condition" in captured.err
+
+
+@pytest.mark.parametrize("command", ["circ", "oddness"])
+def test_recursion_limit_is_an_abort(command, tmp_path):
+    # on the prism C_1200 x K2 these searches recurse deeper than Python allows
+    k = 1200
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    path = tmp_path / "prism.adj"
+    path.write_text(write_adjacency(build_graph(edges)))
+    code, out, err = run_cli([command, str(path)])
+    assert code == 3 and out == ""
+    assert "search aborted: recursion limit exceeded" in err and "Traceback" not in err

@@ -79,6 +79,21 @@ def test_validate_reports_missing_edge(k4):
     assert report.missing_edges
 
 
+@pytest.mark.parametrize("obj, weighted", [
+    (CycleCover.of([Circuit((0, 1, 99), (0, 1, 2))]), {0, 1}),
+    (CycleCover.of([Circuit((0, 1, 99), (0, 1))]), {0, 1}),
+    (CycleCover.of([Circuit((-1, 3), (0, 1))]), {3}),
+    (KCdc.of([{99}]), set()),
+    (KCdc.of([{-1}]), set()),
+])
+def test_validate_reports_unknown_edges(obj, weighted, pete):
+    report = validate(obj, pete)
+    assert not report.ok and report.problems
+    # ids that name no edge add no weight (-1 used to weigh on edge 14)
+    assert report.weight_one_edges == weighted
+    assert set(report.missing_edges) == set(range(15)) - weighted
+
+
 def test_lift_preserves_validity():
     # K4 with one edge subdivided twice: suppression undoes the subdivision
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 5), (5, 3), (2, 3)]

@@ -135,6 +135,9 @@ def _connectivity_cases():
         ("K4+prism", _k4_beside(_PRISM)),
         # digons at both ends of a 4-circuit
         ("digons", build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])),
+        # two triangles that each hold a digon, so one edge leaves each
+        ("digon triangles", build_graph([(0, 1), (0, 1), (0, 2), (1, 2), (2, 5),
+                                         (3, 4), (3, 4), (3, 5), (4, 5)])),
         ("P+P", two_cut_join(petersen(), 0, petersen(), 0)),
     ]
     return cases

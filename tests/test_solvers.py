@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import load_bridgeless_corpus, load_snarks18
-from cyclecover import build_graph, flower, permutation_snark, two_cut_join
+from conftest import load_bridgeless_corpus, load_corpus, load_snarks18
+from cyclecover import build_graph, flower, goldberg, permutation_snark, two_cut_join
 from cyclecover.covers import Circuit, CycleCover, decompose_even_subgraph, trace_circuit, validate
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
@@ -115,6 +115,43 @@ def test_perfect_matchings(k4, pete):
                 continue
             comps = decompose_even_subgraph(pete, a ^ b)
             assert all(len(c) % 2 == 0 for c in comps)
+
+
+def _least_vertex_matchings(g):
+    """Oracle: perfect matchings by branching on the least unmatched vertex,
+    sorted by their sorted edge tuples."""
+    res = []
+    matched = [False] * g.n
+
+    def rec(chosen):
+        v = next((x for x in range(g.n) if not matched[x]), -1)
+        if v == -1:
+            res.append(frozenset(chosen))
+            return
+        for e in g.incident_edges[v]:
+            u, w = g.edges[e]
+            other = w if u == v else u
+            if other == v or matched[other]:
+                continue
+            matched[v] = matched[other] = True
+            chosen.append(e)
+            rec(chosen)
+            chosen.pop()
+            matched[v] = matched[other] = False
+
+    rec([])
+    res.sort(key=lambda s: tuple(sorted(s)))
+    return res
+
+
+def test_perfect_matchings_match_least_vertex_oracle(pete, j5):
+    digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
+    # loops at 0 and 3 beside two digons: loops never enter a matching
+    looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
+    graphs = [*load_corpus(12), pete, j5, goldberg(5), digons, looped]
+    for g in graphs:
+        assert enumerate_perfect_matchings(g) == _least_vertex_matchings(g)
+    assert len(enumerate_perfect_matchings(looped)) == 5
 
 
 def test_tau_values(k4, pete):
