@@ -23,12 +23,13 @@ from .errors import (
     NodeLimitExceeded,
     NoThreePaths,
     NoTwoFactor,
+    NotCubic,
     NotTwoConnectedReduced,
     PreimageNotEven,
     StrongCdcNotFound,
     TauTooLarge,
 )
-from .graphs import cyclic_connectivity_at_least, girth, is_bridgeless
+from .graphs import CubicGraph, cyclic_connectivity_at_least, girth, is_bridgeless
 
 SCHEMA = "cyclecover/report-v1"
 
@@ -41,14 +42,26 @@ def _read_text(path: str) -> str:
 
 
 def _load_graphs(path: str, fmt: str | None):
-    """Graphs from a file or stdin; graph6 streams carry one graph per line."""
+    """Cubic graphs from a file or stdin; graph6 streams carry one graph per line."""
     text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if fmt is None:
         fmt = "adj" if lines and len(lines[0].split()) == 2 else "g6"
-    if fmt == "adj":
-        return [families.parse_adjacency(text)]
-    return [families.parse_graph6(ln) for ln in lines]
+    if fmt == "g6":
+        return [families.parse_graph6(ln) for ln in lines]
+    g = families.parse_adjacency(text)
+    if not isinstance(g, CubicGraph):
+        v = next(v for v in range(g.n) if g.degree(v) != 3)
+        raise NotCubic(f"vertex {v} has degree {g.degree(v)}, not 3")
+    return [g]
+
+
+def _load_graph(path: str, fmt: str | None):
+    """The first graph of the input."""
+    graphs = _load_graphs(path, fmt)
+    if not graphs:
+        raise GraphError("no graph in input")
+    return graphs[0]
 
 
 def _emit(obj, as_json: bool):
@@ -76,10 +89,9 @@ def _cover_payload(g, cover: CycleCover):
 
 
 def cmd_analyze(args) -> int:
-    graphs = _load_graphs(args.graph, args.format)
     if args.verify_cover:
-        return _verify_cover(graphs, args)
-    for idx, g in enumerate(graphs):
+        return _verify_cover(_load_graph(args.graph, args.format), args)
+    for idx, g in enumerate(_load_graphs(args.graph, args.format)):
         report = {"schema": SCHEMA, "source": args.graph, "index": idx,
                   "n": g.n, "m": g.m, "girth": girth(g)}
         timings = {}
@@ -96,15 +108,13 @@ def cmd_analyze(args) -> int:
         colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
         report["three_edge_colourable"] = colouring is not None
         if report["bridgeless"]:
-            # scc, tau and oddness read one enumeration of the perfect matchings
-            with solvers._sharing_matchings(g):
-                scc = run("scc", lambda: solvers.shortest_cycle_cover(
-                    g, cap=args.cap, node_limit=args.node_limit, seed_order=args.seed_order))
-                report["scc"] = scc.length
-                tau = run("tau", lambda: solvers.perfect_matching_index(g))
-                report["tau"] = tau.tau
-                odd = run("oddness", lambda: solvers.oddness(g))
-                report["oddness"] = odd[0]
+            scc = run("scc", lambda: solvers.shortest_cycle_cover(
+                g, cap=args.cap, node_limit=args.node_limit, seed_order=args.seed_order))
+            report["scc"] = scc.length
+            tau = run("tau", lambda: solvers.perfect_matching_index(g))
+            report["tau"] = tau.tau
+            odd = run("oddness", lambda: solvers.oddness(g))
+            report["oddness"] = odd[0]
         else:
             report["scc"] = None
             report["tau"] = None
@@ -148,8 +158,7 @@ def _walk_edges(index, verts):
     return edges, None
 
 
-def _verify_cover(graphs, args) -> int:
-    g = graphs[0]
+def _verify_cover(g, args) -> int:
     cert = json.loads(_read_text(args.verify_cover))
     index = _edge_index(g)
     circuits = []
@@ -170,7 +179,7 @@ def _verify_cover(graphs, args) -> int:
 
 
 def cmd_scc(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     res = solvers.shortest_cycle_cover(g, cap=args.cap, node_limit=args.node_limit,
                                        seed_order=args.seed_order)
     out = {"scc": res.length, "optimal": res.optimal, "cap": res.weight_cap_used,
@@ -181,7 +190,7 @@ def cmd_scc(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     res = solvers.perfect_matching_index(g, limit=args.limit)
     out = {"tau": res.tau, "above_limit": res.above_limit,
            "matchings": [sorted(mm) for mm in res.matchings]}
@@ -190,14 +199,14 @@ def cmd_tau(args) -> int:
 
 
 def cmd_oddness(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     odd, factor = solvers.oddness(g)
     _emit({"oddness": odd, "two_factor": sorted(factor)}, args.json)
     return 0
 
 
 def cmd_circ(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     length, circ = solvers.circumference(g)
     _emit({"circumference": length,
            "circuit": list(circ.vertices) if circ else None}, args.json)
@@ -205,7 +214,7 @@ def cmd_circ(args) -> int:
 
 
 def cmd_cdc(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     must = []
     if args.contains:
         verts = [int(x) for x in args.contains.split(",")]
@@ -231,7 +240,7 @@ def cmd_cdc(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     res = solvers.edge_weight_spectrum(g, cap=args.cap, node_limit=args.node_limit)
     forced = [e for e in range(g.m) if res.per_edge[e] == frozenset({1})]
     out = {"optimal_length": res.optimal_length,
@@ -243,7 +252,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     if args.via == "tau4":
         res = constructions.scc_cover_from_tau4(g, node_limit=args.node_limit)
     elif args.via == "circumference":
@@ -290,7 +299,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pcolour(args) -> int:
-    g = _load_graphs(args.graph, args.format)[0]
+    g = _load_graph(args.graph, args.format)
     if args.action == "find":
         colouring = pcol.find_petersen_colouring(g, node_limit=args.node_limit)
         if colouring is None:
@@ -393,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a hypothesis violation
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.fn(args)
     except (Bridged, HypothesisViolated, TauTooLarge, NotTwoConnectedReduced,

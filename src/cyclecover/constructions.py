@@ -40,6 +40,7 @@ from .graphs import (
     edge_subgraph,
     is_bridgeless,
     is_connected,
+    is_spanning_regular,
     suppress_degree_two,
 )
 from .solvers import (
@@ -470,15 +471,8 @@ def five_cdc_from_pm_cover(g: CubicGraph, matchings) -> KCdc:
     if len(set(matchings)) != 4:
         raise NotACover("matchings must be distinct (3-edge-colourable graphs "
                         "take the 3-CDC branch)")
-    for mm in matchings:
-        seen = set()
-        for e in mm:
-            u, v = g.edges[e]
-            if u in seen or v in seen:
-                raise NotACover("input is not a perfect matching")
-            seen.update((u, v))
-        if len(seen) != g.n:
-            raise NotACover("input is not a perfect matching")
+    if not all(is_spanning_regular(g, mm, 1) for mm in matchings):
+        raise NotACover("input is not a perfect matching")
     count = [0] * g.m
     for mm in matchings:
         for e in mm:
@@ -490,13 +484,7 @@ def five_cdc_from_pm_cover(g: CubicGraph, matchings) -> KCdc:
     doubled = frozenset(e for e in range(g.m) if count[e] >= 2)
     if any(c > 2 for c in count):
         raise AssertionError("an edge is covered more than twice")
-    seen = set()
-    for e in doubled:
-        u, v = g.edges[e]
-        if u in seen or v in seen:
-            raise AssertionError("doubly covered edges are not a matching")
-        seen.update((u, v))
-    if len(seen) != g.n:
+    if not is_spanning_regular(g, doubled, 1):
         raise AssertionError("doubly covered edges are not a perfect matching")
     all_edges = frozenset(range(g.m))
     classes = [doubled ^ mm for mm in matchings] + [all_edges - doubled]
@@ -516,21 +504,12 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
     report = validate(cdc, g)
     if not report.ok:
         raise ValueError(f"not a valid 5-CDC: {report.problems}")
-
-    def is_two_factor(cls):
-        deg = [0] * g.n
-        for e in cls:
-            u, v = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        return all(d == 2 for d in deg)
-
     if two_factor_index is None:
         two_factor_index = next((i for i, cls in enumerate(cdc.classes)
-                                 if is_two_factor(cls)), None)
+                                 if is_spanning_regular(g, cls, 2)), None)
         if two_factor_index is None:
             raise NoTwoFactorClass("no colour class is a 2-factor")
-    elif not is_two_factor(cdc.classes[two_factor_index]):
+    elif not is_spanning_regular(g, cdc.classes[two_factor_index], 2):
         raise NoTwoFactorClass("designated class is not a 2-factor")
 
     factor = cdc.classes[two_factor_index]
@@ -543,13 +522,8 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
     covered = set().union(*matchings)
     if covered != frozenset(range(g.m)):
         raise AssertionError("derived matchings do not cover the edge set")
-    for mm in matchings:
-        seen = set()
-        for e in mm:
-            u, v = g.edges[e]
-            if u in seen or v in seen:
-                raise AssertionError("derived set is not a perfect matching")
-            seen.update((u, v))
+    if not all(is_spanning_regular(g, mm, 1) for mm in matchings):
+        raise AssertionError("derived set is not a perfect matching")
     return tuple(matchings)
 
 

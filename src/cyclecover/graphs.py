@@ -408,6 +408,19 @@ class ContractionMap:
     edge_origin: tuple
 
 
+def is_spanning_regular(g: Multigraph, edge_ids, d: int) -> bool:
+    """True iff every id lies in 0..m-1 and the edges give every vertex degree
+    ``d``: a perfect matching for d = 1, a 2-factor for d = 2."""
+    deg = [0] * g.n
+    for e in edge_ids:
+        if not 0 <= e < g.m:
+            return False
+        u, v = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+    return deg == [d] * g.n
+
+
 def contract_two_factor(g: CubicGraph, two_factor):
     """Contract each component of a 2-factor to a single vertex.
 
@@ -415,12 +428,7 @@ def contract_two_factor(g: CubicGraph, two_factor):
     edges inside one component) and parallel edges are kept and flagged.
     """
     f = frozenset(two_factor)
-    deg_in_f = [0] * g.n
-    for e in f:
-        u, v = g.edges[e]
-        deg_in_f[u] += 1
-        deg_in_f[v] += 1
-    if any(d != 2 for d in deg_in_f):
+    if not is_spanning_regular(g, f, 2):
         raise NotTwoFactor("edge set is not a spanning 2-regular subgraph")
 
     comp = [-1] * g.n

@@ -9,9 +9,8 @@ value orders, so results are deterministic for a given graph.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .covers import Circuit, CycleCover, KCdc, trace_circuit
@@ -352,47 +351,22 @@ def _alternating_circuits(g, rest, x=-1):
     return out
 
 
-def _two_regular_avoiding(g, x):
-    """All 2-regular edge sets covering exactly the vertices other than x, as masks."""
-    usable = [e for e in range(g.m) if x not in g.edges[e]]
-    deg = [0] * g.n
-    incident_left = [0] * g.n
-    for e in usable:
-        u, v = g.edges[e]
-        incident_left[u] += 1
-        incident_left[v] += 1
-    out = []
+def _near_factor_rests(g, x):
+    """E - C, as edge masks, for every 2-regular subgraph C that covers
+    exactly the vertices other than x.
 
-    def rec(i, chosen):
-        if i == len(usable):
-            out.append(_mask(chosen))
-            return
-        e = usable[i]
-        u, v = g.edges[e]
-        # include e
-        if deg[u] < 2 and deg[v] < 2:
-            deg[u] += 1
-            deg[v] += 1
-            incident_left[u] -= 1
-            incident_left[v] -= 1
-            if deg[u] + incident_left[u] >= 2 and deg[v] + incident_left[v] >= 2:
-                chosen.append(e)
-                rec(i + 1, chosen)
-                chosen.pop()
-            incident_left[u] += 1
-            incident_left[v] += 1
-            deg[u] -= 1
-            deg[v] -= 1
-        # exclude e
-        incident_left[u] -= 1
-        incident_left[v] -= 1
-        if deg[u] + incident_left[u] >= 2 and deg[v] + incident_left[v] >= 2:
-            rec(i + 1, chosen)
-        incident_left[u] += 1
-        incident_left[v] += 1
-
-    rec(0, [])
-    return out
+    C holds both other edges of each neighbour of x, so E - C is the star of
+    x plus a perfect matching of G - N[x], and C exists only when x has three
+    distinct neighbours.  The complements of C within E - star(x) reverse the
+    order of the matchings' sorted edge tuples, so the C come in include-first
+    order: of two, the one holding the least edge where they differ first.
+    """
+    ends = {g.other_end(e, x) for e in g.incident_edges[x]}
+    if len(ends) < 3:
+        return []
+    star = _mask(g.incident_edges[x])
+    free = ((1 << g.n) - 1) & ~_mask(ends | {x})
+    return [star | _mask(t) for t in reversed(_matching_search(g, free))]
 
 
 def _structured_covers(g, node_limit=None, first=False):
@@ -417,7 +391,7 @@ def _structured_covers(g, node_limit=None, first=False):
     store = _matchings(g)
     full = (1 << g.m) - 1
     levels = (((-1, pm) for pm in store.masks),
-              ((x, full & ~c) for x in range(g.n) for c in _two_regular_avoiding(g, x)))
+              ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
     nodes = 0
     for excess, level in enumerate(levels):
         covers = []
@@ -557,7 +531,13 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
 
 def enumerate_perfect_matchings(g: Multigraph):
     """All perfect matchings as frozensets of edge ids, sorted by their
-    sorted edge tuples.
+    sorted edge tuples."""
+    return [frozenset(t) for t in _matching_search(g, (1 << g.n) - 1)]
+
+
+def _matching_search(g, free):
+    """The perfect matchings of the subgraph induced by the vertex mask
+    ``free``, as sorted edge tuples in sorted order.
 
     The search keeps the free vertices as a bitmask, branches on the free
     vertex with the fewest free neighbours and backs up at a free vertex
@@ -599,9 +579,9 @@ def enumerate_perfect_matchings(g: Multigraph):
                 rec(rest ^ w)
                 chosen.pop()
 
-    rec((1 << g.n) - 1)
+    rec(free)
     found.sort()
-    return [frozenset(t) for t in found]
+    return found
 
 
 def _edge_set(mask):
@@ -615,78 +595,53 @@ class _Matchings:
     of the complementary 2-factor; it is computed on first use.
     """
 
-    __slots__ = ("g", "masks", "_turns", "_counts")
+    __slots__ = ("g", "masks", "_counts")
 
     def __init__(self, g):
         self.g = g
         self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
-        self._turns = None
         self._counts = None
-
-    def circuits(self, rest):
-        """The circuits of the 2-factor E - rest, as edge id lists in walk
-        order; every vertex has exactly one edge in ``rest`` (an edge mask),
-        its mate.
-        """
-        g = self.g
-        if self._turns is None:
-            # turns[v][e]: the other two (edge, far end) pairs at v
-            self._turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
-                           for v, inc in enumerate(g.incident_edges)]
-        turns = self._turns
-        mate = [0] * g.n
-        for e in range(rest.bit_length()):
-            if rest >> e & 1:
-                u, v = g.edges[e]
-                mate[u] = mate[v] = e
-        seen = [False] * g.n
-        out = []
-        for start in range(g.n):
-            if seen[start]:
-                continue
-            # walk the circuit through start: enter each vertex by a factor
-            # edge, leave by the edge that is not its mate
-            v, e = start, mate[start]
-            edges = []
-            while True:
-                seen[v] = True
-                (a, wa), (b, wb) = turns[v][e]
-                v, e = (wb, b) if a == mate[v] else (wa, a)
-                edges.append(e)
-                if v == start:
-                    break
-            out.append(edges)
-        return out
 
     @property
     def factor_counts(self):
         if self._counts is None:
-            self._counts = [(sum(len(c) & 1 for c in circuits), len(circuits))
-                            for circuits in map(self.circuits, self.masks)]
+            g = self.g
+            # turns[v][e]: the other two (edge, far end) pairs at v
+            turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
+                     for v, inc in enumerate(g.incident_edges)]
+            self._counts = []
+            for rest in self.masks:
+                mate = [0] * g.n
+                for e in range(rest.bit_length()):
+                    if rest >> e & 1:
+                        u, v = g.edges[e]
+                        mate[u] = mate[v] = e
+                seen = [False] * g.n
+                odd = circuits = 0
+                for start in range(g.n):
+                    if seen[start]:
+                        continue
+                    # walk the circuit through start: enter each vertex by a
+                    # factor edge, leave by the edge that is not its mate
+                    v, e, length = start, mate[start], 0
+                    while True:
+                        seen[v] = True
+                        (a, wa), (b, wb) = turns[v][e]
+                        v, e = (wb, b) if a == mate[v] else (wa, a)
+                        length += 1
+                        if v == start:
+                            break
+                    odd += length & 1
+                    circuits += 1
+                self._counts.append((odd, circuits))
         return self._counts
 
 
-# the matching store shared by the solvers inside ``_sharing_matchings``
-_SHARED = ContextVar("cyclecover_shared_matchings", default=None)
-
-
-@contextmanager
-def _sharing_matchings(g):
-    """Within the block, every solver called on ``g`` reads one matching store."""
-    token = _SHARED.set([g, None])
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
+@lru_cache(maxsize=1)
 def _matchings(g) -> _Matchings:
-    slot = _SHARED.get()
-    if slot is None or slot[0] is not g:
-        return _Matchings(g)
-    if slot[1] is None:
-        slot[1] = _Matchings(g)
-    return slot[1]
+    """The matching store of ``g``.  Graphs are immutable and hash by
+    identity, so consecutive solver calls on one graph share one store."""
+    return _Matchings(g)
 
 
 @dataclass(frozen=True)

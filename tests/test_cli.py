@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from conftest import DATA
 from cyclecover import build_graph, cover_via_oddness2, flower, petersen, solvers
 from cyclecover.cli import main
 from cyclecover.errors import LinksNotDisjoint
-from cyclecover.families import parse_graph6, write_adjacency, write_graph6
+from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
+from cyclecover.graphs import Multigraph
 
 # the child runs the package under test, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
@@ -89,6 +91,43 @@ def test_parse_error_exit_code(tmp_path):
     path.write_text("definitely not graph6 \x01\n")
     code, _, _ = run_cli(["scc", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [["tau"], ["scc", "-", "--bogus"],
+                                  ["construct", "-", "--via", "nope"]])
+def test_usage_error_exit_code(args):
+    # 2 is kept for hypothesis violations, so a typo must not exit 2
+    code, out, err = run_cli(args, stdin_text="")
+    assert code == 1 and out == "" and "error:" in err
+    assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", [["scc"], ["tau"], ["oddness"], ["circ"], ["cdc"],
+                                     ["spectrum"], ["construct", "--via", "tau4"],
+                                     ["pcolour", "find"]])
+def test_empty_input_exit_code(command, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main([*command, "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no graph in input\n"
+
+
+def test_empty_stream_analyze(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["analyze", "-", "--json"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_non_cubic_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "triangle.adj"
+    path.write_text("0 1\n1 2\n2 0\n")
+    for command in (["scc"], ["analyze"], ["spectrum"], ["pcolour", "find"]):
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 0 has degree 2, not 3\n"
+    # the library still reads subcubic adjacency text
+    assert type(parse_adjacency(path.read_text())) is Multigraph
 
 
 def test_node_limit_abort_exit_code():

@@ -234,20 +234,29 @@ def test_five_cdc_roundtrip_flower():
     assert len(back) == 4
 
 
-def test_five_cdc_rejects_padding(k4):
+def test_five_cdc_rejects_padding(k4, pete):
     res = perfect_matching_index(k4)
     m1, m2, m3 = res.matchings
     with pytest.raises(NotACover):
         five_cdc_from_pm_cover(k4, [m1, m2, m3, m1])
+    # an edge id outside 0..m-1 is no perfect matching
+    with pytest.raises(NotACover):
+        five_cdc_from_pm_cover(pete, [{99}, *enumerate_perfect_matchings(pete)[:3]])
 
 
-def test_five_cdc_rejects_uncovering(pete):
+def test_five_cdc_rejects_uncovering(pete, j5):
     pms = enumerate_perfect_matchings(pete)[:4]
     union = frozenset().union(*pms)
     if union == frozenset(range(pete.m)):
         pytest.skip("unexpected: four matchings cover the Petersen graph")
     with pytest.raises(NotACover):
         five_cdc_from_pm_cover(pete, pms)
+    # -1 must not stand in for edge m - 1, which is then left uncovered
+    last = j5.m - 1
+    pms = [{-1 if e == last else e for e in mm}
+           for mm in perfect_matching_index(j5, limit=4).matchings]
+    with pytest.raises(NotACover):
+        five_cdc_from_pm_cover(j5, pms)
 
 
 def test_pm_cover_rejects_empty_classes(k4):

@@ -214,6 +214,8 @@ def test_contract_two_factor_prism(prism):
 def test_contract_rejects_non_factor(pete):
     with pytest.raises(NotTwoFactor):
         contract_two_factor(pete, frozenset(range(6)))
+    with pytest.raises(NotTwoFactor):
+        contract_two_factor(pete, {99})
 
 
 def test_girth_parallel():

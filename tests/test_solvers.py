@@ -4,12 +4,13 @@ from itertools import combinations
 import pytest
 
 from conftest import load_bridgeless_corpus, load_corpus, load_snarks18
-from cyclecover import build_graph, flower, goldberg, permutation_snark, two_cut_join
+from cyclecover import build_graph, flower, goldberg, permutation_snark, petersen, solvers, two_cut_join
 from cyclecover.covers import Circuit, CycleCover, decompose_even_subgraph, trace_circuit, validate
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
 from cyclecover.solvers import (
     _CircuitSpace,
+    _near_factor_rests,
     _spectrum_over,
     circumference,
     edge_colouring_3,
@@ -152,6 +153,90 @@ def test_perfect_matchings_match_least_vertex_oracle(pete, j5):
     for g in graphs:
         assert enumerate_perfect_matchings(g) == _least_vertex_matchings(g)
     assert len(enumerate_perfect_matchings(looped)) == 5
+
+
+def _two_regular_avoiding(g, x):
+    """Oracle: every 2-regular edge set covering exactly the vertices other
+    than x, as an edge mask, by deciding the edges in id order, include first."""
+    usable = [e for e in range(g.m) if x not in g.edges[e]]
+    deg = [0] * g.n
+    incident_left = [0] * g.n
+    for e in usable:
+        u, v = g.edges[e]
+        incident_left[u] += 1
+        incident_left[v] += 1
+    out = []
+
+    def rec(i, chosen):
+        if i == len(usable):
+            out.append(sum(1 << e for e in chosen))
+            return
+        e = usable[i]
+        u, v = g.edges[e]
+        # include e
+        if deg[u] < 2 and deg[v] < 2:
+            deg[u] += 1
+            deg[v] += 1
+            incident_left[u] -= 1
+            incident_left[v] -= 1
+            if deg[u] + incident_left[u] >= 2 and deg[v] + incident_left[v] >= 2:
+                chosen.append(e)
+                rec(i + 1, chosen)
+                chosen.pop()
+            incident_left[u] += 1
+            incident_left[v] += 1
+            deg[u] -= 1
+            deg[v] -= 1
+        # exclude e
+        incident_left[u] -= 1
+        incident_left[v] -= 1
+        if deg[u] + incident_left[u] >= 2 and deg[v] + incident_left[v] >= 2:
+            rec(i + 1, chosen)
+        incident_left[u] += 1
+        incident_left[v] += 1
+
+    rec(0, [])
+    return out
+
+
+def test_near_two_factors_match_include_first_oracle(k4, pete, j5):
+    # a digon at vertex 0; a digon between the neighbours 1 and 2 of vertex 0
+    digon_at_x = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+                              (4, 5)])
+    digon_between = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 5),
+                                 (4, 5), (4, 5)])
+    graphs = [*load_corpus(12), pete, j5, two_cut_join(pete, 0, k4, 0),
+              two_cut_join(pete, 0, pete, 0), *load_snarks18(), digon_at_x, digon_between]
+    for g in graphs:
+        full = (1 << g.m) - 1
+        for x in range(g.n):
+            assert [full & ~rest for rest in _near_factor_rests(g, x)] == _two_regular_avoiding(g, x)
+    assert _near_factor_rests(digon_at_x, 0) == []
+    assert len(_near_factor_rests(digon_between, 0)) == 2
+    # the oracle offers the empty set at x = 0, which leaves vertex 1 uncovered
+    theta = build_graph([(0, 1)] * 3)
+    assert _two_regular_avoiding(theta, 0) == [0]
+    assert _near_factor_rests(theta, 0) == _near_factor_rests(theta, 1) == []
+
+
+def test_matching_store_shared_by_consecutive_calls(monkeypatch):
+    calls = []
+    original = solvers.enumerate_perfect_matchings
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings", counting)
+    # fresh graph objects, so no earlier test has filled their store
+    g, h = petersen(), flower(5)
+    oddness(g)
+    perfect_matching_index(g)
+    shortest_cycle_cover(g)
+    assert calls == [g]
+    for graph in (h, g, h):
+        oddness(graph)
+    assert calls == [g, h, g, h]
 
 
 def test_tau_values(k4, pete):
