@@ -119,7 +119,7 @@ def cmd_analyze(args) -> int:
             report["scc"] = None
             report["tau"] = None
             report["oddness"] = None
-        circ = run("circumference", lambda: solvers.circumference(g))
+        circ = run("circumference", lambda: solvers.circumference(g, node_limit=args.node_limit))
         report["circumference"] = circ[0]
         ok = True
         if report["three_edge_colourable"] and report["bridgeless"]:
@@ -207,7 +207,7 @@ def cmd_oddness(args) -> int:
 
 def cmd_circ(args) -> int:
     g = _load_graph(args.graph, args.format)
-    length, circ = solvers.circumference(g)
+    length, circ = solvers.circumference(g, node_limit=args.node_limit)
     _emit({"circumference": length,
            "circuit": list(circ.vertices) if circ else None}, args.json)
     return 0

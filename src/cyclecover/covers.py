@@ -33,17 +33,21 @@ class Circuit:
 
 
 def _canonicalize_walk(edges, vertices):
-    """Least (edges, vertices) pair over all rotations and both directions."""
-    L = len(edges)
-    best = None
-    for j in range(L):
-        fwd = (tuple(edges[j:] + edges[:j]), tuple(vertices[j:] + vertices[:j]))
-        bwd_e = tuple(edges[(j - 1 - i) % L] for i in range(L))
-        bwd_v = tuple(vertices[(j - i) % L] for i in range(L))
-        for cand in (fwd, (bwd_e, bwd_v)):
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Least (edges, vertices) pair over all rotations and both directions.
+
+    Only walks that start with the least edge id compete: the forward and
+    the backward walk from each place it holds, and in a circuit it holds
+    one.  Edge ``edges[p]`` runs from ``vertices[p]`` to ``vertices[p + 1]``.
+    """
+    least = min(edges)
+    cands = []
+    for p, e in enumerate(edges):
+        if e == least:
+            q = (p + 1) % len(edges)
+            cands.append((tuple(edges[p:] + edges[:p]), tuple(vertices[p:] + vertices[:p])))
+            cands.append((tuple(edges[p::-1] + edges[:p:-1]),
+                          tuple(vertices[q::-1] + vertices[:q:-1])))
+    return min(cands)
 
 
 def circuit_from_walk(edges, vertices) -> Circuit:

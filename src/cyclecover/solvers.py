@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .covers import Circuit, CycleCover, KCdc, trace_circuit
+from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import (
     Bridged,
     NodeLimitExceeded,
@@ -725,57 +725,95 @@ def oddness(g: CubicGraph):
 # circumference
 # --------------------------------------------------------------------------
 
-def circumference(g: Multigraph):
-    """Exact longest circuit by DFS from each anchor v0, the least vertex of
-    the circuits it explores.
+def circumference(g: Multigraph, node_limit=None):
+    """Exact longest circuit: the first longest one of a DFS from each anchor
+    v0, the least vertex of the circuits it explores, along edges in id order.
 
-    A branch is cut when the path plus every free vertex (unvisited, above
-    v0; reachable or not) cannot beat the best circuit so far.
+    A first pass keeps only a Hamiltonian circuit (its best starts at n - 1).
+    A Hamiltonian cubic graph is 3-edge-colourable, so that pass is skipped
+    for a cubic graph with no 3-edge-colouring.  Failing it, an improving
+    pass stops at its first circuit of length n - 1.
+
+    Extending the path to w, let R be the free vertices (unvisited, above v0)
+    that w reaches through free vertices.  The rest of the circuit runs from
+    w through R to a neighbour of v0, and each of its inner vertices has two
+    neighbours in R + {w, v0}.  A branch is cut when v0 has no neighbour in
+    R + {w}, or when those inner vertices cannot beat the best circuit.  Each
+    extension is one node of ``node_limit``, counted over both passes.
     """
-    adj = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    for lst in adj:
-        lst.sort()
-    best = [0, None]
     n = g.n
+    adj = [[] for _ in range(n)]
+    nbrs = [0] * n
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    best = [0, None]
+    nodes = 0
 
-    def dfs(v0, cur, first_edge, visited_mask, path_edges, path_verts):
+    def dfs(v0, cur, visited, path_edges, path_verts, stop):
+        nonlocal nodes
+        length = len(path_edges)
         for e, w in adj[cur]:
             if w == v0:
                 # close only with a larger edge id, so each circuit is seen once
-                if e > first_edge and len(path_edges) + 1 > best[0]:
-                    best[0] = len(path_edges) + 1
+                if e > path_edges[0] and length + 1 > best[0]:
+                    best[0] = length + 1
                     best[1] = (tuple(path_edges + [e]), tuple(path_verts))
+                    if best[0] == stop:
+                        raise _SearchStop
                 continue
-            if w < v0 or visited_mask >> w & 1:
+            if visited >> w & 1:
                 continue
-            # extending to w gives a circuit of at most (path vertices + w) + free
-            free = n - v0 - 1 - ((visited_mask | 1 << w) >> (v0 + 1)).bit_count()
-            if len(path_edges) + 2 + free <= best[0]:
+            free = ~(visited | 1 << w)  # bounded by the neighbour masks
+            reach, front = 0, nbrs[w] & free
+            while front:
+                reach |= front
+                grow = 0
+                while front:
+                    low = front & -front
+                    grow |= nbrs[low.bit_length() - 1]
+                    front ^= low
+                front = grow & free & ~reach
+            if not nbrs[v0] & (reach | 1 << w):
                 continue
+            ends, inner, rest = reach | 1 << w | 1 << v0, 0, reach
+            while rest:
+                low = rest & -rest
+                if (nbrs[low.bit_length() - 1] & ends).bit_count() >= 2:
+                    inner += 1
+                rest ^= low
+            if length + 2 + inner <= best[0]:
+                continue
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                raise NodeLimitExceeded(nodes=nodes)
             path_edges.append(e)
             path_verts.append(w)
-            dfs(v0, w, first_edge, visited_mask | 1 << w, path_edges, path_verts)
+            dfs(v0, w, visited | 1 << w, path_edges, path_verts, stop)
             path_edges.pop()
             path_verts.pop()
 
-    for v0 in range(g.n):
-        if g.n - v0 <= best[0]:
-            break
-        for e, w in adj[v0]:
-            if w < v0:
-                continue
-            dfs(v0, w, e, (1 << v0) | (1 << w), [e], [v0, w])
+    def search(floor, stop):
+        best[0] = floor
+        try:
+            for v0 in range(n):
+                if n - v0 <= best[0]:
+                    break
+                # every vertex up to v0 counts as visited
+                dfs(v0, v0, (2 << v0) - 1, [], [v0], stop)
+        except _SearchStop:
+            pass
+
+    if not (all(d == 3 for d in g.degrees()) and _colouring(g) is None):
+        search(n - 1, n)
+    if best[1] is None:
+        search(0, n - 1)
     if best[1] is None:
         return 0, None
-    edges, verts = best[1]
-    from .covers import circuit_from_walk
-
-    return best[0], circuit_from_walk(edges, verts)
+    return best[0], circuit_from_walk(*best[1])
 
 
 # --------------------------------------------------------------------------
@@ -1002,9 +1040,18 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
     return lab if rec() else None
 
 
-def edge_colouring_3(g: Multigraph):
-    """Proper 3-edge-colouring as {edge: 1|2|3}, or None (proven impossible)."""
+@lru_cache(maxsize=1)
+def _colouring(g):
+    """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None
+    (proven impossible; always so with a loop).  A one-graph memo like
+    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``."""
     if g.loops:
         return None
-    colours = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
-    return None if colours is None else {e: c + 1 for e, c in enumerate(colours)}
+    labels = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
+    return None if labels is None else tuple(labels)
+
+
+def edge_colouring_3(g: Multigraph):
+    """Proper 3-edge-colouring as {edge: 1|2|3}, or None (proven impossible)."""
+    labels = _colouring(g)
+    return None if labels is None else {e: c + 1 for e, c in enumerate(labels)}

@@ -297,6 +297,16 @@ def test_construct_circumference_abort_exit_code(tmp_path, capsys):
     assert captured.out == "" and "search failed: CDC search aborted" in captured.err
 
 
+def test_circ_node_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "j5.g6"
+    path.write_text(write_graph6(flower(5)) + "\n")
+    assert main(["circ", str(path), "--node-limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "search aborted: node limit exceeded" in captured.err
+    assert main(["circ", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["circumference"] == 19
+
+
 def test_broken_colouring_exit_codes(tmp_path, capsys):
     # send two edges at vertex 0 to one edge of P: no star of P is hit there
     g = petersen()

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from cyclecover import petersen
 from cyclecover.covers import (
+    _canonicalize_walk,
     Circuit,
     CycleCover,
     KCdc,
@@ -22,6 +25,37 @@ def test_circuit_canonical_rotation_reflection():
     b = circuit_from_walk([2, 3, 0, 1], [12, 13, 10, 11])
     c = circuit_from_walk([3, 2, 1, 0], [10, 13, 12, 11])
     assert a == b == c
+
+
+def _least_rotation(edges, vertices):
+    """Every rotation in both directions, compared one by one."""
+    L = len(edges)
+    best = None
+    for j in range(L):
+        fwd = (tuple(edges[j:] + edges[:j]), tuple(vertices[j:] + vertices[:j]))
+        bwd = (tuple(edges[(j - 1 - i) % L] for i in range(L)),
+               tuple(vertices[(j - i) % L] for i in range(L)))
+        for cand in (fwd, bwd):
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def test_canonical_walk_matches_all_rotations_oracle():
+    rng = random.Random(5)
+    for trial in range(300):
+        L = 2 + trial % 9  # digons included
+        edges, vertices = rng.sample(range(40), L), rng.sample(range(40), L)
+        want = _least_rotation(edges, vertices)
+        for j in range(L):
+            e, v = edges[j:] + edges[:j], vertices[j:] + vertices[:j]
+            assert _canonicalize_walk(e, v) == want
+            # the same circuit walked the other way from v[0]
+            assert _canonicalize_walk(e[::-1], [v[0]] + v[:0:-1]) == want
+        # walks that repeat an edge id are no circuits, but still agree
+        e = [rng.randrange(4) for _ in range(L)]
+        v = [rng.randrange(4) for _ in range(L)]
+        assert _canonicalize_walk(e, v) == _least_rotation(e, v)
 
 
 def test_trace_circuit_triangle(k4):

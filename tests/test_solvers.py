@@ -1,15 +1,26 @@
+import os
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import load_bridgeless_corpus, load_corpus, load_snarks18
+from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18
 from cyclecover import build_graph, flower, goldberg, permutation_snark, petersen, solvers, two_cut_join
-from cyclecover.covers import Circuit, CycleCover, decompose_even_subgraph, trace_circuit, validate
+from cyclecover.covers import (
+    Circuit,
+    CycleCover,
+    circuit_from_walk,
+    decompose_even_subgraph,
+    trace_circuit,
+    validate,
+)
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
+from cyclecover.families import parse_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
 from cyclecover.solvers import (
     _CircuitSpace,
+    _matchings,
     _near_factor_rests,
     _spectrum_over,
     circumference,
@@ -293,6 +304,104 @@ def test_circumference(k4, pete):
     assert len(set(circ.vertices)) == 9
     # flower snarks are hypohamiltonian: circumference n - 1
     assert circumference(flower(5))[0] == 19
+    assert circumference(flower(9))[0] == 35
+    assert circumference(goldberg(5))[0] == 39
+
+
+def _dfs_circumference(g):
+    """The plain DFS: anchors v0 ascending, edges in id order, a circuit closed
+    only by a larger edge id than its first, and no bound but the anchor's
+    n - v0.  Returns the first longest circuit in that order."""
+    adj = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+    best = [0, None]
+
+    def dfs(v0, cur, first_edge, visited, path_edges, path_verts):
+        for e, w in adj[cur]:
+            if w == v0:
+                if e > first_edge and len(path_edges) + 1 > best[0]:
+                    best[0] = len(path_edges) + 1
+                    best[1] = (tuple(path_edges + [e]), tuple(path_verts))
+            elif w > v0 and not visited >> w & 1:
+                path_edges.append(e)
+                path_verts.append(w)
+                dfs(v0, w, first_edge, visited | 1 << w, path_edges, path_verts)
+                path_edges.pop()
+                path_verts.pop()
+
+    for v0 in range(g.n):
+        if g.n - v0 <= best[0]:
+            break
+        for e, w in adj[v0]:
+            if w > v0:
+                dfs(v0, w, e, 1 << v0 | 1 << w, [e], [v0, w])
+    return (0, None) if best[1] is None else (best[0], circuit_from_walk(*best[1]))
+
+
+def _random_cubic(n, rng):
+    """A random simple cubic graph: pairing model, rejecting loops and
+    parallel edges."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return build_graph(sorted(pairs))
+
+
+def test_circumference_matches_dfs_oracle(k4, prism, pete, j5):
+    from test_graphs import _bridged_cubic
+
+    with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
+        golden = [parse_graph6(line.strip()) for line in fh if line.strip()]
+    digons = build_graph([(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 5), (4, 5),
+                          (5, 0)])
+    looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+    graphs = [*load_corpus(12), *load_snarks18(), *golden, k4, prism, pete, j5, flower(7),
+              digons, looped, _bridged_cubic()]
+    for g in graphs:
+        assert circumference(g) == _dfs_circumference(g)
+    assert circumference(digons)[0] == 6
+    assert circumference(looped)[0] == 3
+
+
+def test_circumference_n_iff_hamiltonian_two_factor():
+    # a Hamiltonian circuit is exactly a 2-factor with one component
+    rng = random.Random(2013)
+    graphs = load_corpus(12) + [_random_cubic(n, rng) for n in (40, 44, 48, 52, 56)]
+    for g in graphs:
+        hamiltonian = any(circuits == 1 for _, circuits in _matchings(g).factor_counts)
+        assert (circumference(g)[0] == g.n) == hamiltonian
+
+
+def test_circumference_node_limit(j5):
+    with pytest.raises(NodeLimitExceeded) as exc:
+        circumference(j5, node_limit=5)
+    assert exc.value.nodes == 6
+    assert circumference(j5, node_limit=10**6) == circumference(j5)
+
+
+def test_colouring_memo_returns_copies(monkeypatch):
+    calls = []
+    original = solvers._label_search
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_label_search", counting)
+    g = flower(5)  # a fresh graph object with an empty memo
+    assert edge_colouring_3(g) is None
+    circumference(g)
+    assert calls == [g]
+    h = CubicGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    colour = edge_colouring_3(h)
+    colour[0] = 99
+    assert edge_colouring_3(h)[0] != 99
+    assert calls == [g, h]
 
 
 def test_edge_colouring(k4, pete):
