@@ -9,7 +9,6 @@ construction and safe to share.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -170,59 +169,59 @@ def is_connected(g: Multigraph) -> bool:
     return g.n == 0 or len(connected_components(g)) == 1
 
 
-def bridges(g: Multigraph):
-    """Edge ids of all bridges (DFS lowpoint; parallel edges are never bridges)."""
-    _, found = _lowpoint_pass(_adjacency(g), [0] * g.n, ())
-    return sorted(e for e, _, _ in found)
+def _cut_labels(g: Multigraph):
+    """Exact cycle-space labels of the edges, and the number of components.
 
-
-def _adjacency(g: Multigraph):
-    return [[(e, g.other_end(e, v)) for e in g.incident_edges[v]] for v in range(g.n)]
-
-
-def _lowpoint_pass(adj, x, cut):
-    """One iterative lowpoint DFS of the graph minus the edges in ``cut``.
-
-    Returns the DFS roots, one per component, and (edge, root, subtree sum)
-    for each bridge, where the subtree is the side of the bridge away from
-    the root.  The sums are of ``x``, which the pass turns in place into
-    subtree sums, so ``x[root]`` ends as the sum over the root's component.
+    Over a spanning forest, each non-tree edge gets a bit of its own and each
+    tree edge the XOR of the bits of the non-tree edges whose fundamental
+    circuits pass through it: the XOR of the per-vertex bit sums over the
+    subtree below it, taken in one reverse pass over the traversal order.  A
+    loop's bit cancels at its vertex.  An edge set is an edge cut, the edges
+    between some vertex set and the rest, iff its labels XOR to 0
+    (Pritchard and Thurimella, "Fast computation of small cuts via cycle
+    space sampling", ACM TALG 7(4), 2011, with one bit per non-tree edge in
+    place of random words, so the test is exact).
     """
-    n = len(adj)
-    disc = [0] * n
-    low = [0] * n
-    timer = 0
-    roots = []
-    found = []
-    for root in range(n):
-        if disc[root]:
+    parent_edge = [-1] * g.n
+    seen = [False] * g.n
+    order = []
+    components = 0
+    for root in range(g.n):
+        if seen[root]:
             continue
-        roots.append(root)
-        timer += 1
-        disc[root] = low[root] = timer
-        stack = [(root, -1, iter(adj[root]))]
+        components += 1
+        seen[root] = True
+        stack = [root]
         while stack:
-            v, in_edge, it = stack[-1]
-            for e, w in it:
-                if e == in_edge or e in cut:
-                    continue
-                if not disc[w]:
-                    timer += 1
-                    disc[w] = low[w] = timer
-                    stack.append((w, e, iter(adj[w])))
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    x[p] += x[v]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        found.append((in_edge, root, x[v]))
-    return roots, found
+            v = stack.pop()
+            order.append(v)
+            for e in g.incident_edges[v]:
+                w = g.other_end(e, v)
+                if not seen[w]:
+                    seen[w] = True
+                    parent_edge[w] = e
+                    stack.append(w)
+    label = [0] * g.m
+    below = [0] * g.n
+    bit = 1
+    for e, (u, v) in enumerate(g.edges):
+        if parent_edge[u] != e and parent_edge[v] != e:
+            label[e] = bit
+            below[u] ^= bit
+            below[v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        e = parent_edge[v]
+        if e >= 0:
+            label[e] = below[v]
+            below[g.other_end(e, v)] ^= below[v]
+    return label, components
+
+
+def bridges(g: Multigraph):
+    """Edge ids of all bridges: the edges whose cut label is 0."""
+    label, _ = _cut_labels(g)
+    return [e for e, x in enumerate(label) if not x]
 
 
 def is_bridgeless(g: Multigraph) -> bool:
@@ -233,54 +232,43 @@ def is_bridgeless(g: Multigraph) -> bool:
 def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no edge cut of size < k separates two circuit-containing parts.
 
-    Pair-and-bridge search: if S is a minimal such cut, every edge c of S is
-    a bridge of G - (S - {c}).  So for every edge set T of size <= k - 2 the
-    bridges c > max(T) of G - T are tried as the last edge of S = T + {c};
-    the cut T itself (the empty cut included) is tested on the way.  Only
-    k <= 4 is supported, which is all the constructions ever need.
-
-    At k = 4 a triangle on three distinct vertices decides at once when
-    n > 4: b <= 3 edges leave it, and the other n - 3 vertices span
-    (3n - 9 - b) / 2 edges, at least n - 3 as n >= 6, so they hold a
-    circuit too.
+    Decided from the labels of ``_cut_labels``; only k <= 4 is supported,
+    which is all the constructions ever need.  In a cubic graph every
+    component, and every side of a cut of at most 2 edges, holds a circuit,
+    so the answer is False when the graph is disconnected (k >= 1), has a
+    bridge, a label of 0 (k >= 2), or has a 2-edge cut, two equal labels
+    (k >= 3).  Otherwise the graph is 3-edge-connected, and three edges
+    whose labels XOR to 0 are all the edges leaving some vertex set S.  A
+    side with 3 edges leaving and s vertices spans (3s - 3) / 2 edges, so it
+    holds a circuit iff s >= 3, and the cut separates two circuits iff it is
+    not the star of a vertex.  At k = 4 the m^2 / 2 pairs of labels are
+    looked up for such a third edge.
     """
     if k > 4:
         raise Unsupported("cyclic connectivity decision implemented for k <= 4 only")
-    adj = _adjacency(g)
-    if k == 4 and g.n > 4:
-        near = [{w for _, w in lst if w != v} for v, lst in enumerate(adj)]
-        if any(near[u] & near[v] for u, v in g.edges):
-            return False
-    excess = [len(lst) - 2 for lst in adj]
-    for size in range(k - 1):
-        for cut in itertools.combinations(range(g.m), size):
-            if _separates_circuits(g, adj, excess, cut):
+    if k < 1:
+        return True
+    label, components = _cut_labels(g)
+    if components > 1:
+        return False
+    if k == 1:
+        return True
+    if not all(label):
+        return False
+    if k == 2:
+        return True
+    edge_of = {x: e for e, x in enumerate(label)}
+    if len(edge_of) < g.m:
+        return False
+    if k == 3:
+        return True
+    stars = {g.incident_edges[v] for v in range(g.n)}
+    for i, x in enumerate(label):
+        for j in range(i + 1, g.m):
+            c = edge_of.get(x ^ label[j], -1)
+            if c > j and (i, j, c) not in stars:
                 return False
     return True
-
-
-def _separates_circuits(g, adj, excess, cut):
-    """Whether G - cut, or G - cut - c for a bridge c > max(cut), has two
-    components that contain circuits.
-
-    A connected vertex set with b edges leaving it contains a circuit iff
-    its sum of (degree - 2) is at least b.  The side of a bridge has b = 1,
-    and so has the rest of its component.
-    """
-    x = excess[:]
-    for e in cut:
-        u, v = g.edges[e]
-        x[u] -= 1
-        x[v] -= 1
-    roots, found = _lowpoint_pass(adj, x, cut)
-    cyclic = sum(x[r] >= 0 for r in roots)
-    if cyclic >= 2:
-        return True
-    lo = cut[-1] if cut else -1
-    for c, r, a in found:
-        if c > lo and cyclic - (x[r] >= 0) + (a >= 1) + (x[r] - a >= 1) >= 2:
-            return True
-    return False
 
 
 def girth(g: Multigraph) -> int:

@@ -1,14 +1,17 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import load_corpus
+from conftest import load_corpus, load_snarks18
 from cyclecover import build_graph, petersen
+from cyclecover.constructions import cover_via_oddness2
 from cyclecover.covers import decompose_even_subgraph
 from cyclecover.errors import (
     AllDegreeTwo,
     BridgeDeleted,
+    HypothesisViolated,
     LoopEdge,
     NotCubic,
     NotTwoFactor,
@@ -23,6 +26,7 @@ from cyclecover.graphs import (
     cyclic_connectivity_at_least,
     girth,
     is_bridgeless,
+    is_connected,
     suppress_degree_two,
     two_cut_join,
 )
@@ -105,15 +109,110 @@ def test_two_cut_join_and_connectivity(k4):
 
 
 def _scan_cyclic_connectivity(g, k):
-    """Oracle: try every edge cut of size 1..k-1 and count the components of
+    """Oracle: try every edge cut of size 0..k-1 and count the components of
     the rest that hold a circuit (at least as many edges as vertices)."""
-    for size in range(1, k):
+    for size in range(k):
         for cut in itertools.combinations(range(g.m), size):
             rest = Multigraph(g.n, [uv for e, uv in enumerate(g.edges) if e not in cut])
             comp = {v: i for i, vs in enumerate(connected_components(rest)) for v in vs}
             edges = Counter(comp[u] for u, _ in rest.edges)
             verts = Counter(comp.values())
             if sum(edges[c] >= verts[c] for c in verts) >= 2:
+                return False
+    return True
+
+
+def _adjacency(g):
+    return [[(e, g.other_end(e, v)) for e in g.incident_edges[v]] for v in range(g.n)]
+
+
+def _lowpoint_pass(adj, x, cut):
+    """One iterative lowpoint DFS of the graph minus the edges in ``cut``.
+
+    Returns the DFS roots, one per component, and (edge, root, subtree sum)
+    for each bridge, where the subtree is the side of the bridge away from
+    the root.  The sums are of ``x``, which the pass turns in place into
+    subtree sums, so ``x[root]`` ends as the sum over the root's component.
+    """
+    n = len(adj)
+    disc = [0] * n
+    low = [0] * n
+    timer = 0
+    roots = []
+    found = []
+    for root in range(n):
+        if disc[root]:
+            continue
+        roots.append(root)
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for e, w in it:
+                if e == in_edge or e in cut:
+                    continue
+                if not disc[w]:
+                    timer += 1
+                    disc[w] = low[w] = timer
+                    stack.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    x[p] += x[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] > disc[p]:
+                        found.append((in_edge, root, x[v]))
+    return roots, found
+
+
+def _lowpoint_bridges(g):
+    _, found = _lowpoint_pass(_adjacency(g), [0] * g.n, ())
+    return sorted(e for e, _, _ in found)
+
+
+def _separates_circuits(g, adj, excess, cut, last_edge=True):
+    """Whether G - cut, or (with ``last_edge``) G - cut - c for a bridge
+    c > max(cut), has two components that contain circuits.
+
+    A connected vertex set with b edges leaving it contains a circuit iff
+    its sum of (degree - 2) is at least b.  The side of a bridge has b = 1,
+    and so has the rest of its component.
+    """
+    x = excess[:]
+    for e in cut:
+        u, v = g.edges[e]
+        x[u] -= 1
+        x[v] -= 1
+    roots, found = _lowpoint_pass(adj, x, cut)
+    cyclic = sum(x[r] >= 0 for r in roots)
+    if cyclic >= 2:
+        return True
+    lo = cut[-1] if cut else -1
+    for c, r, a in found:
+        if last_edge and c > lo and cyclic - (x[r] >= 0) + (a >= 1) + (x[r] - a >= 1) >= 2:
+            return True
+    return False
+
+
+def _pair_and_bridge_connectivity(g, k):
+    """Second oracle, by lowpoint DFS passes.  If S is a minimal cut that
+    separates two circuits, every edge c of S is a bridge of G - (S - {c}).
+    So for every edge set T of at most k - 2 edges the bridges c > max(T) of
+    G - T are tried as the last edge of S = T + {c}, and the cut T itself is
+    tested on the way.  At k = 1 only the empty cut is tested."""
+    adj = _adjacency(g)
+    excess = [len(lst) - 2 for lst in adj]
+    if k == 1:
+        return not _separates_circuits(g, adj, excess, (), last_edge=False)
+    for size in range(k - 1):
+        for cut in itertools.combinations(range(g.m), size):
+            if _separates_circuits(g, adj, excess, cut):
                 return False
     return True
 
@@ -139,16 +238,147 @@ def _connectivity_cases():
         ("digon triangles", build_graph([(0, 1), (0, 1), (0, 2), (1, 2), (2, 5),
                                          (3, 4), (3, 4), (3, 5), (4, 5)])),
         ("P+P", two_cut_join(petersen(), 0, petersen(), 0)),
+        ("Petersen 3-cut", _three_cut_join(petersen())),
     ]
     return cases
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_cyclic_connectivity_matches_exhaustive_scan(k):
     cases = _connectivity_cases()
     assert any(g.has_parallel_edges for _, g in cases)
     for name, g in cases:
         assert cyclic_connectivity_at_least(g, k) is _scan_cyclic_connectivity(g, k), name
+
+
+def _pairing_edges(n, rng):
+    """A random loopless cubic multigraph on n vertices: pairing model,
+    rejecting loops."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = [tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in pairs):
+            return pairs
+
+
+def _subdivided(edges, offset):
+    """The edges shifted by ``offset`` with the first one subdivided by a new
+    vertex, returned with that vertex (the largest)."""
+    n = max(max(uv) for uv in edges) + 1
+    (a, b), rest = edges[0], edges[1:]
+    out = [(u + offset, v + offset) for u, v in rest]
+    out += [(a + offset, n + offset), (n + offset, b + offset)]
+    return out, n + offset
+
+
+def _random_multigraphs(count, seed):
+    """Loopless cubic multigraphs with n 2-22: plain pairing-model graphs,
+    disjoint unions of two, and two joined by a bridge between subdivided
+    edges."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 1:
+            n1, n2 = rng.choice(range(2, 12, 2)), rng.choice(range(2, 12, 2))
+            e1, e2 = _pairing_edges(n1, rng), _pairing_edges(n2, rng)
+            graphs.append(build_graph(e1 + [(u + n1, v + n1) for u, v in e2]))
+        elif kind == 2:
+            n1, n2 = rng.choice(range(2, 10, 2)), rng.choice(range(2, 10, 2))
+            e1, s1 = _subdivided(_pairing_edges(n1, rng), 0)
+            e2, s2 = _subdivided(_pairing_edges(n2, rng), n1 + 1)
+            graphs.append(build_graph(e1 + e2 + [(s1, s2)]))
+        else:
+            graphs.append(build_graph(_pairing_edges(rng.choice(range(2, 24, 2)), rng)))
+    return graphs
+
+
+def _triangle_free(n, rng):
+    """A random simple triangle-free bridgeless connected cubic graph."""
+    while True:
+        pairs = _pairing_edges(n, rng)
+        near = [set() for _ in range(n)]
+        for u, v in pairs:
+            near[u].add(v)
+            near[v].add(u)
+        if len(set(pairs)) < len(pairs) or any(near[u] & near[v] for u, v in pairs):
+            continue
+        g = build_graph(pairs)
+        if is_connected(g) and not _lowpoint_bridges(g):
+            return g
+
+
+def _three_cut_join(g1, g2=None):
+    """G1 - x and G2 - y for their vertices x = y = 0, with the three
+    neighbours of x joined to those of y: the three joining edges form a
+    cut whose sides both hold circuits."""
+    g2 = g1 if g2 is None else g2
+    halves, ends = [], []
+    shift = -1
+    for g in (g1, g2):
+        halves += [(u + shift, v + shift) for u, v in g.edges if 0 not in (u, v)]
+        ends.append([g.other_end(e, 0) + shift for e in g.incident_edges[0]])
+        shift += g.n - 1
+    return build_graph(halves + list(zip(*ends)))
+
+
+def _oracle_cases():
+    rng = random.Random(1992)
+    tri_free = [_triangle_free(n, rng) for n in (24, 26, 28, 30, 32) for _ in range(7)]
+    joined = [_three_cut_join(_triangle_free(n, rng), _triangle_free(n, rng))
+              for n in (12, 14, 16, 18, 20)]
+    return [*tri_free, *joined, *load_snarks18(), *_random_multigraphs(200, 2011)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cyclic_connectivity_matches_pair_and_bridge_search(k):
+    graphs = _oracle_cases()
+    answers = Counter()
+    for i, g in enumerate(graphs):
+        answer = cyclic_connectivity_at_least(g, k)
+        assert answer is _pair_and_bridge_connectivity(g, k), i
+        answers[answer] += 1
+    assert answers[True] and answers[False]
+
+
+def test_bridges_match_lowpoint_bridges():
+    multigraphs = _random_multigraphs(200, 2011)
+    assert any(not is_connected(g) for g in multigraphs)
+    assert any(_lowpoint_bridges(g) for g in multigraphs)
+    for g in multigraphs:
+        assert bridges(g) == _lowpoint_bridges(g)
+
+
+def test_bridges_of_contracted_two_factors():
+    from cyclecover.solvers import enumerate_perfect_matchings
+
+    contracted = []
+    for g in [_bridged_cubic(), *load_corpus(10)]:
+        for pm in enumerate_perfect_matchings(g):
+            contracted.append(contract_two_factor(g, frozenset(range(g.m)) - pm)[0])
+    assert any(h.loops and bridges(h) for h in contracted)
+    for h in contracted:
+        assert bridges(h) == _lowpoint_bridges(h)
+
+
+def test_nontrivial_three_cut():
+    # the only small cyclic cut is the 3-edge cut between the two halves
+    g = _three_cut_join(petersen())
+    assert girth(g) == 5
+    assert cyclic_connectivity_at_least(g, 3)
+    assert not cyclic_connectivity_at_least(g, 4)
+    with pytest.raises(HypothesisViolated, match="not cyclically 4-edge-connected"):
+        cover_via_oddness2(g)
+
+
+def test_cyclic_connectivity_large_prism():
+    # iterative and polynomial: no recursion limit and no node budget
+    n = 200
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    g = build_graph(ring + [(u + n, v + n) for u, v in ring] + [(i, i + n) for i in range(n)])
+    assert cyclic_connectivity_at_least(g, 4)
+    assert bridges(g) == []
 
 
 def test_two_cut_join_rejects_bridge():
