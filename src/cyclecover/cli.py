@@ -222,6 +222,9 @@ def cmd_cdc(args) -> int:
         if missing:
             print(f"--contains names a missing edge {missing[0]}-{missing[1]}", file=sys.stderr)
             return 1
+        if len(set(verts)) != len(verts) or len(set(edges)) != len(edges):
+            print("--contains is not a circuit: it repeats a vertex or an edge", file=sys.stderr)
+            return 1
         must.append(circuit_from_walk(edges, verts))
     res = solvers.find_cdc(g, must_contain=must, k=args.k,
                            two_factor_class=args.two_factor_class,

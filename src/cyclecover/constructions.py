@@ -75,6 +75,27 @@ def _as_circuits(g, c):
     return tuple(c)
 
 
+def _cdc_through(g, circuits, node_limit, where) -> CycleCover:
+    """A CDC of g that holds ``circuits``, else ``StrongCdcNotFound``: marked
+    aborted when the search ran out of nodes, a proven negative otherwise."""
+    try:
+        cdc = find_cdc(g, must_contain=circuits, node_limit=node_limit)
+    except NodeLimitExceeded as exc:
+        raise StrongCdcNotFound("CDC search aborted", aborted=True) from exc
+    if cdc is None:
+        raise StrongCdcNotFound(f"no CDC {where}")
+    return cdc
+
+
+def _image(edge_ids, emap, rmap):
+    """The edges of a reduced graph whose paths lie in the parent edge set
+    ``edge_ids``; ``emap`` takes subgraph edges to parent edges, and ``rmap``
+    reduces the subgraph."""
+    index = {e: i for i, e in enumerate(emap)}
+    sub = {index[e] for e in edge_ids}
+    return [e for e, path in enumerate(rmap.edge_path) if sub.issuperset(path)]
+
+
 def _check_result(g, cover, bound, theorem, certificate) -> ConstructionResult:
     report = validate(cover, g)
     if not report.ok:
@@ -206,7 +227,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     if not is_connected(g) or not is_bridgeless(g):
         raise NotTwoConnectedReduced("graph must be 2-connected")
     if longest is None:
-        _, longest = circumference(g)
+        _, longest = circumference(g, node_limit=node_limit)
     k = g.n - len(longest)
     base = 2 * g.n
     cert = {"circuit": longest, "k": k}
@@ -222,12 +243,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
 
     if not chords:
         # the chordless part is g itself: one CDC through the circuit suffices
-        try:
-            cdc = find_cdc(g, must_contain=[longest], node_limit=node_limit)
-        except NodeLimitExceeded as exc:
-            raise StrongCdcNotFound("CDC search aborted", aborted=True) from exc
-        if cdc is None:
-            raise StrongCdcNotFound("no CDC through the given circuit")
+        cdc = _cdc_through(g, [longest], node_limit, "through the given circuit")
         cover = cover_from_cdc(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
@@ -237,23 +253,14 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     g1, rmap1 = suppress_degree_two(sub1)
     if not is_connected(g1) or not is_bridgeless(g1):
         raise NotTwoConnectedReduced("chord-free reduction is not 2-connected")
-    sub_c = {emap1.index(e) for e in c_set}  # circuit edges in sub1 ids
-    d1_edges = [e for e in range(g1.m) if set(rmap1.edge_path[e]) <= sub_c]
-    d1 = trace_circuit(g1, d1_edges)
-    try:
-        cdc1_red = find_cdc(g1, must_contain=[d1], node_limit=node_limit)
-    except NodeLimitExceeded as exc:
-        raise StrongCdcNotFound("CDC search aborted", aborted=True) from exc
-    if cdc1_red is None:
-        raise StrongCdcNotFound("no CDC of the reduced graph through the circuit")
+    d1 = trace_circuit(g1, _image(c_set, emap1, rmap1))
+    cdc1_red = _cdc_through(g1, [d1], node_limit, "of the reduced graph through the circuit")
     cdc1 = relabel_cover(lift_cover(cdc1_red, rmap1), emap1, g)
 
     # circuit-plus-chords side: suppress and 3-edge-colour along the circuit
     sub2, emap2 = edge_subgraph(g, sorted(c_set | set(chords)))
     g2, rmap2 = suppress_degree_two(sub2)
-    sub2_c = {emap2.index(e) for e in c_set}
-    d2_edges = [e for e in range(g2.m) if set(rmap2.edge_path[e]) <= sub2_c]
-    d2 = trace_circuit(g2, d2_edges)
+    d2 = trace_circuit(g2, _image(c_set, emap2, rmap2))
 
     best = None
     for swap in (False, True):
@@ -420,9 +427,7 @@ def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
     g1, rmap1 = suppress_degree_two(sub1)
 
     # images of the 2-factor components (all even after suppression)
-    sub_f = {emap1.index(e) for e in f}
-    f1_edges = [e for e in range(g1.m) if set(rmap1.edge_path[e]) <= sub_f]
-    f_images = decompose_even_subgraph(g1, f1_edges)
+    f_images = decompose_even_subgraph(g1, _image(f, emap1, rmap1))
     if any(len(c) % 2 for c in f_images):
         raise AssertionError("2-factor image has an odd component")
 
@@ -437,17 +442,8 @@ def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
     h_edges = sorted(set().union(*[c.edge_set for c in touched]) | link_set)
     sub2, emap2 = edge_subgraph(g, h_edges)
     g2, rmap2 = suppress_degree_two(sub2)
-    images = []
-    for c in touched:
-        sub_cset = {emap2.index(e) for e in c.edges}
-        ce = [e for e in range(g2.m) if set(rmap2.edge_path[e]) <= sub_cset]
-        images.append(trace_circuit(g2, ce))
-    try:
-        cdc2_red = find_cdc(g2, must_contain=images, node_limit=node_limit)
-    except NodeLimitExceeded as exc:
-        raise StrongCdcNotFound("CDC search aborted", aborted=True) from exc
-    if cdc2_red is None:
-        raise StrongCdcNotFound("no CDC of the link graph through the circuit images")
+    images = [trace_circuit(g2, _image(c.edges, emap2, rmap2)) for c in touched]
+    cdc2_red = _cdc_through(g2, images, node_limit, "of the link graph through the circuit images")
     cdc2 = relabel_cover(lift_cover(cdc2_red, rmap2), emap2, g)
 
     shared = list(touched)

@@ -272,34 +272,37 @@ def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
 
 
 def girth(g: Multigraph) -> int:
-    """Length of a shortest circuit (1 for a loop, 2 for a parallel pair)."""
+    """Length of a shortest circuit (1 for a loop, 2 for a parallel pair, 0
+    for a forest).
+
+    One BFS per root.  A non-tree edge xy closes a walk through the root of
+    length dist(x) + dist(y) + 1, which holds a circuit no longer, and the
+    BFS from a vertex of a shortest circuit meets one of exactly its length.
+    Edges met while expanding depth d close walks of length at least 2d + 1,
+    so a root's BFS stops once that reaches the best length found.
+    """
     if g.loops:
         return 1
-    best = None
-    for e, (u, v) in enumerate(g.edges):
-        # shortest u-v path avoiding edge e, BFS
-        dist = {u: 0}
-        frontier = [u]
-        found = None
-        while frontier and found is None:
+    if g.has_parallel_edges:
+        return 2
+    adj = [[(f, g.other_end(f, v)) for f in inc] for v, inc in enumerate(g.incident_edges)]
+    best = g.n + 1  # longer than any circuit
+    for root in range(g.n):
+        dist, via = [-1] * g.n, [-1] * g.n
+        dist[root] = d = 0
+        frontier = [root]
+        while frontier and 2 * d + 1 < best:
             nxt = []
             for x in frontier:
-                for f in g.incident_edges[x]:
-                    if f == e:
-                        continue
-                    y = g.other_end(f, x)
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        if y == v:
-                            found = dist[y]
-                            break
+                for f, y in adj[x]:
+                    if dist[y] < 0:
+                        dist[y], via[y] = d + 1, f
                         nxt.append(y)
-                if found is not None:
-                    break
+                    elif f != via[x] and d + dist[y] + 1 < best:
+                        best = d + dist[y] + 1
             frontier = nxt
-        if found is not None and (best is None or found + 1 < best):
-            best = found + 1
-    return 0 if best is None else best
+            d += 1
+    return 0 if best > g.n else best
 
 
 # --------------------------------------------------------------------------

@@ -29,24 +29,20 @@ from .graphs import CubicGraph, Multigraph, bridges, is_connected
 # --------------------------------------------------------------------------
 
 class _CircuitSpace:
-    """Simple circuits of a graph, as parallel arrays of bitmasks.
+    """The circuits of ``_circuits(g, rest, free)``, as parallel arrays of
+    bitmasks.
 
-    Holds every circuit of ``g``, or only the given ``walks``: pairs of the
-    edge ids and the vertices of one circuit.  Order: increasing
-    (length, sorted edge tuple); this is also the canonical candidate order
-    of the cover engines, where trying short circuits first keeps the lower
-    bound tight.  ``by_edge[e]`` lists the circuits through edge ``e`` in
-    that order.
+    Order: increasing (length, sorted edge tuple); this is also the canonical
+    candidate order of the cover engines, where trying short circuits first
+    keeps the lower bound tight.  ``by_edge[e]`` lists the circuits through
+    edge ``e`` in that order.
     """
 
     __slots__ = ("g", "masks", "vmasks", "elists", "vlists", "lengths", "by_edge")
 
-    def __init__(self, g: Multigraph, walks=None):
+    def __init__(self, g: Multigraph, rest, free):
         self.g = g
-        if walks is None:
-            raw = _raw_circuits(g)
-        else:
-            raw = [(tuple(sorted(edges)), tuple(verts)) for edges, verts in walks]
+        raw = [(tuple(sorted(edges)), verts) for edges, verts in _circuits(g, rest, free)]
         raw.sort(key=lambda t: (len(t[0]), t[0]))
         self.elists = [t[0] for t in raw]
         self.vlists = [t[1] for t in raw]
@@ -73,43 +69,80 @@ def _mask(ids):
     return x
 
 
-def _raw_circuits(g: Multigraph):
-    """Each simple circuit once, as (sorted edge tuple, vertex tuple)."""
-    adj = [[] for _ in range(g.n)]
+def _circuits(g: Multigraph, rest, free):
+    """The circuits that pass each vertex outside the vertex mask ``free`` by
+    one edge of ``rest`` (an edge mask) and one edge of E - rest, and each
+    vertex of ``free`` by any two of its edges.
+
+    E - rest must be 2-regular on the vertices outside ``free``, and every
+    edge at a free vertex must be in ``rest``.  With rest = E and free = V
+    these are all the circuits of g.  With E - rest a 2-factor, a 2-regular
+    subgraph missing the vertex of ``free``, or vertex-disjoint circuits of
+    a cubic graph, they are the only circuits that can complete a CDC
+    through the circuits of E - rest (see ``_structured_covers`` and
+    ``find_cdc``).  Each comes once, as the (edges, vertices) walk that
+    leaves its least ``rest`` edge e0 at the first end of e0.
+    """
+    # moves out of a vertex entered by a rest edge: a free vertex leaves by a
+    # rest edge (e2, y); any other leaves by a factor edge f to w, whose one
+    # rest edge e2 goes on to y (f, w, e2, y)
+    moves = [[] for _ in range(g.n)]
+    r_edge, r_end = [-1] * g.n, [-1] * g.n
     for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue  # loops are never part of a circuit
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    for lst in adj:
-        lst.sort()
+        if rest >> e & 1 and u != v:
+            for a, b in ((u, v), (v, u)):
+                if free >> a & 1:
+                    moves[a].append((e, b))
+                else:
+                    r_edge[a], r_end[a] = e, b
+    for f, (u, v) in enumerate(g.edges):
+        if not rest >> f & 1:
+            moves[u].append((f, v, r_edge[v], r_end[v]))
+            moves[v].append((f, u, r_edge[u], r_end[u]))
     out = []
 
-    def dfs(cur, e0, u0, onpath_mask, path_edges, path_verts):
-        for e, w in adj[cur]:
-            if e <= e0:
-                continue
+    def extend(cur, e0, u0, visited, path_e, path_v):
+        if free >> cur & 1:
+            for e2, y in moves[cur]:
+                if e2 <= e0:
+                    continue
+                if y == u0:
+                    out.append((path_e + [e2], tuple(path_v)))
+                    continue
+                if visited >> y & 1:
+                    continue
+                path_e.append(e2)
+                path_v.append(y)
+                extend(y, e0, u0, visited | 1 << y, path_e, path_v)
+                path_v.pop()
+                path_e.pop()
+            return
+        for f, w, e2, y in moves[cur]:
             if w == u0:
-                out.append((tuple(sorted(path_edges + [e])), tuple(path_verts)))
+                out.append((path_e + [f], tuple(path_v)))
                 continue
-            if onpath_mask >> w & 1:
+            if e2 <= e0 or visited >> w & 1:
                 continue
-            path_edges.append(e)
-            path_verts.append(w)
-            dfs(w, e0, u0, onpath_mask | (1 << w), path_edges, path_verts)
-            path_edges.pop()
-            path_verts.pop()
+            if y == u0:  # e2 is a second rest edge at u0, so u0 is free
+                out.append((path_e + [f, e2], (*path_v, w)))
+                continue
+            if visited >> y & 1:
+                continue
+            path_e += (f, e2)
+            path_v += (w, y)
+            extend(y, e0, u0, visited | 1 << w | 1 << y, path_e, path_v)
+            del path_v[-2:]
+            del path_e[-2:]
 
     for e0, (u0, v0) in enumerate(g.edges):
-        if u0 == v0:
-            continue
-        dfs(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+        if rest >> e0 & 1 and u0 != v0:
+            extend(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
     return out
 
 
 def enumerate_circuits(g: Multigraph):
     """All circuits in canonical form, sorted by (length, edge ids)."""
-    space = _CircuitSpace(g)
+    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
     return [space.circuit(i) for i in range(len(space))]
 
 
@@ -287,70 +320,6 @@ def _check_coverable(g):
         raise Bridged(f"no cycle cover exists: bridge(s) at edges {b}")
 
 
-def _alternating_circuits(g, rest, x=-1):
-    """All circuits that pass, at every vertex other than x, one edge of the
-    2-regular subgraph E - rest and one edge of ``rest`` (an edge mask).
-
-    With x = -1, E - rest is a 2-factor and ``rest`` its perfect matching;
-    otherwise E - rest misses x, whose three edges are all in ``rest``, and
-    a circuit may pass x by any two of them.  These are the only circuits
-    that can complete a CDC through the circuits of E - rest (see
-    ``_structured_covers``).  Each circuit comes once, as the (edges,
-    vertices) walk that leaves its least ``rest`` edge e0 at the first end
-    of e0.
-    """
-    f_adj = [[] for _ in range(g.n)]
-    r_edge = [-1] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        if rest >> e & 1:
-            r_edge[u] = r_edge[v] = e
-        else:
-            f_adj[u].append((e, v))
-            f_adj[v].append((e, u))
-    x_adj = [(e, g.other_end(e, x)) for e in g.incident_edges[x]] if x >= 0 else ()
-    out = []
-
-    def extend(cur, e_in, e0, u0, visited, path_e, path_v):
-        # cur was entered by the rest edge e_in
-        if cur == x:
-            for e2, y in x_adj:
-                if e2 <= e0 or e2 == e_in or visited >> y & 1:
-                    continue
-                path_e.append(e2)
-                path_v.append(y)
-                extend(y, e2, e0, u0, visited | 1 << y, path_e, path_v)
-                path_v.pop()
-                path_e.pop()
-            return
-        # continue along a factor edge, then along the far end's rest edge
-        for f, w in f_adj[cur]:
-            if w == u0:
-                out.append((path_e + [f], tuple(path_v)))
-                continue
-            if visited >> w & 1:
-                continue
-            e2 = r_edge[w]
-            if e2 <= e0:
-                continue
-            y = g.other_end(e2, w)
-            if y == u0:
-                if u0 == x:
-                    out.append((path_e + [f, e2], (*path_v, w)))
-                continue
-            if visited >> y & 1:
-                continue
-            path_e += (f, e2)
-            path_v += (w, y)
-            extend(y, e2, e0, u0, visited | 1 << w | 1 << y, path_e, path_v)
-            del path_v[-2:]
-            del path_e[-2:]
-
-    for e0, (u0, v0) in enumerate(g.edges):
-        if rest >> e0 & 1 and u0 != v0:
-            extend(v0, e0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
-    return out
-
-
 def _near_factor_rests(g, x):
     """E - C, as edge masks, for every 2-regular subgraph C that covers
     exactly the vertices other than x.
@@ -378,11 +347,11 @@ def _structured_covers(g, node_limit=None, first=False):
     both ends).  So no cap above 2 changes these covers.  The weight-1 edges
     C form a 2-factor, or a 2-regular subgraph missing x, and adding C's
     circuits to the cover gives a cycle double cover.  The covers of that
-    length are therefore the multisets of circuits of
-    ``_alternating_circuits`` that cover every edge of C once and every other
-    edge twice.  A cover determines C and x, so each one is found exactly
-    once.  2-factors come first; each level is searched exhaustively, and one
-    node budget covers every search.
+    length are therefore the multisets of circuits of ``_circuits(g, rest,
+    free)``, for rest = E - C and free = {x} or none, that cover every edge
+    of C once and every other edge twice.  A cover determines C and x, so
+    each one is found exactly once.  2-factors come first; each level is
+    searched exhaustively, and one node budget covers every search.
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
     circuits as sorted edge tuples) in search order, only the first one with
@@ -390,13 +359,13 @@ def _structured_covers(g, node_limit=None, first=False):
     """
     store = _matchings(g)
     full = (1 << g.m) - 1
-    levels = (((-1, pm) for pm in store.masks),
-              ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
+    levels = (((0, pm) for pm in store.masks),
+              ((1 << x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
     nodes = 0
     for excess, level in enumerate(levels):
         covers = []
-        for x, rest in level:
-            space = _CircuitSpace(g, _alternating_circuits(g, rest, x))
+        for free, rest in level:
+            space = _CircuitSpace(g, rest, free)
             demand = [1 + (rest >> e & 1) for e in range(g.m)]
             eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit, nodes=nodes)
             if first:
@@ -422,7 +391,7 @@ def _deepening(g, cap, node_limit=None, seed_order=None, nodes=0):
     re-derived in the canonical order.  Returns (length, witness indices,
     space, nodes), counting on from the ``nodes`` already spent.
     """
-    space = _CircuitSpace(g)
+    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
     by_edge = None
     if seed_order is not None:
         rng = random.Random(seed_order)
@@ -820,6 +789,14 @@ def circumference(g: Multigraph, node_limit=None):
 # cycle double cover search
 # --------------------------------------------------------------------------
 
+def _is_circuit(g, edges):
+    """Whether the edge ids are those of one simple circuit of g."""
+    try:
+        return sorted(trace_circuit(g, edges).edges) == sorted(edges)
+    except (IndexError, ValueError):
+        return False
+
+
 def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, node_limit=None):
     """Search for a cycle double cover.
 
@@ -827,7 +804,9 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     every edge weight exactly 2 that holds the circuits of ``must_contain``,
     or ``None`` when the search space is exhausted (proven infeasible).  The
     forced circuits lower each edge's demand, 2 less the times they pass it,
-    and the search covers every edge to its demand.
+    and the search covers every edge to its demand.  With vertex-disjoint
+    forced circuits it searches only the circuits that alternate around them;
+    otherwise it searches every circuit.
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
@@ -838,16 +817,24 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     if k is None:
         if two_factor_class:
             raise Unsupported("a 2-factor class constraint needs the k-class search")
-        space = _CircuitSpace(g)
-        circuits = set(space.elists)
         demand = [2] * g.m
         for c in must_contain:
-            if tuple(sorted(c.edges)) not in circuits:
+            if not _is_circuit(g, c.edges):
                 return None  # not a circuit of g: nothing can contain it
             for e in c.edges:
                 demand[e] -= 1
         if any(d < 0 for d in demand):
             return None
+        forced = [e for e in range(g.m) if demand[e] < 2]
+        on = {v for e in forced for v in g.edges[e]}
+        rest, free = (1 << g.m) - 1, (1 << g.n) - 1
+        if all(demand) and all(g.degree(v) == 3 for v in on):
+            # vertex-disjoint forced circuits: at each of their vertices the
+            # third edge needs two more circuits and each forced edge one, so
+            # every further circuit takes the third edge and a forced edge
+            rest &= ~_mask(forced)
+            free &= ~_mask(on)
+        space = _CircuitSpace(g, rest, free)
         eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit)
         found = eng.search("first", bound=sum(demand))
         if found is None:

@@ -176,6 +176,20 @@ def test_cdc_with_contains():
     assert payload["found"] and payload["is_cdc"]
 
 
+def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    # edge 0-1 twice, then a walk that repeats its vertices
+    for walk in ("0,1", "0,1,0,1"):
+        assert main(["cdc", str(path), "--contains", walk, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--contains is not a circuit" in captured.err
+    assert main(["cdc", str(path), "--contains", "0,1,2,3,4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] and payload["is_cdc"]
+    assert [0, 1, 2, 3, 4] in payload["circuits"]
+
+
 def test_generate_formats_and_seed_order_stability():
     code, adj, _ = run_cli(["generate", "flower", "5", "--format", "adj"])
     assert code == 0
@@ -289,10 +303,20 @@ def test_hypothesis_exit_codes(tmp_path, capsys):
 
 
 def test_construct_circumference_abort_exit_code(tmp_path, capsys):
-    # the CDC search through a 9-circuit of Petersen needs more than one node
+    # --node-limit bounds the circumference search too, and finding Petersen's
+    # 9-circuit takes 10 nodes
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
     assert main(["construct", "--via", "circumference", str(path), "--node-limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "search aborted: node limit exceeded" in captured.err
+
+
+def test_construct_cdc_abort_exit_code(tmp_path, capsys):
+    # the CDC search through Petersen's two 5-circuits needs more than one node
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main(["construct", "--via", "oddness2", str(path), "--node-limit", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "search failed: CDC search aborted" in captured.err
 

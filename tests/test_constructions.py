@@ -16,6 +16,7 @@ from cyclecover.constructions import (
 from cyclecover.covers import CycleCover, KCdc, decompose_even_subgraph, trace_circuit, validate
 from cyclecover.errors import (
     HypothesisViolated,
+    NodeLimitExceeded,
     NoTwoFactorClass,
     NotACover,
     NotContained,
@@ -136,6 +137,14 @@ def test_circumference_pipeline_flower():
     assert res.claimed_bound == 40 + 4 * k
     assert res.length <= res.claimed_bound
     assert res.length >= shortest_cycle_cover(j5).length
+
+
+def test_circumference_pipeline_budget_bounds_the_circumference(pete):
+    # finding Petersen's 9-circuit takes 10 nodes, the CDC through it 4
+    with pytest.raises(NodeLimitExceeded) as exc:
+        cover_via_circumference(pete, node_limit=5)
+    assert exc.value.nodes == 6
+    assert cover_via_circumference(pete, node_limit=10) == cover_via_circumference(pete)
 
 
 # --- oddness-2 pipeline -------------------------------------------------------

@@ -451,3 +451,53 @@ def test_contract_rejects_non_factor(pete):
 def test_girth_parallel():
     g = build_graph([(0, 1), (0, 1), (0, 1)])
     assert girth(g) == 2
+
+
+def _girth_by_edge(g):
+    """Oracle: one BFS per edge uv for a shortest u-v path avoiding it."""
+    if g.loops:
+        return 1
+    best = None
+    for e, (u, v) in enumerate(g.edges):
+        dist = {u: 0}
+        frontier = [u]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for x in frontier:
+                for f in g.incident_edges[x]:
+                    if f == e:
+                        continue
+                    y = g.other_end(f, x)
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        if y == v:
+                            found = dist[y]
+                            break
+                        nxt.append(y)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None and (best is None or found + 1 < best):
+            best = found + 1
+    return 0 if best is None else best
+
+
+def test_girth_matches_per_edge_oracle():
+    from cyclecover import flower, goldberg
+
+    rng = random.Random(1985)
+    graphs = [*load_corpus(12), *load_snarks18(), petersen(), flower(7), goldberg(5)]
+    for i in range(300):
+        # loops, parallel edges, isolated vertices and forests; every other
+        # graph simple
+        n = rng.randrange(1, 13)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        if i % 2:
+            edges = sorted({(min(e), max(e)) for e in edges if e[0] != e[1]})
+        graphs.append(Multigraph(n, edges))
+    values = Counter()
+    for g in graphs:
+        values[girth(g)] += 1
+        assert girth(g) == _girth_by_edge(g)
+    assert {0, 1, 2, 3, 4, 5, 6} <= set(values)

@@ -20,6 +20,8 @@ from cyclecover.families import parse_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
 from cyclecover.solvers import (
     _CircuitSpace,
+    _circuits,
+    _CoverEngine,
     _matchings,
     _near_factor_rests,
     _spectrum_over,
@@ -62,6 +64,127 @@ def test_circuits_parallel_multigraph():
     circuits = enumerate_circuits(g)
     assert len(circuits) == 3
     assert all(len(c) == 2 for c in circuits)
+
+
+def _raw_circuits(g):
+    """Oracle: each simple circuit once, as (sorted edge tuple, vertex tuple),
+    by a DFS from each edge e0 along larger edge ids."""
+    adj = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        if u == v:
+            continue  # loops are never part of a circuit
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    for lst in adj:
+        lst.sort()
+    out = []
+
+    def dfs(cur, e0, u0, onpath_mask, path_edges, path_verts):
+        for e, w in adj[cur]:
+            if e <= e0:
+                continue
+            if w == u0:
+                out.append((tuple(sorted(path_edges + [e])), tuple(path_verts)))
+                continue
+            if onpath_mask >> w & 1:
+                continue
+            path_edges.append(e)
+            path_verts.append(w)
+            dfs(w, e0, u0, onpath_mask | (1 << w), path_edges, path_verts)
+            path_edges.pop()
+            path_verts.pop()
+
+    for e0, (u0, v0) in enumerate(g.edges):
+        if u0 == v0:
+            continue
+        dfs(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+    return out
+
+
+def _alternating_circuits(g, rest, x=-1):
+    """Oracle: all circuits that pass, at every vertex other than x, one edge
+    of the 2-regular subgraph E - rest and one edge of ``rest``; with x = -1
+    E - rest is a 2-factor, otherwise it misses x, and a circuit may pass x by
+    any two of its edges."""
+    f_adj = [[] for _ in range(g.n)]
+    r_edge = [-1] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        if rest >> e & 1:
+            r_edge[u] = r_edge[v] = e
+        else:
+            f_adj[u].append((e, v))
+            f_adj[v].append((e, u))
+    x_adj = [(e, g.other_end(e, x)) for e in g.incident_edges[x]] if x >= 0 else ()
+    out = []
+
+    def extend(cur, e_in, e0, u0, visited, path_e, path_v):
+        # cur was entered by the rest edge e_in
+        if cur == x:
+            for e2, y in x_adj:
+                if e2 <= e0 or e2 == e_in or visited >> y & 1:
+                    continue
+                path_e.append(e2)
+                path_v.append(y)
+                extend(y, e2, e0, u0, visited | 1 << y, path_e, path_v)
+                path_v.pop()
+                path_e.pop()
+            return
+        # continue along a factor edge, then along the far end's rest edge
+        for f, w in f_adj[cur]:
+            if w == u0:
+                out.append((path_e + [f], tuple(path_v)))
+                continue
+            if visited >> w & 1:
+                continue
+            e2 = r_edge[w]
+            if e2 <= e0:
+                continue
+            y = g.other_end(e2, w)
+            if y == u0:
+                if u0 == x:
+                    out.append((path_e + [f, e2], (*path_v, w)))
+                continue
+            if visited >> y & 1:
+                continue
+            path_e += (f, e2)
+            path_v += (w, y)
+            extend(y, e2, e0, u0, visited | 1 << w | 1 << y, path_e, path_v)
+            del path_v[-2:]
+            del path_e[-2:]
+
+    for e0, (u0, v0) in enumerate(g.edges):
+        if rest >> e0 & 1 and u0 != v0:
+            extend(v0, e0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+    return out
+
+
+def _circuit_list(walks):
+    """Circuits as sorted (edge tuple, vertex tuple) pairs, repeats kept."""
+    return sorted((tuple(sorted(edges)), tuple(sorted(verts))) for edges, verts in walks)
+
+
+def test_every_circuit_matches_dfs_oracle():
+    digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
+    looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
+    for g in [*load_corpus(12), digons, looped]:
+        want = _circuit_list(_raw_circuits(g))
+        assert _circuit_list(_circuits(g, (1 << g.m) - 1, (1 << g.n) - 1)) == want
+    assert len(_circuits(looped, (1 << looped.m) - 1, (1 << looped.n) - 1)) == 6
+
+
+def test_alternating_circuits_match_oracle(j5):
+    spaces = 0
+    for g in [*load_corpus(12), j5, *load_snarks18()]:
+        for rest in _matchings(g).masks:
+            assert _circuit_list(_circuits(g, rest, 0)) == _circuit_list(
+                _alternating_circuits(g, rest))
+            spaces += 1
+        for x in range(g.n):
+            for rest in _near_factor_rests(g, x):
+                assert _circuit_list(_circuits(g, rest, 1 << x)) == _circuit_list(
+                    _alternating_circuits(g, rest, x))
+                spaces += 1
+    assert spaces > 3000
 
 
 def test_scc_k4(k4):
@@ -445,6 +568,54 @@ def test_find_cdc_circuit_form(k4, pete, j5):
             rest.remove(c)  # raises unless the CDC holds both
 
 
+def _find_cdc_over_every_circuit(g, must_contain):
+    """Oracle: the circuit-form CDC search with the same engine over every
+    circuit of g."""
+    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
+    demand = [2] * g.m
+    for c in must_contain:
+        if tuple(sorted(c.edges)) not in space.elists:
+            return None
+        for e in c.edges:
+            demand[e] -= 1
+    if any(d < 0 for d in demand):
+        return None
+    found = _CoverEngine(g, space, demand, demand).search("first", bound=sum(demand))
+    if found is None:
+        return None
+    return CycleCover.of([trace_circuit(g, c.edges) for c in must_contain]
+                         + [space.circuit(i) for i in found])
+
+
+def test_find_cdc_forced_circuits_match_every_circuit_oracle(pete):
+    kinds = Counter()
+    for g in [*load_bridgeless_corpus(10), pete]:
+        circuits = enumerate_circuits(g)
+        for i, c in enumerate(circuits):
+            forced = [[c], [c, c]]
+            later = circuits[i + 1:]
+            apart = next((d for d in later if not set(c.vertices) & set(d.vertices)), None)
+            if apart is not None:
+                # the pair, and its union taken as one circuit
+                union = Circuit(c.edges + apart.edges, c.vertices + apart.vertices)
+                forced += [[c, apart], [union]]
+            forced += [[c, d] for d in later[:2] if c.edge_set & d.edge_set]
+            for must in forced:
+                got = find_cdc(g, must_contain=must)
+                assert got == _find_cdc_over_every_circuit(g, must)
+                kinds[len(must), got is None] += 1
+    assert all(kinds[size, found] for size in (1, 2) for found in (True, False))
+
+
+def test_find_cdc_forced_circuit_searches_only_alternating_circuits():
+    # at the parent commit the search over every circuit spent its
+    # 1,000 nodes without a CDC
+    g = flower(7)
+    _, longest = circumference(g)
+    cdc = find_cdc(g, must_contain=[longest], node_limit=1000)
+    assert validate(cdc, g).is_cdc and longest in cdc.circuits
+
+
 def test_find_cdc_k5_two_factor(pete):
     # a 5-CDC with a 2-factor class would force tau <= 4: impossible for Petersen
     assert find_cdc(pete, k=5, two_factor_class=True) is None
@@ -473,7 +644,7 @@ _PERMS = ((1, 0, 5, 2, 6, 4, 3), (6, 0, 3, 1, 4, 2, 5))
 def _full_space(g, length, cap=2):
     """(length, covers, per_edge) of the covers of that length, enumerated
     over every circuit of g: the route kept for optima above 4m/3 + 1."""
-    spec = _spectrum_over(_CircuitSpace(g), cap, length)
+    spec = _spectrum_over(_CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1), cap, length)
     return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
 
 
