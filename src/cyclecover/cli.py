@@ -109,7 +109,7 @@ def cmd_analyze(args) -> int:
         report["three_edge_colourable"] = colouring is not None
         if report["bridgeless"]:
             scc = run("scc", lambda: solvers.shortest_cycle_cover(
-                g, cap=args.cap, node_limit=args.node_limit, seed_order=args.seed_order))
+                g, cap=args.cap, node_limit=args.node_limit))
             report["scc"] = scc.length
             tau = run("tau", lambda: solvers.perfect_matching_index(g))
             report["tau"] = tau.tau
@@ -138,22 +138,29 @@ def cmd_analyze(args) -> int:
 
 
 def _edge_index(g):
-    """Edge id per vertex pair (either order); the lowest id of a parallel class."""
+    """Ascending edge ids per vertex pair (either order)."""
     index = {}
     for e, (u, v) in enumerate(g.edges):
-        index.setdefault((u, v), e)
-        index.setdefault((v, u), e)
+        index.setdefault((u, v), []).append(e)
+        index.setdefault((v, u), []).append(e)
     return index
 
 
 def _walk_edges(index, verts):
-    """Edge ids along the closed vertex walk, or the first missing pair."""
-    edges = []
+    """Edge ids along the closed vertex walk, or the first missing pair.
+
+    Each step takes the least id of its pair that the walk has not used yet,
+    or the least id once all are used, so a walk round a digon takes both of
+    its edges.
+    """
+    edges, used = [], set()
     for i, u in enumerate(verts):
         v = verts[(i + 1) % len(verts)]
-        e = index.get((u, v))
-        if e is None:
+        ids = index.get((u, v))
+        if ids is None:
             return None, (u, v)
+        e = next((e for e in ids if e not in used), ids[0])
+        used.add(e)
         edges.append(e)
     return edges, None
 
@@ -180,8 +187,7 @@ def _verify_cover(g, args) -> int:
 
 def cmd_scc(args) -> int:
     g = _load_graph(args.graph, args.format)
-    res = solvers.shortest_cycle_cover(g, cap=args.cap, node_limit=args.node_limit,
-                                       seed_order=args.seed_order)
+    res = solvers.shortest_cycle_cover(g, cap=args.cap, node_limit=args.node_limit)
     out = {"scc": res.length, "optimal": res.optimal, "cap": res.weight_cap_used,
            "nodes": res.nodes}
     out.update(_cover_payload(g, res.cover))
@@ -257,7 +263,7 @@ def cmd_spectrum(args) -> int:
 def cmd_construct(args) -> int:
     g = _load_graph(args.graph, args.format)
     if args.via == "tau4":
-        res = constructions.scc_cover_from_tau4(g, node_limit=args.node_limit)
+        res = constructions.scc_cover_from_tau4(g)
     elif args.via == "circumference":
         res = constructions.cover_via_circumference(g, node_limit=args.node_limit)
     elif args.via == "oddness2":
@@ -276,15 +282,18 @@ def cmd_construct(args) -> int:
     return 0
 
 
+_INDEXED_FAMILIES = {"flower": families.flower, "goldberg": families.goldberg}
+
+
 def cmd_generate(args) -> int:
     spec = args.spec
     if spec[0] == "petersen":
         g = families.petersen()
-    elif spec[0] in ("flower", "goldberg"):
+    elif spec[0] in _INDEXED_FAMILIES:
         if len(spec) != 2:
             print(f"usage: generate {spec[0]} K", file=sys.stderr)
             return 1
-        g = families.generate(families.FamilySpec(spec[0], parameter=int(spec[1])))
+        g = _INDEXED_FAMILIES[spec[0]](int(spec[1]))
     elif spec[0] == "permutation":
         if len(spec) != 2:
             print("usage: generate permutation 0,2,4,1,3", file=sys.stderr)
@@ -336,25 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="exact cycle-cover toolkit for cubic graphs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="input file or - for stdin")
+    # the flags that only some commands read
+    optional = {"--cap": {"type": int, "default": 2},
+                "--node-limit": {"type": int, "default": None},
+                "--no-timing": {"action": "store_true"}}
+
+    def common(p, *flags):
+        p.add_argument("graph", help="input file or - for stdin")
         p.add_argument("--format", choices=("g6", "adj"), default=None)
-        p.add_argument("--cap", type=int, default=2)
-        p.add_argument("--node-limit", type=int, default=None)
-        p.add_argument("--seed-order", type=int, default=None,
-                       help="shuffle exploration order (results unchanged)")
+        for flag in flags:
+            p.add_argument(flag, **optional[flag])
         p.add_argument("--json", action="store_true")
-        p.add_argument("--no-timing", action="store_true")
 
     p = sub.add_parser("analyze", help="full structural report")
-    common(p)
+    common(p, "--cap", "--node-limit", "--no-timing")
     p.add_argument("--verify-cover", metavar="CERT",
                    help="re-validate a construct certificate (JSON) instead")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("scc", help="shortest cycle cover")
-    common(p)
+    common(p, "--cap", "--node-limit")
     p.set_defaults(fn=cmd_scc)
 
     p = sub.add_parser("tau", help="perfect matching index")
@@ -367,22 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oddness)
 
     p = sub.add_parser("circ", help="circumference")
-    common(p)
+    common(p, "--node-limit")
     p.set_defaults(fn=cmd_circ)
 
     p = sub.add_parser("cdc", help="cycle double cover search")
-    common(p)
+    common(p, "--node-limit")
     p.add_argument("--contains", help="comma-separated vertex circuit to force")
     p.add_argument("--k", type=int, default=None, help="number of colour classes")
     p.add_argument("--two-factor-class", action="store_true")
     p.set_defaults(fn=cmd_cdc)
 
     p = sub.add_parser("spectrum", help="edge weights over all optimal covers")
-    common(p)
+    common(p, "--cap", "--node-limit")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("construct", help="build a short cover from a theorem")
-    common(p)
+    common(p, "--node-limit")
     p.add_argument("--via", required=True,
                    choices=("circumference", "oddness2", "tau4", "petersen"))
     p.add_argument("--force-base", action="store_true",
@@ -397,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pcolour", help="Petersen colouring front end")
     p.add_argument("action", choices=("find", "verify", "pullback"))
-    common(p)
+    common(p, "--node-limit")
     p.add_argument("--colouring", help="colouring file (for verify/pullback)")
     p.set_defaults(fn=cmd_pcolour)
 

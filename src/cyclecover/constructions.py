@@ -523,7 +523,7 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
     return tuple(matchings)
 
 
-def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
+def scc_cover_from_tau4(g: CubicGraph) -> ConstructionResult:
     """Cover of length exactly 4m/3 for graphs with perfect matching index <= 4."""
     base = 2 * g.n
     result = perfect_matching_index(g, limit=4)

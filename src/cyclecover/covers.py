@@ -219,25 +219,19 @@ def lift_edge_set(edge_ids, rmap) -> frozenset:
     return frozenset(out)
 
 
-def lift_cover(cover, rmap):
+def lift_cover(cover: CycleCover, rmap) -> CycleCover:
     """Replace each reduced edge by its original path.
 
-    Accepts a ``CycleCover`` or a ``KCdc`` living on ``rmap.reduced`` and
-    returns the corresponding object on ``rmap.original``; circuit and CDC
-    invariants are preserved because interior path vertices had degree 2.
+    Maps a cover on ``rmap.reduced`` to the corresponding cover on
+    ``rmap.original``; circuits stay circuits because interior path vertices
+    had degree 2.
     """
-    if isinstance(cover, KCdc):
-        return KCdc.of(lift_edge_set(cls, rmap) for cls in cover.classes)
-    if isinstance(cover, CycleCover):
-        lifted = [trace_circuit(rmap.original, lift_edge_set(c.edges, rmap)) for c in cover.circuits]
-        return CycleCover.of(lifted)
-    raise TypeError(f"cannot lift {type(cover).__name__}")
+    lifted = [trace_circuit(rmap.original, lift_edge_set(c.edges, rmap)) for c in cover.circuits]
+    return CycleCover.of(lifted)
 
 
-def relabel_cover(cover, edge_origin, parent: Multigraph):
+def relabel_cover(cover: CycleCover, edge_origin, parent: Multigraph) -> CycleCover:
     """Map a cover on an edge subgraph back to the parent graph's ids."""
-    if isinstance(cover, KCdc):
-        return KCdc.of(frozenset(edge_origin[e] for e in cls) for cls in cover.classes)
     lifted = [trace_circuit(parent, (edge_origin[e] for e in c.edges)) for c in cover.circuits]
     return CycleCover.of(lifted)
 
@@ -278,6 +272,8 @@ def _check_circuit(g: Multigraph, c: Circuit, problems):
         return
     if len(set(c.vertices)) != len(c.vertices):
         problems.append(f"circuit {c.edges} repeats a vertex")
+    if len(set(c.edges)) != len(c.edges):
+        problems.append(f"circuit {c.edges} repeats an edge")
     L = len(c)
     for i in range(L):
         e = c.edges[i]

@@ -9,7 +9,6 @@ is ``5-7-9-6-8-5``.  Edge ids: 0-4 outer circuit, 5-9 spokes, 10-14 pentagram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import BadEncoding, BadLine, BadParameter, HasParallelEdges, LoopEdge, NotCubic
 from .graphs import CubicGraph, Multigraph
@@ -99,34 +98,6 @@ def permutation_snark(perm) -> CubicGraph:
     edges += [(k + i, k + (i + 1) % k) for i in range(k)]
     edges += [(i, k + perm[i]) for i in range(k)]
     return CubicGraph(2 * k, edges)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Request for one family member; ``parameter`` is the flower/goldberg
-    index and ``permutation`` selects a permutation graph."""
-
-    family: str
-    parameter: int | None = None
-    permutation: tuple | None = None
-
-
-def generate(spec: FamilySpec) -> CubicGraph:
-    if spec.family == "petersen":
-        return petersen()
-    if spec.family == "flower":
-        if spec.parameter is None:
-            raise BadParameter("flower needs a parameter")
-        return flower(spec.parameter)
-    if spec.family == "goldberg":
-        if spec.parameter is None:
-            raise BadParameter("goldberg needs a parameter")
-        return goldberg(spec.parameter)
-    if spec.family == "permutation":
-        if spec.permutation is None:
-            raise BadParameter("permutation needs a permutation")
-        return permutation_snark(spec.permutation)
-    raise BadParameter(f"unknown family {spec.family!r}")
 
 
 # --------------------------------------------------------------------------

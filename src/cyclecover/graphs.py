@@ -1,10 +1,8 @@
-"""Dart-based multigraph core and the graph surgery used by the constructions.
+"""Multigraph core and the graph surgery used by the constructions.
 
-Edges are numbered 0..m-1; edge ``e`` owns the two darts ``2e`` and ``2e+1``,
-and ``opposite`` is the fixed-point-free involution ``d -> d ^ 1``.  Parallel
-edges are first-class (distinct edge ids); loops are recorded and flagged on
-``Multigraph`` but rejected by ``CubicGraph``.  Graphs are immutable after
-construction and safe to share.
+Edges are numbered 0..m-1.  Parallel edges are first-class (distinct edge
+ids); loops are recorded and flagged on ``Multigraph`` but rejected by
+``CubicGraph``.  Graphs are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -74,20 +72,6 @@ class Multigraph:
                 break
             seen.add(key)
         self.has_parallel_edges = parallel
-
-    # -- dart view ---------------------------------------------------------
-
-    def opposite(self, dart: int) -> int:
-        return dart ^ 1
-
-    def incident_darts(self, v: int):
-        out = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(2 * e)
-            if b == v:
-                out.append(2 * e + 1)
-        return tuple(out)
 
     # -- edge view -----------------------------------------------------------
 
@@ -321,7 +305,6 @@ class ReductionMap:
     original: Multigraph
     reduced: "CubicGraph"
     edge_path: tuple
-    suppressed_vertices: tuple
 
 
 def suppress_degree_two(g: Multigraph):
@@ -380,8 +363,7 @@ def suppress_degree_two(g: Multigraph):
     labels = tuple(g.vertex_labels[v] for v in keep)
     index = {v: i for i, v in enumerate(keep)}
     reduced = CubicGraph(len(keep), [(index[u], index[v]) for u, v in new_edges], labels)
-    suppressed = tuple(g.vertex_labels[v] for v in range(g.n) if v not in keep_set)
-    rmap = ReductionMap(g, reduced, tuple(paths), suppressed)
+    rmap = ReductionMap(g, reduced, tuple(paths))
     return reduced, rmap
 
 
@@ -393,8 +375,6 @@ class ContractionMap:
     ``edge_origin[e]`` is the original edge id behind contracted edge ``e``.
     """
 
-    original: Multigraph
-    contracted: Multigraph
     vertex_map: tuple
     edge_origin: tuple
 
@@ -443,7 +423,7 @@ def contract_two_factor(g: CubicGraph, two_factor):
     rest = sorted(set(range(g.m)) - f)
     new_edges = [(comp[g.edges[e][0]], comp[g.edges[e][1]]) for e in rest]
     contracted = Multigraph(cid, new_edges)
-    cmap = ContractionMap(g, contracted, tuple(comp), tuple(rest))
+    cmap = ContractionMap(tuple(comp), tuple(rest))
     return contracted, cmap
 
 

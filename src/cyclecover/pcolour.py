@@ -10,6 +10,7 @@ whose length is the fiber-weighted length of the P-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
 from .constructions import ConstructionResult
@@ -88,22 +89,16 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
     return cover
 
 
+@cache
 def _optimal_p_covers():
     """All shortest covers of the reference Petersen graph (length 21), cached."""
-    global _P_COVERS
-    if _P_COVERS is None:
-        _, covers, _ = _structured_covers(REFERENCE)
-        _P_COVERS = tuple(sorted((CycleCover.of(trace_circuit(REFERENCE, edges) for edges in circuits)
-                                  for _, circuits in covers),
-                                 key=lambda c: tuple(x.edges for x in c.circuits)))
-    return _P_COVERS
+    _, covers, _ = _structured_covers(REFERENCE)
+    return tuple(sorted((CycleCover.of(trace_circuit(REFERENCE, edges) for edges in circuits)
+                         for _, circuits in covers),
+                        key=lambda c: tuple(x.edges for x in c.circuits)))
 
 
-_P_COVERS = None
-
-
-def best_pullback_cover(g: CubicGraph, colouring: PetersenColouring,
-                        node_limit=None) -> ConstructionResult:
+def best_pullback_cover(g: CubicGraph, colouring: PetersenColouring) -> ConstructionResult:
     """Minimal pullback over all shortest covers of P.
 
     Bound: 7m/5 for balanced colourings; strictly below 7m/5, i.e. at most

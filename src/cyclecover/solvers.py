@@ -8,7 +8,6 @@ value orders, so results are deterministic for a given graph.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -169,13 +168,12 @@ class _CoverEngine:
     ``node_limit``, so it and an abort's count are running totals.
     """
 
-    def __init__(self, g, space, coverage, cap, node_limit=None, by_edge=None, nodes=0):
+    def __init__(self, g, space, coverage, cap, node_limit=None, nodes=0):
         self.g = g
         self.space = space
         self.coverage = coverage
         self.cap = cap
         self.node_limit = node_limit
-        self.by_edge = by_edge if by_edge is not None else space.by_edge
         m, n = g.m, g.n
         self.vcap = [0] * n
         self.deficit = [0] * n
@@ -281,7 +279,7 @@ class _CoverEngine:
         vmasks = self.space.vmasks
         banned = self.banned
         try:
-            for ci in self.by_edge[e]:
+            for ci in self.space.by_edge[e]:
                 if lengths[ci] > rem or banned[ci]:
                     continue
                 if masks[ci] & self.sat_mask:
@@ -383,49 +381,32 @@ def _structured_covers(g, node_limit=None, first=False):
     return None, [], nodes
 
 
-def _deepening(g, cap, node_limit=None, seed_order=None, nodes=0):
+def _deepening(g, cap, node_limit=None, nodes=0):
     """Optimal length above 4m/3 + 1, by iterative deepening of the direct
     branch and bound over all circuits.
 
-    ``seed_order`` shuffles the exploration order; the witness is then
-    re-derived in the canonical order.  Returns (length, witness indices,
-    space, nodes), counting on from the ``nodes`` already spent.
+    Returns (length, witness indices, space, nodes), counting on from the
+    ``nodes`` already spent.
     """
     space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
-    by_edge = None
-    if seed_order is not None:
-        rng = random.Random(seed_order)
-        by_edge = []
-        for lst in space.by_edge:
-            lst = list(lst)
-            rng.shuffle(lst)
-            by_edge.append(tuple(lst))
     ones, caps = [1] * g.m, [cap] * g.m
     target = 2 * g.n + 2
     while True:
-        eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, by_edge=by_edge,
-                           nodes=nodes)
+        eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, nodes=nodes)
         found = eng.search("first", bound=target)
         nodes = eng.nodes
         if found is not None:
-            if by_edge is not None:
-                # witness must not depend on the shuffled exploration order
-                eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, nodes=nodes)
-                found = eng.search("first", bound=target)
-                nodes = eng.nodes
             return target, found, space, nodes
         if target > 2 * g.m * cap:
             raise AssertionError("no cover found below the trivial bound")
         target += 1
 
 
-def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None, seed_order=None) -> SccResult:
+def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccResult:
     """Minimum-length cycle cover subject to every edge weight <= cap.
 
     The witness is the first cover of ``_structured_covers``, else that of
-    ``_deepening``.  ``seed_order`` shuffles exploration in the deepening
-    only; the reported witness is re-derived canonically there, so it never
-    changes results.
+    ``_deepening``.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
@@ -434,7 +415,7 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None, seed_orde
     if covers:
         cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
     else:
-        length, found, space, nodes = _deepening(g, cap, node_limit, seed_order, nodes)
+        length, found, space, nodes = _deepening(g, cap, node_limit, nodes)
         cover = CycleCover.of(space.circuit(i) for i in found)
     assert cover.length == length
     return SccResult(length, cover, True, cap, nodes)

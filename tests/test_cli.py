@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 import cyclecover
 from conftest import DATA
 from cyclecover import build_graph, cover_via_oddness2, flower, petersen, solvers
-from cyclecover.cli import main
+from cyclecover.cli import build_parser, main
 from cyclecover.errors import LinksNotDisjoint
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
 from cyclecover.graphs import Multigraph
@@ -190,14 +191,72 @@ def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
     assert [0, 1, 2, 3, 4] in payload["circuits"]
 
 
+# the options of each command, all of which it reads (in some mode)
+_GRAPH_OPTIONS = ("--format", "--json")
+_OPTIONS = {
+    "analyze": (*_GRAPH_OPTIONS, "--cap", "--node-limit", "--no-timing", "--verify-cover"),
+    "scc": (*_GRAPH_OPTIONS, "--cap", "--node-limit"),
+    "spectrum": (*_GRAPH_OPTIONS, "--cap", "--node-limit"),
+    "circ": (*_GRAPH_OPTIONS, "--node-limit"),
+    "cdc": (*_GRAPH_OPTIONS, "--node-limit", "--contains", "--k", "--two-factor-class"),
+    "construct": (*_GRAPH_OPTIONS, "--node-limit", "--via", "--force-base"),
+    "pcolour": (*_GRAPH_OPTIONS, "--node-limit", "--colouring"),
+    "tau": (*_GRAPH_OPTIONS, "--limit"),
+    "oddness": _GRAPH_OPTIONS,
+    "generate": ("--format",),
+}
+
+
+def test_each_command_registers_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == {name: sorted(opts) for name, opts in _OPTIONS.items()}
+    assert sum(len(opts) for opts in got.values()) == 38
+
+
+@pytest.mark.parametrize("command", [
+    ["oddness", "--cap", "3"],
+    ["tau", "--node-limit", "1"],
+    ["circ", "--no-timing"],
+    ["scc", "--seed-order", "1"],
+])
+def test_a_flag_the_command_does_not_take_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+# the 4-circuit 0-1-3-2 with the edges 0-1 and 2-3 doubled: two digons
+_DIGONS = [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]
+
+
+def test_cdc_contains_a_digon(tmp_path, capsys):
+    path = tmp_path / "digons.adj"
+    path.write_text(write_adjacency(build_graph(_DIGONS)))
+    assert main(["cdc", str(path), "--contains", "0,1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] and payload["valid"] and payload["is_cdc"]
+    assert [0, 1] in payload["circuits"]
+
+
+def test_verify_cover_walks_parallel_edges(tmp_path, capsys):
+    path = tmp_path / "digons.adj"
+    path.write_text(write_adjacency(build_graph(_DIGONS)))
+    assert main(["scc", str(path), "--json"]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--verify-cover", str(cert), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] and payload["matches_claimed_length"]
+
+
 def test_generate_formats_and_seed_order_stability():
     code, adj, _ = run_cli(["generate", "flower", "5", "--format", "adj"])
     assert code == 0
     assert all(len(line.split()) == 2 for line in adj.strip().splitlines())
-    _, g6, _ = run_cli(["generate", "flower", "5"])
-    _, a, _ = run_cli(["scc", "-", "--json"], stdin_text=g6)
-    _, b, _ = run_cli(["scc", "-", "--json", "--seed-order", "99"], stdin_text=g6)
-    assert a == b
 
 
 def test_spectrum_cli(tmp_path):

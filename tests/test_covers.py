@@ -113,6 +113,21 @@ def test_validate_reports_missing_edge(k4):
     assert report.missing_edges
 
 
+def test_validate_rejects_a_circuit_that_repeats_an_edge(pete):
+    # edge 0 joins 0 and 1; walking it there and back is no circuit
+    report = validate(CycleCover.of([Circuit((0, 0), (0, 1))]), pete)
+    assert not report.ok
+    assert "circuit (0, 0) repeats an edge" in report.problems
+
+
+def test_validate_accepts_a_digon_of_parallel_edges():
+    g = Multigraph(2, [(0, 1), (0, 1), (0, 1)])
+    cover = CycleCover.of([circuit_from_walk([0, 1], [0, 1]), circuit_from_walk([1, 2], [0, 1])])
+    report = validate(cover, g)
+    assert report.ok, report.problems
+    assert report.weight_histogram == {1: 2, 2: 1}
+
+
 @pytest.mark.parametrize("obj, weighted", [
     (CycleCover.of([Circuit((0, 1, 99), (0, 1, 2))]), {0, 1}),
     (CycleCover.of([Circuit((0, 1, 99), (0, 1))]), {0, 1}),

@@ -2,11 +2,9 @@ import pytest
 
 from cyclecover.errors import BadEncoding, BadLine, BadParameter, HasParallelEdges, LoopEdge, NotCubic
 from cyclecover.families import (
-    FamilySpec,
     canonical_form,
     enumerate_cubic_graphs,
     flower,
-    generate,
     goldberg,
     isomorphic,
     parse_adjacency,
@@ -53,18 +51,6 @@ def test_permutation_identity_is_prism_like():
 def test_permutation_pentagram_is_petersen(pete):
     g = permutation_snark((0, 2, 4, 1, 3))
     assert isomorphic(g, pete)
-
-
-def test_generate_dispatch():
-    assert generate(FamilySpec("petersen")).n == 10
-    assert generate(FamilySpec("flower", parameter=5)).n == 20
-    with pytest.raises(BadParameter):
-        generate(FamilySpec("flower"))
-    assert generate(FamilySpec("goldberg", parameter=5)).n == 40
-    with pytest.raises(BadParameter):
-        generate(FamilySpec("goldberg"))
-    with pytest.raises(BadParameter):
-        generate(FamilySpec("unknown"))
 
 
 # --- graph6 -----------------------------------------------------------------

@@ -58,14 +58,6 @@ def test_parallel_edges_flagged():
     assert (g.n, g.m) == (2, 3)
 
 
-def test_dart_involution(pete):
-    for d in range(2 * pete.m):
-        assert pete.opposite(pete.opposite(d)) == d
-        assert pete.opposite(d) != d
-    for v in range(pete.n):
-        assert len(pete.incident_darts(v)) == 3
-
-
 def test_bridgeless(k4, pete):
     assert is_bridgeless(k4)
     assert is_bridgeless(pete)
