@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
             scc = run("scc", lambda: solvers.shortest_cycle_cover(
                 g, cap=args.cap, node_limit=args.node_limit))
             report["scc"] = scc.length
-            tau = run("tau", lambda: solvers.perfect_matching_index(g))
+            tau = run("tau", lambda: solvers.perfect_matching_index(g, node_limit=args.node_limit))
             report["tau"] = tau.tau
             odd = run("oddness", lambda: solvers.oddness(g))
             report["oddness"] = odd[0]
@@ -197,7 +197,7 @@ def cmd_scc(args) -> int:
 
 def cmd_tau(args) -> int:
     g = _load_graph(args.graph, args.format)
-    res = solvers.perfect_matching_index(g, limit=args.limit)
+    res = solvers.perfect_matching_index(g, limit=args.limit, node_limit=args.node_limit)
     out = {"tau": res.tau, "above_limit": res.above_limit,
            "matchings": [sorted(mm) for mm in res.matchings]}
     _emit(out, args.json)
@@ -263,7 +263,7 @@ def cmd_spectrum(args) -> int:
 def cmd_construct(args) -> int:
     g = _load_graph(args.graph, args.format)
     if args.via == "tau4":
-        res = constructions.scc_cover_from_tau4(g)
+        res = constructions.scc_cover_from_tau4(g, node_limit=args.node_limit)
     elif args.via == "circumference":
         res = constructions.cover_via_circumference(g, node_limit=args.node_limit)
     elif args.via == "oddness2":
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scc)
 
     p = sub.add_parser("tau", help="perfect matching index")
-    common(p)
+    common(p, "--node-limit")
     p.add_argument("--limit", type=int, default=5)
     p.set_defaults(fn=cmd_tau)
 

@@ -523,10 +523,13 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
     return tuple(matchings)
 
 
-def scc_cover_from_tau4(g: CubicGraph) -> ConstructionResult:
-    """Cover of length exactly 4m/3 for graphs with perfect matching index <= 4."""
+def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
+    """Cover of length exactly 4m/3 for graphs with perfect matching index <= 4.
+
+    ``node_limit`` bounds the perfect matching index search.
+    """
     base = 2 * g.n
-    result = perfect_matching_index(g, limit=4)
+    result = perfect_matching_index(g, limit=4, node_limit=node_limit)
     if result.above_limit:
         raise TauTooLarge("perfect matching index exceeds 4")
     if result.tau == 3:

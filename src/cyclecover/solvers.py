@@ -539,10 +539,14 @@ def _edge_set(mask):
 
 
 class _Matchings:
-    """The perfect matchings of one graph as edge masks, in enumeration order.
+    """The perfect matchings of one graph as edge masks, in enumeration order,
+    and the 2-factors they leave.
 
-    ``factor_counts`` lists, per matching, the (odd components, components)
-    of the complementary 2-factor; it is computed on first use.
+    ``factors()`` walks the 2-factors in that order and yields, per matching,
+    the (odd circuits, circuits) of the complementary 2-factor.  Each pair is
+    computed once, when a walk first reaches it, and memoised, so a question
+    that stops early leaves the rest uncounted and the next walk reads the
+    counted prefix before it counts on.  ``factor_counts`` drains the walk.
     """
 
     __slots__ = ("g", "masks", "_counts")
@@ -550,41 +554,55 @@ class _Matchings:
     def __init__(self, g):
         self.g = g
         self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
-        self._counts = None
+        self._counts = []
+
+    def factors(self):
+        counts = self._counts
+        for i, pm in enumerate(self.masks):
+            if i == len(counts):
+                counts.append(self._count(pm))
+            yield counts[i]
 
     @property
     def factor_counts(self):
-        if self._counts is None:
-            g = self.g
-            # turns[v][e]: the other two (edge, far end) pairs at v
-            turns = [{e: [(f, g.other_end(f, v)) for f in inc if f != e] for e in inc}
-                     for v, inc in enumerate(g.incident_edges)]
-            self._counts = []
-            for rest in self.masks:
-                mate = [0] * g.n
-                for e in range(rest.bit_length()):
-                    if rest >> e & 1:
-                        u, v = g.edges[e]
-                        mate[u] = mate[v] = e
-                seen = [False] * g.n
-                odd = circuits = 0
-                for start in range(g.n):
-                    if seen[start]:
-                        continue
-                    # walk the circuit through start: enter each vertex by a
-                    # factor edge, leave by the edge that is not its mate
-                    v, e, length = start, mate[start], 0
-                    while True:
-                        seen[v] = True
-                        (a, wa), (b, wb) = turns[v][e]
-                        v, e = (wb, b) if a == mate[v] else (wa, a)
-                        length += 1
-                        if v == start:
-                            break
-                    odd += length & 1
-                    circuits += 1
-                self._counts.append((odd, circuits))
-        return self._counts
+        return list(self.factors())
+
+    def _count(self, pm):
+        walks = self.factor_circuits(pm)
+        return sum(len(w) & 1 for w in walks), len(walks)
+
+    def factor_circuits(self, pm):
+        """The circuits of the 2-factor E - pm, each as its edge ids in walk
+        order from its least vertex."""
+        g = self.g
+        mate = [0] * g.n
+        while pm:
+            bit = pm & -pm
+            e = bit.bit_length() - 1
+            u, v = g.edges[e]
+            mate[u] = mate[v] = e
+            pm ^= bit
+        seen = [False] * g.n
+        walks = []
+        for start in range(g.n):
+            if seen[start]:
+                continue
+            # enter each vertex by a factor edge, leave by the first incident
+            # edge that is neither that one nor its mate
+            v, e, walk = start, mate[start], []
+            while True:
+                seen[v] = True
+                skip = mate[v]
+                for f in g.incident_edges[v]:
+                    if f != e and f != skip:
+                        break
+                a, b = g.edges[f]
+                v, e = (b if a == v else a), f
+                walk.append(f)
+                if v == start:
+                    break
+            walks.append(walk)
+        return walks
 
 
 @lru_cache(maxsize=1)
@@ -606,23 +624,54 @@ class TauResult:
         return self.tau is None
 
 
-def perfect_matching_index(g: CubicGraph, limit: int = 5) -> TauResult:
-    """Smallest k <= limit with k perfect matchings covering E(g)."""
-    masks = _matchings(g).masks
-    if not masks:
+def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> TauResult:
+    """Smallest k <= limit with k perfect matchings covering E(g), with k such
+    matchings as the witness.
+
+    tau = 3 exactly when some 2-factor has no odd circuit: its matching and
+    the two alternating halves of its circuits are three disjoint perfect
+    matchings, and three perfect matchings that cover all 3n/2 edges are
+    disjoint, so any two of them form an even 2-factor.  The witness is then
+    the first even 2-factor of the store's walk, as (matching, the edges at
+    even places of each circuit's walk, those at odd places).  Only without
+    an even 2-factor does an exhaustive search try k = 4, ..., limit, each
+    branching on the least uncovered edge over the matchings that hold it.
+    Each call of that search is one node of ``node_limit``, counted over
+    every k; an abort raises ``NodeLimitExceeded`` with the nodes spent.
+    """
+    store = _matchings(g)
+    masks = store.masks
+    if limit < 3 or not masks:
         return TauResult(None, ())
+    for pm, (odd, _) in zip(masks, store.factors()):
+        if not odd:
+            halves = ([], [])
+            for walk in store.factor_circuits(pm):
+                halves[0].extend(walk[0::2])
+                halves[1].extend(walk[1::2])
+            return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
     m = g.m
-    per_edge = [tuple(i for i, mk in enumerate(masks) if mk >> e & 1) for e in range(m)]
-    if any(not lst for lst in per_edge):
+    per_edge = [[] for _ in range(m)]
+    for i, mk in enumerate(masks):
+        while mk:
+            bit = mk & -mk
+            per_edge[bit.bit_length() - 1].append(i)
+            mk ^= bit
+    if not all(per_edge):
         return TauResult(None, ())
     full = (1 << m) - 1
     size = g.n // 2
+    nodes = 0
 
     def cover_with(k):
         banned = [False] * len(masks)
         out = []
 
         def rec(covmask, depth):
+            nonlocal nodes
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                raise NodeLimitExceeded(nodes=nodes)
             if covmask == full:
                 return True
             if depth == k:
@@ -650,7 +699,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5) -> TauResult:
 
         return out if rec(0, 0) else None
 
-    for k in range(3, limit + 1):
+    for k in range(4, limit + 1):
         sol = cover_with(k)
         if sol is not None:
             return TauResult(k, tuple(_edge_set(masks[i]) for i in sol))
@@ -661,14 +710,20 @@ def oddness(g: CubicGraph):
     """Minimum odd-component count over all 2-factors, with a witness.
 
     Among minimisers the witness has the fewest components in total, then is
-    first in matching enumeration order.
+    first in matching enumeration order.  The walk over the store's 2-factors
+    stops at the first Hamiltonian one: (0 odd, 1 circuit) is the least key
+    a 2-factor can have, so that one is the witness.
     """
     store = _matchings(g)
     if not store.masks:
         raise NoTwoFactor("graph has no perfect matching, hence no 2-factor")
-    counts = store.factor_counts
-    best = min(range(len(counts)), key=counts.__getitem__)
-    return counts[best][0], _edge_set(((1 << g.m) - 1) & ~store.masks[best])
+    best = best_key = None
+    for i, key in enumerate(store.factors()):
+        if best is None or key < best_key:
+            best, best_key = i, key
+            if key == (0, 1):
+                break
+    return best_key[0], _edge_set(((1 << g.m) - 1) & ~store.masks[best])
 
 
 # --------------------------------------------------------------------------

@@ -201,7 +201,7 @@ _OPTIONS = {
     "cdc": (*_GRAPH_OPTIONS, "--node-limit", "--contains", "--k", "--two-factor-class"),
     "construct": (*_GRAPH_OPTIONS, "--node-limit", "--via", "--force-base"),
     "pcolour": (*_GRAPH_OPTIONS, "--node-limit", "--colouring"),
-    "tau": (*_GRAPH_OPTIONS, "--limit"),
+    "tau": (*_GRAPH_OPTIONS, "--node-limit", "--limit"),
     "oddness": _GRAPH_OPTIONS,
     "generate": ("--format",),
 }
@@ -212,12 +212,12 @@ def test_each_command_registers_only_the_options_it_reads():
     got = {name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
            for name, p in sub.choices.items()}
     assert got == {name: sorted(opts) for name, opts in _OPTIONS.items()}
-    assert sum(len(opts) for opts in got.values()) == 38
+    assert sum(len(opts) for opts in got.values()) == 39
 
 
 @pytest.mark.parametrize("command", [
     ["oddness", "--cap", "3"],
-    ["tau", "--node-limit", "1"],
+    ["tau", "--cap", "3"],
     ["circ", "--no-timing"],
     ["scc", "--seed-order", "1"],
 ])
@@ -331,6 +331,22 @@ def test_analyze_enumerates_matchings_once_per_graph(monkeypatch, capsys, tmp_pa
     assert calls == [10, 20]
 
 
+def test_analyze_counts_few_two_factors(monkeypatch, capsys):
+    # oddness stops at the first Hamiltonian 2-factor and tau at the first
+    # even one, so the golden graphs count 25 of their 1,189 2-factors
+    counted = []
+    original = solvers._Matchings._count
+
+    def counting(store, pm):
+        counted.append(pm)
+        return original(store, pm)
+
+    monkeypatch.setattr(solvers._Matchings, "_count", counting)
+    assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert len(counted) == 25
+
+
 def test_analyze_golden(monkeypatch, capsys):
     # reports on random cubic graphs (n 24 to 32, with and without triangles)
     monkeypatch.chdir(DATA)
@@ -378,6 +394,22 @@ def test_construct_cdc_abort_exit_code(tmp_path, capsys):
     assert main(["construct", "--via", "oddness2", str(path), "--node-limit", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "search failed: CDC search aborted" in captured.err
+
+
+def test_tau_node_limit_exit_code(tmp_path, capsys):
+    # Petersen has no even 2-factor, so tau = 5 comes from the cover search,
+    # which needs more than one node; J5's tau = 4 does too
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    for command in (["tau"], ["construct", "--via", "tau4"]):
+        assert main([*command, str(path), "--node-limit", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "search aborted: node limit exceeded" in captured.err
+    assert main(["tau", str(path), "--node-limit", "10000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == 5
+    path.write_text(write_graph6(flower(5)) + "\n")
+    assert main(["construct", "--via", "tau4", str(path), "--node-limit", "1"]) == 3
+    assert "search aborted" in capsys.readouterr().err
 
 
 def test_circ_node_limit_exit_code(tmp_path, capsys):

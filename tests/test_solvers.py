@@ -17,7 +17,7 @@ from cyclecover.covers import (
 )
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.families import parse_graph6
-from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor
+from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.solvers import (
     _CircuitSpace,
     _circuits,
@@ -391,6 +391,103 @@ def test_tau_matches_colourability(k4, pete, prism, k33):
         assert (perfect_matching_index(g).tau == 3) == colourable
 
 
+def test_matching_store_counts_only_the_factors_it_needs():
+    # a Hamiltonian 2-factor ends oddness, and an even one settles tau = 3,
+    # before the last matching; Petersen has neither, so both read them all
+    rng = random.Random(7)
+    for g, lazy in ((_random_cubic(24, rng), True), (petersen(), False)):
+        oddness(g)
+        perfect_matching_index(g)
+        store = _matchings(g)
+        counted = list(store._counts)
+        assert (len(counted) < len(store.masks)) == lazy
+        assert store.factor_counts[:len(counted)] == counted
+
+
+def _tau_by_search(g, limit):
+    """Smallest k in 3..limit with k perfect matchings covering E(g), or None.
+
+    Exhaustive over k = 3, 4, ...: branch on the least uncovered edge over
+    the matchings that hold it, banning each matching once its branch fails,
+    and prune when the uncovered edges outnumber what the remaining
+    matchings can hold.
+    """
+    masks = [sum(1 << e for e in pm) for pm in enumerate_perfect_matchings(g)]
+    m, size = g.m, g.n // 2
+    full = (1 << m) - 1
+    per_edge = [[i for i, mk in enumerate(masks) if mk >> e & 1] for e in range(m)]
+    if not masks or not all(per_edge):
+        return None
+
+    def cover_with(k):
+        banned = [False] * len(masks)
+
+        def rec(covmask, depth):
+            if covmask == full:
+                return True
+            if depth == k or m - covmask.bit_count() > (k - depth) * size:
+                return False
+            x = ~covmask & full
+            e = (x & -x).bit_length() - 1
+            unban = []
+            found = False
+            for ci in per_edge[e]:
+                if banned[ci]:
+                    continue
+                if rec(covmask | masks[ci], depth + 1):
+                    found = True
+                    break
+                banned[ci] = True
+                unban.append(ci)
+            for ci in unban:
+                banned[ci] = False
+            return found
+
+        return rec(0, 0)
+
+    return next((k for k in range(3, limit + 1) if cover_with(k)), None)
+
+
+def _random_cubic_24_to_40():
+    rng = random.Random(1306)
+    return [_random_cubic(24 + 2 * (i % 9), rng) for i in range(20)]
+
+
+def _tau_graphs():
+    """The corpus, the 18-vertex snarks, Petersen, J5, two multigraphs and 20
+    random cubic graphs."""
+    digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
+    looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+    return [*load_corpus(12), *load_snarks18(), petersen(), flower(5), digons, looped,
+            *_random_cubic_24_to_40()]
+
+
+def test_tau_matches_search_oracle():
+    for g in _tau_graphs():
+        for limit in (2, 3, 4, 5):
+            res = perfect_matching_index(g, limit)
+            assert res.tau == _tau_by_search(g, limit)
+            if res.above_limit:
+                assert res.matchings == ()
+                continue
+            assert len(res.matchings) == res.tau
+            assert all(is_spanning_regular(g, pm, 1) for pm in res.matchings)
+            assert frozenset().union(*res.matchings) == frozenset(range(g.m))
+            if res.tau == 3:
+                assert all(not a & b for a, b in combinations(res.matchings, 2))
+
+
+def test_tau_node_limit(k4, pete, j5):
+    # a colourable graph settles tau = 3 from an even 2-factor, with no search
+    assert perfect_matching_index(k4, node_limit=0).tau == 3
+    for g, tau in ((pete, 5), (j5, 4)):
+        with pytest.raises(NodeLimitExceeded) as exc:
+            perfect_matching_index(g, node_limit=1)
+        assert exc.value.nodes == 2
+        assert perfect_matching_index(g, node_limit=10**6) == perfect_matching_index(g)
+        assert perfect_matching_index(g).tau == tau
+
+
 def test_oddness(k4, pete):
     assert oddness(k4)[0] == 0
     odd, factor = oddness(pete)
@@ -413,8 +510,10 @@ def _oddness_by_decomposition(g):
 
 
 def test_oddness_matches_decomposition(k4, prism, pete, j5):
-    # the small corpus graphs have ties that only the component count breaks
-    for g in (k4, prism, pete, j5, *load_snarks18(), *load_bridgeless_corpus(10)):
+    # the small corpus graphs have ties that only the component count breaks,
+    # and the random ones stop at a Hamiltonian 2-factor
+    for g in (k4, prism, pete, j5, *load_snarks18(), *load_bridgeless_corpus(10),
+              *_random_cubic_24_to_40()):
         assert oddness(g) == _oddness_by_decomposition(g)
 
 
