@@ -16,18 +16,11 @@ import time
 from . import constructions, families, pcolour as pcol, solvers
 from .covers import CycleCover, circuit_from_walk, validate
 from .errors import (
-    Bridged,
     GraphError,
     HypothesisViolated,
-    LinksNotDisjoint,
     NodeLimitExceeded,
-    NoThreePaths,
-    NoTwoFactor,
     NotCubic,
-    NotTwoConnectedReduced,
-    PreimageNotEven,
     StrongCdcNotFound,
-    TauTooLarge,
 )
 from .graphs import CubicGraph, cyclic_connectivity_at_least, girth, is_bridgeless
 
@@ -422,13 +415,12 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     try:
         return args.fn(args)
-    except (Bridged, HypothesisViolated, TauTooLarge, NotTwoConnectedReduced,
-            NoThreePaths, NoTwoFactor, LinksNotDisjoint, PreimageNotEven) as exc:
+    except HypothesisViolated as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
     except StrongCdcNotFound as exc:
         print(f"search failed: {exc}", file=sys.stderr)
-        return 3 if exc.aborted else 2
+        return 2
     except NodeLimitExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 3

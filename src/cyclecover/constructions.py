@@ -15,7 +15,7 @@ from .covers import (
     KCdc,
     decompose_even_subgraph,
     lift_cover,
-    relabel_cover,
+    lift_edge_set,
     trace_circuit,
     validate,
 )
@@ -23,7 +23,6 @@ from .errors import (
     HypothesisViolated,
     LinksNotDisjoint,
     NoTwoFactorClass,
-    NodeLimitExceeded,
     NotACover,
     NotContained,
     NotHamiltonian,
@@ -37,7 +36,6 @@ from .graphs import (
     CubicGraph,
     contract_two_factor,
     cyclic_connectivity_at_least,
-    edge_subgraph,
     is_bridgeless,
     is_connected,
     is_spanning_regular,
@@ -45,7 +43,6 @@ from .graphs import (
 )
 from .solvers import (
     circumference,
-    edge_colouring_3,
     find_cdc,
     oddness,
     perfect_matching_index,
@@ -76,24 +73,19 @@ def _as_circuits(g, c):
 
 
 def _cdc_through(g, circuits, node_limit, where) -> CycleCover:
-    """A CDC of g that holds ``circuits``, else ``StrongCdcNotFound``: marked
-    aborted when the search ran out of nodes, a proven negative otherwise."""
-    try:
-        cdc = find_cdc(g, must_contain=circuits, node_limit=node_limit)
-    except NodeLimitExceeded as exc:
-        raise StrongCdcNotFound("CDC search aborted", aborted=True) from exc
+    """A CDC of g that holds ``circuits``.  ``StrongCdcNotFound`` is a proven
+    negative; a search that runs out of nodes raises ``NodeLimitExceeded``."""
+    cdc = find_cdc(g, must_contain=circuits, node_limit=node_limit)
     if cdc is None:
         raise StrongCdcNotFound(f"no CDC {where}")
     return cdc
 
 
-def _image(edge_ids, emap, rmap):
-    """The edges of a reduced graph whose paths lie in the parent edge set
-    ``edge_ids``; ``emap`` takes subgraph edges to parent edges, and ``rmap``
-    reduces the subgraph."""
-    index = {e: i for i, e in enumerate(emap)}
-    sub = {index[e] for e in edge_ids}
-    return [e for e, path in enumerate(rmap.edge_path) if sub.issuperset(path)]
+def _image(edge_ids, rmap):
+    """The reduced edges whose paths lie in the edge set ``edge_ids`` of
+    ``rmap.original``."""
+    edge_ids = set(edge_ids)
+    return [e for e, path in enumerate(rmap.edge_path) if edge_ids.issuperset(path)]
 
 
 def _check_result(g, cover, bound, theorem, certificate) -> ConstructionResult:
@@ -203,18 +195,34 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
     return merged
 
 
+def _split_cover(g, coloured, colouring, searched, shared, node_limit, where) -> CycleCover:
+    """The short cover of a graph cut into a coloured and a searched part.
+
+    ``coloured`` and ``searched`` are edge sets of g that meet only in the
+    circuits ``shared``.  The reduction of the coloured part is
+    3-edge-coloured by ``colouring(reduced, rmap)``, and its colour-pair CDC
+    and (1, 3) class are lifted to g.  The reduction of the searched part must
+    be 2-connected (``where`` names it); a CDC of it through the images of
+    ``shared`` is lifted too.  The two CDCs are merged, and the lifted (1, 3)
+    class is dropped from the result.
+    """
+    reduced, rmap = suppress_degree_two(g, coloured)
+    colour = colouring(reduced, rmap)
+    cdc1 = lift_cover(_colouring_cover(reduced, colour), rmap)
+    c13 = lift_edge_set([e for e, c in colour.items() if c in (1, 3)], rmap)
+
+    reduced, rmap = suppress_degree_two(g, searched)
+    if not is_connected(reduced) or not is_bridgeless(reduced):
+        raise NotTwoConnectedReduced(f"{where} is not 2-connected")
+    images = [trace_circuit(reduced, _image(c.edges, rmap)) for c in shared]
+    cdc2 = _cdc_through(reduced, images, node_limit, f"of the {where} through the shared circuits")
+    merged = merge_cdcs(g, cdc1, lift_cover(cdc2, rmap), shared)
+    return cover_from_cdc(g, merged, c13)
+
+
 # --------------------------------------------------------------------------
 # circumference construction
 # --------------------------------------------------------------------------
-
-def _lift_colour_class(g, colour, pair, rmap, emap):
-    edges = set()
-    for e_red in range(rmap.reduced.m):
-        if colour[e_red] in pair:
-            for e_sub in rmap.edge_path[e_red]:
-                edges.add(emap[e_sub])
-    return frozenset(edges)
-
 
 def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
                             node_limit=None) -> ConstructionResult:
@@ -247,76 +255,24 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
         cover = cover_from_cdc(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
-    # chordless side: delete chords, suppress, search a CDC through the circuit
-    keep = [e for e in range(g.m) if e not in chords]
-    sub1, emap1 = edge_subgraph(g, keep)
-    g1, rmap1 = suppress_degree_two(sub1)
-    if not is_connected(g1) or not is_bridgeless(g1):
-        raise NotTwoConnectedReduced("chord-free reduction is not 2-connected")
-    d1 = trace_circuit(g1, _image(c_set, emap1, rmap1))
-    cdc1_red = _cdc_through(g1, [d1], node_limit, "of the reduced graph through the circuit")
-    cdc1 = relabel_cover(lift_cover(cdc1_red, rmap1), emap1, g)
+    def colouring(reduced, rmap):
+        # 1/2 alternating along the circuit's image, 3 on the chords: the
+        # phase whose lifted (1, 3) class is larger
+        image = trace_circuit(reduced, _image(c_set, rmap))
+        phases = [hamiltonian_3ec(reduced, image, swap) for swap in (False, True)]
+        return max(phases, key=lambda colour: len(
+            lift_edge_set([e for e, c in colour.items() if c in (1, 3)], rmap)))
 
-    # circuit-plus-chords side: suppress and 3-edge-colour along the circuit
-    sub2, emap2 = edge_subgraph(g, sorted(c_set | set(chords)))
-    g2, rmap2 = suppress_degree_two(sub2)
-    d2 = trace_circuit(g2, _image(c_set, emap2, rmap2))
-
-    best = None
-    for swap in (False, True):
-        colour = hamiltonian_3ec(g2, d2, swap=swap)
-        lifted_13 = _lift_colour_class(g, colour, (1, 3), rmap2, emap2)
-        if best is None or len(lifted_13) > len(best[1]):
-            best = (colour, lifted_13)
-    colour, c13 = best
-    cdc2 = relabel_cover(lift_cover(_colouring_cover(g2, colour), rmap2), emap2, g)
-
-    merged = merge_cdcs(g, cdc1, cdc2, [longest])
-    cover = cover_from_cdc(g, merged, c13)
+    chord_set = set(chords)
+    cover = _split_cover(g, c_set | chord_set, colouring,
+                         [e for e in range(g.m) if e not in chord_set], [longest],
+                         node_limit, "chord-free reduction")
     return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
 
 # --------------------------------------------------------------------------
 # oddness-2 construction
 # --------------------------------------------------------------------------
-
-def _phase_colouring(g_red, rmap, emap, components, suppressed_goal):
-    """3-edge-colour a reduced graph whose 2-factor image is all even circuits.
-
-    Picks the 1/2 alternation phase per component that puts the most vertices
-    of ``suppressed_goal`` on colour-1 paths.
-    """
-    colour = {}
-    factor_edges = set()
-    for comp in components:
-        phases = []
-        for phase in (0, 1):
-            local = {}
-            for i, e in enumerate(comp.edges):
-                local[e] = 1 if (i + phase) % 2 == 0 else 2
-            phases.append(local)
-        # score: suppressed vertices lying inside colour-1 paths
-        scores = []
-        for local in phases:
-            hit = set()
-            for e, col in local.items():
-                if col != 1:
-                    continue
-                path = rmap.edge_path[e]
-                for e_sub in path:
-                    for v in rmap.original.edges[e_sub]:
-                        lab = rmap.original.vertex_labels[v]
-                        if lab in suppressed_goal:
-                            hit.add(lab)
-            scores.append(len(hit))
-        local = phases[0] if scores[0] >= scores[1] else phases[1]
-        colour.update(local)
-        factor_edges.update(comp.edges)
-    for e in range(g_red.m):
-        if e not in factor_edges:
-            colour[e] = 3
-    return colour
-
 
 def cover_via_oddness2(g: CubicGraph, two_factor=None, links=None,
                        force_base: bool = False, node_limit=None) -> ConstructionResult:
@@ -418,37 +374,31 @@ def _oddness2_paths(g, f, comps, odd_comps, links, node_limit):
 
 
 def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
-    """Common part: delete links, colour the reduction, build and merge CDCs."""
+    """Common part: colour g without the links, and search a CDC of the
+    links and the circuits they touch through those circuits."""
     link_set = set(link_edges)
-    ends = sorted({g.vertex_labels[v] for e in link_edges for v in g.edges[e]})
+    ends = {v for e in link_edges for v in g.edges[e]}
+    touched = [c for c in comps if not ends.isdisjoint(c.vertices)]
 
-    keep = [e for e in range(g.m) if e not in link_set]
-    sub1, emap1 = edge_subgraph(g, keep)
-    g1, rmap1 = suppress_degree_two(sub1)
+    def colouring(reduced, rmap):
+        # the 2-factor's image is all even circuits: colour each 1/2
+        # alternately, in the phase that puts the most link ends on colour-1
+        # paths of g, and the rest 3
+        components = decompose_even_subgraph(reduced, _image(f, rmap))
+        if any(len(c) % 2 for c in components):
+            raise AssertionError("2-factor image has an odd component")
+        colour = dict.fromkeys(range(reduced.m), 3)
+        for comp in components:
+            phases = [{e: 1 if (i + phase) % 2 == 0 else 2 for i, e in enumerate(comp.edges)}
+                      for phase in (0, 1)]
+            colour.update(max(phases, key=lambda local: len(
+                {v for e, c in local.items() if c == 1
+                 for x in rmap.edge_path[e] for v in g.edges[x] if v in ends})))
+        return colour
 
-    # images of the 2-factor components (all even after suppression)
-    f_images = decompose_even_subgraph(g1, _image(f, emap1, rmap1))
-    if any(len(c) % 2 for c in f_images):
-        raise AssertionError("2-factor image has an odd component")
-
-    colour = _phase_colouring(g1, rmap1, emap1, f_images, set(ends))
-    cdc1 = relabel_cover(lift_cover(_colouring_cover(g1, colour), rmap1), emap1, g)
-    c13 = _lift_colour_class(g, colour, (1, 3), rmap1, emap1)
-
-    # the touched components plus the links, suppressed, with a CDC through
-    # the component images
-    touched = [c for c in comps if any(v in {x for e in link_edges for x in g.edges[e]}
-                                       for v in c.vertices)]
-    h_edges = sorted(set().union(*[c.edge_set for c in touched]) | link_set)
-    sub2, emap2 = edge_subgraph(g, h_edges)
-    g2, rmap2 = suppress_degree_two(sub2)
-    images = [trace_circuit(g2, _image(c.edges, emap2, rmap2)) for c in touched]
-    cdc2_red = _cdc_through(g2, images, node_limit, "of the link graph through the circuit images")
-    cdc2 = relabel_cover(lift_cover(cdc2_red, rmap2), emap2, g)
-
-    shared = list(touched)
-    merged = merge_cdcs(g, cdc1, cdc2, shared)
-    return cover_from_cdc(g, merged, c13)
+    return _split_cover(g, [e for e in range(g.m) if e not in link_set], colouring,
+                        set().union(*[c.edge_set for c in touched]) | link_set, touched,
+                        node_limit, "link-graph reduction")
 
 
 # --------------------------------------------------------------------------
@@ -533,8 +483,8 @@ def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
     if result.above_limit:
         raise TauTooLarge("perfect matching index exceeds 4")
     if result.tau == 3:
-        colour = edge_colouring_3(g)
-        assert colour is not None
+        # three disjoint perfect matchings are a 3-edge-colouring
+        colour = {e: i + 1 for i, mm in enumerate(result.matchings) for e in mm}
         cover = _colouring_cover(g, colour, ((1, 3), (2, 3)))
         cert = {"tau": 3, "matchings": result.matchings}
     else:

@@ -210,6 +210,7 @@ class KCdc:
 # --------------------------------------------------------------------------
 
 def lift_edge_set(edge_ids, rmap) -> frozenset:
+    """The edges of ``rmap.original`` on the paths of the reduced edges."""
     paths = rmap.edge_path
     out = set()
     for e in edge_ids:
@@ -220,19 +221,14 @@ def lift_edge_set(edge_ids, rmap) -> frozenset:
 
 
 def lift_cover(cover: CycleCover, rmap) -> CycleCover:
-    """Replace each reduced edge by its original path.
+    """Replace each reduced edge by its path in ``rmap.original``.
 
-    Maps a cover on ``rmap.reduced`` to the corresponding cover on
-    ``rmap.original``; circuits stay circuits because interior path vertices
-    had degree 2.
+    A cover of the reduction becomes the corresponding cover of the graph it
+    was taken from, in that graph's own edge ids; circuits stay circuits
+    because the interior path vertices have degree 2 in the smoothed
+    subgraph.
     """
     lifted = [trace_circuit(rmap.original, lift_edge_set(c.edges, rmap)) for c in cover.circuits]
-    return CycleCover.of(lifted)
-
-
-def relabel_cover(cover: CycleCover, edge_origin, parent: Multigraph) -> CycleCover:
-    """Map a cover on an edge subgraph back to the parent graph's ids."""
-    lifted = [trace_circuit(parent, (edge_origin[e] for e in c.edges)) for c in cover.circuits]
     return CycleCover.of(lifted)
 
 

@@ -9,6 +9,14 @@ class GraphError(Exception):
     """Base class for all toolkit errors."""
 
 
+class HypothesisViolated(GraphError):
+    """Input does not satisfy a hypothesis of the requested computation.
+
+    Base class of every failure the CLI reports as a hypothesis violation
+    (exit 2).
+    """
+
+
 # --- graph construction / validation ---------------------------------------
 
 class NotCubic(GraphError):
@@ -61,7 +69,7 @@ class BadLine(GraphError):
 
 # --- solvers ------------------------------------------------------------
 
-class Bridged(GraphError):
+class Bridged(HypothesisViolated):
     """No cycle cover exists: the graph has a bridge."""
 
 
@@ -78,11 +86,11 @@ class NodeLimitExceeded(GraphError):
         self.nodes = nodes
 
 
-class NoThreePaths(GraphError):
+class NoThreePaths(HypothesisViolated):
     """Fewer than three disjoint paths exist (connectivity hypothesis violated)."""
 
 
-class NoTwoFactor(GraphError):
+class NoTwoFactor(HypothesisViolated):
     """Graph has no 2-factor (no perfect matching)."""
 
 
@@ -105,25 +113,15 @@ class SharedMismatch(GraphError):
 
 
 class StrongCdcNotFound(GraphError):
-    """No CDC through the prescribed circuit was found.
-
-    ``aborted`` distinguishes a node-limit abort from an exhausted search.
-    """
-
-    def __init__(self, message: str, aborted: bool = False):
-        super().__init__(message)
-        self.aborted = aborted
+    """The search proved that no CDC holds the prescribed circuits (an abort
+    raises ``NodeLimitExceeded`` instead)."""
 
 
-class NotTwoConnectedReduced(GraphError):
-    """Reduced graph is not 2-connected, so the circumference construction stops."""
+class NotTwoConnectedReduced(HypothesisViolated):
+    """Graph or reduction is not 2-connected, so a cover construction stops."""
 
 
-class HypothesisViolated(GraphError):
-    """Input certificate does not satisfy the construction's hypotheses."""
-
-
-class LinksNotDisjoint(GraphError):
+class LinksNotDisjoint(HypothesisViolated):
     """Connecting edges/paths are not disjoint as required."""
 
 
@@ -135,7 +133,7 @@ class NoTwoFactorClass(GraphError):
     """5-CDC has no colour class that is a 2-factor."""
 
 
-class TauTooLarge(GraphError):
+class TauTooLarge(HypothesisViolated):
     """Perfect matching index exceeds 4, so the tau-based construction does not apply."""
 
 
@@ -145,5 +143,5 @@ class PartialAssignment(GraphError):
     """Colouring verification requires a total assignment."""
 
 
-class PreimageNotEven(GraphError):
+class PreimageNotEven(HypothesisViolated):
     """Circuit preimage is not an even subgraph (the colouring is invalid)."""

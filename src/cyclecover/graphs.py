@@ -22,23 +22,20 @@ from .errors import (
 class Multigraph:
     """Undirected multigraph over vertices ``0..n-1``.
 
-    ``vertex_labels[v]`` remembers the caller-facing name of internal vertex
-    ``v`` (surgery results use this to point back at the graph they came
-    from).  ``incident_edges[v]`` lists incident edge ids in increasing order,
-    with a loop listed twice, so ``len(incident_edges[v])`` is the degree.
+    ``incident_edges[v]`` lists incident edge ids in increasing order, with a
+    loop listed twice, so ``len(incident_edges[v])`` is the degree.
     """
 
     __slots__ = (
         "n",
         "m",
         "edges",
-        "vertex_labels",
         "incident_edges",
         "loops",
         "has_parallel_edges",
     )
 
-    def __init__(self, n: int, edge_list, vertex_labels=None):
+    def __init__(self, n: int, edge_list):
         edges = tuple((int(u), int(v)) for u, v in edge_list)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -46,13 +43,6 @@ class Multigraph:
         self.n = n
         self.m = len(edges)
         self.edges = edges
-        if vertex_labels is None:
-            vertex_labels = tuple(range(n))
-        else:
-            vertex_labels = tuple(vertex_labels)
-            if len(vertex_labels) != n:
-                raise ValueError("vertex_labels length mismatch")
-        self.vertex_labels = vertex_labels
 
         inc = [[] for _ in range(n)]
         loops = []
@@ -98,14 +88,14 @@ class CubicGraph(Multigraph):
 
     __slots__ = ()
 
-    def __init__(self, n, edge_list, vertex_labels=None):
-        super().__init__(n, edge_list, vertex_labels)
+    def __init__(self, n, edge_list):
+        super().__init__(n, edge_list)
         if self.loops:
             e = self.loops[0]
             raise LoopEdge(f"loop at vertex {self.edges[e][0]} (edge {e})")
         for v in range(self.n):
             if self.degree(v) != 3:
-                raise NotCubic(f"vertex {self.vertex_labels[v]} has degree {self.degree(v)}")
+                raise NotCubic(f"vertex {v} has degree {self.degree(v)}")
         # degree sum 3n = 2m forces n even; the check above implies it.
 
 
@@ -295,76 +285,75 @@ def girth(g: Multigraph) -> int:
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Correspondence from a suppressed graph back to its original.
+    """How the edges of a reduction map back to the graph it was taken from.
 
-    ``edge_path[e]`` lists, in traversal order, the original edge ids that the
-    reduced edge ``e`` replaces; interior vertices of each path had degree 2
-    at suppression time.
+    ``edge_path[e]`` lists, in traversal order, the edge ids of ``original``
+    that reduced edge ``e`` replaces; the interior vertices of each path have
+    degree 2 in the subgraph that was smoothed.
     """
 
     original: Multigraph
-    reduced: "CubicGraph"
     edge_path: tuple
 
 
-def suppress_degree_two(g: Multigraph):
-    """Smooth all degree-2 vertices; return the cubic result and its map.
+def suppress_degree_two(g: Multigraph, edge_ids):
+    """Smooth the degree-2 vertices of the subgraph of ``g`` spanned by
+    ``edge_ids``; return the cubic result and its map back to ``g``.
 
-    Every vertex must have degree 2 or 3.  Raises ``AllDegreeTwo`` when some
-    component has no degree-3 vertex (the caller must special-case circuit
-    components), and ``LoopEdge`` when smoothing would close a chain onto a
-    single degree-3 vertex.
+    Every vertex that the edges touch must have degree 2 or 3 in the
+    subgraph.  The reduced vertices are the degree-3 vertices in id order,
+    and each one's chains are walked over its kept edges in id order.
+    Raises ``AllDegreeTwo`` when some component of the subgraph has no
+    degree-3 vertex (its edges lie on no chain; the caller must
+    special-case circuit components), and ``LoopEdge`` when smoothing would
+    close a chain onto a single degree-3 vertex.
     """
-    degs = g.degrees()
-    for v, d in enumerate(degs):
-        if d not in (2, 3):
-            raise ValueError(f"vertex {g.vertex_labels[v]} has degree {d}; suppression needs 2 or 3")
-    keep = [v for v in range(g.n) if degs[v] == 3]
+    kept = sorted(set(edge_ids))
+    inc = [[] for _ in range(g.n)]
+    for e in kept:
+        u, v = g.edges[e]
+        inc[u].append(e)
+        inc[v].append(e)
+    for v, es in enumerate(inc):
+        if len(es) not in (0, 2, 3):
+            raise ValueError(f"vertex {v} has degree {len(es)}; suppression needs 2 or 3")
+    keep = [v for v, es in enumerate(inc) if len(es) == 3]
     if not keep:
         raise AllDegreeTwo("graph is a disjoint union of circuits")
-    comp_ok = set()
-    for comp in connected_components(g):
-        if not any(degs[v] == 3 for v in comp):
-            raise AllDegreeTwo(f"component containing vertex {g.vertex_labels[comp[0]]} is a circuit")
-        comp_ok.update(comp)
 
-    keep_set = set(keep)
     used_darts = set()
     new_edges = []
     paths = []
-
     for v in keep:
-        for e in g.incident_edges[v]:
-            a, b = g.edges[e]
-            start_dart = 2 * e if a == v else 2 * e + 1
+        for e in inc[v]:
+            start_dart = 2 * e if g.edges[e][0] == v else 2 * e + 1
             if start_dart in used_darts:
                 continue
             # walk from v along the chain of degree-2 vertices
             path = [e]
-            used_darts.add(start_dart)
             cur = g.other_end(e, v)
-            prev_edge = e
-            while cur not in keep_set:
-                e1, e2 = g.incident_edges[cur][0], g.incident_edges[cur][-1]
-                nxt = e2 if e1 == prev_edge else e1
+            while len(inc[cur]) == 2:
+                e1, e2 = inc[cur]
+                nxt = e2 if e1 == path[-1] else e1
                 path.append(nxt)
-                cur_next = g.other_end(nxt, cur)
-                prev_edge = nxt
-                cur = cur_next
-            # mark the far-end dart so the chain is not traversed again
-            u2, v2 = g.edges[prev_edge]
-            end_dart = 2 * prev_edge if u2 == cur else 2 * prev_edge + 1
-            used_darts.add(end_dart)
-            if cur == v:
-                raise LoopEdge(f"suppression would create a loop at vertex {g.vertex_labels[v]}")
+                cur = g.other_end(nxt, cur)
+            # mark both end darts so the chain is not traversed again
+            last = path[-1]
+            used_darts.add(start_dart)
+            used_darts.add(2 * last if g.edges[last][0] == cur else 2 * last + 1)
             new_edges.append((v, cur))
             paths.append(tuple(path))
 
-    labels = tuple(g.vertex_labels[v] for v in keep)
+    unused = set(kept).difference(*paths)
+    if unused:
+        v = min(x for e in unused for x in g.edges[e])
+        raise AllDegreeTwo(f"component containing vertex {v} is a circuit")
+    for u, v in new_edges:
+        if u == v:
+            raise LoopEdge(f"suppression would create a loop at vertex {v}")
     index = {v: i for i, v in enumerate(keep)}
-    reduced = CubicGraph(len(keep), [(index[u], index[v]) for u, v in new_edges], labels)
-    rmap = ReductionMap(g, reduced, tuple(paths))
-    return reduced, rmap
+    reduced = CubicGraph(len(keep), [(index[u], index[v]) for u, v in new_edges])
+    return reduced, ReductionMap(g, tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -449,16 +438,3 @@ def two_cut_join(g1: CubicGraph, e1: int, g2: CubicGraph, e2: int, cross: bool =
         edges += [(u1, u2 + off), (v1, v2 + off)]
     return CubicGraph(g1.n + g2.n, edges)
 
-
-def edge_subgraph(g: Multigraph, edge_ids):
-    """Restrict to the given edges (vertices of degree 0 are dropped).
-
-    Returns ``(subgraph, edge_origin)`` where ``edge_origin[e]`` is the parent
-    edge id of subgraph edge ``e``; vertex labels are the parent's labels.
-    """
-    edge_ids = sorted(set(edge_ids))
-    verts = sorted({v for e in edge_ids for v in g.edges[e]})
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[g.edges[e][0]], index[g.edges[e][1]]) for e in edge_ids]
-    labels = tuple(g.vertex_labels[v] for v in verts)
-    return Multigraph(len(verts), edges, labels), tuple(edge_ids)

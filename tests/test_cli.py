@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import cyclecover
-from conftest import DATA
-from cyclecover import build_graph, cover_via_oddness2, flower, petersen, solvers
+from conftest import DATA, load_snarks18
+from cyclecover import build_graph, cover_via_oddness2, flower, goldberg, petersen, solvers
 from cyclecover.cli import build_parser, main
 from cyclecover.errors import LinksNotDisjoint
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
@@ -355,6 +355,26 @@ def test_analyze_golden(monkeypatch, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_construct_golden(tmp_path, capsys):
+    # the circumference and oddness-2 certificates on the classic snarks,
+    # as the CLI prints them, with exit codes and error output
+    first, second = load_snarks18()
+    graphs = [("petersen", petersen()), ("J5", flower(5)), ("J7", flower(7)),
+              ("J9", flower(9)), ("G5", goldberg(5)), ("snarks18[0]", first),
+              ("snarks18[1]", second)]
+    lines = []
+    for name, g in graphs:
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(g) + "\n")
+        for via in (["circumference"], ["oddness2"], ["oddness2", "--force-base"]):
+            code = main(["construct", str(path), "--via", *via, "--json"])
+            out, err = capsys.readouterr()
+            lines.append(json.dumps({"graph": name, "via": via, "exit": code,
+                                     "stdout": out, "stderr": err}) + "\n")
+    with open(os.path.join(DATA, "construct_golden.jsonl"), encoding="ascii") as fh:
+        assert "".join(lines) == fh.read()
+
+
 def test_hypothesis_exit_codes(tmp_path, capsys):
     from test_graphs import _bridged_cubic
 
@@ -393,7 +413,7 @@ def test_construct_cdc_abort_exit_code(tmp_path, capsys):
     path.write_text(write_graph6(petersen()) + "\n")
     assert main(["construct", "--via", "oddness2", str(path), "--node-limit", "1"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "search failed: CDC search aborted" in captured.err
+    assert captured.out == "" and "search aborted: node limit exceeded" in captured.err
 
 
 def test_tau_node_limit_exit_code(tmp_path, capsys):

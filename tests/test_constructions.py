@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import check_kcdc, load_bridgeless_corpus
-from cyclecover import flower
+from cyclecover import flower, goldberg
 from cyclecover.constructions import (
     cover_from_cdc,
     cover_via_circumference,
@@ -194,29 +194,19 @@ def test_oddness2_paths_variant():
 
 def test_oddness2_rejects_wrong_oddness(k4):
     # K4 is 3-edge-colourable: oddness 0, no 2-odd-component witness
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="oddness is 0, not 2"):
         cover_via_oddness2(k4)
 
 
 def test_oddness2_rejects_four_odd_components():
-    # a necklace of four triangles: its triangle 2-factor has 4 odd components
-    edges = []
-    L, R, M = 0, 1, 2
-
-    def vid(i, role):
-        return 3 * i + role
-
-    for i in range(4):
-        edges += [(vid(i, L), vid(i, R)), (vid(i, R), vid(i, M)), (vid(i, M), vid(i, L))]
-    for i in range(4):
-        edges.append((vid(i, L), vid((i + 1) % 4, R)))
-    edges += [(vid(0, M), vid(2, M)), (vid(1, M), vid(3, M))]
-    from cyclecover import build_graph
-
-    g = build_graph(edges)
-    triangles = frozenset(e for e in range(12))
-    with pytest.raises(HypothesisViolated):
-        cover_via_oddness2(g, two_factor=triangles)
+    # G5 is cyclically 4-edge-connected and has a 2-factor with four odd
+    # circuits (5, 5, 5 and 17) besides an even one
+    g = goldberg(5)
+    everything = frozenset(range(g.m))
+    factor = next(everything - pm for pm in enumerate_perfect_matchings(g)
+                  if sum(len(c) % 2 for c in decompose_even_subgraph(g, everything - pm)) == 4)
+    with pytest.raises(HypothesisViolated, match="2-factor has 4 odd components, need 2"):
+        cover_via_oddness2(g, two_factor=factor)
 
 
 # --- tau constructions ---------------------------------------------------------
@@ -293,6 +283,27 @@ def test_tau4_construction(k4, j5, pete):
     assert rep.is_one_two_cover
     with pytest.raises(TauTooLarge):
         scc_cover_from_tau4(pete)
+
+
+def test_tau3_cover_comes_from_its_witness(k4, monkeypatch):
+    # the three matchings of a tau-3 witness are a 3-edge-colouring, so no
+    # colouring search runs, and the weight-1 edges are the first two classes
+    from cyclecover import solvers
+
+    calls = []
+    original = solvers._label_search
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_label_search", counting)
+    for g in (k4, load_bridgeless_corpus(12)[-1]):
+        res = scc_cover_from_tau4(g)
+        assert res.certificate["tau"] == 3
+        first, second, _ = res.certificate["matchings"]
+        assert res.cover.weight_one_edges(g.m) == first | second
+    assert calls == []
 
 
 def test_tauthm_equivalence_small(k4, prism, k33, pete):

@@ -11,12 +11,11 @@ from cyclecover.covers import (
     circuit_from_walk,
     decompose_even_subgraph,
     lift_cover,
-    relabel_cover,
     trace_circuit,
     validate,
 )
 from cyclecover.errors import MapMismatch
-from cyclecover.graphs import Multigraph, edge_subgraph, suppress_degree_two
+from cyclecover.graphs import Multigraph, suppress_degree_two
 from cyclecover.solvers import edge_colouring_3, shortest_cycle_cover
 
 
@@ -147,7 +146,7 @@ def test_lift_preserves_validity():
     # K4 with one edge subdivided twice: suppression undoes the subdivision
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 5), (5, 3), (2, 3)]
     g = Multigraph(6, edges)
-    reduced, rmap = suppress_degree_two(g)
+    reduced, rmap = suppress_degree_two(g, range(g.m))
     assert reduced.n == 4
     res = shortest_cycle_cover(reduced)
     lifted = lift_cover(res.cover, rmap)
@@ -160,7 +159,7 @@ def test_lift_preserves_validity():
 def test_lift_cdc_stays_cdc():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 5), (5, 3), (2, 3)]
     g = Multigraph(6, edges)
-    reduced, rmap = suppress_degree_two(g)
+    reduced, rmap = suppress_degree_two(g, range(g.m))
     from cyclecover.solvers import find_cdc
 
     cdc = find_cdc(reduced)
@@ -171,7 +170,7 @@ def test_lift_cdc_stays_cdc():
 def test_lift_rejects_unknown_edges():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 5), (5, 3), (2, 3)]
     g = Multigraph(6, edges)
-    reduced, rmap = suppress_degree_two(g)
+    reduced, rmap = suppress_degree_two(g, range(g.m))
     bogus = circuit_from_walk([97, 98, 99], [0, 1, 2])
     with pytest.raises(MapMismatch):
         lift_cover(CycleCover.of([bogus]), rmap)

@@ -384,7 +384,7 @@ def test_suppress_path():
     # path of degree-2 vertices between two degree-3 vertices becomes one edge
     g = Multigraph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                        (7, 1), (7, 2), (1, 2)])
-    reduced, rmap = suppress_degree_two(g)
+    reduced, rmap = suppress_degree_two(g, range(g.m))
     assert reduced.n == 4
     long_paths = [p for p in rmap.edge_path if len(p) > 1]
     assert len(long_paths) == 1
@@ -394,13 +394,48 @@ def test_suppress_path():
 def test_suppress_all_degree_two():
     g = Multigraph(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(AllDegreeTwo):
-        suppress_degree_two(g)
+        suppress_degree_two(g, range(g.m))
+
+
+def test_suppress_circuit_beside_a_reducible_component(k4):
+    # K4 on 0-3 and a hexagon on 4-9: the hexagon's edges lie on no chain
+    hexagon = [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
+    g = Multigraph(10, list(k4.edges) + hexagon)
+    with pytest.raises(AllDegreeTwo, match="component containing vertex 4 is a circuit"):
+        suppress_degree_two(g, range(g.m))
+    reduced, _ = suppress_degree_two(g, range(k4.m))
+    assert reduced.edges == k4.edges
+
+
+def _check_direct_map(g, kept):
+    """The reduction of the subgraph spanned by ``kept`` maps straight back
+    to g: its paths partition the kept edges and run through subgraph
+    degree-2 vertices, and a lifted CDC double covers exactly the kept edges."""
+    from cyclecover.covers import lift_cover
+    from cyclecover.solvers import find_cdc
+
+    reduced, rmap = suppress_degree_two(g, kept)
+    assert rmap.original is g
+    deg = [0] * g.n
+    for e in kept:
+        for v in g.edges[e]:
+            deg[v] += 1
+    assert sorted(e for path in rmap.edge_path for e in path) == sorted(kept)
+    branch = [v for v in range(g.n) if deg[v] == 3]
+    for (a, b), path in zip(reduced.edges, rmap.edge_path):
+        cur = branch[a]
+        for e in path[:-1]:
+            cur = g.other_end(e, cur)
+            assert deg[cur] == 2
+        assert g.other_end(path[-1], cur) == branch[b]
+    weight = lift_cover(find_cdc(reduced), rmap).edge_weight(g.m)
+    assert weight == [2 if e in kept else 0 for e in range(g.m)]
+    return reduced
 
 
 def test_suppress_petersen_minus_chords(pete):
     # delete the chords of a 9-circuit: the reduction has at most 4 vertices
     from cyclecover.solvers import circumference
-    from cyclecover.graphs import edge_subgraph
 
     length, circ = circumference(pete)
     assert length == 9
@@ -408,9 +443,17 @@ def test_suppress_petersen_minus_chords(pete):
     chords = [e for e in range(pete.m) if e not in circ.edge_set
               and pete.edges[e][0] in on_c and pete.edges[e][1] in on_c]
     keep = [e for e in range(pete.m) if e not in chords]
-    sub, _ = edge_subgraph(pete, keep)
-    reduced, rmap = suppress_degree_two(sub)
-    assert reduced.n <= 4
+    assert _check_direct_map(pete, keep).n <= 4
+
+
+def test_suppress_oddness2_link_graph(j5):
+    # J5's two 2-factor circuits and the three edges that link them
+    from cyclecover.constructions import cover_via_oddness2
+
+    cert = cover_via_oddness2(j5).certificate
+    kept = set(cert["two_factor"]) | set(cert["links"])
+    assert len(kept) < j5.m
+    assert _check_direct_map(j5, sorted(kept)).n == 6
 
 
 def test_contract_two_factor_petersen(pete):
