@@ -192,7 +192,7 @@ def cmd_tau(args) -> int:
     g = _load_graph(args.graph, args.format)
     res = solvers.perfect_matching_index(g, limit=args.limit, node_limit=args.node_limit)
     out = {"tau": res.tau, "above_limit": res.above_limit,
-           "matchings": [sorted(mm) for mm in res.matchings]}
+           "matchings": [sorted(mm) for mm in res.matchings], "nodes": res.nodes}
     _emit(out, args.json)
     return 0
 
@@ -304,17 +304,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pcolour(args) -> int:
+    # find reads --node-limit, verify and pullback read --colouring
+    find = args.action == "find"
+    unread, value = ("--colouring", args.colouring) if find else ("--node-limit", args.node_limit)
+    if value is not None:
+        print(f"pcolour {args.action} does not take {unread}", file=sys.stderr)
+        return 1
+    if not find and not args.colouring:
+        print("--colouring FILE is required", file=sys.stderr)
+        return 1
     g = _load_graph(args.graph, args.format)
-    if args.action == "find":
+    if find:
         colouring = pcol.find_petersen_colouring(g, node_limit=args.node_limit)
         if colouring is None:
             print("no Petersen colouring exists", file=sys.stderr)
             return 2
         sys.stdout.write(pcol.format_colouring(g, colouring))
         return 0
-    if not args.colouring:
-        print("--colouring FILE is required", file=sys.stderr)
-        return 1
     colouring = pcol.parse_colouring(g, _read_text(args.colouring))
     if args.action == "verify":
         ok, bad = pcol.verify_petersen_colouring(g, colouring)

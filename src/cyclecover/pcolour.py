@@ -55,7 +55,7 @@ def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
 def find_petersen_colouring(g: CubicGraph, node_limit=None):
     """A Petersen colouring by the labelling search of ``solvers`` (the labels
     are the edges of P, the stars its vertex stars); None if none exists."""
-    assignment = _label_search(g, _P_STARS, node_limit=node_limit)
+    assignment, _ = _label_search(g, _P_STARS, node_limit=node_limit)
     return None if assignment is None else PetersenColouring(tuple(assignment))
 
 

@@ -614,10 +614,13 @@ def _matchings(g) -> _Matchings:
 
 @dataclass(frozen=True)
 class TauResult:
-    """Perfect matching index with a witness; ``tau is None`` means AboveLimit."""
+    """Perfect matching index with a witness; ``tau is None`` means AboveLimit.
+    ``nodes`` counts the labelling search over every k (0 when an even
+    2-factor settles tau = 3)."""
 
     tau: int | None
     matchings: tuple
+    nodes: int = 0
 
     @property
     def above_limit(self) -> bool:
@@ -634,76 +637,58 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     disjoint, so any two of them form an even 2-factor.  The witness is then
     the first even 2-factor of the store's walk, as (matching, the edges at
     even places of each circuit's walk, those at odd places).  Only without
-    an even 2-factor does an exhaustive search try k = 4, ..., limit, each
-    branching on the least uncovered edge over the matchings that hold it.
-    Each call of that search is one node of ``node_limit``, counted over
-    every k; an abort raises ``NodeLimitExceeded`` with the nodes spent.
+    an even 2-factor does the labelling search try k = 4, ..., limit over
+    ``_partition_tables(k)``; matching i of its witness is the edges whose
+    label holds i.  Its cuts keep each matching i one of the store's, so a
+    label that no perfect matching completes fails at once, whatever the
+    edge order.  A loop lies in no perfect matching, so a looped graph is
+    above any limit.  ``node_limit`` bounds the labelling nodes over every
+    k; an abort raises ``NodeLimitExceeded`` with the nodes spent.
     """
     store = _matchings(g)
-    masks = store.masks
-    if limit < 3 or not masks:
+    if limit < 3 or not store.masks or g.loops:
         return TauResult(None, ())
-    for pm, (odd, _) in zip(masks, store.factors()):
+    for pm, (odd, _) in zip(store.masks, store.factors()):
         if not odd:
             halves = ([], [])
             for walk in store.factor_circuits(pm):
                 halves[0].extend(walk[0::2])
                 halves[1].extend(walk[1::2])
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
-    m = g.m
-    per_edge = [[] for _ in range(m)]
-    for i, mk in enumerate(masks):
-        while mk:
-            bit = mk & -mk
-            per_edge[bit.bit_length() - 1].append(i)
-            mk ^= bit
-    if not all(per_edge):
-        return TauResult(None, ())
-    full = (1 << m) - 1
-    size = g.n // 2
+    # holders[e]: the stored matchings that hold edge e, as a bitmask; the
+    # columns of the matchings' bit rows, edge m - 1 first
+    rows = [format(pm, f"0{g.m}b") for pm in store.masks]
+    holders = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+    every = (1 << len(rows)) - 1
     nodes = 0
-
-    def cover_with(k):
-        banned = [False] * len(masks)
-        out = []
-
-        def rec(covmask, depth):
-            nonlocal nodes
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise NodeLimitExceeded(nodes=nodes)
-            if covmask == full:
-                return True
-            if depth == k:
-                return False
-            missing = m - covmask.bit_count()
-            if missing > (k - depth) * size:
-                return False
-            x = ~covmask & full
-            e = (x & -x).bit_length() - 1
-            unban = []
-            found = False
-            for ci in per_edge[e]:
-                if banned[ci]:
-                    continue
-                out.append(ci)
-                if rec(covmask | masks[ci], depth + 1):
-                    found = True
-                    break
-                out.pop()
-                banned[ci] = True
-                unban.append(ci)
-            for ci in unban:
-                banned[ci] = False
-            return found
-
-        return out if rec(0, 0) else None
-
     for k in range(4, limit + 1):
-        sol = cover_with(k)
-        if sol is not None:
-            return TauResult(k, tuple(_edge_set(masks[i]) for i in sol))
-    return TauResult(None, ())
+        subsets, stars = _partition_tables(k)
+        holds = [_mask(a for a, s in enumerate(subsets) if s >> i & 1) for i in range(k)]
+
+        def cuts(dom):
+            # matching i is a stored one that holds the edges whose labels all
+            # hold i and none whose labels hold no i; an open edge leaves i out
+            # if no such matching holds it and takes i if every one does
+            out = []
+            for hold in holds:
+                fit, open_ = every, []
+                for e, d in enumerate(dom):
+                    if d & hold and d & ~hold:
+                        open_.append(e)
+                    else:
+                        fit &= holders[e] if d & hold else ~holders[e]
+                if not fit:
+                    return None
+                out += [(e, ~hold) for e in open_ if not fit & holders[e]]
+                out += [(e, hold) for e in open_ if not fit & ~holders[e]]
+            return out
+
+        labels, nodes = _label_search(g, stars, subsets, node_limit, nodes, cuts)
+        if labels is not None:
+            held = [subsets[a] for a in labels]
+            return TauResult(k, tuple(frozenset(e for e in range(g.m) if held[e] >> i & 1)
+                                      for i in range(k)), nodes)
+    return TauResult(None, (), nodes)
 
 
 def oddness(g: CubicGraph):
@@ -888,7 +873,7 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
              for a, b, c in combinations(range(k), 3) if tf in (None, c)]
     # the classes other than the 2-factor class are interchangeable
     symbols = [_mask(c for c in p if c != tf) for p in pairs]
-    labels = _label_search(g, stars, symbols, node_limit)
+    labels, _ = _label_search(g, stars, symbols, node_limit)
     if labels is None:
         return None
     return KCdc.of(frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(k))
@@ -966,14 +951,15 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
 
 
 # --------------------------------------------------------------------------
-# edge labellings: 3-edge-colourings, Petersen colourings, k-class CDCs
+# edge labellings: 3-edge-colourings, Petersen colourings, k-class CDCs and
+# covers by k perfect matchings
 # --------------------------------------------------------------------------
 
-def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
+def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, cuts=None):
     """First labelling of the edges of ``g`` (loopless) in which the labels
     at every vertex of degree 3 form one of ``stars``, and the labels at any
-    vertex are pairwise in a common star; None when none exists (complete
-    proof).
+    vertex are pairwise in a common star, with the running node count:
+    (labels, nodes), or (None, nodes) when none exists (complete proof).
 
     ``stars`` are sets of three labels, and two labels lie in at most one
     star, so any two labels at a vertex fix the third.  Each edge keeps a
@@ -985,6 +971,10 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
     node each.  ``symbols[a]`` masks the interchangeable symbols that label
     ``a`` uses; a branch may use no new symbol above the highest used one
     plus one, which stays sound when propagation uses symbols out of order.
+    ``nodes`` is the count spent before this search, as in ``_CoverEngine``.
+    ``cuts(dom)``, when given, runs after each branch's propagation on the
+    domains: None refutes the branch, else its (edge, mask) pairs narrow the
+    edge's domain to the mask, and that narrowing propagates in turn.
     """
     count = 1 + max((max(star) for star in stars), default=-1)
     adj = [0] * count
@@ -1004,7 +994,6 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
     lab = [-1] * m
     trail = []  # (edge, domain, label) before each change
     used = 0  # symbols of the labelled edges
-    nodes = 0
 
     def narrow(f, d, queue):
         if d != dom[f]:
@@ -1016,9 +1005,8 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
                 queue.append((f, d.bit_length() - 1))
         return True
 
-    def label(e, a):
+    def label(queue):
         nonlocal used
-        queue = [(e, a)]
         while queue:
             e, a = queue.pop()
             trail.append((e, dom[e], -1))
@@ -1032,6 +1020,13 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
                         if not narrow(f, dom[f] & d, queue):
                             return False
         return True
+
+    def settle():
+        # narrow by the caller's cuts, once
+        if cuts is None:
+            return True
+        cut, queue = cuts(dom), []
+        return cut is not None and all(narrow(f, dom[f] & d, queue) for f, d in cut) and label(queue)
 
     def rec():
         nonlocal used, nodes
@@ -1053,14 +1048,33 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None):
             nodes += 1
             if node_limit is not None and nodes > node_limit:
                 raise NodeLimitExceeded(nodes=nodes)
-            if label(best, a) and rec():
+            if label([(best, a)]) and settle() and rec():
                 return True
             while len(trail) > mark:
                 e, dom[e], lab[e] = trail.pop()
             used = before
         return False
 
-    return lab if rec() else None
+    found = rec()
+    return (lab if found else None), nodes
+
+
+def _partition_tables(k):
+    """The labels and stars of a cover of E by k perfect matchings, each edge
+    labelled by the set of matchings that hold it.
+
+    At a vertex each matching holds one edge, so the three labels partition
+    {0, ..., k-1}: the labels are the nonempty subsets of size at most k - 2,
+    as bitmasks in ascending order, and the stars are the 3-part partitions.
+    The matchings are interchangeable, so each label's symbols are its own
+    bitmask.
+    """
+    full = (1 << k) - 1
+    subsets = [s for s in range(1, full) if s.bit_count() <= k - 2]
+    index = {s: i for i, s in enumerate(subsets)}
+    stars = [{index[a], index[b], index[full ^ a ^ b]}
+             for a, b in combinations(subsets, 2) if not a & b and b < full ^ a ^ b]
+    return subsets, stars
 
 
 @lru_cache(maxsize=1)
@@ -1070,7 +1084,7 @@ def _colouring(g):
     ``_matchings``, read by ``edge_colouring_3`` and ``circumference``."""
     if g.loops:
         return None
-    labels = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
+    labels, _ = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
     return None if labels is None else tuple(labels)
 
 

@@ -285,6 +285,26 @@ def test_pcolour_find_verify_pullback(tmp_path):
     assert json.loads(out)["length"] <= 21
 
 
+@pytest.mark.parametrize("action, flag", [
+    ("find", "--colouring"),
+    ("verify", "--node-limit"),
+    ("pullback", "--node-limit"),
+])
+def test_a_pcolour_flag_the_action_does_not_read_is_a_usage_error(action, flag, tmp_path, capsys):
+    gfile = tmp_path / "p.g6"
+    gfile.write_text(write_graph6(petersen()) + "\n")
+    assert main(["pcolour", "find", str(gfile)]) == 0
+    cfile = tmp_path / "col.txt"
+    cfile.write_text(capsys.readouterr().out)
+    reads = [] if action == "find" else ["--colouring", str(cfile)]
+    assert main(["pcolour", action, str(gfile), *reads]) == 0
+    capsys.readouterr()
+    value = str(cfile) if flag == "--colouring" else "1000"
+    assert main(["pcolour", action, str(gfile), *reads, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"pcolour {action} does not take {flag}" in captured.err
+
+
 def test_verify_cover_roundtrip(tmp_path):
     _, g6, _ = run_cli(["generate", "flower", "5"])
     gfile = tmp_path / "j5.g6"
@@ -417,8 +437,8 @@ def test_construct_cdc_abort_exit_code(tmp_path, capsys):
 
 
 def test_tau_node_limit_exit_code(tmp_path, capsys):
-    # Petersen has no even 2-factor, so tau = 5 comes from the cover search,
-    # which needs more than one node; J5's tau = 4 does too
+    # Petersen has no even 2-factor, so tau = 5 comes from the labelling
+    # search, which needs more than one node; J5's tau = 4 does too
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
     for command in (["tau"], ["construct", "--via", "tau4"]):
@@ -426,7 +446,9 @@ def test_tau_node_limit_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "search aborted: node limit exceeded" in captured.err
     assert main(["tau", str(path), "--node-limit", "10000", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["tau"] == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tau"] == 5
+    assert payload["nodes"] == solvers.perfect_matching_index(petersen()).nodes > 1
     path.write_text(write_graph6(flower(5)) + "\n")
     assert main(["construct", "--via", "tau4", str(path), "--node-limit", "1"]) == 3
     assert "search aborted" in capsys.readouterr().err

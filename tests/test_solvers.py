@@ -16,7 +16,7 @@ from cyclecover.covers import (
     validate,
 )
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
-from cyclecover.families import parse_graph6
+from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.solvers import (
     _CircuitSpace,
@@ -24,6 +24,7 @@ from cyclecover.solvers import (
     _CoverEngine,
     _matchings,
     _near_factor_rests,
+    _partition_tables,
     _spectrum_over,
     circumference,
     edge_colouring_3,
@@ -34,6 +35,7 @@ from cyclecover.solvers import (
     oddness,
     perfect_matching_index,
     shortest_cycle_cover,
+    TauResult,
     three_disjoint_paths,
 )
 
@@ -453,19 +455,33 @@ def _random_cubic_24_to_40():
     return [_random_cubic(24 + 2 * (i % 9), rng) for i in range(20)]
 
 
+def _relabelled(g, seed):
+    """g with its vertices renumbered at random and its edges sorted, the
+    order a graph6 reader gives."""
+    rng = random.Random(seed)
+    new = list(range(g.n))
+    rng.shuffle(new)
+    return CubicGraph(g.n, sorted(tuple(sorted((new[u], new[v]))) for u, v in g.edges))
+
+
 def _tau_graphs():
-    """The corpus, the 18-vertex snarks, Petersen, J5, two multigraphs and 20
+    """The corpus, the 18-vertex snarks, Petersen, J5, J7, J9, G5, J9 read
+    back from graph6 and twice relabelled at random, two multigraphs and 20
     random cubic graphs."""
     digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
     looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
-    return [*load_corpus(12), *load_snarks18(), petersen(), flower(5), digons, looped,
-            *_random_cubic_24_to_40()]
+    j9 = flower(9)
+    return [*load_corpus(12), *load_snarks18(), petersen(), flower(5), flower(7), j9,
+            goldberg(5), parse_graph6(write_graph6(j9)), _relabelled(j9, 1), _relabelled(j9, 2),
+            digons, looped, *_random_cubic_24_to_40()]
 
 
 def test_tau_matches_search_oracle():
+    # the labelling search depends on the edge order; its cuts keep every
+    # order here within a few dozen nodes a k
     for g in _tau_graphs():
         for limit in (2, 3, 4, 5):
-            res = perfect_matching_index(g, limit)
+            res = perfect_matching_index(g, limit, node_limit=500)
             assert res.tau == _tau_by_search(g, limit)
             if res.above_limit:
                 assert res.matchings == ()
@@ -480,12 +496,38 @@ def test_tau_matches_search_oracle():
 def test_tau_node_limit(k4, pete, j5):
     # a colourable graph settles tau = 3 from an even 2-factor, with no search
     assert perfect_matching_index(k4, node_limit=0).tau == 3
+    assert perfect_matching_index(k4).nodes == 0
+    # a loop lies in no perfect matching, so a looped graph needs none either
+    looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+    assert perfect_matching_index(looped, limit=6, node_limit=0) == TauResult(None, (), 0)
     for g, tau in ((pete, 5), (j5, 4)):
         with pytest.raises(NodeLimitExceeded) as exc:
             perfect_matching_index(g, node_limit=1)
         assert exc.value.nodes == 2
         assert perfect_matching_index(g, node_limit=10**6) == perfect_matching_index(g)
         assert perfect_matching_index(g).tau == tau
+
+
+def test_tau_nodes_are_one_budget_over_every_k(pete):
+    # Petersen's search proves k = 4 impossible, then finds k = 5; the budget
+    # and the count both run over the two
+    res = perfect_matching_index(pete)
+    four = perfect_matching_index(pete, limit=4)
+    assert four.above_limit and 0 < four.nodes < res.nodes
+    assert perfect_matching_index(pete, node_limit=res.nodes) == res
+    with pytest.raises(NodeLimitExceeded) as exc:
+        perfect_matching_index(pete, node_limit=res.nodes - 1)
+    assert exc.value.nodes == res.nodes
+
+
+def test_partition_tables():
+    for k, n_stars in ((4, 6), (5, 25), (6, 90)):  # Stirling numbers S(k, 3)
+        subsets, stars = _partition_tables(k)
+        assert len(subsets) == 2 ** k - 2 - k
+        assert len(stars) == n_stars
+        for star in stars:
+            a, b, c = (subsets[i] for i in star)
+            assert a | b | c == 2 ** k - 1 and not (a & b or a & c or b & c)
 
 
 def test_oddness(k4, pete):
