@@ -65,15 +65,14 @@ def _emit(obj, as_json: bool):
             print(f"{key}: {obj[key]}")
 
 
-def _circuits_out(cover: CycleCover):
-    return [list(c.vertices) for c in cover.circuits]
-
-
 def _cover_payload(g, cover: CycleCover):
+    """A cover certificate: each circuit as its vertex walk, and as its edge
+    ids in walk order, which tell parallel edges apart."""
     report = validate(cover, g)
     return {
         "length": cover.length,
-        "circuits": _circuits_out(cover),
+        "circuits": [list(c.vertices) for c in cover.circuits],
+        "circuit_edges": [list(c.edges) for c in cover.circuits],
         "valid": report.ok,
         "is_cdc": report.is_cdc,
         "is_one_two_cover": report.is_one_two_cover,
@@ -158,15 +157,38 @@ def _walk_edges(index, verts):
     return edges, None
 
 
+def _ints(value):
+    """Whether a certificate field is a nonempty list of integers."""
+    return isinstance(value, list) and value and all(type(v) is int for v in value)
+
+
 def _verify_cover(g, args) -> int:
+    """Re-validate a certificate.  Its edge ids, when it lists them, must
+    join the steps of their walks; a walk without them takes the edges of
+    ``_walk_edges``."""
     cert = json.loads(_read_text(args.verify_cover))
     index = _edge_index(g)
+    walks = cert.get("circuits") if isinstance(cert, dict) else None
+    if not isinstance(walks, list) or not all(_ints(w) for w in walks):
+        print("a certificate lists its circuits as nonempty lists of vertices", file=sys.stderr)
+        return 1
+    listed = cert.get("circuit_edges", [None] * len(walks))
+    if not isinstance(listed, list) or len(listed) != len(walks):
+        print("circuit_edges must list the edge ids of every circuit", file=sys.stderr)
+        return 1
     circuits = []
-    for verts in cert["circuits"]:
+    for verts, ids in zip(walks, listed):
         edges, missing = _walk_edges(index, verts)
         if missing:
             print(f"no edge {missing[0]}-{missing[1]} in the graph", file=sys.stderr)
             return 1
+        if ids is not None:
+            steps = zip(verts, verts[1:] + verts[:1])
+            if (not _ints(ids) or len(ids) != len(verts)
+                    or any(e not in index[uv] for e, uv in zip(ids, steps))):
+                print(f"edge ids {ids} do not follow the walk {verts}", file=sys.stderr)
+                return 1
+            edges = ids
         circuits.append(circuit_from_walk(edges, verts))
     cover = CycleCover.of(circuits)
     report = validate(cover, g)
@@ -182,7 +204,7 @@ def cmd_scc(args) -> int:
     g = _load_graph(args.graph, args.format)
     res = solvers.shortest_cycle_cover(g, cap=args.cap, node_limit=args.node_limit)
     out = {"scc": res.length, "optimal": res.optimal, "cap": res.weight_cap_used,
-           "nodes": res.nodes}
+           "nodes": res.nodes, "stage": res.stage}
     out.update(_cover_payload(g, res.cover))
     _emit(out, args.json)
     return 0
@@ -248,7 +270,7 @@ def cmd_spectrum(args) -> int:
     out = {"optimal_length": res.optimal_length,
            "n_optimal_covers": res.n_optimal_covers,
            "per_edge": [sorted(s) for s in res.per_edge],
-           "forced_weight_one_edges": forced}
+           "forced_weight_one_edges": forced, "stage": res.stage}
     _emit(out, args.json)
     return 0
 

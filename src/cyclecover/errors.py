@@ -76,14 +76,19 @@ class Bridged(HypothesisViolated):
 class NodeLimitExceeded(GraphError):
     """Search aborted by the configured node limit (not a proof of infeasibility).
 
-    ``nodes`` is the budget spent over the whole call when it stopped: the
-    nodes of every search stage that shares the limit, which is one more
-    than the limit.
+    ``search`` names the search that stopped ("transitions", "cover engine",
+    "labelling" or "circumference"), and ``nodes`` is the budget spent over
+    the whole call when it stopped: the nodes of every search stage that
+    shares the limit, which is one more than the limit.
     """
 
-    def __init__(self, message: str = "node limit exceeded", nodes: int = 0):
-        super().__init__(message)
+    def __init__(self, search: str, nodes: int):
+        super().__init__(search, nodes)
+        self.search = search
         self.nodes = nodes
+
+    def __str__(self):
+        return f"node limit exceeded in {self.search} after {self.nodes} nodes"
 
 
 class NoThreePaths(HypothesisViolated):

@@ -92,7 +92,7 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
 @cache
 def _optimal_p_covers():
     """All shortest covers of the reference Petersen graph (length 21), cached."""
-    _, covers, _ = _structured_covers(REFERENCE)
+    _, covers, _ = _structured_covers(REFERENCE, decode=True)
     return tuple(sorted((CycleCover.of(trace_circuit(REFERENCE, edges) for edges in circuits)
                          for _, circuits in covers),
                         key=lambda c: tuple(x.edges for x in c.circuits)))

@@ -75,12 +75,13 @@ def _circuits(g: Multigraph, rest, free):
 
     E - rest must be 2-regular on the vertices outside ``free``, and every
     edge at a free vertex must be in ``rest``.  With rest = E and free = V
-    these are all the circuits of g.  With E - rest a 2-factor, a 2-regular
-    subgraph missing the vertex of ``free``, or vertex-disjoint circuits of
-    a cubic graph, they are the only circuits that can complete a CDC
-    through the circuits of E - rest (see ``_structured_covers`` and
-    ``find_cdc``).  Each comes once, as the (edges, vertices) walk that
-    leaves its least ``rest`` edge e0 at the first end of e0.
+    these are all the circuits of g, which ``_deepening`` and
+    ``_spectrum_over`` search.  With E - rest vertex-disjoint circuits of a
+    cubic graph, they are the only circuits that can complete a CDC through
+    those circuits (see ``find_cdc``).  Each comes once, as the (edges,
+    vertices) walk that leaves its least ``rest`` edge e0 at the first end
+    of e0.  (The covers of length 4m/3 and 4m/3 + 1 need no circuit list:
+    see ``_transition_covers``.)
     """
     # moves out of a vertex entered by a rest edge: a free vertex leaves by a
     # rest edge (e2, y); any other leaves by a factor edge f to w, whose one
@@ -288,7 +289,7 @@ class _CoverEngine:
                     continue
                 self.nodes += 1
                 if self.node_limit is not None and self.nodes > self.node_limit:
-                    raise NodeLimitExceeded(nodes=self.nodes)
+                    raise NodeLimitExceeded("cover engine", self.nodes)
                 self.chosen.append(ci)
                 self._apply(ci, +1)
                 if self.total // 2 <= self.bound:
@@ -303,11 +304,18 @@ class _CoverEngine:
 
 @dataclass(frozen=True)
 class SccResult:
+    """``stage`` names the search that settled the optimum: "4m/3" or
+    "4m/3+1" (``_structured_covers``), or "deepening"."""
+
     length: int
     cover: CycleCover
     optimal: bool
     weight_cap_used: int
     nodes: int
+    stage: str
+
+
+_STAGES = ("4m/3", "4m/3+1")  # by the excess over 4m/3
 
 
 def _check_coverable(g):
@@ -336,49 +344,162 @@ def _near_factor_rests(g, x):
     return [star | _mask(t) for t in reversed(_matching_search(g, free))]
 
 
-def _structured_covers(g, node_limit=None, first=False):
+def _structured_covers(g, node_limit=None, first=False, decode=False):
     """The covers of length 4m/3 or 4m/3 + 1, found through their weight-1 edges.
 
     A cover of length 2n + excess (2n = 4m/3) has vertex weights 4, that is
     edge weights 1, 1, 2, except that at excess 1 one vertex x has weight 6,
     with edge weights 2, 2, 2 (an edge of weight 3 would need weight 6 at
     both ends).  So no cap above 2 changes these covers.  The weight-1 edges
-    C form a 2-factor, or a 2-regular subgraph missing x, and adding C's
-    circuits to the cover gives a cycle double cover.  The covers of that
-    length are therefore the multisets of circuits of ``_circuits(g, rest,
-    free)``, for rest = E - C and free = {x} or none, that cover every edge
-    of C once and every other edge twice.  A cover determines C and x, so
-    each one is found exactly once.  2-factors come first; each level is
-    searched exhaustively, and one node budget covers every search.
+    C form a 2-factor, or a 2-regular subgraph missing x, and every cover of
+    that length through C is one choice of ``_transition_covers(g, E - C,
+    x)``.  A cover determines C and x, so each one is found exactly once.
+    2-factors come first; each level is searched exhaustively, and one node
+    budget covers every search.
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
-    circuits as sorted edge tuples) in search order, only the first one with
-    ``first``.  Returns (None, [], nodes) when the optimum is longer.
+    circuits as sorted edge tuples, or None unless ``decode`` or ``first``)
+    in search order, only the first one with ``first``.  Returns (None, [],
+    nodes) when the optimum is longer.
     """
     store = _matchings(g)
     full = (1 << g.m) - 1
-    levels = (((0, pm) for pm in store.masks),
-              ((1 << x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
+    levels = (((-1, pm) for pm in store.masks),
+              ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
     nodes = 0
     for excess, level in enumerate(levels):
         covers = []
-        for free, rest in level:
-            space = _CircuitSpace(g, rest, free)
-            demand = [1 + (rest >> e & 1) for e in range(g.m)]
-            eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit, nodes=nodes)
-            if first:
-                hit = eng.search("first", bound=2 * g.n + excess)
-                hits = [] if hit is None else [hit]
-            else:
-                hits = []
-                eng.search("all", bound=2 * g.n + excess, collect=hits.append)
-            nodes = eng.nodes
-            covers += [(full & ~rest, tuple(space.elists[i] for i in hit)) for hit in hits]
+        for x, rest in level:
+            count, found, nodes = _transition_covers(g, rest, x, first, decode or first,
+                                                     node_limit, nodes)
+            covers += zip([full & ~rest] * count, found or [None] * count)
             if first and covers:
                 break
         if covers:
             return 2 * g.n + excess, covers, nodes
     return None, [], nodes
+
+
+def _transition_covers(g, rest, x, first=False, decode=False, node_limit=None, nodes=0):
+    """The covers whose weight-1 edges are C = E - rest, a 2-factor (x = -1)
+    or a 2-regular subgraph missing the vertex x, by their transitions.
+
+    At a vertex of weight 4 both cover circuits take its rest edge and each
+    takes one of its two C edges.  So a cover pairs, at each rest edge uv,
+    the C edges at u with those at v (two ways), and at x its three circuits
+    take the three pairs of x's edges, each joined at its two far ends to one
+    C edge there (2 * 2 * 2 ways).  A choice is a cover exactly when no
+    circuit passes a vertex twice, that is when the two C edges at a vertex
+    never join one circuit (two circuits through x share a neighbour of x,
+    so this holds at x too).  Distinct choices give distinct covers.
+
+    The search joins C edges at their ends: end 2v + s is the end at v of
+    the s-th C edge at v.  Joined C edges form chains, and each free end of
+    a chain holds the chain's other free end and vertex mask, so a join
+    that closes a chain is a circuit and one that links two chains whose
+    masks meet is refused.  The connectors come in the order a walk along
+    C's circuits meets them, and the search runs from an explicit stack; a
+    node is one choice tried.
+
+    Returns (count, covers, nodes), counting on from ``nodes``: ``covers``
+    lists each cover's circuits as sorted edge tuples when ``decode``, and
+    is empty otherwise.  ``first`` stops at the first cover.
+    """
+    ones = [[] for _ in range(g.n)]  # the C edges at each vertex
+    for e, (u, v) in enumerate(g.edges):
+        if not rest >> e & 1:
+            ones[u].append(e)
+            ones[v].append(e)
+    opp, vm = [0] * (2 * g.n), [0] * (2 * g.n)
+    for v, here in enumerate(ones):
+        for s, e in enumerate(here):
+            w = g.other_end(e, v)
+            opp[2 * v + s] = 2 * w + ones[w].index(e)
+            vm[2 * v + s] = 1 << v | 1 << w
+    across = opp[:]  # the far end of each C edge
+    # options[i]: the choices at connector i, each a tuple of joins (end,
+    # end, the rest edges of the strand between them)
+    options, placed, seen = [], set(), [False] * g.n
+    for start in range(g.n):
+        v, e = start, -1
+        while v != x and not seen[v]:
+            seen[v] = True
+            r = next(f for f in g.incident_edges[v] if rest >> f & 1)
+            if r not in placed and x in g.edges[r]:
+                a, b, c = star = g.incident_edges[x]
+                placed.update(star)
+                ya, yb, yc = (2 * g.other_end(f, x) for f in star)
+                options.append([((ya + i, yb + j, (a, b)), (ya + 1 - i, yc + k, (a, c)),
+                                 (yb + 1 - j, yc + 1 - k, (b, c)))
+                                for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+            elif r not in placed:
+                placed.add(r)
+                p, q = 2 * v, 2 * g.other_end(r, v)
+                options.append((((p, q, (r,)), (p + 1, q + 1, (r,))),
+                                ((p, q + 1, (r,)), (p + 1, q, (r,)))))
+            e = ones[v][ones[v][0] == e]
+            v = g.other_end(e, v)
+
+    k = len(options)
+    nxt, mark, trail = [0] * (k + 1), [0] * (k + 1), []  # trail: (P, p, Q, q) per link
+    count, covers, i = 0, [], 0
+    limit = float("inf") if node_limit is None else node_limit
+    while i >= 0:
+        while len(trail) > mark[i]:
+            P, p, Q, q = trail.pop()
+            opp[P], opp[Q] = p, q
+            vm[P], vm[Q] = vm[p], vm[q]
+        if i == k:
+            count += 1
+            if decode:
+                covers.append(_decode_joins(ones, across, [options[j][nxt[j] - 1]
+                                                           for j in range(k)]))
+            if first:
+                break
+            i -= 1
+            continue
+        c = nxt[i]
+        if c == len(options[i]):
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = c + 1
+        nodes += 1
+        if nodes > limit:
+            raise NodeLimitExceeded("transitions", nodes)
+        for p, q, _ in options[i][c]:
+            P, Q = opp[p], opp[q]
+            if P != q:  # else the join closes p's chain into a circuit
+                if vm[p] & vm[q]:
+                    break
+                opp[P], opp[Q] = Q, P
+                vm[P] = vm[Q] = vm[p] | vm[q]
+                trail.append((P, p, Q, q))
+        else:
+            i += 1
+            mark[i] = len(trail)
+    return count, covers, nodes
+
+
+def _decode_joins(ones, across, chosen):
+    """The circuits of one choice of ``_transition_covers``, as sorted edge
+    tuples: walk from each unseen end along its C edge, then the join there."""
+    mate, strand = {}, {}
+    for joins in chosen:
+        for p, q, edges in joins:
+            mate[p], mate[q] = q, p
+            strand[p] = strand[q] = edges
+    circuits, seen = [], set()
+    for start in mate:
+        p, edges = start, []
+        while p not in seen:
+            t = across[p]
+            seen.update((p, t))
+            edges += (ones[p >> 1][p & 1], *strand[t])
+            p = mate[t]
+        if edges:
+            circuits.append(tuple(sorted(edges)))
+    return tuple(circuits)
 
 
 def _deepening(g, cap, node_limit=None, nodes=0):
@@ -414,19 +535,25 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
     length, covers, nodes = _structured_covers(g, node_limit, first=True)
     if covers:
         cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
+        stage = _STAGES[length - 2 * g.n]
     else:
         length, found, space, nodes = _deepening(g, cap, node_limit, nodes)
         cover = CycleCover.of(space.circuit(i) for i in found)
+        stage = "deepening"
     assert cover.length == length
-    return SccResult(length, cover, True, cap, nodes)
+    return SccResult(length, cover, True, cap, nodes, stage)
 
 
 @dataclass(frozen=True)
 class WeightSpectrum:
+    """``stage`` names the search that settled the optimum, as in
+    ``SccResult``."""
+
     optimal_length: int
     per_edge: tuple
     n_optimal_covers: int
     nodes: int
+    stage: str
 
 
 def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> WeightSpectrum:
@@ -447,7 +574,8 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
         for ones in {ones for ones, _ in covers}:
             for e in range(g.m):
                 attained[e].add(2 - (ones >> e & 1))
-        return WeightSpectrum(length, tuple(frozenset(s) for s in attained), len(covers), nodes)
+        return WeightSpectrum(length, tuple(frozenset(s) for s in attained), len(covers), nodes,
+                              _STAGES[length - 2 * g.n])
     length, _, space, nodes = _deepening(g, cap, node_limit, nodes=nodes)
     return _spectrum_over(space, cap, length, node_limit, nodes)
 
@@ -472,7 +600,8 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
             attained[e].add(w[e])
 
     eng.search("all", bound=length, collect=collect)
-    return WeightSpectrum(length, tuple(frozenset(s) for s in attained), covers, eng.nodes)
+    return WeightSpectrum(length, tuple(frozenset(s) for s in attained), covers, eng.nodes,
+                          "deepening")
 
 
 # --------------------------------------------------------------------------
@@ -779,7 +908,7 @@ def circumference(g: Multigraph, node_limit=None):
                 continue
             nodes += 1
             if node_limit is not None and nodes > node_limit:
-                raise NodeLimitExceeded(nodes=nodes)
+                raise NodeLimitExceeded("circumference", nodes)
             path_edges.append(e)
             path_verts.append(w)
             dfs(v0, w, visited | 1 << w, path_edges, path_verts, stop)
@@ -1047,7 +1176,7 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, 
                 continue
             nodes += 1
             if node_limit is not None and nodes > node_limit:
-                raise NodeLimitExceeded(nodes=nodes)
+                raise NodeLimitExceeded("labelling", nodes)
             if label([(best, a)]) and settle() and rec():
                 return True
             while len(trail) > mark:

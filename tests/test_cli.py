@@ -253,6 +253,67 @@ def test_verify_cover_walks_parallel_edges(tmp_path, capsys):
     assert payload["valid"] and payload["matches_claimed_length"]
 
 
+@pytest.mark.parametrize("cert", [{"length": 3}, [], {"circuits": [[0, "1", 2]]},
+                                  {"circuits": [[]]}, {"circuits": [[0, 1, 2]], "circuit_edges": 7}])
+def test_verify_cover_rejects_a_malformed_certificate(cert, tmp_path, capsys):
+    gfile, cfile = tmp_path / "p.g6", tmp_path / "cert.json"
+    gfile.write_text(write_graph6(petersen()) + "\n")
+    cfile.write_text(json.dumps(cert))
+    assert main(["analyze", str(gfile), "--verify-cover", str(cfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_verify_cover_reads_edge_ids(tmp_path, capsys):
+    # two circuits with the same vertex walk over different parallel edges:
+    # a valid cover of length 8 = 4m/3, whose weight-1 edges are the digons
+    path = tmp_path / "digons.adj"
+    path.write_text(write_adjacency(build_graph(_DIGONS)))
+    walks = [[1, 0, 2, 3], [1, 0, 2, 3]]
+    cert = tmp_path / "cert.json"
+    for ids, code in (([[0, 2, 4, 3], [1, 2, 5, 3]], 0), (None, 2),
+                      ([[0, 2, 4, 3], [1, 2, 5, 4]], 1), ([[0, 2, 4, 3]], 1),
+                      ([[0, 2, 4, 3], 7], 1), (7, 1)):
+        payload = {"length": 8, "circuits": walks}
+        if ids is not None:
+            payload["circuit_edges"] = ids
+        cert.write_text(json.dumps(payload))
+        assert main(["analyze", str(path), "--verify-cover", str(cert), "--json"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            out = json.loads(captured.out)
+            assert out["valid"] and out["matches_claimed_length"] and out["is_one_two_cover"]
+            assert out["circuit_edges"] == ids
+        elif code == 2:
+            # a walk-only certificate keeps the least-edge mapping, which
+            # reads both circuits as one and the cover as invalid
+            assert not json.loads(captured.out)["valid"]
+        else:
+            assert captured.out == ""
+            assert "do not follow" in captured.err or "every circuit" in captured.err
+
+
+@pytest.mark.parametrize("command, search", [
+    (["scc"], "transitions"), (["spectrum"], "transitions"), (["tau"], "labelling"),
+    (["circ"], "circumference"), (["construct", "--via", "oddness2"], "cover engine")])
+def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main([command[0], str(path), *command[1:], "--node-limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"search aborted: node limit exceeded in {search} after 2 nodes\n"
+
+
+def test_scc_and_spectrum_json_name_the_stage(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    for g, stage in ((petersen(), "4m/3+1"), (flower(5), "4m/3")):
+        path.write_text(write_graph6(g) + "\n")
+        for command in ("scc", "spectrum"):
+            assert main([command, str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["stage"] == stage
+
+
 def test_generate_formats_and_seed_order_stability():
     code, adj, _ = run_cli(["generate", "flower", "5", "--format", "adj"])
     assert code == 0

@@ -26,6 +26,8 @@ from cyclecover.solvers import (
     _near_factor_rests,
     _partition_tables,
     _spectrum_over,
+    _structured_covers,
+    _transition_covers,
     circumference,
     edge_colouring_3,
     edge_weight_spectrum,
@@ -189,6 +191,66 @@ def test_alternating_circuits_match_oracle(j5):
     assert spaces > 3000
 
 
+def _covers_by_engine(g, rest, x):
+    """Oracle: the covers through the weight-1 edges E - rest, by the cover
+    engine over the circuits that alternate with them, with demand and cap 1
+    on E - rest and 2 on rest."""
+    space = _CircuitSpace(g, rest, 0 if x < 0 else 1 << x)
+    demand = [1 + (rest >> e & 1) for e in range(g.m)]
+    hits = []
+    _CoverEngine(g, space, demand, demand).search("all", bound=sum(demand), collect=hits.append)
+    return Counter(tuple(sorted(space.elists[i] for i in hit)) for hit in hits)
+
+
+def _weight_one_subgraphs(g):
+    """(x, rest) for every 2-factor E - rest (x = -1) and every 2-regular
+    subgraph E - rest missing only x, in the order of ``_structured_covers``."""
+    return [(-1, pm) for pm in _matchings(g).masks] + [
+        (x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)]
+
+
+def test_transition_covers_match_engine_oracle(pete, j5):
+    subgraphs = covers = 0
+    for g0 in [*load_corpus(12), *load_snarks18(), pete, j5]:
+        for g in (g0, _relabelled(g0, 1), _relabelled(g0, 2)):
+            for x, rest in _weight_one_subgraphs(g):
+                count, found, _ = _transition_covers(g, rest, x, decode=True)
+                want = _covers_by_engine(g, rest, x)
+                assert Counter(tuple(sorted(c)) for c in found) == want
+                assert count == len(found) == _transition_covers(g, rest, x)[0]
+                subgraphs += 1
+                covers += count
+    assert subgraphs > 10000 and covers > 30000
+
+
+def test_transition_search_counts_one_running_budget(pete, j5):
+    # the search counts on from the nodes it is given, and an abort reports
+    # the running total
+    for g in (pete, j5):
+        for x, rest in _weight_one_subgraphs(g)[:20]:
+            count, _, spent = _transition_covers(g, rest, x)
+            total = 100 + spent
+            assert _transition_covers(g, rest, x, nodes=100) == (count, [], total)
+            assert _transition_covers(g, rest, x, node_limit=total, nodes=100)[2] == total
+            with pytest.raises(NodeLimitExceeded) as exc:
+                _transition_covers(g, rest, x, node_limit=total - 1, nodes=100)
+            assert (exc.value.search, exc.value.nodes) == ("transitions", total)
+    # over every weight-1 subgraph of scc, one budget
+    res = shortest_cycle_cover(pete)
+    assert res.stage == "4m/3+1" and res.nodes > len(_matchings(pete).masks)
+    assert shortest_cycle_cover(pete, node_limit=res.nodes) == res
+    with pytest.raises(NodeLimitExceeded) as exc:
+        shortest_cycle_cover(pete, node_limit=res.nodes - 1)
+    assert (exc.value.search, exc.value.nodes) == ("transitions", res.nodes)
+
+
+def test_stage_names_the_settling_search(k4, pete):
+    for g, stage in ((k4, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
+        assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
+    assert _spectrum_over(_CircuitSpace(k4, (1 << k4.m) - 1, (1 << k4.n) - 1), 2, 8).stage == (
+        "deepening")
+
+
 def test_scc_k4(k4):
     res = shortest_cycle_cover(k4)
     assert res.length == 8 == 4 * k4.m // 3
@@ -237,8 +299,12 @@ def test_scc_deepening_petersen_pair(pete):
     res = shortest_cycle_cover(g)
     assert res.length == 42 == 4 * g.m // 3 + 2
     assert validate(res.cover, g).ok
-    # the deepening's search and witness are pinned
-    assert res.nodes == 1998
+    assert res.stage == "deepening"
+    # the deepening's search and witness are pinned: the two structured
+    # levels take 6,800 transition nodes (1,228 engine nodes over alternating
+    # circuit spaces before the transition search), the deepening 770
+    assert _structured_covers(g)[2] == 6800
+    assert res.nodes == 6800 + 770
     assert [c.edges for c in res.cover.circuits] == [
         (0, 1, 7, 12, 5), (1, 2, 8, 10, 6), (16, 21, 26, 25, 22), (17, 18, 23, 24, 22),
         (3, 4, 13, 12, 11, 8), (14, 19, 26, 27, 23, 20), (0, 6, 9, 4, 28, 17, 16, 15, 14, 29)]
