@@ -5,6 +5,12 @@ Petersen graph P (see ``families.petersen`` for the numbering) so that the
 three edges at any vertex of g land on the three edges at some vertex of P.
 Pulling back a cycle cover of P along such a map gives a cycle cover of g
 whose length is the fiber-weighted length of the P-cover.
+
+The same holds for perfect matchings (Jaeger's pullback lemma): each vertex
+star of g maps onto a star of P, and each of P's six perfect matchings holds
+exactly one edge of every star, so the edges of g that a colouring sends
+into one perfect matching of P form a perfect matching of g.  The colouring
+search uses this as its cut.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from .constructions import ConstructionResult
 from .errors import BadLine, HasParallelEdges, PartialAssignment, PreimageNotEven
 from .families import petersen
 from .graphs import CubicGraph
-from .solvers import _label_search, _structured_covers
+from .solvers import (
+    _label_search,
+    _mask,
+    _matching_cuts,
+    _structured_covers,
+    enumerate_perfect_matchings,
+)
 
 REFERENCE = petersen()
 
@@ -25,6 +37,9 @@ REFERENCE = petersen()
 # star of g onto one of these
 _P_STARS = tuple(frozenset(REFERENCE.incident_edges[v]) for v in range(REFERENCE.n))
 _P_STAR_SET = frozenset(_P_STARS)
+# the six perfect matchings of P, as masks over its edges; a valid colouring
+# pulls each back to a perfect matching of g
+_P_MATCHINGS = tuple(_mask(pm) for pm in enumerate_perfect_matchings(REFERENCE))
 
 
 @dataclass(frozen=True)
@@ -54,8 +69,17 @@ def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
 
 def find_petersen_colouring(g: CubicGraph, node_limit=None):
     """A Petersen colouring by the labelling search of ``solvers`` (the labels
-    are the edges of P, the stars its vertex stars); None if none exists."""
-    assignment, _ = _label_search(g, _P_STARS, node_limit=node_limit)
+    are the edges of P, the stars its vertex stars); None if none exists.
+
+    The preimage of each perfect matching of P is a perfect matching of g
+    (see the module docstring), so the search keeps each of the six
+    preimages one of the perfect matchings in g's matching store
+    (``solvers._matching_cuts``).  A branch that no stored matching can
+    complete fails at once, whatever the edge order.  The store is filled
+    before the search and ``node_limit`` bounds only the labelling nodes.
+    """
+    assignment, _ = _label_search(g, _P_STARS, node_limit=node_limit,
+                                  cuts=_matching_cuts(g, _P_MATCHINGS))
     return None if assignment is None else PetersenColouring(tuple(assignment))
 
 

@@ -676,14 +676,28 @@ class _Matchings:
     computed once, when a walk first reaches it, and memoised, so a question
     that stops early leaves the rest uncounted and the next walk reads the
     counted prefix before it counts on.  ``factor_counts`` drains the walk.
+    ``holders[e]`` is the set of matchings that hold edge e, as a bitmask
+    over their indices, built on first use.
     """
 
-    __slots__ = ("g", "masks", "_counts")
+    __slots__ = ("g", "masks", "_counts", "_holders")
 
     def __init__(self, g):
         self.g = g
         self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
         self._counts = []
+        self._holders = None
+
+    @property
+    def holders(self):
+        if self._holders is None:
+            # the columns of the matchings' bit rows, edge m - 1 first (no
+            # rows, no columns: with no matching, no edge has a holder)
+            m = self.g.m
+            rows = [format(pm, f"0{m}b") for pm in self.masks]
+            cols = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+            self._holders = cols or [0] * m
+        return self._holders
 
     def factors(self):
         counts = self._counts
@@ -741,6 +755,39 @@ def _matchings(g) -> _Matchings:
     return _Matchings(g)
 
 
+def _matching_cuts(g, holds):
+    """Cuts for ``_label_search`` that keep, for each label mask in ``holds``,
+    the edges whose labels lie in the mask one of the store's perfect
+    matchings.
+
+    On the domains of a branch, the edges whose whole domain lies in a mask
+    are in its matching and those whose domain misses it are out.  When no
+    stored matching fits, the branch is refuted; an open edge that no fitting
+    matching holds leaves the mask, and one that every fitting matching
+    holds takes it.  Sound whenever every labelling sought makes each mask's
+    edges a perfect matching of g.
+    """
+    store = _matchings(g)
+    holders, every = store.holders, (1 << len(store.masks)) - 1
+
+    def cuts(dom):
+        out = []
+        for hold in holds:
+            fit, open_ = every, []
+            for e, d in enumerate(dom):
+                if d & hold and d & ~hold:
+                    open_.append(e)
+                else:
+                    fit &= holders[e] if d & hold else ~holders[e]
+            if not fit:
+                return None
+            out += [(e, ~hold) for e in open_ if not fit & holders[e]]
+            out += [(e, hold) for e in open_ if not fit & ~holders[e]]
+        return out
+
+    return cuts
+
+
 @dataclass(frozen=True)
 class TauResult:
     """Perfect matching index with a witness; ``tau is None`` means AboveLimit.
@@ -768,11 +815,12 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     even places of each circuit's walk, those at odd places).  Only without
     an even 2-factor does the labelling search try k = 4, ..., limit over
     ``_partition_tables(k)``; matching i of its witness is the edges whose
-    label holds i.  Its cuts keep each matching i one of the store's, so a
-    label that no perfect matching completes fails at once, whatever the
-    edge order.  A loop lies in no perfect matching, so a looped graph is
-    above any limit.  ``node_limit`` bounds the labelling nodes over every
-    k; an abort raises ``NodeLimitExceeded`` with the nodes spent.
+    label holds i.  Its cuts (``_matching_cuts``) keep each matching i one of
+    the store's, so a label that no perfect matching completes fails at
+    once, whatever the edge order.  A loop lies in no perfect matching, so a
+    looped graph is above any limit.  ``node_limit`` bounds the labelling
+    nodes over every k; an abort raises ``NodeLimitExceeded`` with the
+    nodes spent.
     """
     store = _matchings(g)
     if limit < 3 or not store.masks or g.loops:
@@ -784,35 +832,12 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
                 halves[0].extend(walk[0::2])
                 halves[1].extend(walk[1::2])
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
-    # holders[e]: the stored matchings that hold edge e, as a bitmask; the
-    # columns of the matchings' bit rows, edge m - 1 first
-    rows = [format(pm, f"0{g.m}b") for pm in store.masks]
-    holders = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
-    every = (1 << len(rows)) - 1
     nodes = 0
     for k in range(4, limit + 1):
         subsets, stars = _partition_tables(k)
         holds = [_mask(a for a, s in enumerate(subsets) if s >> i & 1) for i in range(k)]
-
-        def cuts(dom):
-            # matching i is a stored one that holds the edges whose labels all
-            # hold i and none whose labels hold no i; an open edge leaves i out
-            # if no such matching holds it and takes i if every one does
-            out = []
-            for hold in holds:
-                fit, open_ = every, []
-                for e, d in enumerate(dom):
-                    if d & hold and d & ~hold:
-                        open_.append(e)
-                    else:
-                        fit &= holders[e] if d & hold else ~holders[e]
-                if not fit:
-                    return None
-                out += [(e, ~hold) for e in open_ if not fit & holders[e]]
-                out += [(e, hold) for e in open_ if not fit & ~holders[e]]
-            return out
-
-        labels, nodes = _label_search(g, stars, subsets, node_limit, nodes, cuts)
+        labels, nodes = _label_search(g, stars, subsets, node_limit, nodes,
+                                      _matching_cuts(g, holds))
         if labels is not None:
             held = [subsets[a] for a in labels]
             return TauResult(k, tuple(frozenset(e for e in range(g.m) if held[e] >> i & 1)

@@ -1,11 +1,12 @@
 import os
+import random
 
 import pytest
 
 from cyclecover import build_graph, flower, petersen
 from cyclecover.covers import validate
 from cyclecover.families import parse_graph6
-from cyclecover.graphs import is_bridgeless
+from cyclecover.graphs import CubicGraph, is_bridgeless
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,6 +54,15 @@ def load_corpus(max_n):
 
 def load_bridgeless_corpus(max_n):
     return [g for g in load_corpus(max_n) if is_bridgeless(g)]
+
+
+def relabelled(g, seed):
+    """g with its vertices renumbered at random and its edges sorted, the
+    order a graph6 reader gives."""
+    rng = random.Random(seed)
+    new = list(range(g.n))
+    rng.shuffle(new)
+    return CubicGraph(g.n, sorted(tuple(sorted((new[u], new[v]))) for u, v in g.edges))
 
 
 def load_snarks18():

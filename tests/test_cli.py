@@ -9,7 +9,7 @@ import pytest
 
 import cyclecover
 from conftest import DATA, load_snarks18
-from cyclecover import build_graph, cover_via_oddness2, flower, goldberg, petersen, solvers
+from cyclecover import build_graph, cover_via_oddness2, flower, goldberg, pcolour, petersen, solvers
 from cyclecover.cli import build_parser, main
 from cyclecover.errors import LinksNotDisjoint
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
@@ -143,6 +143,22 @@ def test_node_limit_abort_exit_code():
     code, out, err = run_cli(["cdc", "-", "--k", "5", "--two-factor-class", "--node-limit", "1"],
                              stdin_text=g6)
     assert code == 3 and out == "" and "search aborted" in err
+
+
+def test_pcolour_find_node_limit_counts_the_cut_search(tmp_path, capsys):
+    # J9 read back from graph6 takes 10 labelling nodes under the matching
+    # cut; filling the matching store first is not counted
+    g6 = write_graph6(flower(9))
+    path = tmp_path / "j9.g6"
+    path.write_text(g6 + "\n")
+    assert main(["pcolour", "find", str(path), "--node-limit", "10"]) == 0
+    g = parse_graph6(g6)
+    colouring = pcolour.parse_colouring(g, capsys.readouterr().out)
+    assert pcolour.verify_petersen_colouring(g, colouring) == (True, None)
+    assert main(["pcolour", "find", str(path), "--node-limit", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "search aborted: node limit exceeded in labelling after 10 nodes\n"
 
 
 def test_spectrum_node_limit_aborts(tmp_path, capsys):

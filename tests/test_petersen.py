@@ -1,9 +1,12 @@
 import pytest
 
+from conftest import relabelled
 from cyclecover import flower
 from cyclecover.covers import validate
-from cyclecover.errors import PartialAssignment
+from cyclecover.errors import NodeLimitExceeded, PartialAssignment
+from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.pcolour import (
+    _P_STARS,
     REFERENCE,
     PetersenColouring,
     _optimal_p_covers,
@@ -15,7 +18,7 @@ from cyclecover.pcolour import (
     pullback_cover,
     verify_petersen_colouring,
 )
-from cyclecover.solvers import edge_colouring_3, shortest_cycle_cover
+from cyclecover.solvers import _label_search, edge_colouring_3, shortest_cycle_cover
 
 
 def star_colouring(g):
@@ -57,6 +60,20 @@ def test_find_colouring(k4, pete, j5):
     for g in (k4, pete, j5):
         c = find_petersen_colouring(g)
         assert c is not None
+        assert verify_petersen_colouring(g, c) == (True, None)
+
+
+def test_colouring_search_is_order_robust():
+    # the bare labelling search takes 7,939, 1,639 and 2,473 nodes on J9 in
+    # the family order and the two relabellings; the matching cut keeps J9
+    # under 1,000 nodes in each order here, and J11 under 2,000
+    j9 = flower(9)
+    for g in (j9, relabelled(j9, 1), relabelled(j9, 2)):
+        with pytest.raises(NodeLimitExceeded):
+            _label_search(g, _P_STARS, node_limit=1000)
+    for g, limit in ((j9, 1000), (parse_graph6(write_graph6(j9)), 1000),
+                     (relabelled(j9, 1), 1000), (relabelled(j9, 2), 1000), (flower(11), 2000)):
+        c = find_petersen_colouring(g, node_limit=limit)
         assert verify_petersen_colouring(g, c) == (True, None)
 
 

@@ -1,10 +1,18 @@
 """Corpus-wide invariants of the solvers and constructions."""
 
-from conftest import check_kcdc, load_bridgeless_corpus, load_corpus
+from conftest import check_kcdc, load_bridgeless_corpus, load_corpus, load_snarks18
+from cyclecover import flower
 from cyclecover.covers import decompose_even_subgraph, trace_circuit, validate
 from cyclecover.graphs import is_bridgeless
-from cyclecover.pcolour import find_petersen_colouring, verify_petersen_colouring
+from cyclecover.pcolour import (
+    _P_MATCHINGS,
+    _P_STARS,
+    find_petersen_colouring,
+    verify_petersen_colouring,
+)
 from cyclecover.solvers import (
+    _label_search,
+    _matchings,
     edge_colouring_3,
     enumerate_perfect_matchings,
     find_cdc,
@@ -62,12 +70,20 @@ def test_tau3_iff_colourable_corpus():
 
 
 def test_petersen_colouring_iff_bridgeless_corpus():
-    # Jaeger's conjecture holds on the corpus; a bridge rules a colouring out
-    for g in load_corpus(12):
+    # Jaeger's conjecture holds on the corpus; a bridge rules a colouring out.
+    # The search's matching cut is sound: a colouring exists exactly when the
+    # bare labelling search finds one, and each perfect matching of P pulls
+    # back to a stored perfect matching of g
+    for g in [*load_corpus(12), *load_snarks18(), flower(5), flower(7)]:
         colouring = find_petersen_colouring(g)
         assert (colouring is not None) == is_bridgeless(g)
+        assert (_label_search(g, _P_STARS)[0] is not None) == is_bridgeless(g)
         if colouring is not None:
             assert verify_petersen_colouring(g, colouring) == (True, None)
+            stored = set(_matchings(g).masks)
+            for pm in _P_MATCHINGS:
+                preimage = sum(1 << e for e, p in enumerate(colouring.assignment) if pm >> p & 1)
+                assert preimage in stored
 
 
 def test_oddness_even_and_matching_symmetric_differences():

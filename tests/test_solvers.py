@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18
+from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
 from cyclecover import build_graph, flower, goldberg, permutation_snark, petersen, solvers, two_cut_join
 from cyclecover.covers import (
     Circuit,
@@ -18,6 +18,7 @@ from cyclecover.covers import (
 from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
+from cyclecover.pcolour import find_petersen_colouring
 from cyclecover.solvers import (
     _CircuitSpace,
     _circuits,
@@ -212,7 +213,7 @@ def _weight_one_subgraphs(g):
 def test_transition_covers_match_engine_oracle(pete, j5):
     subgraphs = covers = 0
     for g0 in [*load_corpus(12), *load_snarks18(), pete, j5]:
-        for g in (g0, _relabelled(g0, 1), _relabelled(g0, 2)):
+        for g in (g0, relabelled(g0, 1), relabelled(g0, 2)):
             for x, rest in _weight_one_subgraphs(g):
                 count, found, _ = _transition_covers(g, rest, x, decode=True)
                 want = _covers_by_engine(g, rest, x)
@@ -437,8 +438,10 @@ def test_matching_store_shared_by_consecutive_calls(monkeypatch):
     g, h = petersen(), flower(5)
     oddness(g)
     perfect_matching_index(g)
+    holders = _matchings(g).holders
     shortest_cycle_cover(g)
-    assert calls == [g]
+    find_petersen_colouring(g)
+    assert calls == [g] and _matchings(g).holders is holders
     for graph in (h, g, h):
         oddness(graph)
     assert calls == [g, h, g, h]
@@ -470,6 +473,14 @@ def test_matching_store_counts_only_the_factors_it_needs():
         counted = list(store._counts)
         assert (len(counted) < len(store.masks)) == lazy
         assert store.factor_counts[:len(counted)] == counted
+
+
+def test_matching_store_holders(pete, j5):
+    # holders[e] has bit i exactly when stored matching i holds edge e
+    for g in (pete, j5, Multigraph(2, [(0, 0), (1, 1)])):
+        store = _matchings(g)
+        assert store.holders == [sum(1 << i for i, pm in enumerate(store.masks) if pm >> e & 1)
+                                 for e in range(g.m)]
 
 
 def _tau_by_search(g, limit):
@@ -521,15 +532,6 @@ def _random_cubic_24_to_40():
     return [_random_cubic(24 + 2 * (i % 9), rng) for i in range(20)]
 
 
-def _relabelled(g, seed):
-    """g with its vertices renumbered at random and its edges sorted, the
-    order a graph6 reader gives."""
-    rng = random.Random(seed)
-    new = list(range(g.n))
-    rng.shuffle(new)
-    return CubicGraph(g.n, sorted(tuple(sorted((new[u], new[v]))) for u, v in g.edges))
-
-
 def _tau_graphs():
     """The corpus, the 18-vertex snarks, Petersen, J5, J7, J9, G5, J9 read
     back from graph6 and twice relabelled at random, two multigraphs and 20
@@ -538,7 +540,7 @@ def _tau_graphs():
     looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
     j9 = flower(9)
     return [*load_corpus(12), *load_snarks18(), petersen(), flower(5), flower(7), j9,
-            goldberg(5), parse_graph6(write_graph6(j9)), _relabelled(j9, 1), _relabelled(j9, 2),
+            goldberg(5), parse_graph6(write_graph6(j9)), relabelled(j9, 1), relabelled(j9, 2),
             digons, looped, *_random_cubic_24_to_40()]
 
 
