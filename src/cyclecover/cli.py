@@ -15,13 +15,7 @@ import time
 
 from . import constructions, families, pcolour as pcol, solvers
 from .covers import CycleCover, circuit_from_walk, validate
-from .errors import (
-    GraphError,
-    HypothesisViolated,
-    NodeLimitExceeded,
-    NotCubic,
-    StrongCdcNotFound,
-)
+from .errors import GraphError, HypothesisViolated, NodeLimitExceeded, StrongCdcNotFound
 from .graphs import CubicGraph, cyclic_connectivity_at_least, girth, is_bridgeless
 
 SCHEMA = "cyclecover/report-v1"
@@ -45,7 +39,7 @@ def _load_graphs(path: str, fmt: str | None):
     g = families.parse_adjacency(text)
     if not isinstance(g, CubicGraph):
         v = next(v for v in range(g.n) if g.degree(v) != 3)
-        raise NotCubic(f"vertex {v} has degree {g.degree(v)}, not 3")
+        raise GraphError(f"vertex {v} has degree {g.degree(v)}, not 3")
     return [g]
 
 

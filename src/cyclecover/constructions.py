@@ -19,19 +19,7 @@ from .covers import (
     trace_circuit,
     validate,
 )
-from .errors import (
-    HypothesisViolated,
-    LinksNotDisjoint,
-    NoTwoFactorClass,
-    NotACover,
-    NotContained,
-    NotHamiltonian,
-    NotTwoConnectedReduced,
-    SharedMismatch,
-    StrongCdcNotFound,
-    TauTooLarge,
-    TooLong,
-)
+from .errors import GraphError, HypothesisViolated, StrongCdcNotFound, TauTooLarge
 from .graphs import (
     CubicGraph,
     contract_two_factor,
@@ -114,7 +102,7 @@ def cover_from_cdc(g: CubicGraph, cdc, c) -> CycleCover:
     size = 0
     for circ in removed:
         if circ not in rest:
-            raise NotContained(f"circuit {circ.edges} is not in the CDC")
+            raise GraphError(f"circuit {circ.edges} is not in the CDC")
         rest.remove(circ)
         size += len(circ)
     cover = CycleCover.of(rest)
@@ -132,7 +120,7 @@ def extract_cdc_from_cover(g: CubicGraph, cover: CycleCover):
     base = 2 * g.n  # 4m/3
     k = cover.length - base
     if k not in (0, 1):
-        raise TooLong(f"length {cover.length} = 4m/3 + {k}; extraction needs k in {{0,1}}")
+        raise GraphError(f"length {cover.length} = 4m/3 + {k}; extraction needs k in {{0,1}}")
     ones = cover.weight_one_edges(g.m)
     circuits = decompose_even_subgraph(g, ones)
     if len(ones) != g.n - k:
@@ -150,7 +138,7 @@ def hamiltonian_3ec(g: CubicGraph, ham: Circuit, swap: bool = False):
     ``swap`` exchanges colours 1 and 2 (the other alternation phase).
     """
     if len(ham) != g.n or len(set(ham.vertices)) != g.n:
-        raise NotHamiltonian("circuit does not span all vertices")
+        raise GraphError("circuit does not span all vertices")
     colour = {}
     a, b = (2, 1) if swap else (1, 2)
     for i, e in enumerate(ham.edges):
@@ -185,13 +173,13 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
         rest = list(cdc.circuits)
         for circ in shared:
             if circ not in rest:
-                raise SharedMismatch(f"circuit {circ.edges} missing from a merged CDC")
+                raise GraphError(f"circuit {circ.edges} missing from a merged CDC")
             rest.remove(circ)
         circuits.extend(rest)
     merged = CycleCover.of(circuits)
     report = validate(merged, g)
     if not report.is_cdc:
-        raise SharedMismatch(f"merge result is not a CDC: {report.problems}")
+        raise GraphError(f"merge result is not a CDC: {report.problems}")
     return merged
 
 
@@ -213,7 +201,7 @@ def _split_cover(g, coloured, colouring, searched, shared, node_limit, where) ->
 
     reduced, rmap = suppress_degree_two(g, searched)
     if not is_connected(reduced) or not is_bridgeless(reduced):
-        raise NotTwoConnectedReduced(f"{where} is not 2-connected")
+        raise HypothesisViolated(f"{where} is not 2-connected")
     images = [trace_circuit(reduced, _image(c.edges, rmap)) for c in shared]
     cdc2 = _cdc_through(reduced, images, node_limit, f"of the {where} through the shared circuits")
     merged = merge_cdcs(g, cdc1, lift_cover(cdc2, rmap), shared)
@@ -233,7 +221,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     and applies the CDC-minus-subgraph step to the lifted (1,3) colour class.
     """
     if not is_connected(g) or not is_bridgeless(g):
-        raise NotTwoConnectedReduced("graph must be 2-connected")
+        raise HypothesisViolated("graph must be 2-connected")
     if longest is None:
         _, longest = circumference(g, node_limit=node_limit)
     k = g.n - len(longest)
@@ -336,13 +324,13 @@ def _oddness2_edges(g, f, comps, links, force_base, node_limit):
             links = cross[:3]
     links = list(links)
     if len(links) != 3 or len(set(links)) != 3:
-        raise LinksNotDisjoint("need three distinct connecting edges")
+        raise HypothesisViolated("need three distinct connecting edges")
     for e in links:
         if e not in cross:
             raise HypothesisViolated(f"edge {e} does not join the two circuits")
     ends = [v for e in links for v in g.edges[e]]
     if len(set(ends)) != 6:
-        raise LinksNotDisjoint("connecting edges share an endpoint")
+        raise HypothesisViolated("connecting edges share an endpoint")
 
     bound = base + (1 if refined else 2)
     cert = {"two_factor": f, "links": tuple(links), "refined": refined}
@@ -363,7 +351,7 @@ def _oddness2_paths(g, f, comps, odd_comps, links, node_limit):
         d = sum(len(p) for p in paths)
     all_link_edges = [e for p in paths for e in p]
     if len(set(all_link_edges)) != d:
-        raise LinksNotDisjoint("paths share a matching edge")
+        raise HypothesisViolated("paths share a matching edge")
     for e in all_link_edges:
         if e in f:
             raise HypothesisViolated("path edges must be matching edges")
@@ -413,18 +401,18 @@ def five_cdc_from_pm_cover(g: CubicGraph, matchings) -> KCdc:
     """
     matchings = [frozenset(mm) for mm in matchings]
     if len(matchings) != 4:
-        raise NotACover("need exactly four matchings")
+        raise GraphError("need exactly four matchings")
     if len(set(matchings)) != 4:
-        raise NotACover("matchings must be distinct (3-edge-colourable graphs "
-                        "take the 3-CDC branch)")
+        raise GraphError("matchings must be distinct (3-edge-colourable graphs "
+                         "take the 3-CDC branch)")
     if not all(is_spanning_regular(g, mm, 1) for mm in matchings):
-        raise NotACover("input is not a perfect matching")
+        raise GraphError("input is not a perfect matching")
     count = [0] * g.m
     for mm in matchings:
         for e in mm:
             count[e] += 1
     if any(c == 0 for c in count):
-        raise NotACover("matchings do not cover every edge")
+        raise GraphError("matchings do not cover every edge")
     # four perfect matchings covering E give every vertex the weights 2, 1,
     # 1, so the checks below are internal
     doubled = frozenset(e for e in range(g.m) if count[e] >= 2)
@@ -454,9 +442,9 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
         two_factor_index = next((i for i, cls in enumerate(cdc.classes)
                                  if is_spanning_regular(g, cls, 2)), None)
         if two_factor_index is None:
-            raise NoTwoFactorClass("no colour class is a 2-factor")
+            raise GraphError("no colour class is a 2-factor")
     elif not is_spanning_regular(g, cdc.classes[two_factor_index], 2):
-        raise NoTwoFactorClass("designated class is not a 2-factor")
+        raise GraphError("designated class is not a 2-factor")
 
     factor = cdc.classes[two_factor_index]
     rest = frozenset(range(g.m)) - factor

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MapMismatch
+from .errors import GraphError
 from .graphs import Multigraph
 
 
@@ -215,7 +215,7 @@ def lift_edge_set(edge_ids, rmap) -> frozenset:
     out = set()
     for e in edge_ids:
         if not 0 <= e < len(paths):
-            raise MapMismatch(f"edge {e} not in the reduction map")
+            raise GraphError(f"edge {e} not in the reduction map")
         out.update(paths[e])
     return frozenset(out)
 
@@ -238,7 +238,6 @@ def lift_cover(cover: CycleCover, rmap) -> CycleCover:
 
 @dataclass(frozen=True)
 class CoverReport:
-    kind: str
     ok: bool
     problems: tuple
     length: int
@@ -247,16 +246,6 @@ class CoverReport:
     is_cdc: bool
     is_one_two_cover: bool
     weight_one_edges: frozenset
-
-    def summary(self) -> str:
-        state = "valid" if self.ok else "INVALID: " + "; ".join(self.problems)
-        extras = []
-        if self.is_cdc:
-            extras.append("CDC")
-        if self.is_one_two_cover:
-            extras.append("(1,2)-cover")
-        tag = f" [{', '.join(extras)}]" if extras else ""
-        return f"{self.kind} length {self.length}, {state}{tag}"
 
 
 def _check_circuit(g: Multigraph, c: Circuit, problems):
@@ -292,7 +281,6 @@ def validate(obj, g: Multigraph) -> CoverReport:
     problems = []
     w = [0] * g.m  # edge weights over the ids that name an edge of g
     if isinstance(obj, KCdc):
-        kind = f"{obj.k}-CDC"
         for i, cls in enumerate(obj.classes):
             known = []
             for e in cls:
@@ -309,7 +297,6 @@ def validate(obj, g: Multigraph) -> CoverReport:
                 problems.append(f"edge {e} lies in {w[e]} classes, expected 2")
                 break
     elif isinstance(obj, CycleCover):
-        kind = "cycle cover"
         for c in obj.circuits:
             _check_circuit(g, c, problems)
             for e in c.edges:
@@ -328,7 +315,6 @@ def validate(obj, g: Multigraph) -> CoverReport:
     for x in w:
         hist[x] = hist.get(x, 0) + 1
     return CoverReport(
-        kind=kind,
         ok=not problems,
         problems=tuple(problems),
         length=length,

@@ -8,9 +8,7 @@ is ``5-7-9-6-8-5``.  Edge ids: 0-4 outer circuit, 5-9 spokes, 10-14 pentagram.
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import BadEncoding, BadLine, BadParameter, HasParallelEdges, LoopEdge, NotCubic
+from .errors import GraphError
 from .graphs import CubicGraph, Multigraph
 
 
@@ -28,7 +26,7 @@ def flower(k: int) -> CubicGraph:
     on the long circuit ``C_0..C_{k-1} D_0..D_{k-1}``.
     """
     if k < 5 or k % 2 == 0:
-        raise BadParameter(f"flower parameter must be odd and >= 5, got {k}")
+        raise GraphError(f"flower parameter must be odd and >= 5, got {k}")
     edges = []
     for i in range(k):
         edges += [(i, k + i), (i, 2 * k + i), (i, 3 * k + i)]
@@ -74,7 +72,7 @@ def goldberg(k: int) -> CubicGraph:
     Edge ``t*k + i`` is quotient entry ``t`` placed at block ``i``.
     """
     if k < 5 or k % 2 == 0:
-        raise BadParameter(f"goldberg parameter must be odd and >= 5, got {k}")
+        raise GraphError(f"goldberg parameter must be odd and >= 5, got {k}")
     edges = []
     for u, v, step in _GOLDBERG_QUOTIENT:
         for i in range(k):
@@ -91,9 +89,9 @@ def permutation_snark(perm) -> CubicGraph:
     perm = tuple(perm)
     k = len(perm)
     if k % 2 == 0 or k < 3:
-        raise BadParameter(f"permutation length must be odd and >= 3, got {k}")
+        raise GraphError(f"permutation length must be odd and >= 3, got {k}")
     if sorted(perm) != list(range(k)):
-        raise BadParameter("not a permutation of 0..k-1")
+        raise GraphError("not a permutation of 0..k-1")
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(k + i, k + (i + 1) % k) for i in range(k)]
     edges += [(i, k + perm[i]) for i in range(k)]
@@ -106,17 +104,17 @@ def permutation_snark(perm) -> CubicGraph:
 
 def _g6_read_n(data: bytes):
     if not data:
-        raise BadEncoding("empty graph6 line")
+        raise GraphError("empty graph6 line")
     if data[0] != 126:
         return data[0] - 63, 1
     if len(data) >= 4 and data[1] != 126:
         n = 0
         for b in data[1:4]:
             if not 63 <= b <= 126:
-                raise BadEncoding("bad byte in graph6 size field")
+                raise GraphError("bad byte in graph6 size field")
             n = (n << 6) | (b - 63)
         return n, 4
-    raise BadEncoding("graph6 sizes beyond 258047 vertices are not supported")
+    raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
 
 
 def parse_graph6(line: str) -> CubicGraph:
@@ -130,15 +128,15 @@ def parse_graph6(line: str) -> CubicGraph:
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
     if len(body) != need_bytes:
-        raise BadEncoding(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
+        raise GraphError(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
     bits = []
     for b in body:
         if not 63 <= b <= 126:
-            raise BadEncoding(f"byte {b} outside graph6 range")
+            raise GraphError(f"byte {b} outside graph6 range")
         x = b - 63
         bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
     if any(bits[need_bits:]):
-        raise BadEncoding("nonzero padding bits")
+        raise GraphError("nonzero padding bits")
     edges = []
     idx = 0
     for j in range(1, n):
@@ -148,23 +146,23 @@ def parse_graph6(line: str) -> CubicGraph:
             idx += 1
     try:
         return CubicGraph(n, edges)
-    except NotCubic as exc:
-        raise NotCubic(f"graph6 line decodes to a non-cubic graph: {exc}") from exc
+    except GraphError as exc:
+        raise GraphError(f"graph6 line decodes to a non-cubic graph: {exc}") from exc
 
 
 def write_graph6(g: Multigraph) -> str:
     """Encode a simple graph as one graph6 line (bit-exact standard encoding)."""
     if g.loops:
-        raise LoopEdge("graph6 cannot encode loops")
+        raise GraphError("graph6 cannot encode loops")
     if g.has_parallel_edges:
-        raise HasParallelEdges("graph6 cannot encode parallel edges")
+        raise GraphError("graph6 cannot encode parallel edges")
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
     elif n <= 258047:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
-        raise BadEncoding("graph too large for the supported graph6 sizes")
+        raise GraphError("graph too large for the supported graph6 sizes")
     adj = [[False] * n for _ in range(n)]
     for u, v in g.edges:
         adj[u][v] = adj[v][u] = True
@@ -200,23 +198,23 @@ def parse_adjacency(text: str):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BadLine(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise BadLine(f"line {lineno}: non-integer vertex in {raw!r}") from exc
+            raise GraphError(f"line {lineno}: non-integer vertex in {raw!r}") from exc
         if u < 0 or v < 0:
-            raise BadLine(f"line {lineno}: negative vertex in {raw!r}")
+            raise GraphError(f"line {lineno}: negative vertex in {raw!r}")
         if u == v:
-            raise LoopEdge(f"line {lineno}: loop at vertex {u}")
+            raise GraphError(f"line {lineno}: loop at vertex {u}")
         edges.append((u, v))
     if not edges:
-        raise BadLine("no edges")
+        raise GraphError("no edges")
     n = max(max(u, v) for u, v in edges) + 1
     g = Multigraph(n, edges)
     if any(d > 3 for d in g.degrees()):
         v = next(v for v in range(n) if g.degree(v) > 3)
-        raise NotCubic(f"vertex {v} has degree {g.degree(v)} > 3")
+        raise GraphError(f"vertex {v} has degree {g.degree(v)} > 3")
     if all(d == 3 for d in g.degrees()):
         return CubicGraph(n, edges)
     return g
@@ -225,146 +223,3 @@ def parse_adjacency(text: str):
 def write_adjacency(g: Multigraph) -> str:
     pairs = sorted(tuple(sorted(e)) for e in g.edges)
     return "\n".join(f"{u} {v}" for u, v in pairs) + "\n"
-
-
-# --------------------------------------------------------------------------
-# canonical forms and exhaustive small-graph enumeration (test substrate)
-# --------------------------------------------------------------------------
-
-def _vertex_invariant(g: Multigraph):
-    """BFS layer-size profile per vertex; isomorphism-invariant."""
-    out = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        layers = []
-        while frontier:
-            layers.append(len(frontier))
-            nxt = []
-            for v in frontier:
-                for e in g.incident_edges[v]:
-                    w = g.other_end(e, v)
-                    if dist[w] == -1:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        out.append(tuple(layers))
-    return out
-
-
-def canonical_form(g: Multigraph) -> tuple:
-    """Deterministic isomorphism certificate (branch-and-bound row code).
-
-    Two graphs get the same form iff they are isomorphic (as multigraphs,
-    loops excluded).  Intended for the small graphs handled by the test
-    corpora and family dedup, not for large instances.
-    """
-    if g.loops:
-        raise LoopEdge("canonical form defined for loopless graphs")
-    n = g.n
-    cnt = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        cnt[u][v] += 1
-        cnt[v][u] += 1
-    inv = _vertex_invariant(g)
-    start_inv = min(inv)
-    starts = [v for v in range(n) if inv[v] == start_inv]
-
-    best = [None]
-
-    def dfs(placed, placed_set, code):
-        j = len(placed)
-        if j == n:
-            code = tuple(code)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        rows = []
-        for v in range(n):
-            if v in placed_set:
-                continue
-            rows.append((tuple(cnt[v][p] for p in placed), v))
-        rows.sort()
-        min_row = rows[0][0]
-        for row, v in rows:
-            if row != min_row:
-                break  # only minimal rows can extend a minimal code
-            new_code = code + list(row)
-            if best[0] is not None:
-                prefix = best[0][:len(new_code)]
-                if tuple(new_code) > prefix:
-                    continue
-            placed.append(v)
-            placed_set.add(v)
-            dfs(placed, placed_set, new_code)
-            placed.pop()
-            placed_set.remove(v)
-
-    for s in starts:
-        dfs([s], {s}, [])
-    return (n, g.m) + best[0]
-
-
-def isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)
-
-
-def enumerate_cubic_graphs(n: int, connected: bool = True):
-    """All simple cubic graphs on n vertices, one per isomorphism class.
-
-    Exhaustive generation with isomorph rejection; meant for the n <= 12
-    corpora that the property suites run over.  Result is sorted by canonical
-    form, so the order is stable.
-    """
-    if n % 2 or n < 4:
-        return []
-    if not connected:
-        raise NotImplementedError("only connected enumeration is provided")
-    found = {}
-    adj = [[0] * n for _ in range(n)]
-    deg = [0] * n
-
-    def emit():
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adj[i][j]:
-                    edges.append((i, j))
-        g = CubicGraph(n, edges)
-        key = canonical_form(g)
-        if key not in found:
-            found[key] = g
-
-    def rec(next_new):
-        u = -1
-        for v in range(next_new):
-            if deg[v] < 3:
-                u = v
-                break
-        if u == -1:
-            if next_new == n:
-                emit()
-            return
-        need = 3 - deg[u]
-        existing = [w for w in range(u + 1, next_new) if deg[w] < 3 and not adj[u][w]]
-        fresh = list(range(next_new, min(n, next_new + need)))
-        pool = existing + fresh
-        for combo in itertools.combinations(pool, need):
-            fresh_used = [w for w in combo if w >= next_new]
-            # fresh vertices must be taken in order, no gaps
-            if fresh_used != fresh[:len(fresh_used)]:
-                continue
-            for w in combo:
-                adj[u][w] = adj[w][u] = 1
-                deg[u] += 1
-                deg[w] += 1
-            rec(next_new + len(fresh_used))
-            for w in combo:
-                adj[u][w] = adj[w][u] = 0
-                deg[u] -= 1
-                deg[w] -= 1
-
-    # vertex 0 always attaches to fresh vertices 1,2,3
-    rec(1)
-    return [found[k] for k in sorted(found)]

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AllDegreeTwo,
-    BridgeDeleted,
-    LoopEdge,
-    NotCubic,
-    NotTwoFactor,
-    Unsupported,
-)
+from .errors import GraphError
 
 
 class Multigraph:
@@ -92,10 +85,10 @@ class CubicGraph(Multigraph):
         super().__init__(n, edge_list)
         if self.loops:
             e = self.loops[0]
-            raise LoopEdge(f"loop at vertex {self.edges[e][0]} (edge {e})")
+            raise GraphError(f"loop at vertex {self.edges[e][0]} (edge {e})")
         for v in range(self.n):
             if self.degree(v) != 3:
-                raise NotCubic(f"vertex {v} has degree {self.degree(v)}")
+                raise GraphError(f"vertex {v} has degree {self.degree(v)}")
         # degree sum 3n = 2m forces n even; the check above implies it.
 
 
@@ -108,7 +101,7 @@ def build_graph(edge_list) -> CubicGraph:
     """
     edge_list = list(edge_list)
     if not edge_list:
-        raise NotCubic("empty edge list")
+        raise GraphError("empty edge list")
     n = max(max(u, v) for u, v in edge_list) + 1
     return CubicGraph(n, edge_list)
 
@@ -219,7 +212,7 @@ def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     looked up for such a third edge.
     """
     if k > 4:
-        raise Unsupported("cyclic connectivity decision implemented for k <= 4 only")
+        raise GraphError("cyclic connectivity decision implemented for k <= 4 only")
     if k < 1:
         return True
     label, components = _cut_labels(g)
@@ -303,10 +296,10 @@ def suppress_degree_two(g: Multigraph, edge_ids):
     Every vertex that the edges touch must have degree 2 or 3 in the
     subgraph.  The reduced vertices are the degree-3 vertices in id order,
     and each one's chains are walked over its kept edges in id order.
-    Raises ``AllDegreeTwo`` when some component of the subgraph has no
+    Raises ``GraphError`` when some component of the subgraph has no
     degree-3 vertex (its edges lie on no chain; the caller must
-    special-case circuit components), and ``LoopEdge`` when smoothing would
-    close a chain onto a single degree-3 vertex.
+    special-case circuit components), or when smoothing would close a
+    chain onto a single degree-3 vertex.
     """
     kept = sorted(set(edge_ids))
     inc = [[] for _ in range(g.n)]
@@ -319,7 +312,7 @@ def suppress_degree_two(g: Multigraph, edge_ids):
             raise ValueError(f"vertex {v} has degree {len(es)}; suppression needs 2 or 3")
     keep = [v for v, es in enumerate(inc) if len(es) == 3]
     if not keep:
-        raise AllDegreeTwo("graph is a disjoint union of circuits")
+        raise GraphError("graph is a disjoint union of circuits")
 
     used_darts = set()
     new_edges = []
@@ -347,10 +340,10 @@ def suppress_degree_two(g: Multigraph, edge_ids):
     unused = set(kept).difference(*paths)
     if unused:
         v = min(x for e in unused for x in g.edges[e])
-        raise AllDegreeTwo(f"component containing vertex {v} is a circuit")
+        raise GraphError(f"component containing vertex {v} is a circuit")
     for u, v in new_edges:
         if u == v:
-            raise LoopEdge(f"suppression would create a loop at vertex {v}")
+            raise GraphError(f"suppression would create a loop at vertex {v}")
     index = {v: i for i, v in enumerate(keep)}
     reduced = CubicGraph(len(keep), [(index[u], index[v]) for u, v in new_edges])
     return reduced, ReductionMap(g, tuple(paths))
@@ -389,7 +382,7 @@ def contract_two_factor(g: CubicGraph, two_factor):
     """
     f = frozenset(two_factor)
     if not is_spanning_regular(g, f, 2):
-        raise NotTwoFactor("edge set is not a spanning 2-regular subgraph")
+        raise GraphError("edge set is not a spanning 2-regular subgraph")
 
     comp = [-1] * g.n
     cid = 0
@@ -424,9 +417,9 @@ def two_cut_join(g1: CubicGraph, e1: int, g2: CubicGraph, e2: int, cross: bool =
     always has a 2-edge cut, so it fails cyclic connectivity 3.
     """
     if e1 in bridges(g1):
-        raise BridgeDeleted(f"edge {e1} is a bridge of the first graph")
+        raise GraphError(f"edge {e1} is a bridge of the first graph")
     if e2 in bridges(g2):
-        raise BridgeDeleted(f"edge {e2} is a bridge of the second graph")
+        raise GraphError(f"edge {e2} is a bridge of the second graph")
     u1, v1 = sorted(g1.edges[e1])
     u2, v2 = sorted(g2.edges[e2])
     off = g1.n

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
-from .constructions import ConstructionResult
-from .errors import BadLine, HasParallelEdges, PartialAssignment, PreimageNotEven
+from .constructions import ConstructionResult, _check_result
+from .errors import GraphError, HypothesisViolated
 from .families import petersen
 from .graphs import CubicGraph
 from .solvers import (
@@ -59,7 +59,7 @@ def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
     """(True, None) if valid, else (False, first violating vertex)."""
     assignment = colouring.assignment
     if len(assignment) != g.m or any(a is None for a in assignment):
-        raise PartialAssignment("assignment must cover every edge")
+        raise GraphError("assignment must cover every edge")
     for v in range(g.n):
         images = frozenset(assignment[e] for e in g.incident_edges[v])
         if images not in _P_STAR_SET:
@@ -94,7 +94,7 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
     """Preimage of each circuit of a P-cover, decomposed into circuits of g."""
     ok, bad = verify_petersen_colouring(g, colouring)
     if not ok:
-        raise PreimageNotEven(f"colouring violates the star condition at vertex {bad}")
+        raise HypothesisViolated(f"colouring violates the star condition at vertex {bad}")
     report = validate(cover_of_p, REFERENCE)
     if not report.ok:
         raise ValueError(f"not a valid cover of the reference graph: {report.problems}")
@@ -105,7 +105,7 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
         try:
             circuits.extend(decompose_even_subgraph(g, pre))
         except ValueError as exc:
-            raise PreimageNotEven(str(exc)) from exc
+            raise HypothesisViolated(str(exc)) from exc
     cover = CycleCover.of(circuits)
     fibers = colouring.fiber_sizes()
     w = cover_of_p.edge_weight(REFERENCE.m)
@@ -129,9 +129,6 @@ def best_pullback_cover(g: CubicGraph, colouring: PetersenColouring) -> Construc
     ceil(7m/5) - 1, otherwise (a 9-circuit of P carries more than the average
     fiber mass, and every 9-circuit is the weight-1 set of a shortest cover).
     """
-    ok, bad = verify_petersen_colouring(g, colouring)
-    if not ok:
-        raise PreimageNotEven(f"colouring violates the star condition at vertex {bad}")
     fibers = colouring.fiber_sizes()
     best = None
     for cover_p in _optimal_p_covers():
@@ -145,14 +142,8 @@ def best_pullback_cover(g: CubicGraph, colouring: PetersenColouring) -> Construc
     m = g.m
     balanced = is_balanced(colouring, m)
     bound = 7 * m // 5 if balanced else -(-7 * m // 5) - 1
-    report = validate(cover, g)
-    if not report.ok:
-        raise AssertionError(f"pullback is not a valid cover: {report.problems}")
-    if cover.length > bound:
-        raise AssertionError(f"pullback bound violated: {cover.length} > {bound}")
-    return ConstructionResult(cover, bound, "petersen-colouring",
-                              {"balanced": balanced, "p_cover": cover_p,
-                               "fiber_sizes": fibers})
+    return _check_result(g, cover, bound, "petersen-colouring",
+                         {"balanced": balanced, "p_cover": cover_p, "fiber_sizes": fibers})
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +161,7 @@ def format_colouring(g: CubicGraph, colouring: PetersenColouring) -> str:
 
 def parse_colouring(g: CubicGraph, text: str) -> PetersenColouring:
     if g.has_parallel_edges:
-        raise HasParallelEdges("the colouring file format needs a simple graph")
+        raise GraphError("the colouring file format needs a simple graph")
     edge_id = {tuple(sorted(uv)): e for e, uv in enumerate(g.edges)}
     p_id = {tuple(sorted(uv)): e for e, uv in enumerate(REFERENCE.edges)}
     assignment = [None] * g.m
@@ -180,18 +171,18 @@ def parse_colouring(g: CubicGraph, text: str) -> PetersenColouring:
             continue
         parts = line.replace("->", " ").split()
         if len(parts) != 4:
-            raise BadLine(f"line {lineno}: expected 'u v -> p q'")
+            raise GraphError(f"line {lineno}: expected 'u v -> p q'")
         try:
             u, v, p, q = (int(x) for x in parts)
         except ValueError as exc:
-            raise BadLine(f"line {lineno}: non-integer field") from exc
+            raise GraphError(f"line {lineno}: non-integer field") from exc
         e = edge_id.get((min(u, v), max(u, v)))
         pe = p_id.get((min(p, q), max(p, q)))
         if e is None:
-            raise BadLine(f"line {lineno}: {u} {v} is not an edge of the graph")
+            raise GraphError(f"line {lineno}: {u} {v} is not an edge of the graph")
         if pe is None:
-            raise BadLine(f"line {lineno}: {p} {q} is not an edge of the reference graph")
+            raise GraphError(f"line {lineno}: {p} {q} is not an edge of the reference graph")
         assignment[e] = pe
     if any(a is None for a in assignment):
-        raise PartialAssignment("file does not colour every edge")
+        raise GraphError("file does not colour every edge")
     return PetersenColouring(tuple(assignment))

@@ -13,13 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
-from .errors import (
-    Bridged,
-    NodeLimitExceeded,
-    NoThreePaths,
-    NoTwoFactor,
-    Unsupported,
-)
+from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from .graphs import CubicGraph, Multigraph, bridges, is_connected
 
 
@@ -323,7 +317,7 @@ def _check_coverable(g):
         raise ValueError("graph must be connected")
     b = bridges(g)
     if b:
-        raise Bridged(f"no cycle cover exists: bridge(s) at edges {b}")
+        raise HypothesisViolated(f"no cycle cover exists: bridge(s) at edges {b}")
 
 
 def _near_factor_rests(g, x):
@@ -855,7 +849,7 @@ def oddness(g: CubicGraph):
     """
     store = _matchings(g)
     if not store.masks:
-        raise NoTwoFactor("graph has no perfect matching, hence no 2-factor")
+        raise HypothesisViolated("graph has no perfect matching, hence no 2-factor")
     best = best_key = None
     for i, key in enumerate(store.factors()):
         if best is None or key < best_key:
@@ -991,7 +985,7 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     """
     if k is None:
         if two_factor_class:
-            raise Unsupported("a 2-factor class constraint needs the k-class search")
+            raise GraphError("a 2-factor class constraint needs the k-class search")
         demand = [2] * g.m
         for c in must_contain:
             if not _is_circuit(g, c.edges):
@@ -1017,9 +1011,9 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
         return CycleCover.of([trace_circuit(g, c.edges) for c in must_contain]
                              + [space.circuit(i) for i in found])
     if must_contain:
-        raise Unsupported("must_contain is only available in the circuit-form search")
+        raise GraphError("must_contain is only available in the circuit-form search")
     if k < 2:
-        raise Unsupported("k-CDC search needs k >= 2")
+        raise GraphError("k-CDC search needs k >= 2")
     pairs = list(combinations(range(k), 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
     tf = k - 1 if two_factor_class else None
@@ -1073,7 +1067,7 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
             if not improved:
                 break
         if t not in dist:
-            raise NoThreePaths(f"only {flow_total} disjoint paths exist")
+            raise HypothesisViolated(f"only {flow_total} disjoint paths exist")
         v = t
         while v != s:
             idx, kind = pred[v]

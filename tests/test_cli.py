@@ -11,7 +11,7 @@ import cyclecover
 from conftest import DATA, load_snarks18
 from cyclecover import build_graph, cover_via_oddness2, flower, goldberg, pcolour, petersen, solvers
 from cyclecover.cli import build_parser, main
-from cyclecover.errors import LinksNotDisjoint
+from cyclecover.errors import HypothesisViolated
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
 from cyclecover.graphs import Multigraph
 
@@ -472,6 +472,107 @@ def test_construct_golden(tmp_path, capsys):
         assert "".join(lines) == fh.read()
 
 
+def _error_cases(tmp_path):
+    """(case, argv) pairs: each way a command fails on its input."""
+    from test_graphs import _bridged_cubic
+
+    p = petersen()
+    block = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (4, 3)]
+    nopm = [(u + 5 * i, v + 5 * i) for i in range(3) for u, v in block]
+    nopm += [(4 + 5 * i, 15) for i in range(3)]
+    identity = [f"{u} {v} -> {u} {v}" for u, v in p.edges]
+    files = {
+        "p.g6": write_graph6(p) + "\n",
+        "bridged.adj": write_adjacency(_bridged_cubic()),
+        "nopm.adj": write_adjacency(build_graph(nopm)),
+        "k33.adj": "0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+        "prism.adj": "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n",
+        "theta.adj": "0 1\n0 1\n0 1\n",
+        "triangle.adj": "0 1\n1 2\n2 0\n",
+        "comments.adj": "# nothing\n",
+        "loop.adj": "0 0\n",
+        "three.adj": "0 1 2\n",
+        "word.adj": "0 x\n",
+        "negative.adj": "-1 2\n",
+        "degree4.adj": "0 1\n0 1\n0 1\n0 1\n",
+        "short.g6": "I??\n",
+        "size.g6": "~~\n",
+        "byte.g6": "I???????\x7f\n",
+        "padding.g6": "I???????@\n",
+        "isolated.g6": "D??\n",
+        "triangle.g6": "Cw\n",
+        "cert.json": "not json\n",
+        "star.col": "\n".join(["0 1 -> 1 2"] + identity[1:]) + "\n",
+        "partial.col": "\n".join(identity[:-1]) + "\n",
+        "fields.col": "0 1 -> 2\n",
+        "word.col": "0 1 -> a b\n",
+        "nonedge.col": "0 2 -> 0 1\n",
+        "nonref.col": "0 1 -> 0 2\n",
+    }
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="ascii")
+    adj = ["--format", "adj"]
+    return [
+        # exit 1: the input or a parameter is bad
+        ("generate flower 4", ["generate", "flower", "4"]),
+        ("generate goldberg 6", ["generate", "goldberg", "6"]),
+        ("generate flower x", ["generate", "flower", "x"]),
+        ("generate even permutation", ["generate", "permutation", "0,1,2,3"]),
+        ("generate no permutation", ["generate", "permutation", "0,0,1"]),
+        ("cdc --k 1", ["cdc", path["p.g6"], "--k", "1"]),
+        ("cdc --two-factor-class", ["cdc", path["p.g6"], "--two-factor-class"]),
+        ("cdc --contains --k 5", ["cdc", path["p.g6"], "--contains", "0,1,2,3,4", "--k", "5"]),
+        ("graph6 short", ["scc", path["short.g6"]]),
+        ("graph6 size", ["scc", path["size.g6"]]),
+        ("graph6 byte", ["scc", path["byte.g6"]]),
+        ("graph6 padding", ["scc", path["padding.g6"]]),
+        ("graph6 isolated vertices", ["scc", path["isolated.g6"]]),
+        ("graph6 non-cubic", ["scc", path["triangle.g6"]]),
+        ("adj loop", ["scc", path["loop.adj"], *adj]),
+        ("adj three fields", ["scc", path["three.adj"], *adj]),
+        ("adj non-integer", ["scc", path["word.adj"], *adj]),
+        ("adj negative", ["scc", path["negative.adj"], *adj]),
+        ("adj no edges", ["scc", path["comments.adj"], *adj]),
+        ("adj degree 4", ["scc", path["degree4.adj"], *adj]),
+        ("adj subcubic", ["scc", path["triangle.adj"], *adj]),
+        ("no graph", ["scc", path["comments.adj"]]),
+        ("certificate not json", ["analyze", path["p.g6"], "--verify-cover", path["cert.json"]]),
+        ("colouring partial", ["pcolour", "verify", path["p.g6"], "--colouring", path["partial.col"]]),
+        ("colouring fields", ["pcolour", "verify", path["p.g6"], "--colouring", path["fields.col"]]),
+        ("colouring non-integer", ["pcolour", "verify", path["p.g6"], "--colouring", path["word.col"]]),
+        ("colouring non-edge", ["pcolour", "verify", path["p.g6"], "--colouring", path["nonedge.col"]]),
+        ("colouring non-edge of P", ["pcolour", "verify", path["p.g6"], "--colouring", path["nonref.col"]]),
+        ("colouring multigraph", ["pcolour", "pullback", path["theta.adj"], "--colouring", path["partial.col"]]),
+        # exit 2: a hypothesis fails
+        ("scc bridged", ["scc", path["bridged.adj"]]),
+        ("spectrum bridged", ["spectrum", path["bridged.adj"]]),
+        ("oddness no perfect matching", ["oddness", path["nopm.adj"]]),
+        ("circumference bridged", ["construct", path["bridged.adj"], "--via", "circumference"]),
+        ("oddness2 bridged", ["construct", path["bridged.adj"], "--via", "oddness2"]),
+        ("oddness2 prism", ["construct", path["prism.adj"], "--via", "oddness2"]),
+        ("oddness2 K33", ["construct", path["k33.adj"], "--via", "oddness2"]),
+        ("tau4 petersen", ["construct", path["p.g6"], "--via", "tau4"]),
+        ("petersen bridged", ["construct", path["bridged.adj"], "--via", "petersen"]),
+        ("pullback star", ["pcolour", "pullback", path["p.g6"], "--colouring", path["star.col"]]),
+        # exit 3: a search aborts
+        ("tau node limit", ["tau", path["p.g6"], "--node-limit", "1"]),
+        ("circ node limit", ["circ", path["p.g6"], "--node-limit", "1"]),
+    ]
+
+
+def test_error_golden(tmp_path, capsys):
+    # every failing outcome above with its exit code and full output
+    lines = []
+    for case, argv in _error_cases(tmp_path):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        lines.append(json.dumps({"case": case, "exit": code, "stdout": out, "stderr": err}) + "\n")
+    with open(os.path.join(DATA, "error_golden.jsonl"), encoding="ascii") as fh:
+        assert "".join(lines) == fh.read()
+
+
 def test_hypothesis_exit_codes(tmp_path, capsys):
     from test_graphs import _bridged_cubic
 
@@ -490,7 +591,7 @@ def test_hypothesis_exit_codes(tmp_path, capsys):
     assert main(["construct", "--via", "circumference", str(path)]) == 2
     assert "2-connected" in capsys.readouterr().err
 
-    with pytest.raises(LinksNotDisjoint):
+    with pytest.raises(HypothesisViolated, match="need three distinct connecting edges"):
         cover_via_oddness2(petersen(), links=[5, 5, 6])
 
 

@@ -14,7 +14,7 @@ from cyclecover.covers import (
     trace_circuit,
     validate,
 )
-from cyclecover.errors import MapMismatch
+from cyclecover.errors import GraphError
 from cyclecover.graphs import Multigraph, suppress_degree_two
 from cyclecover.solvers import edge_colouring_3, shortest_cycle_cover
 
@@ -172,5 +172,5 @@ def test_lift_rejects_unknown_edges():
     g = Multigraph(6, edges)
     reduced, rmap = suppress_degree_two(g, range(g.m))
     bogus = circuit_from_walk([97, 98, 99], [0, 1, 2])
-    with pytest.raises(MapMismatch):
+    with pytest.raises(GraphError, match="edge 97 not in the reduction map"):
         lift_cover(CycleCover.of([bogus]), rmap)

@@ -8,15 +8,7 @@ from conftest import load_corpus, load_snarks18
 from cyclecover import build_graph, petersen
 from cyclecover.constructions import cover_via_oddness2
 from cyclecover.covers import decompose_even_subgraph
-from cyclecover.errors import (
-    AllDegreeTwo,
-    BridgeDeleted,
-    HypothesisViolated,
-    LoopEdge,
-    NotCubic,
-    NotTwoFactor,
-    Unsupported,
-)
+from cyclecover.errors import GraphError, HypothesisViolated
 from cyclecover.graphs import (
     CubicGraph,
     Multigraph,
@@ -43,12 +35,12 @@ def test_build_petersen(pete):
 
 
 def test_build_rejects_degree_four():
-    with pytest.raises(NotCubic):
+    with pytest.raises(GraphError, match="vertex 0 has degree 4"):
         build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4), (1, 3), (2, 4)])
 
 
 def test_build_rejects_loop():
-    with pytest.raises(LoopEdge):
+    with pytest.raises(GraphError, match="loop at vertex 0"):
         build_graph([(0, 0), (0, 1), (1, 2), (1, 2), (2, 0)])
 
 
@@ -89,7 +81,7 @@ def test_cyclic_connectivity_k4(k4):
 
 
 def test_cyclic_connectivity_rejects_large_k(pete):
-    with pytest.raises(Unsupported):
+    with pytest.raises(GraphError, match="implemented for k <= 4 only"):
         cyclic_connectivity_at_least(pete, 5)
 
 
@@ -376,7 +368,7 @@ def test_cyclic_connectivity_large_prism():
 def test_two_cut_join_rejects_bridge():
     g = _bridged_cubic()
     bridge = bridges(g)[0]
-    with pytest.raises(BridgeDeleted):
+    with pytest.raises(GraphError, match=f"edge {bridge} is a bridge of the first graph"):
         two_cut_join(g, bridge, g, bridge)
 
 
@@ -393,7 +385,7 @@ def test_suppress_path():
 
 def test_suppress_all_degree_two():
     g = Multigraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    with pytest.raises(AllDegreeTwo):
+    with pytest.raises(GraphError, match="graph is a disjoint union of circuits"):
         suppress_degree_two(g, range(g.m))
 
 
@@ -401,7 +393,7 @@ def test_suppress_circuit_beside_a_reducible_component(k4):
     # K4 on 0-3 and a hexagon on 4-9: the hexagon's edges lie on no chain
     hexagon = [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
     g = Multigraph(10, list(k4.edges) + hexagon)
-    with pytest.raises(AllDegreeTwo, match="component containing vertex 4 is a circuit"):
+    with pytest.raises(GraphError, match="component containing vertex 4 is a circuit"):
         suppress_degree_two(g, range(g.m))
     reduced, _ = suppress_degree_two(g, range(k4.m))
     assert reduced.edges == k4.edges
@@ -477,9 +469,9 @@ def test_contract_two_factor_prism(prism):
 
 
 def test_contract_rejects_non_factor(pete):
-    with pytest.raises(NotTwoFactor):
+    with pytest.raises(GraphError, match="edge set is not a spanning 2-regular subgraph"):
         contract_two_factor(pete, frozenset(range(6)))
-    with pytest.raises(NotTwoFactor):
+    with pytest.raises(GraphError, match="edge set is not a spanning 2-regular subgraph"):
         contract_two_factor(pete, {99})
 
 

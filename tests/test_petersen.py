@@ -3,7 +3,7 @@ import pytest
 from conftest import relabelled
 from cyclecover import flower
 from cyclecover.covers import validate
-from cyclecover.errors import NodeLimitExceeded, PartialAssignment
+from cyclecover.errors import GraphError, NodeLimitExceeded
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.pcolour import (
     _P_STARS,
@@ -52,7 +52,7 @@ def test_invalid_map_detected(pete):
 
 
 def test_partial_assignment_rejected(pete):
-    with pytest.raises(PartialAssignment):
+    with pytest.raises(GraphError, match="assignment must cover every edge"):
         verify_petersen_colouring(pete, PetersenColouring((None,) * 15))
 
 

@@ -15,7 +15,7 @@ from cyclecover.covers import (
     trace_circuit,
     validate,
 )
-from cyclecover.errors import Bridged, NodeLimitExceeded, NoThreePaths
+from cyclecover.errors import HypothesisViolated, NodeLimitExceeded
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
@@ -285,7 +285,7 @@ def test_scc_deterministic_and_seed_independent(pete):
 def test_scc_rejects_bridge():
     from test_graphs import _bridged_cubic
 
-    with pytest.raises(Bridged):
+    with pytest.raises(HypothesisViolated, match="no cycle cover exists: bridge"):
         shortest_cycle_cover(_bridged_cubic())
 
 
@@ -919,5 +919,5 @@ def test_three_disjoint_paths_errors():
     with pytest.raises(ValueError):
         three_disjoint_paths(g, 1, 1)
     g2 = Multigraph(2, [(0, 1), (0, 1)])
-    with pytest.raises(NoThreePaths):
+    with pytest.raises(HypothesisViolated, match="only 2 disjoint paths exist"):
         three_disjoint_paths(g2, 0, 1)
