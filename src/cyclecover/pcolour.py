@@ -44,9 +44,15 @@ _P_MATCHINGS = tuple(_mask(pm) for pm in enumerate_perfect_matchings(REFERENCE))
 
 @dataclass(frozen=True)
 class PetersenColouring:
-    """Edge map ``assignment[e of g] = edge of P``."""
+    """Edge map ``assignment[e of g] = edge of P``; every entry must be set,
+    so no reader meets an unassigned edge (``verify_petersen_colouring``
+    also checks that there is one entry per edge of g)."""
 
     assignment: tuple
+
+    def __post_init__(self):
+        if any(a is None for a in self.assignment):
+            raise GraphError("assignment must cover every edge")
 
     def fiber_sizes(self):
         out = [0] * REFERENCE.m
@@ -58,7 +64,7 @@ class PetersenColouring:
 def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
     """(True, None) if valid, else (False, first violating vertex)."""
     assignment = colouring.assignment
-    if len(assignment) != g.m or any(a is None for a in assignment):
+    if len(assignment) != g.m:
         raise GraphError("assignment must cover every edge")
     for v in range(g.n):
         images = frozenset(assignment[e] for e in g.incident_edges[v])

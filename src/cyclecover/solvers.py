@@ -345,139 +345,300 @@ def _structured_covers(g, node_limit=None, first=False, decode=False):
     edge weights 1, 1, 2, except that at excess 1 one vertex x has weight 6,
     with edge weights 2, 2, 2 (an edge of weight 3 would need weight 6 at
     both ends).  So no cap above 2 changes these covers.  The weight-1 edges
-    C form a 2-factor, or a 2-regular subgraph missing x, and every cover of
-    that length through C is one choice of ``_transition_covers(g, E - C,
-    x)``.  A cover determines C and x, so each one is found exactly once.
-    2-factors come first; each level is searched exhaustively, and one node
-    budget covers every search.
+    C form a 2-factor, or a 2-regular subgraph missing x, and a cover is one
+    transition choice (``_Joins``) per weight-2 edge, and at x one star
+    choice, such that no circuit passes a vertex twice.  A cover determines
+    C and x, so each one is found exactly once.  Excess 0 comes first; each
+    level is searched exhaustively, and one node budget covers every search.
+
+    The question sets the route.  ``first`` walks the store's 2-factors,
+    then each x's near-2-factors, and runs ``_transition_covers`` on each
+    until one has a cover.  Every cover comes from ``_every_cover``: one
+    search over the weight-2 edges and their choices together, which builds
+    no matching store.
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
-    circuits as sorted edge tuples, or None unless ``decode`` or ``first``)
-    in search order, only the first one with ``first``.  Returns (None, [],
-    nodes) when the optimum is longer.
+    circuits as sorted edge tuples, or None unless ``decode`` or ``first``),
+    only the first one with ``first``.  Returns (None, [], nodes) when the
+    optimum is longer.
     """
-    store = _matchings(g)
-    full = (1 << g.m) - 1
-    levels = (((-1, pm) for pm in store.masks),
-              ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)))
     nodes = 0
-    for excess, level in enumerate(levels):
-        covers = []
-        for x, rest in level:
-            count, found, nodes = _transition_covers(g, rest, x, first, decode or first,
-                                                     node_limit, nodes)
-            covers += zip([full & ~rest] * count, found or [None] * count)
-            if first and covers:
-                break
+    for excess in (0, 1):
+        if first:
+            covers, nodes = _first_cover(g, excess, node_limit, nodes)
+        else:
+            covers, nodes = _every_cover(g, excess, node_limit, decode, nodes)
         if covers:
             return 2 * g.n + excess, covers, nodes
     return None, [], nodes
+
+
+class _Joins:
+    """The transition choices of a loopless cubic graph, which do not depend
+    on the weight-1 edges, and the start of every search over them.
+
+    A half-edge h = 2e + s is the end of edge e at ``g.edges[e][s]``.  When
+    an edge r = uv has weight 2 in a cover of length 4m/3 or 4m/3 + 1, its
+    two other edges at u and its two at v have weight 1, and the two
+    circuits through r pair the half-edges of those at u with those at v:
+    in order, or crossed.  A choice is a tuple of joins (half-edge,
+    half-edge, the weight-2 edges of the strand between them).  At a vertex
+    x of weight 6 the three circuits take the three pairs of x's edges, and
+    each continues at the far end y of an edge by one of y's two other
+    edges, the other circuit through y by the other: 8 star choices of
+    three joins.  With an edge's other edges in id order, the choices come
+    in the order ``_transition_covers`` has always tried them.
+
+    Options for ``_join_search`` are (vertex bit, weight-2 edge mask,
+    choice): ``pair(r)`` gives r's two, ``star(x)`` x's eight, and
+    ``options(v, reach)`` the two of each edge from v into the vertex mask
+    ``reach``, with the bit of its far end; each is built on first use, so
+    a search pays only for the edges it meets.  ``near[v]`` is v's
+    neighbour mask; ``opp`` and ``vm`` are the chains before any join (see
+    ``_join_search``).
+    """
+
+    __slots__ = ("g", "near", "opp", "vm", "_pairs", "_stars", "_options")
+
+    def __init__(self, g):
+        self.g, size = g, 2 * g.m
+        self.near = [0] * g.n
+        for u, v in g.edges:
+            self.near[u] |= 1 << v
+            self.near[v] |= 1 << u
+        self.opp, self.vm = [0] * size, [0] * size
+        self.opp[0::2], self.opp[1::2] = range(1, size, 2), range(0, size, 2)
+        self.vm[0::2] = self.vm[1::2] = [1 << u | 1 << v for u, v in g.edges]
+        self._pairs, self._stars = [None] * g.m, [None] * g.n
+        self._options = [{} for _ in range(g.n)]
+
+    def _others(self, e, v):
+        """The half-edges at v of v's two edges other than e, in id order."""
+        edges = self.g.edges
+        return [2 * f + (edges[f][0] != v) for f in self.g.incident_edges[v] if f != e]
+
+    def pair(self, r):
+        if self._pairs[r] is None:
+            (a0, a1), (b0, b1) = (self._others(r, v) for v in self.g.edges[r])
+            s = (r,)
+            self._pairs[r] = ((0, 1 << r, ((a0, b0, s), (a1, b1, s))),
+                              (0, 1 << r, ((a0, b1, s), (a1, b0, s))))
+        return self._pairs[r]
+
+    def star(self, x):
+        """x's 8 star options; () unless x has three distinct neighbours."""
+        if self._stars[x] is None:
+            inc = self.g.incident_edges[x]
+            ends = [self.g.other_end(e, x) for e in inc]
+            if len(set(ends)) < 3:
+                self._stars[x] = ()
+            else:
+                (a, b, c), (A, B, C) = inc, (self._others(e, y) for e, y in zip(inc, ends))
+                mask = _mask(inc)
+                self._stars[x] = tuple(
+                    (0, mask, ((A[i], B[j], (a, b)), (A[1 - i], C[k], (a, c)),
+                               (B[1 - j], C[1 - k], (b, c))))
+                    for i in (0, 1) for j in (0, 1) for k in (0, 1))
+        return self._stars[x]
+
+    def options(self, v, reach):
+        known = self._options[v]
+        if reach not in known:
+            g = self.g
+            known[reach] = [(bit, mask, choice) for e in g.incident_edges[v]
+                            for bit in (1 << g.other_end(e, v),) if reach & bit
+                            for _, mask, choice in self.pair(e)]
+        return known[reach]
+
+
+@lru_cache(maxsize=1)
+def _joins(g) -> _Joins:
+    """The join table of ``g``, a one-graph memo like ``_matchings``."""
+    return _Joins(g)
+
+
+def _join_search(table, order, space, first, decode, covers, nodes, limit):
+    """Every run of choices that keeps each circuit off a repeated vertex:
+    one option from each list of ``order`` in turn, then a perfect matching
+    of the vertex mask ``space`` with one choice per matching edge.  Each
+    is appended to ``covers`` as (weight-1 edge mask, circuits when
+    ``decode``, else None); ``first`` stops at the first.
+
+    The matching grows as in ``_matching_search``, on the free vertex with
+    the fewest free neighbours, backing up at one with none; the edges to
+    its free neighbours are tried with their two choices at once
+    (``_Joins.options``).  Joined weight-1 edges form chains, and each free
+    end h of a chain holds the chain's other free end ``opp[h]`` and its
+    vertex mask ``vm[h]``, so a join that closes a chain is a circuit, and
+    one that links two chains whose masks meet is refused with its whole
+    choice.  The trail records each link as its two joined ends, whose
+    entries keep the old chain ends, so a frame takes its choice back
+    before trying the next.  One frame per list of ``order`` or matching
+    edge, on an explicit stack; a node is one option tried.  Returns the
+    running node count.
+    """
+    near, full = table.near, (1 << table.g.m) - 1
+    opp, vm, trail = table.opp[:], table.vm[:], []
+    fixed = len(order)
+    size = fixed + space.bit_count() // 2 + 1
+    # per frame: its options left, the vertices out of reach (matched, or
+    # outside space) and the trail length before its choice, and its choice
+    options, blocks, marks, chosen = [None] * size, [0] * size, [0] * size, [None] * size
+    depth, blocked = 0, ~space
+    push = iter(order[0]) if fixed else None
+    while True:
+        if push is None:
+            if blocked == -1:
+                held = 0
+                for _, mask, _ in chosen[:depth]:
+                    held |= mask
+                covers.append((full & ~held, _decode_joins([c for _, _, c in chosen[:depth]])
+                               if decode else None))
+                if first:
+                    return nodes
+            else:
+                free, best, fewest = ~blocked, -1, 4
+                y = free
+                while y:
+                    bit = y & -y
+                    v = bit.bit_length() - 1
+                    around = free & near[v]
+                    k = around.bit_count()
+                    if k < fewest:
+                        if not k:
+                            best = -1
+                            break
+                        best, fewest, reach = v, k, around
+                        if k == 1:
+                            break
+                    y ^= bit
+                if best >= 0:
+                    blocked |= 1 << best
+                    push = iter(table.options(best, reach))
+        if push is not None:
+            options[depth], blocks[depth], marks[depth] = push, blocked, len(trail)
+            depth += 1
+        # advance the top frame to its next accepted option, popping spent ones
+        while depth:
+            top = depth - 1
+            mark, blocked = marks[top], blocks[top]
+            while len(trail) > mark:
+                p, q = trail.pop()
+                P, Q = opp[p], opp[q]
+                opp[P], opp[Q] = p, q
+                vm[P], vm[Q] = vm[p], vm[q]
+            for option in options[top]:
+                nodes += 1
+                if nodes > limit:
+                    raise NodeLimitExceeded("transitions", nodes)
+                bit, _, joins = option
+                for p, q, _ in joins:
+                    P = opp[p]
+                    if P != q:  # else the join closes p's chain into a circuit
+                        a, b = vm[p], vm[q]
+                        if a & b:
+                            break
+                        Q = opp[q]
+                        opp[P], opp[Q] = Q, P
+                        vm[P] = vm[Q] = a | b
+                        trail.append((p, q))
+                else:
+                    chosen[top] = option
+                    blocked |= bit
+                    break
+                while len(trail) > mark:
+                    p, q = trail.pop()
+                    P, Q = opp[p], opp[q]
+                    opp[P], opp[Q] = p, q
+                    vm[P], vm[Q] = vm[p], vm[q]
+            else:
+                depth = top
+                continue
+            push = iter(order[depth]) if depth < fixed else None
+            break
+        else:
+            return nodes
+
+
+def _first_cover(g, excess, node_limit, nodes):
+    """The first cover at one excess, through the store's 2-factors (excess
+    0) or each vertex's near-2-factors (excess 1) in turn: ([(weight-1 edge
+    mask, circuits)], nodes), or ([], nodes)."""
+    full = (1 << g.m) - 1
+    if excess:
+        level = ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x))
+    else:
+        level = ((-1, pm) for pm in _matchings(g).masks)
+    for x, rest in level:
+        count, found, nodes = _transition_covers(g, rest, x, True, True, node_limit, nodes)
+        if count:
+            return [(full & ~rest, found[0])], nodes
+    return [], nodes
 
 
 def _transition_covers(g, rest, x, first=False, decode=False, node_limit=None, nodes=0):
     """The covers whose weight-1 edges are C = E - rest, a 2-factor (x = -1)
     or a 2-regular subgraph missing the vertex x, by their transitions.
 
-    At a vertex of weight 4 both cover circuits take its rest edge and each
-    takes one of its two C edges.  So a cover pairs, at each rest edge uv,
-    the C edges at u with those at v (two ways), and at x its three circuits
-    take the three pairs of x's edges, each joined at its two far ends to one
-    C edge there (2 * 2 * 2 ways).  A choice is a cover exactly when no
-    circuit passes a vertex twice, that is when the two C edges at a vertex
-    never join one circuit (two circuits through x share a neighbour of x,
-    so this holds at x too).  Distinct choices give distinct covers.
-
-    The search joins C edges at their ends: end 2v + s is the end at v of
-    the s-th C edge at v.  Joined C edges form chains, and each free end of
-    a chain holds the chain's other free end and vertex mask, so a join
-    that closes a chain is a circuit and one that links two chains whose
-    masks meet is refused.  The connectors come in the order a walk along
-    C's circuits meets them, and the search runs from an explicit stack; a
-    node is one choice tried.
+    Each rest edge takes one of its two ``_Joins`` choices, and x one of its
+    8 star choices; a choice is a cover exactly when no circuit passes a
+    vertex twice, that is when the two C edges at a vertex never join one
+    circuit (two circuits through x share a neighbour of x, so this holds at
+    x too).  Distinct choices give distinct covers.  ``_join_search`` tries
+    the connectors in the order a walk along C's circuits meets them, so
+    joined C edges grow as chains along the walk; a node is one choice
+    tried.  This is the route of the first cover, where the store already
+    holds C; ``_every_cover`` finds every cover without it.
 
     Returns (count, covers, nodes), counting on from ``nodes``: ``covers``
     lists each cover's circuits as sorted edge tuples when ``decode``, and
     is empty otherwise.  ``first`` stops at the first cover.
     """
-    ones = [[] for _ in range(g.n)]  # the C edges at each vertex
-    for e, (u, v) in enumerate(g.edges):
-        if not rest >> e & 1:
-            ones[u].append(e)
-            ones[v].append(e)
-    opp, vm = [0] * (2 * g.n), [0] * (2 * g.n)
-    for v, here in enumerate(ones):
-        for s, e in enumerate(here):
-            w = g.other_end(e, v)
-            opp[2 * v + s] = 2 * w + ones[w].index(e)
-            vm[2 * v + s] = 1 << v | 1 << w
-    across = opp[:]  # the far end of each C edge
-    # options[i]: the choices at connector i, each a tuple of joins (end,
-    # end, the rest edges of the strand between them)
-    options, placed, seen = [], set(), [False] * g.n
+    table = _joins(g)
+    order, placed, seen = [], set(), [False] * g.n
     for start in range(g.n):
         v, e = start, -1
         while v != x and not seen[v]:
             seen[v] = True
-            r = next(f for f in g.incident_edges[v] if rest >> f & 1)
+            a, b, c = g.incident_edges[v]
+            r, c0, c1 = (a, b, c) if rest >> a & 1 else (b, a, c) if rest >> b & 1 else (c, a, b)
             if r not in placed and x in g.edges[r]:
-                a, b, c = star = g.incident_edges[x]
-                placed.update(star)
-                ya, yb, yc = (2 * g.other_end(f, x) for f in star)
-                options.append([((ya + i, yb + j, (a, b)), (ya + 1 - i, yc + k, (a, c)),
-                                 (yb + 1 - j, yc + 1 - k, (b, c)))
-                                for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+                placed.update(g.incident_edges[x])
+                order.append(table.star(x))
             elif r not in placed:
                 placed.add(r)
-                p, q = 2 * v, 2 * g.other_end(r, v)
-                options.append((((p, q, (r,)), (p + 1, q + 1, (r,))),
-                                ((p, q + 1, (r,)), (p + 1, q, (r,)))))
-            e = ones[v][ones[v][0] == e]
+                order.append(table.pair(r))
+            e = c1 if e == c0 else c0
             v = g.other_end(e, v)
-
-    k = len(options)
-    nxt, mark, trail = [0] * (k + 1), [0] * (k + 1), []  # trail: (P, p, Q, q) per link
-    count, covers, i = 0, [], 0
+    covers = []
     limit = float("inf") if node_limit is None else node_limit
-    while i >= 0:
-        while len(trail) > mark[i]:
-            P, p, Q, q = trail.pop()
-            opp[P], opp[Q] = p, q
-            vm[P], vm[Q] = vm[p], vm[q]
-        if i == k:
-            count += 1
-            if decode:
-                covers.append(_decode_joins(ones, across, [options[j][nxt[j] - 1]
-                                                           for j in range(k)]))
-            if first:
-                break
-            i -= 1
-            continue
-        c = nxt[i]
-        if c == len(options[i]):
-            nxt[i] = 0
-            i -= 1
-            continue
-        nxt[i] = c + 1
-        nodes += 1
-        if nodes > limit:
-            raise NodeLimitExceeded("transitions", nodes)
-        for p, q, _ in options[i][c]:
-            P, Q = opp[p], opp[q]
-            if P != q:  # else the join closes p's chain into a circuit
-                if vm[p] & vm[q]:
-                    break
-                opp[P], opp[Q] = Q, P
-                vm[P] = vm[Q] = vm[p] | vm[q]
-                trail.append((P, p, Q, q))
-        else:
-            i += 1
-            mark[i] = len(trail)
-    return count, covers, nodes
+    nodes = _join_search(table, order, 0, first, decode, covers, nodes, limit)
+    return len(covers), [c for _, c in covers] if decode else [], nodes
 
 
-def _decode_joins(ones, across, chosen):
-    """The circuits of one choice of ``_transition_covers``, as sorted edge
-    tuples: walk from each unseen end along its C edge, then the join there."""
+def _every_cover(g, excess, node_limit=None, decode=False, nodes=0):
+    """Every cover at one excess, as (weight-1 edge mask, circuits or None
+    unless ``decode``), with the running node count: (covers, nodes).
+
+    Excess 0 is one ``_join_search`` for a perfect matching of G.  At
+    excess 1 each x with three distinct neighbours takes one of its star
+    choices first, then the search runs over G - N[x].
+    """
+    table, covers = _joins(g), []
+    limit = float("inf") if node_limit is None else node_limit
+    everyone = (1 << g.n) - 1
+    if not excess:
+        return covers, _join_search(table, (), everyone, False, decode, covers, nodes, limit)
+    for x in range(g.n):
+        if table.star(x):
+            rest = everyone & ~(table.near[x] | 1 << x)
+            nodes = _join_search(table, (table.star(x),), rest, False, decode, covers, nodes, limit)
+    return covers, nodes
+
+
+def _decode_joins(chosen):
+    """The circuits of one choice of joins, as sorted edge tuples: walk from
+    each unseen half-edge along its edge, then the join at the far end."""
     mate, strand = {}, {}
     for joins in chosen:
         for p, q, edges in joins:
@@ -487,9 +648,9 @@ def _decode_joins(ones, across, chosen):
     for start in mate:
         p, edges = start, []
         while p not in seen:
-            t = across[p]
+            t = p ^ 1
             seen.update((p, t))
-            edges += (ones[p >> 1][p & 1], *strand[t])
+            edges += (p >> 1, *strand[t])
             p = mate[t]
         if edges:
             circuits.append(tuple(sorted(edges)))
@@ -541,7 +702,9 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
 @dataclass(frozen=True)
 class WeightSpectrum:
     """``stage`` names the search that settled the optimum, as in
-    ``SccResult``."""
+    ``SccResult``.  ``nodes`` counts the choices that the joint transition
+    search tried (a transition choice of a weight-2 edge, or a star choice
+    at 4m/3 + 1), then the engine nodes of the deepening route."""
 
     optimal_length: int
     per_edge: tuple
@@ -554,22 +717,24 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
     """Weights attained per edge over all optimal covers (same cap and rules).
 
     At 4m/3 and 4m/3 + 1 each optimal cover comes once from
-    ``_structured_covers``, with weight 1 on its weight-1 edges and 2
-    elsewhere.  Longer optima enumerate every cover over all circuits.
-    ``nodes`` counts the search nodes of every stage, all within one
-    ``node_limit``.
+    ``_structured_covers``, whose joint search picks the weight-2 edges and
+    their transitions together and builds no matching store; such a cover
+    has weight 1 on its weight-1 edges and 2 elsewhere.  Longer optima
+    enumerate every cover over all circuits.  ``nodes`` counts the search
+    nodes of every stage, all within one ``node_limit``.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
     length, covers, nodes = _structured_covers(g, node_limit)
     if covers:
-        attained = [set() for _ in range(g.m)]
-        for ones in {ones for ones, _ in covers}:
-            for e in range(g.m):
-                attained[e].add(2 - (ones >> e & 1))
-        return WeightSpectrum(length, tuple(frozenset(s) for s in attained), len(covers), nodes,
-                              _STAGES[length - 2 * g.n])
+        one = two = 0  # the edges of weight 1, and of weight 2, in some cover
+        for ones, _ in covers:
+            one |= ones
+            two |= ~ones
+        per_edge = tuple(frozenset(w for w, held in ((1, one), (2, two)) if held >> e & 1)
+                         for e in range(g.m))
+        return WeightSpectrum(length, per_edge, len(covers), nodes, _STAGES[length - 2 * g.n])
     length, _, space, nodes = _deepening(g, cap, node_limit, nodes=nodes)
     return _spectrum_over(space, cap, length, node_limit, nodes)
 

@@ -173,6 +173,18 @@ def test_spectrum_node_limit_aborts(tmp_path, capsys):
         assert captured.out == "" and "search aborted" in captured.err
     assert main(["spectrum", str(path), "--node-limit", str(needed), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["n_optimal_covers"] == 182
+    # Petersen settles at 4m/3 + 1: one budget spans the search that finds no
+    # cover at 4m/3 and the star levels after it
+    g6 = write_graph6(petersen())
+    path.write_text(g6 + "\n")
+    spec = solvers.edge_weight_spectrum(parse_graph6(g6))
+    assert spec.stage == "4m/3+1"
+    assert main(["spectrum", str(path), "--node-limit", str(spec.nodes - 1), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"search aborted: node limit exceeded in transitions after {spec.nodes} nodes\n")
+    assert main(["spectrum", str(path), "--node-limit", str(spec.nodes), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_optimal_covers"] == 20
 
 
 def test_cdc_infeasible_exit_code():

@@ -56,6 +56,17 @@ def test_partial_assignment_rejected(pete):
         verify_petersen_colouring(pete, PetersenColouring((None,) * 15))
 
 
+def test_best_pullback_rejects_a_partial_assignment(pete):
+    # the colouring refuses an unassigned edge itself, before any reader
+    # (here fiber_sizes) can meet one
+    with pytest.raises(GraphError, match="assignment must cover every edge"):
+        best_pullback_cover(pete, PetersenColouring((None,) * 15))
+    with pytest.raises(GraphError, match="assignment must cover every edge"):
+        PetersenColouring((*range(14), None))
+    with pytest.raises(GraphError, match="assignment must cover every edge"):
+        verify_petersen_colouring(pete, PetersenColouring(tuple(range(14))))
+
+
 def test_find_colouring(k4, pete, j5):
     for g in (k4, pete, j5):
         c = find_petersen_colouring(g)

@@ -23,6 +23,7 @@ from cyclecover.solvers import (
     _CircuitSpace,
     _circuits,
     _CoverEngine,
+    _every_cover,
     _matchings,
     _near_factor_rests,
     _partition_tables,
@@ -211,16 +212,26 @@ def _weight_one_subgraphs(g):
 
 
 def test_transition_covers_match_engine_oracle(pete, j5):
+    # per weight-1 subgraph (the first-cover route), and over all of them at
+    # once: the joint search of each level returns the union of the oracle's
+    # covers over the 2-factors (excess 0) or the near-2-factors (excess 1)
     subgraphs = covers = 0
     for g0 in [*load_corpus(12), *load_snarks18(), pete, j5]:
         for g in (g0, relabelled(g0, 1), relabelled(g0, 2)):
+            full, union = (1 << g.m) - 1, (Counter(), Counter())
             for x, rest in _weight_one_subgraphs(g):
                 count, found, _ = _transition_covers(g, rest, x, decode=True)
                 want = _covers_by_engine(g, rest, x)
                 assert Counter(tuple(sorted(c)) for c in found) == want
                 assert count == len(found) == _transition_covers(g, rest, x)[0]
+                union[x >= 0].update({(full & ~rest, cover): k for cover, k in want.items()})
                 subgraphs += 1
                 covers += count
+            for excess, want in enumerate(union):
+                found, _ = _every_cover(g, excess, decode=True)
+                assert Counter((ones, tuple(sorted(c))) for ones, c in found) == want
+                assert [ones for ones, _ in _every_cover(g, excess)[0]] == [
+                    ones for ones, _ in found]
     assert subgraphs > 10000 and covers > 30000
 
 
@@ -302,9 +313,12 @@ def test_scc_deepening_petersen_pair(pete):
     assert validate(res.cover, g).ok
     assert res.stage == "deepening"
     # the deepening's search and witness are pinned: the two structured
-    # levels take 6,800 transition nodes (1,228 engine nodes over alternating
-    # circuit spaces before the transition search), the deepening 770
-    assert _structured_covers(g)[2] == 6800
+    # levels take 6,800 transition nodes on the first-cover route (1,228
+    # engine nodes over alternating circuit spaces before the transition
+    # search), the deepening 770; the joint search for every cover takes
+    # 9,514 to find none
+    assert _structured_covers(g, first=True)[2] == 6800
+    assert _structured_covers(g)[:2] == (None, []) and _structured_covers(g)[2] == 9514
     assert res.nodes == 6800 + 770
     assert [c.edges for c in res.cover.circuits] == [
         (0, 1, 7, 12, 5), (1, 2, 8, 10, 6), (16, 21, 26, 25, 22), (17, 18, 23, 24, 22),
@@ -445,6 +459,22 @@ def test_matching_store_shared_by_consecutive_calls(monkeypatch):
     for graph in (h, g, h):
         oddness(graph)
     assert calls == [g, h, g, h]
+
+
+def test_spectrum_builds_no_matching_store(monkeypatch):
+    calls = []
+    original = solvers.enumerate_perfect_matchings
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings", counting)
+    # fresh graph objects, whose store no earlier call can have filled
+    k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    for g, stage in ((k4, "4m/3"), (flower(5), "4m/3"), (petersen(), "4m/3+1")):
+        assert edge_weight_spectrum(g).stage == stage
+    assert calls == []
 
 
 def test_tau_values(k4, pete):
@@ -886,8 +916,8 @@ def test_spectrum_flower5(j5):
 
 
 def test_spectrum_node_budget_spans_every_search(j5):
-    # J5's covers come from CDC searches through several 2-factors, so a
-    # budget of one node less than their sum fits each search on its own
+    # J5's covers go through several 2-factors, and one search over all of
+    # them spends one budget: a node less than its total aborts it
     spec = edge_weight_spectrum(j5)
     assert edge_weight_spectrum(j5, node_limit=spec.nodes) == spec
     with pytest.raises(NodeLimitExceeded) as exc:
