@@ -22,20 +22,19 @@ from .graphs import CubicGraph, Multigraph, bridges, is_connected
 # --------------------------------------------------------------------------
 
 class _CircuitSpace:
-    """The circuits of ``_circuits(g, rest, free)``, as parallel arrays of
-    bitmasks.
+    """The circuits of ``_circuits(g)``, as parallel arrays of bitmasks.
 
     Order: increasing (length, sorted edge tuple); this is also the canonical
-    candidate order of the cover engines, where trying short circuits first
+    candidate order of the cover engine, where trying short circuits first
     keeps the lower bound tight.  ``by_edge[e]`` lists the circuits through
     edge ``e`` in that order.
     """
 
     __slots__ = ("g", "masks", "vmasks", "elists", "vlists", "lengths", "by_edge")
 
-    def __init__(self, g: Multigraph, rest, free):
+    def __init__(self, g: Multigraph):
         self.g = g
-        raw = [(tuple(sorted(edges)), verts) for edges, verts in _circuits(g, rest, free)]
+        raw = [(tuple(sorted(edges)), verts) for edges, verts in _circuits(g)]
         raw.sort(key=lambda t: (len(t[0]), t[0]))
         self.elists = [t[0] for t in raw]
         self.vlists = [t[1] for t in raw]
@@ -62,86 +61,48 @@ def _mask(ids):
     return x
 
 
-def _circuits(g: Multigraph, rest, free):
-    """The circuits that pass each vertex outside the vertex mask ``free`` by
-    one edge of ``rest`` (an edge mask) and one edge of E - rest, and each
-    vertex of ``free`` by any two of its edges.
-
-    E - rest must be 2-regular on the vertices outside ``free``, and every
-    edge at a free vertex must be in ``rest``.  With rest = E and free = V
-    these are all the circuits of g, which ``_deepening`` and
-    ``_spectrum_over`` search.  With E - rest vertex-disjoint circuits of a
-    cubic graph, they are the only circuits that can complete a CDC through
-    those circuits (see ``find_cdc``).  Each comes once, as the (edges,
-    vertices) walk that leaves its least ``rest`` edge e0 at the first end
-    of e0.  (The covers of length 4m/3 and 4m/3 + 1 need no circuit list:
-    see ``_transition_covers``.)
-    """
-    # moves out of a vertex entered by a rest edge: a free vertex leaves by a
-    # rest edge (e2, y); any other leaves by a factor edge f to w, whose one
-    # rest edge e2 goes on to y (f, w, e2, y)
-    moves = [[] for _ in range(g.n)]
-    r_edge, r_end = [-1] * g.n, [-1] * g.n
+def _circuits(g: Multigraph):
+    """Every circuit of g, for ``_deepening`` and ``_spectrum_over``; each
+    once, as the (edges, vertices) walk that leaves its least edge e0 at the
+    first end of e0.  (The covers of length 4m/3 and 4m/3 + 1, and the
+    circuit-form double covers, need no circuit list: see
+    ``_transition_covers`` and ``find_cdc``.)"""
+    moves = [[] for _ in range(g.n)]  # (edge, far end) per vertex, loops left out
     for e, (u, v) in enumerate(g.edges):
-        if rest >> e & 1 and u != v:
-            for a, b in ((u, v), (v, u)):
-                if free >> a & 1:
-                    moves[a].append((e, b))
-                else:
-                    r_edge[a], r_end[a] = e, b
-    for f, (u, v) in enumerate(g.edges):
-        if not rest >> f & 1:
-            moves[u].append((f, v, r_edge[v], r_end[v]))
-            moves[v].append((f, u, r_edge[u], r_end[u]))
+        if u != v:
+            moves[u].append((e, v))
+            moves[v].append((e, u))
     out = []
 
     def extend(cur, e0, u0, visited, path_e, path_v):
-        if free >> cur & 1:
-            for e2, y in moves[cur]:
-                if e2 <= e0:
-                    continue
-                if y == u0:
-                    out.append((path_e + [e2], tuple(path_v)))
-                    continue
-                if visited >> y & 1:
-                    continue
-                path_e.append(e2)
-                path_v.append(y)
-                extend(y, e0, u0, visited | 1 << y, path_e, path_v)
-                path_v.pop()
-                path_e.pop()
-            return
-        for f, w, e2, y in moves[cur]:
-            if w == u0:
-                out.append((path_e + [f], tuple(path_v)))
+        for e, y in moves[cur]:
+            if e <= e0:
                 continue
-            if e2 <= e0 or visited >> w & 1:
-                continue
-            if y == u0:  # e2 is a second rest edge at u0, so u0 is free
-                out.append((path_e + [f, e2], (*path_v, w)))
+            if y == u0:
+                out.append((path_e + [e], tuple(path_v)))
                 continue
             if visited >> y & 1:
                 continue
-            path_e += (f, e2)
-            path_v += (w, y)
-            extend(y, e0, u0, visited | 1 << w | 1 << y, path_e, path_v)
-            del path_v[-2:]
-            del path_e[-2:]
+            path_e.append(e)
+            path_v.append(y)
+            extend(y, e0, u0, visited | 1 << y, path_e, path_v)
+            path_v.pop()
+            path_e.pop()
 
     for e0, (u0, v0) in enumerate(g.edges):
-        if rest >> e0 & 1 and u0 != v0:
+        if u0 != v0:
             extend(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
     return out
 
 
 def enumerate_circuits(g: Multigraph):
     """All circuits in canonical form, sorted by (length, edge ids)."""
-    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
+    space = _CircuitSpace(g)
     return [space.circuit(i) for i in range(len(space))]
 
 
 # --------------------------------------------------------------------------
-# the cover search engine (shortest covers, CDCs, enumeration)
+# the cover search engine (optima above 4m/3 + 1, and their enumeration)
 # --------------------------------------------------------------------------
 
 class _SearchStop(Exception):
@@ -151,8 +112,7 @@ class _SearchStop(Exception):
 class _CoverEngine:
     """Branch and bound over circuit multisets.
 
-    ``coverage[e]`` is the weight edge e must reach (1 for covers, 2 for
-    double covers, less on edges of circuits a caller has already placed),
+    ``coverage[e]`` is the weight edge e must reach (1 for a cover),
     ``cap[e]`` the most it may take, and ``vcap[v]``, the sum of the caps at
     v, bounds the weight of vertex v.  Branches on the deficient edge whose
     ends have the least spare capacity, vcap - w(v); candidate circuits are
@@ -664,7 +624,7 @@ def _deepening(g, cap, node_limit=None, nodes=0):
     Returns (length, witness indices, space, nodes), counting on from the
     ``nodes`` already spent.
     """
-    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
+    space = _CircuitSpace(g)
     ones, caps = [1] * g.m, [cap] * g.m
     target = 2 * g.n + 2
     while True:
@@ -1131,16 +1091,36 @@ def _is_circuit(g, edges):
         return False
 
 
+def _bfs_edges(g):
+    """The edge ids of g in the order a breadth-first search meets them,
+    from vertex 0 and then from each vertex it has not reached."""
+    order, reached = {}, set()
+    for root in range(g.n):
+        queue = [] if root in reached else [root]
+        reached.add(root)
+        for v in queue:
+            for e in g.incident_edges[v]:
+                order.setdefault(e)
+                w = g.other_end(e, v)
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+    return list(order)
+
+
 def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, node_limit=None):
     """Search for a cycle double cover.
 
     Without ``k``: circuit-form search; the result is a ``CycleCover`` with
     every edge weight exactly 2 that holds the circuits of ``must_contain``,
     or ``None`` when the search space is exhausted (proven infeasible).  The
-    forced circuits lower each edge's demand, 2 less the times they pass it,
-    and the search covers every edge to its demand.  With vertex-disjoint
-    forced circuits it searches only the circuits that alternate around them;
-    otherwise it searches every circuit.
+    three circuits of a CDC through a vertex take its three pairs of edges
+    once each, so a CDC is one ``_Joins`` choice for each edge that g keeps
+    in its truncation T(g): the CDCs of g are the covers of T of length
+    4|E(T)|/3 whose weight-1 edges are the triangles.  One ``_join_search``
+    takes the edges in ``_bfs_edges`` order.  A forced circuit pins each of
+    its edges to the choice that joins its own transitions (only its edge
+    set counts), and no CDC takes a transition twice.
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
@@ -1151,30 +1131,37 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     if k is None:
         if two_factor_class:
             raise GraphError("a 2-factor class constraint needs the k-class search")
-        demand = [2] * g.m
+        if bridges(g):
+            return None  # no circuit passes a bridge
+        # T(g): vertex h = 2e + s is the end of edge e at g.edges[e][s], edge
+        # e keeps id e, and each vertex of g becomes a triangle on its ends
+        ends = [(2 * e, 2 * e + 1) for e in range(g.m)]
+        for v, inc in enumerate(g.incident_edges):
+            a, b, c = (2 * e + (g.edges[e][0] != v) for e in inc)
+            ends += ((a, b), (a, c), (b, c))
+        table, pins, taken = _Joins(Multigraph(2 * g.m, ends)), {}, set()
         for c in must_contain:
             if not _is_circuit(g, c.edges):
                 return None  # not a circuit of g: nothing can contain it
-            for e in c.edges:
-                demand[e] -= 1
-        if any(d < 0 for d in demand):
+            walk = trace_circuit(g, c.edges)
+            for i, e in enumerate(walk.edges):
+                # as vertices of T, the ends of the circuit's edges before and after e
+                j = (i + 1) % len(walk)
+                want = {2 * f + (g.edges[f][0] != v) for f, v in (
+                    (walk.edges[i - 1], walk.vertices[i]), (walk.edges[j], walk.vertices[j]))}
+                for o, (_, _, joins) in enumerate(table.pair(e)):
+                    for p, q, _ in joins:  # triangle edges, named by their far ends
+                        if {ends[p >> 1][~p & 1], ends[q >> 1][~q & 1]} == want:
+                            pin, join = o, (p, q)
+                if join in taken or pins.setdefault(e, pin) != pin:
+                    return None  # a transition taken twice, or two that no choice holds
+                taken.add(join)
+        order = [(table.pair(e)[pins[e]],) if e in pins else table.pair(e) for e in _bfs_edges(g)]
+        covers, limit = [], float("inf") if node_limit is None else node_limit
+        _join_search(table, order, 0, True, True, covers, 0, limit)
+        if not covers:
             return None
-        forced = [e for e in range(g.m) if demand[e] < 2]
-        on = {v for e in forced for v in g.edges[e]}
-        rest, free = (1 << g.m) - 1, (1 << g.n) - 1
-        if all(demand) and all(g.degree(v) == 3 for v in on):
-            # vertex-disjoint forced circuits: at each of their vertices the
-            # third edge needs two more circuits and each forced edge one, so
-            # every further circuit takes the third edge and a forced edge
-            rest &= ~_mask(forced)
-            free &= ~_mask(on)
-        space = _CircuitSpace(g, rest, free)
-        eng = _CoverEngine(g, space, demand, demand, node_limit=node_limit)
-        found = eng.search("first", bound=sum(demand))
-        if found is None:
-            return None
-        return CycleCover.of([trace_circuit(g, c.edges) for c in must_contain]
-                             + [space.circuit(i) for i in found])
+        return CycleCover.of(trace_circuit(g, [e for e in edges if e < g.m]) for edges in covers[0][1])
     if must_contain:
         raise GraphError("must_contain is only available in the circuit-form search")
     if k < 2:

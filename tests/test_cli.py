@@ -205,6 +205,15 @@ def test_cdc_with_contains():
     assert payload["found"] and payload["is_cdc"]
 
 
+def test_cdc_without_contains_on_j7(tmp_path, capsys):
+    # over every circuit this search did not finish in 90 s
+    path = tmp_path / "j7.g6"
+    path.write_text(write_graph6(flower(7)) + "\n")
+    assert main(["cdc", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] and payload["is_cdc"]
+
+
 def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
@@ -323,7 +332,7 @@ def test_verify_cover_reads_edge_ids(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, search", [
     (["scc"], "transitions"), (["spectrum"], "transitions"), (["tau"], "labelling"),
-    (["circ"], "circumference"), (["construct", "--via", "oddness2"], "cover engine")])
+    (["circ"], "circumference"), (["construct", "--via", "oddness2"], "transitions")])
 def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")

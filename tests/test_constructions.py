@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import check_kcdc, load_bridgeless_corpus
 from cyclecover import flower, goldberg
 from cyclecover.constructions import (
+    _cdc_through,
     cover_from_cdc,
     cover_via_circumference,
     cover_via_oddness2,
@@ -14,10 +17,17 @@ from cyclecover.constructions import (
     scc_cover_from_tau4,
 )
 from cyclecover.covers import CycleCover, KCdc, decompose_even_subgraph, trace_circuit, validate
-from cyclecover.errors import GraphError, HypothesisViolated, NodeLimitExceeded, TauTooLarge
+from cyclecover.errors import (
+    GraphError,
+    HypothesisViolated,
+    NodeLimitExceeded,
+    StrongCdcNotFound,
+    TauTooLarge,
+)
 from cyclecover.solvers import (
     circumference,
     edge_colouring_3,
+    enumerate_circuits,
     enumerate_perfect_matchings,
     find_cdc,
     oddness,
@@ -58,6 +68,19 @@ def test_cover_from_cdc_rejects_absent_circuit(k4, pete):
         cdc = CycleCover.of([c for c in cdc.circuits if c != bogus])
     with pytest.raises(GraphError, match="is not in the CDC"):
         cover_from_cdc(k4, cdc, [bogus])
+
+
+def test_cdc_through_circuits_that_share_a_transition(pete):
+    # the three circuits of a CDC at a vertex take its three pairs of edges
+    # once each, so no CDC holds two circuits that pass a vertex by the same
+    # two edges
+    def transitions(c):
+        return {frozenset((c.edges[i - 1], c.edges[i])) for i in range(len(c))}
+
+    pair = next((c, d) for c, d in combinations(enumerate_circuits(pete), 2)
+                if transitions(c) & transitions(d))
+    with pytest.raises(StrongCdcNotFound, match="^no CDC through the pair$"):
+        _cdc_through(pete, pair, None, "through the pair")
 
 
 def test_extract_cdc_k4(k4):

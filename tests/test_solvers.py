@@ -174,30 +174,22 @@ def test_every_circuit_matches_dfs_oracle():
     looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
     for g in [*load_corpus(12), digons, looped]:
         want = _circuit_list(_raw_circuits(g))
-        assert _circuit_list(_circuits(g, (1 << g.m) - 1, (1 << g.n) - 1)) == want
-    assert len(_circuits(looped, (1 << looped.m) - 1, (1 << looped.n) - 1)) == 6
+        assert _circuit_list(_circuits(g)) == want
+    assert len(_circuits(looped)) == 6
 
 
-def test_alternating_circuits_match_oracle(j5):
-    spaces = 0
-    for g in [*load_corpus(12), j5, *load_snarks18()]:
-        for rest in _matchings(g).masks:
-            assert _circuit_list(_circuits(g, rest, 0)) == _circuit_list(
-                _alternating_circuits(g, rest))
-            spaces += 1
-        for x in range(g.n):
-            for rest in _near_factor_rests(g, x):
-                assert _circuit_list(_circuits(g, rest, 1 << x)) == _circuit_list(
-                    _alternating_circuits(g, rest, x))
-                spaces += 1
-    assert spaces > 3000
+def _space_of(g, walks):
+    """A ``_CircuitSpace`` of g over the given circuit walks only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_circuits", lambda _: walks)
+        return _CircuitSpace(g)
 
 
 def _covers_by_engine(g, rest, x):
     """Oracle: the covers through the weight-1 edges E - rest, by the cover
-    engine over the circuits that alternate with them, with demand and cap 1
-    on E - rest and 2 on rest."""
-    space = _CircuitSpace(g, rest, 0 if x < 0 else 1 << x)
+    engine over the circuits that alternate with them (``_alternating_circuits``),
+    with demand and cap 1 on E - rest and 2 on rest."""
+    space = _space_of(g, _alternating_circuits(g, rest, x))
     demand = [1 + (rest >> e & 1) for e in range(g.m)]
     hits = []
     _CoverEngine(g, space, demand, demand).search("all", bound=sum(demand), collect=hits.append)
@@ -259,8 +251,7 @@ def test_transition_search_counts_one_running_budget(pete, j5):
 def test_stage_names_the_settling_search(k4, pete):
     for g, stage in ((k4, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
-    assert _spectrum_over(_CircuitSpace(k4, (1 << k4.m) - 1, (1 << k4.n) - 1), 2, 8).stage == (
-        "deepening")
+    assert _spectrum_over(_CircuitSpace(k4), 2, 8).stage == "deepening"
 
 
 def test_scc_k4(k4):
@@ -787,7 +778,7 @@ def test_find_cdc_circuit_form(k4, pete, j5):
     cdc = find_cdc(pete, must_contain=[circ])
     assert cdc is not None and validate(cdc, pete).is_cdc
     assert circ in cdc.circuits
-    # a third copy of a circuit leaves its edges a negative demand
+    # copies of a circuit take its transitions twice
     assert find_cdc(pete, must_contain=[circ] * 3) is None
     ham = trace_circuit(k4, [0, 2, 3, 5])  # 0-1-2-3
     assert find_cdc(k4, must_contain=[ham] * 3) is None
@@ -797,9 +788,14 @@ def test_find_cdc_circuit_form(k4, pete, j5):
     cube = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
                         (0, 4), (1, 5), (2, 6), (3, 7)])
     assert find_cdc(cube, must_contain=[Circuit(tuple(range(8)), tuple(range(8)))]) is None
+    # two J7 blocks joined by a bridge, which no circuit passes: no choice
+    # is tried (without the bridge test the search ran past 2,000,000 nodes)
+    (u, v), rest = flower(7).edges[0], flower(7).edges[1:]
+    block = [*rest, (u, 28), (28, v)]
+    bridged = build_graph(block + [(a + 29, b + 29) for a, b in block] + [(28, 57)])
+    assert find_cdc(bridged, node_limit=0) is None
     # every vertex of a CDC lies on three circuits that pairwise share an
-    # edge; forcing two of them leaves that edge no demand and its ends a
-    # target weight of 2
+    # edge; forcing two of them pins that edge from both
     for g in [pete, j5, *load_bridgeless_corpus(12)]:
         pair = next((c1, c2) for c1, c2 in combinations(find_cdc(g).circuits, 2)
                     if c1.edge_set & c2.edge_set)
@@ -811,9 +807,10 @@ def test_find_cdc_circuit_form(k4, pete, j5):
 
 
 def _find_cdc_over_every_circuit(g, must_contain):
-    """Oracle: the circuit-form CDC search with the same engine over every
-    circuit of g."""
-    space = _CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1)
+    """Oracle: a CDC through ``must_contain`` by the cover engine over every
+    circuit of g, each edge covered to 2 less the times the forced circuits
+    pass it."""
+    space = _CircuitSpace(g)
     demand = [2] * g.m
     for c in must_contain:
         if tuple(sorted(c.edges)) not in space.elists:
@@ -829,9 +826,22 @@ def _find_cdc_over_every_circuit(g, must_contain):
                          + [space.circuit(i) for i in found])
 
 
+def _holds_cdc(g, cdc, must_contain):
+    """Whether ``cdc`` is a CDC of g that holds every forced circuit."""
+    rest = list(cdc.circuits)
+    for c in must_contain:
+        c = trace_circuit(g, c.edges)
+        if c not in rest:
+            return False
+        rest.remove(c)
+    return validate(cdc, g).is_cdc
+
+
 def test_find_cdc_forced_circuits_match_every_circuit_oracle(pete):
+    # the transition search finds a CDC exactly when the engine over every
+    # circuit does, and its witness holds the forced circuits
     kinds = Counter()
-    for g in [*load_bridgeless_corpus(10), pete]:
+    for g in [h for g0 in (*load_bridgeless_corpus(10), pete) for h in (g0, relabelled(g0, 1))]:
         circuits = enumerate_circuits(g)
         for i, c in enumerate(circuits):
             forced = [[c], [c, c]]
@@ -844,18 +854,45 @@ def test_find_cdc_forced_circuits_match_every_circuit_oracle(pete):
             forced += [[c, d] for d in later[:2] if c.edge_set & d.edge_set]
             for must in forced:
                 got = find_cdc(g, must_contain=must)
-                assert got == _find_cdc_over_every_circuit(g, must)
+                assert (got is None) == (_find_cdc_over_every_circuit(g, must) is None)
+                assert got is None or _holds_cdc(g, got, must)
                 kinds[len(must), got is None] += 1
     assert all(kinds[size, found] for size in (1, 2) for found in (True, False))
+    assert sum(kinds.values()) > 8000
 
 
-def test_find_cdc_forced_circuit_searches_only_alternating_circuits():
-    # at the parent commit the search over every circuit spent its
-    # 1,000 nodes without a CDC
+def test_find_cdc_forced_longest_circuit_node_bound():
+    # J7 through its longest circuit: the transition search tries 288 choices
     g = flower(7)
     _, longest = circumference(g)
-    cdc = find_cdc(g, must_contain=[longest], node_limit=1000)
-    assert validate(cdc, g).is_cdc and longest in cdc.circuits
+    cdc = find_cdc(g, must_contain=[longest], node_limit=288)
+    assert _holds_cdc(g, cdc, [longest])
+    with pytest.raises(NodeLimitExceeded) as exc:
+        find_cdc(g, must_contain=[longest], node_limit=287)
+    assert (exc.value.search, exc.value.nodes) == ("transitions", 288)
+
+
+def test_find_cdc_without_forced_circuits_on_snarks():
+    # a search over every circuit did not finish J7 in 90 s; the transition
+    # search takes at most 17,510 nodes on these
+    for g0 in (flower(7), flower(9), flower(11), goldberg(5), goldberg(7)):
+        for g in (g0, *(relabelled(g0, seed) for seed in (1, 2, 3))):
+            assert validate(find_cdc(g, node_limit=50_000), g).is_cdc
+
+
+def test_find_cdc_runs_no_cover_engine(monkeypatch, pete):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the circuit-form search built a circuit space or an engine")
+
+    cdc = find_cdc(pete)
+    pair = next((c1, c2) for c1, c2 in combinations(cdc.circuits, 2) if c1.edge_set & c2.edge_set)
+    monkeypatch.setattr(solvers, "_CircuitSpace", refuse)
+    monkeypatch.setattr(solvers, "_CoverEngine", refuse)
+    assert find_cdc(pete) == cdc
+    _, longest = circumference(pete)
+    assert _holds_cdc(pete, find_cdc(pete, must_contain=[longest]), [longest])
+    assert _holds_cdc(pete, find_cdc(pete, must_contain=pair), pair)
+    assert find_cdc(pete, must_contain=[longest, longest]) is None
 
 
 def test_find_cdc_k5_two_factor(pete):
@@ -886,7 +923,7 @@ _PERMS = ((1, 0, 5, 2, 6, 4, 3), (6, 0, 3, 1, 4, 2, 5))
 def _full_space(g, length, cap=2):
     """(length, covers, per_edge) of the covers of that length, enumerated
     over every circuit of g: the route kept for optima above 4m/3 + 1."""
-    spec = _spectrum_over(_CircuitSpace(g, (1 << g.m) - 1, (1 << g.n) - 1), cap, length)
+    spec = _spectrum_over(_CircuitSpace(g), cap, length)
     return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
 
 
