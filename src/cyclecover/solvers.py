@@ -280,42 +280,18 @@ def _check_coverable(g):
         raise HypothesisViolated(f"no cycle cover exists: bridge(s) at edges {b}")
 
 
-def _near_factor_rests(g, x):
-    """E - C, as edge masks, for every 2-regular subgraph C that covers
-    exactly the vertices other than x.
-
-    C holds both other edges of each neighbour of x, so E - C is the star of
-    x plus a perfect matching of G - N[x], and C exists only when x has three
-    distinct neighbours.  The complements of C within E - star(x) reverse the
-    order of the matchings' sorted edge tuples, so the C come in include-first
-    order: of two, the one holding the least edge where they differ first.
-    """
-    ends = {g.other_end(e, x) for e in g.incident_edges[x]}
-    if len(ends) < 3:
-        return []
-    star = _mask(g.incident_edges[x])
-    free = ((1 << g.n) - 1) & ~_mask(ends | {x})
-    return [star | _mask(t) for t in reversed(_matching_search(g, free))]
-
-
 def _structured_covers(g, node_limit=None, first=False, decode=False):
     """The covers of length 4m/3 or 4m/3 + 1, found through their weight-1 edges.
 
     A cover of length 2n + excess (2n = 4m/3) has vertex weights 4, that is
     edge weights 1, 1, 2, except that at excess 1 one vertex x has weight 6,
     with edge weights 2, 2, 2 (an edge of weight 3 would need weight 6 at
-    both ends).  So no cap above 2 changes these covers.  The weight-1 edges
-    C form a 2-factor, or a 2-regular subgraph missing x, and a cover is one
-    transition choice (``_Joins``) per weight-2 edge, and at x one star
-    choice, such that no circuit passes a vertex twice.  A cover determines
-    C and x, so each one is found exactly once.  Excess 0 comes first; each
-    level is searched exhaustively, and one node budget covers every search.
-
-    The question sets the route.  ``first`` walks the store's 2-factors,
-    then each x's near-2-factors, and runs ``_transition_covers`` on each
-    until one has a cover.  Every cover comes from ``_every_cover``: one
-    search over the weight-2 edges and their choices together, which builds
-    no matching store.
+    both ends).  So no cap above 2 changes these covers, and the weight-1
+    edges C form a 2-factor, or a 2-regular subgraph missing x.  Every
+    search is a ``_truncated_covers`` search, which finds each cover once.
+    Excess 0 comes first; each level is searched exhaustively, and one node
+    budget covers every search.  ``first`` stops at the first cover, which
+    at 4m/3 comes from the store's 2-factors in turn (``_transition_covers``).
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
     circuits as sorted edge tuples, or None unless ``decode`` or ``first``),
@@ -324,10 +300,14 @@ def _structured_covers(g, node_limit=None, first=False, decode=False):
     """
     nodes = 0
     for excess in (0, 1):
-        if first:
-            covers, nodes = _first_cover(g, excess, node_limit, nodes)
+        covers = []
+        if first and not excess:
+            for pm in _matchings(g).masks:
+                covers, nodes = _transition_covers(g, pm, True, True, node_limit, nodes)
+                if covers:
+                    break
         else:
-            covers, nodes = _every_cover(g, excess, node_limit, decode, nodes)
+            covers, nodes = _every_cover(g, excess, node_limit, decode or first, nodes, first)
         if covers:
             return 2 * g.n + excess, covers, nodes
     return None, [], nodes
@@ -338,27 +318,22 @@ class _Joins:
     on the weight-1 edges, and the start of every search over them.
 
     A half-edge h = 2e + s is the end of edge e at ``g.edges[e][s]``.  When
-    an edge r = uv has weight 2 in a cover of length 4m/3 or 4m/3 + 1, its
-    two other edges at u and its two at v have weight 1, and the two
+    an edge r = uv has weight 2 in a cover whose vertices all have weight 4,
+    its two other edges at u and its two at v have weight 1, and the two
     circuits through r pair the half-edges of those at u with those at v:
-    in order, or crossed.  A choice is a tuple of joins (half-edge,
-    half-edge, the weight-2 edges of the strand between them).  At a vertex
-    x of weight 6 the three circuits take the three pairs of x's edges, and
-    each continues at the far end y of an edge by one of y's two other
-    edges, the other circuit through y by the other: 8 star choices of
-    three joins.  With an edge's other edges in id order, the choices come
-    in the order ``_transition_covers`` has always tried them.
+    in order, or crossed.  A choice is the tuple of these two joins
+    (half-edge, half-edge).  With an edge's other edges in id order, the
+    choices come in the order ``_transition_covers`` has always tried them.
 
-    Options for ``_join_search`` are (vertex bit, weight-2 edge mask,
-    choice): ``pair(r)`` gives r's two, ``star(x)`` x's eight, and
-    ``options(v, reach)`` the two of each edge from v into the vertex mask
-    ``reach``, with the bit of its far end; each is built on first use, so
-    a search pays only for the edges it meets.  ``near[v]`` is v's
-    neighbour mask; ``opp`` and ``vm`` are the chains before any join (see
-    ``_join_search``).
+    Options for ``_join_search`` are (vertex bit, weight-2 edge, choice):
+    ``pair(r)`` gives r's two, and ``options(v, reach)`` the two of each
+    edge from v into the vertex mask ``reach``, with the bit of its far
+    end; each is built on first use, so a search pays only for the edges it
+    meets.  ``near[v]`` is v's neighbour mask; ``opp`` and ``vm`` are the
+    chains before any join (see ``_join_search``).
     """
 
-    __slots__ = ("g", "near", "opp", "vm", "_pairs", "_stars", "_options")
+    __slots__ = ("g", "near", "opp", "vm", "_pairs", "_options")
 
     def __init__(self, g):
         self.g, size = g, 2 * g.m
@@ -369,45 +344,24 @@ class _Joins:
         self.opp, self.vm = [0] * size, [0] * size
         self.opp[0::2], self.opp[1::2] = range(1, size, 2), range(0, size, 2)
         self.vm[0::2] = self.vm[1::2] = [1 << u | 1 << v for u, v in g.edges]
-        self._pairs, self._stars = [None] * g.m, [None] * g.n
+        self._pairs = [None] * g.m
         self._options = [{} for _ in range(g.n)]
-
-    def _others(self, e, v):
-        """The half-edges at v of v's two edges other than e, in id order."""
-        edges = self.g.edges
-        return [2 * f + (edges[f][0] != v) for f in self.g.incident_edges[v] if f != e]
 
     def pair(self, r):
         if self._pairs[r] is None:
-            (a0, a1), (b0, b1) = (self._others(r, v) for v in self.g.edges[r])
-            s = (r,)
-            self._pairs[r] = ((0, 1 << r, ((a0, b0, s), (a1, b1, s))),
-                              (0, 1 << r, ((a0, b1, s), (a1, b0, s))))
+            g = self.g
+            (a0, a1), (b0, b1) = ([2 * f + (g.edges[f][0] != v) for f in g.incident_edges[v]
+                                   if f != r] for v in g.edges[r])
+            self._pairs[r] = ((0, r, ((a0, b0), (a1, b1))), (0, r, ((a0, b1), (a1, b0))))
         return self._pairs[r]
-
-    def star(self, x):
-        """x's 8 star options; () unless x has three distinct neighbours."""
-        if self._stars[x] is None:
-            inc = self.g.incident_edges[x]
-            ends = [self.g.other_end(e, x) for e in inc]
-            if len(set(ends)) < 3:
-                self._stars[x] = ()
-            else:
-                (a, b, c), (A, B, C) = inc, (self._others(e, y) for e, y in zip(inc, ends))
-                mask = _mask(inc)
-                self._stars[x] = tuple(
-                    (0, mask, ((A[i], B[j], (a, b)), (A[1 - i], C[k], (a, c)),
-                               (B[1 - j], C[1 - k], (b, c))))
-                    for i in (0, 1) for j in (0, 1) for k in (0, 1))
-        return self._stars[x]
 
     def options(self, v, reach):
         known = self._options[v]
         if reach not in known:
             g = self.g
-            known[reach] = [(bit, mask, choice) for e in g.incident_edges[v]
+            known[reach] = [(bit, e, choice) for e in g.incident_edges[v]
                             for bit in (1 << g.other_end(e, v),) if reach & bit
-                            for _, mask, choice in self.pair(e)]
+                            for _, _, choice in self.pair(e)]
         return known[reach]
 
 
@@ -415,6 +369,27 @@ class _Joins:
 def _joins(g) -> _Joins:
     """The join table of ``g``, a one-graph memo like ``_matchings``."""
     return _Joins(g)
+
+
+def _truncation(g, X):
+    """T_X: g with each vertex x of X made a triangle on the ends of its
+    three edges.
+
+    Edge e keeps id e and its orientation.  x stays as the end of its first
+    edge, the ends of its other two take new ids from n up, and the triangle
+    edges (a, b), (a, c), (b, c) over its ends in incident-edge order take
+    ids from m up.  So the vertices outside X keep their ids, and at each
+    end of an edge of g the triangle edges come in the id order of g's
+    other edges there: ``_Joins(T_X).pair(e)`` pairs g's transitions at e's
+    ends as ``_Joins(g).pair(e)`` pairs the half-edges.
+    """
+    edges, n, triangles = [list(uv) for uv in g.edges], g.n, []
+    for x in X:
+        for e in g.incident_edges[x][1:]:
+            edges[e][edges[e].index(x)] = n
+            n += 1
+        triangles += ((x, n - 2), (x, n - 1), (n - 2, n - 1))
+    return Multigraph(n, edges + triangles)
 
 
 def _join_search(table, order, space, first, decode, covers, nodes, limit):
@@ -450,10 +425,9 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
         if push is None:
             if blocked == -1:
                 held = 0
-                for _, mask, _ in chosen[:depth]:
-                    held |= mask
-                covers.append((full & ~held, _decode_joins([c for _, _, c in chosen[:depth]])
-                               if decode else None))
+                for _, r, _ in chosen[:depth]:
+                    held |= 1 << r
+                covers.append((full & ~held, _decode_joins(chosen[:depth]) if decode else None))
                 if first:
                     return nodes
             else:
@@ -492,7 +466,7 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
                 if nodes > limit:
                     raise NodeLimitExceeded("transitions", nodes)
                 bit, _, joins = option
-                for p, q, _ in joins:
+                for p, q in joins:
                     P = opp[p]
                     if P != q:  # else the join closes p's chain into a circuit
                         a, b = vm[p], vm[q]
@@ -520,97 +494,98 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
             return nodes
 
 
-def _first_cover(g, excess, node_limit, nodes):
-    """The first cover at one excess, through the store's 2-factors (excess
-    0) or each vertex's near-2-factors (excess 1) in turn: ([(weight-1 edge
-    mask, circuits)], nodes), or ([], nodes)."""
-    full = (1 << g.m) - 1
-    if excess:
-        level = ((x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x))
-    else:
-        level = ((-1, pm) for pm in _matchings(g).masks)
-    for x, rest in level:
-        count, found, nodes = _transition_covers(g, rest, x, True, True, node_limit, nodes)
-        if count:
-            return [(full & ~rest, found[0])], nodes
-    return [], nodes
+def _truncated_covers(g, X, edges, space=0, first=False, decode=False, node_limit=None,
+                      nodes=0, pins=None):
+    """The covers of g whose vertices of weight 6 are those of X, by one
+    ``_join_search`` over the join table of the truncation T_X.
 
-
-def _transition_covers(g, rest, x, first=False, decode=False, node_limit=None, nodes=0):
-    """The covers whose weight-1 edges are C = E - rest, a 2-factor (x = -1)
-    or a 2-regular subgraph missing the vertex x, by their transitions.
-
-    Each rest edge takes one of its two ``_Joins`` choices, and x one of its
-    8 star choices; a choice is a cover exactly when no circuit passes a
-    vertex twice, that is when the two C edges at a vertex never join one
-    circuit (two circuits through x share a neighbour of x, so this holds at
-    x too).  Distinct choices give distinct covers.  ``_join_search`` tries
-    the connectors in the order a walk along C's circuits meets them, so
-    joined C edges grow as chains along the walk; a node is one choice
-    tried.  This is the route of the first cover, where the store already
-    holds C; ``_every_cover`` finds every cover without it.
-
-    Returns (count, covers, nodes), counting on from ``nodes``: ``covers``
-    lists each cover's circuits as sorted edge tuples when ``decode``, and
-    is empty otherwise.  ``first`` stops at the first cover.
+    Those are the covers of T_X of length 4|E(T_X)|/3 whose weight-1 edges
+    hold the triangles, so each edge at a vertex of X has weight 2.  The
+    search takes the weight-2 edges ``edges`` in turn, each with its two
+    choices or the one that ``pins`` names, then a perfect matching of the
+    vertex mask ``space``, whose vertices keep their ids in T_X.  Returns
+    (covers, nodes) as ``_join_search`` finds them, with the weight-1 masks
+    and the circuits cut back to g's edge ids.
     """
-    table = _joins(g)
-    order, placed, seen = [], set(), [False] * g.n
+    table = _Joins(_truncation(g, X)) if X else _joins(g)
+    pins = pins or {}
+    order = [(table.pair(e)[pins[e]],) if e in pins else table.pair(e) for e in edges]
+    covers, limit = [], float("inf") if node_limit is None else node_limit
+    nodes = _join_search(table, order, space, first, decode, covers, nodes, limit)
+    if X:
+        full = (1 << g.m) - 1
+        covers = [(ones & full, found and tuple(tuple(e for e in c if e < g.m) for c in found))
+                  for ones, found in covers]
+    return covers, nodes
+
+
+def _transition_covers(g, rest, first=False, decode=False, node_limit=None, nodes=0):
+    """The covers whose weight-1 edges are the 2-factor C = E - rest, by
+    their transitions.
+
+    Each rest edge takes one of its two ``_Joins`` choices; a choice is a
+    cover exactly when no circuit passes a vertex twice, that is when the
+    two C edges at a vertex never join one circuit.  Distinct choices give
+    distinct covers.  The rest edges are tried in the order a walk along
+    C's circuits meets them, so joined C edges grow as chains along the
+    walk; a node is one choice tried.  This is the route of the first
+    cover, where the store already holds C; ``_every_cover`` finds every
+    cover without it.  Returns (covers, nodes) as ``_every_cover`` does.
+    """
+    order, seen = [], [False] * g.n
     for start in range(g.n):
         v, e = start, -1
-        while v != x and not seen[v]:
+        while not seen[v]:
             seen[v] = True
             a, b, c = g.incident_edges[v]
             r, c0, c1 = (a, b, c) if rest >> a & 1 else (b, a, c) if rest >> b & 1 else (c, a, b)
-            if r not in placed and x in g.edges[r]:
-                placed.update(g.incident_edges[x])
-                order.append(table.star(x))
-            elif r not in placed:
-                placed.add(r)
-                order.append(table.pair(r))
+            if not seen[g.other_end(r, v)]:  # else the walk met r at its far end
+                order.append(r)
             e = c1 if e == c0 else c0
             v = g.other_end(e, v)
-    covers = []
-    limit = float("inf") if node_limit is None else node_limit
-    nodes = _join_search(table, order, 0, first, decode, covers, nodes, limit)
-    return len(covers), [c for _, c in covers] if decode else [], nodes
+    return _truncated_covers(g, (), order, 0, first, decode, node_limit, nodes)
 
 
-def _every_cover(g, excess, node_limit=None, decode=False, nodes=0):
-    """Every cover at one excess, as (weight-1 edge mask, circuits or None
-    unless ``decode``), with the running node count: (covers, nodes).
+def _every_cover(g, excess, node_limit=None, decode=False, nodes=0, first=False):
+    """Every cover at one excess, as (weight-1 edge mask, circuits as sorted
+    edge tuples, or None unless ``decode``), with the running node count:
+    (covers, nodes); ``first`` stops at the first.
 
-    Excess 0 is one ``_join_search`` for a perfect matching of G.  At
-    excess 1 each x with three distinct neighbours takes one of its star
-    choices first, then the search runs over G - N[x].
+    Excess 0 is one search for a perfect matching of G, the weight-2 edges.
+    At excess 1 the vertex x of weight 6 is a triangle of T_x: x's three
+    edges take weight 2 first, then the search covers G - N[x].  A vertex
+    with two edges into x would have weight 6 too, so x needs three
+    distinct neighbours.
     """
-    table, covers = _joins(g), []
-    limit = float("inf") if node_limit is None else node_limit
     everyone = (1 << g.n) - 1
     if not excess:
-        return covers, _join_search(table, (), everyone, False, decode, covers, nodes, limit)
+        return _truncated_covers(g, (), (), everyone, first, decode, node_limit, nodes)
+    near, covers = _joins(g).near, []
     for x in range(g.n):
-        if table.star(x):
-            rest = everyone & ~(table.near[x] | 1 << x)
-            nodes = _join_search(table, (table.star(x),), rest, False, decode, covers, nodes, limit)
+        if near[x].bit_count() == 3 and not (first and covers):
+            found, nodes = _truncated_covers(g, (x,), g.incident_edges[x],
+                                             everyone & ~(near[x] | 1 << x), first, decode,
+                                             node_limit, nodes)
+            covers += found
     return covers, nodes
 
 
 def _decode_joins(chosen):
-    """The circuits of one choice of joins, as sorted edge tuples: walk from
-    each unseen half-edge along its edge, then the join at the far end."""
+    """The circuits of a run of options, as sorted edge tuples: walk from
+    each unseen half-edge along its edge, then through the join at the far
+    end and the weight-2 edge of its option."""
     mate, strand = {}, {}
-    for joins in chosen:
-        for p, q, edges in joins:
+    for _, r, joins in chosen:
+        for p, q in joins:
             mate[p], mate[q] = q, p
-            strand[p] = strand[q] = edges
+            strand[p] = strand[q] = r
     circuits, seen = [], set()
     for start in mate:
         p, edges = start, []
         while p not in seen:
             t = p ^ 1
             seen.update((p, t))
-            edges += (p >> 1, *strand[t])
+            edges += (p >> 1, strand[t])
             p = mate[t]
         if edges:
             circuits.append(tuple(sorted(edges)))
@@ -662,9 +637,9 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
 @dataclass(frozen=True)
 class WeightSpectrum:
     """``stage`` names the search that settled the optimum, as in
-    ``SccResult``.  ``nodes`` counts the choices that the joint transition
-    search tried (a transition choice of a weight-2 edge, or a star choice
-    at 4m/3 + 1), then the engine nodes of the deepening route."""
+    ``SccResult``.  ``nodes`` counts the transition choices of weight-2
+    edges that the joint search tried, then the engine nodes of the
+    deepening route."""
 
     optimal_length: int
     per_edge: tuple
@@ -936,13 +911,13 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     ``_partition_tables(k)``; matching i of its witness is the edges whose
     label holds i.  Its cuts (``_matching_cuts``) keep each matching i one of
     the store's, so a label that no perfect matching completes fails at
-    once, whatever the edge order.  A loop lies in no perfect matching, so a
-    looped graph is above any limit.  ``node_limit`` bounds the labelling
-    nodes over every k; an abort raises ``NodeLimitExceeded`` with the
-    nodes spent.
+    once, whatever the edge order.  An edge that no perfect matching holds
+    (a loop, or an edge beside a bridge) puts tau above any limit, with no
+    search.  ``node_limit`` bounds the labelling nodes over every k; an
+    abort raises ``NodeLimitExceeded`` with the nodes spent.
     """
     store = _matchings(g)
-    if limit < 3 or not store.masks or g.loops:
+    if limit < 3 or not store.masks:
         return TauResult(None, ())
     for pm, (odd, _) in zip(store.masks, store.factors()):
         if not odd:
@@ -951,6 +926,8 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
                 halves[0].extend(walk[0::2])
                 halves[1].extend(walk[1::2])
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
+    if not all(store.holders):
+        return TauResult(None, ())  # an edge in no perfect matching
     nodes = 0
     for k in range(4, limit + 1):
         subsets, stars = _partition_tables(k)
@@ -1083,14 +1060,6 @@ def circumference(g: Multigraph, node_limit=None):
 # cycle double cover search
 # --------------------------------------------------------------------------
 
-def _is_circuit(g, edges):
-    """Whether the edge ids are those of one simple circuit of g."""
-    try:
-        return sorted(trace_circuit(g, edges).edges) == sorted(edges)
-    except (IndexError, ValueError):
-        return False
-
-
 def _bfs_edges(g):
     """The edge ids of g in the order a breadth-first search meets them,
     from vertex 0 and then from each vertex it has not reached."""
@@ -1115,12 +1084,11 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     every edge weight exactly 2 that holds the circuits of ``must_contain``,
     or ``None`` when the search space is exhausted (proven infeasible).  The
     three circuits of a CDC through a vertex take its three pairs of edges
-    once each, so a CDC is one ``_Joins`` choice for each edge that g keeps
-    in its truncation T(g): the CDCs of g are the covers of T of length
-    4|E(T)|/3 whose weight-1 edges are the triangles.  One ``_join_search``
-    takes the edges in ``_bfs_edges`` order.  A forced circuit pins each of
-    its edges to the choice that joins its own transitions (only its edge
-    set counts), and no CDC takes a transition twice.
+    once each, so the CDCs of g are its covers in which every vertex has
+    weight 6: ``_truncated_covers`` with X = V, one transition choice per
+    edge, taken in ``_bfs_edges`` order.  A forced circuit pins each of its
+    edges to the choice that joins its own transitions (only its edge set
+    counts), and no CDC takes a transition twice.
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
@@ -1133,35 +1101,30 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
             raise GraphError("a 2-factor class constraint needs the k-class search")
         if bridges(g):
             return None  # no circuit passes a bridge
-        # T(g): vertex h = 2e + s is the end of edge e at g.edges[e][s], edge
-        # e keeps id e, and each vertex of g becomes a triangle on its ends
-        ends = [(2 * e, 2 * e + 1) for e in range(g.m)]
-        for v, inc in enumerate(g.incident_edges):
-            a, b, c = (2 * e + (g.edges[e][0] != v) for e in inc)
-            ends += ((a, b), (a, c), (b, c))
-        table, pins, taken = _Joins(Multigraph(2 * g.m, ends)), {}, set()
+        pins, taken = {}, set()
         for c in must_contain:
-            if not _is_circuit(g, c.edges):
+            try:
+                walk = trace_circuit(g, c.edges)
+            except (IndexError, ValueError):
                 return None  # not a circuit of g: nothing can contain it
-            walk = trace_circuit(g, c.edges)
+            if sorted(walk.edges) != sorted(c.edges):
+                return None
             for i, e in enumerate(walk.edges):
-                # as vertices of T, the ends of the circuit's edges before and after e
+                # at each end of e, the place of the circuit's edge there among
+                # e's other edges: the same place at both ends is e's choice 0
+                # (``_Joins.pair``), which joins them in order
                 j = (i + 1) % len(walk)
-                want = {2 * f + (g.edges[f][0] != v) for f, v in (
-                    (walk.edges[i - 1], walk.vertices[i]), (walk.edges[j], walk.vertices[j]))}
-                for o, (_, _, joins) in enumerate(table.pair(e)):
-                    for p, q, _ in joins:  # triangle edges, named by their far ends
-                        if {ends[p >> 1][~p & 1], ends[q >> 1][~q & 1]} == want:
-                            pin, join = o, (p, q)
-                if join in taken or pins.setdefault(e, pin) != pin:
+                at = {walk.vertices[i]: walk.edges[i - 1], walk.vertices[j]: walk.edges[j]}
+                s0, s1 = ([f for f in g.incident_edges[v] if f != e].index(at[v])
+                          for v in g.edges[e])
+                if (e, s0) in taken or pins.setdefault(e, s0 ^ s1) != s0 ^ s1:
                     return None  # a transition taken twice, or two that no choice holds
-                taken.add(join)
-        order = [(table.pair(e)[pins[e]],) if e in pins else table.pair(e) for e in _bfs_edges(g)]
-        covers, limit = [], float("inf") if node_limit is None else node_limit
-        _join_search(table, order, 0, True, True, covers, 0, limit)
+                taken.add((e, s0))
+        covers, _ = _truncated_covers(g, range(g.n), _bfs_edges(g), 0, True, True, node_limit,
+                                      pins=pins)
         if not covers:
             return None
-        return CycleCover.of(trace_circuit(g, [e for e in edges if e < g.m]) for edges in covers[0][1])
+        return CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
     if must_contain:
         raise GraphError("must_contain is only available in the circuit-form search")
     if k < 2:

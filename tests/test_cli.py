@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import cyclecover
-from conftest import DATA, load_snarks18
-from cyclecover import build_graph, cover_via_oddness2, flower, goldberg, pcolour, petersen, solvers
+from conftest import DATA, load_snarks18, relabelled
+from cyclecover import (
+    build_graph, cover_via_oddness2, flower, goldberg, pcolour, petersen, solvers, two_cut_join,
+)
 from cyclecover.cli import build_parser, main
 from cyclecover.errors import HypothesisViolated
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
@@ -493,6 +495,24 @@ def test_construct_golden(tmp_path, capsys):
         assert "".join(lines) == fh.read()
 
 
+def test_scc_golden(tmp_path, capsys):
+    # the shortest covers as the CLI prints them, so that a changed witness
+    # shows: settled at 4m/3 + 1 (Petersen, P+K4 and a relabelled Petersen),
+    # at 4m/3 (J5) and by the deepening (P+P)
+    p, k4 = petersen(), build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    graphs = [("petersen", p), ("P+K4", two_cut_join(p, 0, k4, 0)), ("J5", flower(5)),
+              ("P+P", two_cut_join(p, 0, p, 0)), ("relabelled(petersen, 1)", relabelled(p, 1))]
+    lines = []
+    for name, g in graphs:
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(g) + "\n")
+        code = main(["scc", str(path), "--json"])
+        out, err = capsys.readouterr()
+        lines.append(json.dumps({"graph": name, "exit": code, "stdout": out, "stderr": err}) + "\n")
+    with open(os.path.join(DATA, "scc_golden.jsonl"), encoding="ascii") as fh:
+        assert "".join(lines) == fh.read()
+
+
 def _error_cases(tmp_path):
     """(case, argv) pairs: each way a command fails on its input."""
     from test_graphs import _bridged_cubic
@@ -651,6 +671,18 @@ def test_tau_node_limit_exit_code(tmp_path, capsys):
     path.write_text(write_graph6(flower(5)) + "\n")
     assert main(["construct", "--via", "tau4", str(path), "--node-limit", "1"]) == 3
     assert "search aborted" in capsys.readouterr().err
+
+
+def test_tau_above_any_limit_on_a_bridged_graph(tmp_path, capsys):
+    # an edge beside the bridge lies in no perfect matching, so tau is above
+    # the limit with no labelling search, however high the limit
+    from test_graphs import _bridged_cubic
+
+    path = tmp_path / "bridged.adj"
+    path.write_text(write_adjacency(_bridged_cubic()))
+    assert main(["tau", str(path), "--limit", "30", "--node-limit", "100", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["above_limit"] is True and payload["nodes"] == 0
 
 
 def test_circ_node_limit_exit_code(tmp_path, capsys):

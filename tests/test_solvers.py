@@ -25,7 +25,6 @@ from cyclecover.solvers import (
     _CoverEngine,
     _every_cover,
     _matchings,
-    _near_factor_rests,
     _partition_tables,
     _spectrum_over,
     _structured_covers,
@@ -196,49 +195,65 @@ def _covers_by_engine(g, rest, x):
     return Counter(tuple(sorted(space.elists[i] for i in hit)) for hit in hits)
 
 
-def _weight_one_subgraphs(g):
-    """(x, rest) for every 2-factor E - rest (x = -1) and every 2-regular
-    subgraph E - rest missing only x, in the order of ``_structured_covers``."""
-    return [(-1, pm) for pm in _matchings(g).masks] + [
-        (x, rest) for x in range(g.n) for rest in _near_factor_rests(g, x)]
-
-
 def test_transition_covers_match_engine_oracle(pete, j5):
-    # per weight-1 subgraph (the first-cover route), and over all of them at
-    # once: the joint search of each level returns the union of the oracle's
-    # covers over the 2-factors (excess 0) or the near-2-factors (excess 1)
+    # per 2-factor (the first-cover route), and over all weight-1 subgraphs
+    # at once: the joint search of each level returns the union of the
+    # oracle's covers over the 2-factors (excess 0), or over every x and the
+    # 2-regular subgraphs missing only x (excess 1)
+    digon_at_x = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+                              (4, 5)])
+    digon_between = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 5),
+                                 (4, 5), (4, 5)])
+    theta = build_graph([(0, 1)] * 3)
     subgraphs = covers = 0
-    for g0 in [*load_corpus(12), *load_snarks18(), pete, j5]:
+    for g0 in [*load_corpus(12), *load_snarks18(), pete, j5, digon_at_x, digon_between, theta]:
         for g in (g0, relabelled(g0, 1), relabelled(g0, 2)):
             full, union = (1 << g.m) - 1, (Counter(), Counter())
-            for x, rest in _weight_one_subgraphs(g):
-                count, found, _ = _transition_covers(g, rest, x, decode=True)
-                want = _covers_by_engine(g, rest, x)
-                assert Counter(tuple(sorted(c)) for c in found) == want
-                assert count == len(found) == _transition_covers(g, rest, x)[0]
-                union[x >= 0].update({(full & ~rest, cover): k for cover, k in want.items()})
-                subgraphs += 1
-                covers += count
+            for pm in _matchings(g).masks:
+                found, _ = _transition_covers(g, pm, decode=True)
+                want = _covers_by_engine(g, pm, -1)
+                assert Counter(tuple(sorted(c)) for _, c in found) == want
+                assert _transition_covers(g, pm)[0] == [(full & ~pm, None)] * len(found)
+                union[0].update({(full & ~pm, cover): k for cover, k in want.items()})
+            for x in range(g.n):
+                for ones in _two_regular_avoiding(g, x):
+                    want = _covers_by_engine(g, full & ~ones, x)
+                    union[1].update({(ones, cover): k for cover, k in want.items()})
+                    subgraphs += 1
+            subgraphs += len(_matchings(g).masks)
+            covers += sum(union[0].values()) + sum(union[1].values())
             for excess, want in enumerate(union):
                 found, _ = _every_cover(g, excess, decode=True)
                 assert Counter((ones, tuple(sorted(c))) for ones, c in found) == want
                 assert [ones for ones, _ in _every_cover(g, excess)[0]] == [
                     ones for ones, _ in found]
     assert subgraphs > 10000 and covers > 30000
+    # vertex 0 has a digon to a neighbour, or three edges to one, so it lies
+    # on C in every cover at 4m/3 + 1
+    for g in (digon_at_x, theta):
+        for ones, _ in _every_cover(g, 1)[0]:
+            assert any(ones >> e & 1 for e in g.incident_edges[0])
 
 
 def test_transition_search_counts_one_running_budget(pete, j5):
     # the search counts on from the nodes it is given, and an abort reports
     # the running total
     for g in (pete, j5):
-        for x, rest in _weight_one_subgraphs(g)[:20]:
-            count, _, spent = _transition_covers(g, rest, x)
+        for pm in _matchings(g).masks[:20]:
+            found, spent = _transition_covers(g, pm)
             total = 100 + spent
-            assert _transition_covers(g, rest, x, nodes=100) == (count, [], total)
-            assert _transition_covers(g, rest, x, node_limit=total, nodes=100)[2] == total
+            assert _transition_covers(g, pm, nodes=100) == (found, total)
+            assert _transition_covers(g, pm, node_limit=total, nodes=100)[1] == total
             with pytest.raises(NodeLimitExceeded) as exc:
-                _transition_covers(g, rest, x, node_limit=total - 1, nodes=100)
+                _transition_covers(g, pm, node_limit=total - 1, nodes=100)
             assert (exc.value.search, exc.value.nodes) == ("transitions", total)
+        found, spent = _every_cover(g, 1)
+        total = 100 + spent
+        assert _every_cover(g, 1, nodes=100) == (found, total)
+        assert _every_cover(g, 1, node_limit=total, nodes=100)[1] == total
+        with pytest.raises(NodeLimitExceeded) as exc:
+            _every_cover(g, 1, node_limit=total - 1, nodes=100)
+        assert (exc.value.search, exc.value.nodes) == ("transitions", total)
     # over every weight-1 subgraph of scc, one budget
     res = shortest_cycle_cover(pete)
     assert res.stage == "4m/3+1" and res.nodes > len(_matchings(pete).masks)
@@ -304,13 +319,12 @@ def test_scc_deepening_petersen_pair(pete):
     assert validate(res.cover, g).ok
     assert res.stage == "deepening"
     # the deepening's search and witness are pinned: the two structured
-    # levels take 6,800 transition nodes on the first-cover route (1,228
-    # engine nodes over alternating circuit spaces before the transition
-    # search), the deepening 770; the joint search for every cover takes
-    # 9,514 to find none
-    assert _structured_covers(g, first=True)[2] == 6800
-    assert _structured_covers(g)[:2] == (None, []) and _structured_covers(g)[2] == 9514
-    assert res.nodes == 6800 + 770
+    # levels take 9,720 transition nodes on the first-cover route (the store
+    # walk at 4m/3, then the joint search at 4m/3 + 1), the deepening 770;
+    # the joint search for every cover takes 9,634 to find none
+    assert _structured_covers(g, first=True)[2] == 9720
+    assert _structured_covers(g)[:2] == (None, []) and _structured_covers(g)[2] == 9634
+    assert res.nodes == 9720 + 770
     assert [c.edges for c in res.cover.circuits] == [
         (0, 1, 7, 12, 5), (1, 2, 8, 10, 6), (16, 21, 26, 25, 22), (17, 18, 23, 24, 22),
         (3, 4, 13, 12, 11, 8), (14, 19, 26, 27, 23, 20), (0, 6, 9, 4, 28, 17, 16, 15, 14, 29)]
@@ -408,26 +422,6 @@ def _two_regular_avoiding(g, x):
 
     rec(0, [])
     return out
-
-
-def test_near_two_factors_match_include_first_oracle(k4, pete, j5):
-    # a digon at vertex 0; a digon between the neighbours 1 and 2 of vertex 0
-    digon_at_x = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
-                              (4, 5)])
-    digon_between = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 5),
-                                 (4, 5), (4, 5)])
-    graphs = [*load_corpus(12), pete, j5, two_cut_join(pete, 0, k4, 0),
-              two_cut_join(pete, 0, pete, 0), *load_snarks18(), digon_at_x, digon_between]
-    for g in graphs:
-        full = (1 << g.m) - 1
-        for x in range(g.n):
-            assert [full & ~rest for rest in _near_factor_rests(g, x)] == _two_regular_avoiding(g, x)
-    assert _near_factor_rests(digon_at_x, 0) == []
-    assert len(_near_factor_rests(digon_between, 0)) == 2
-    # the oracle offers the empty set at x = 0, which leaves vertex 1 uncovered
-    theta = build_graph([(0, 1)] * 3)
-    assert _two_regular_avoiding(theta, 0) == [0]
-    assert _near_factor_rests(theta, 0) == _near_factor_rests(theta, 1) == []
 
 
 def test_matching_store_shared_by_consecutive_calls(monkeypatch):
@@ -589,6 +583,12 @@ def test_tau_node_limit(k4, pete, j5):
     # a loop lies in no perfect matching, so a looped graph needs none either
     looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
     assert perfect_matching_index(looped, limit=6, node_limit=0) == TauResult(None, (), 0)
+    # nor does an edge beside a bridge, whatever the limit
+    from test_graphs import _bridged_cubic
+
+    for limit in (12, 10**6):
+        assert perfect_matching_index(_bridged_cubic(), limit, node_limit=100) == TauResult(
+            None, (), 0)
     for g, tau in ((pete, 5), (j5, 4)):
         with pytest.raises(NodeLimitExceeded) as exc:
             perfect_matching_index(g, node_limit=1)
