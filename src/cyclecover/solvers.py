@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
@@ -399,14 +399,13 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
     is appended to ``covers`` as (weight-1 edge mask, circuits when
     ``decode``, else None); ``first`` stops at the first.
 
-    The matching grows as in ``_matching_search``, on the free vertex with
-    the fewest free neighbours, backing up at one with none; the edges to
-    its free neighbours are tried with their two choices at once
-    (``_Joins.options``).  Joined weight-1 edges form chains, and each free
-    end h of a chain holds the chain's other free end ``opp[h]`` and its
-    vertex mask ``vm[h]``, so a join that closes a chain is a circuit, and
-    one that links two chains whose masks meet is refused with its whole
-    choice.  The trail records each link as its two joined ends, whose
+    The matching grows on the free vertex with the fewest free neighbours,
+    backing up at one with none; the edges to its free neighbours are tried
+    with their two choices at once (``_Joins.options``).  Joined weight-1
+    edges form chains, and each free end h of a chain holds the chain's
+    other free end ``opp[h]`` and its vertex mask ``vm[h]``, so a join that
+    closes a chain is a circuit, and one that links two chains whose masks
+    meet is refused with its whole choice.  The trail records each link as its two joined ends, whose
     entries keep the old chain ends, so a frame takes its choice back
     before trying the next.  One frame per list of ``order`` or matching
     edge, on an explicit stack; a node is one option tried.  Returns the
@@ -702,63 +701,118 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
 # perfect matchings, tau, oddness
 # --------------------------------------------------------------------------
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string's digits as 0/1 bytes
+
+
 def enumerate_perfect_matchings(g: Multigraph):
     """All perfect matchings as frozensets of edge ids, sorted by their
     sorted edge tuples."""
-    return [frozenset(t) for t in _matching_search(g, (1 << g.n) - 1)]
+    m = g.m
+    ids, digits = range(m), f"0{m}b"
+    return [frozenset(compress(ids, format(key >> m, digits).encode().translate(_BITS)))
+            for key in _matching_keys(g)]
 
 
-def _matching_search(g, free):
-    """The perfect matchings of the subgraph induced by the vertex mask
-    ``free``, as sorted edge tuples in sorted order.
+def _matching_keys(g):
+    """The perfect matchings of g as keys, in the order of their sorted edge
+    tuples: a matching's key has bit e and bit 2m - 1 - e for each of its
+    edges e.
 
-    The search keeps the free vertices as a bitmask, branches on the free
-    vertex with the fewest free neighbours and backs up at a free vertex
-    with none.  Branching on a vertex splits the matchings by the edge that
-    covers it, so each is found once; the order comes from the final sort.
+    One tuple sorts before another exactly when the least edge in their
+    symmetric difference lies in it, and that edge is the highest bit in
+    which the two keys differ, so the order is the keys' descending order.
+    The high half, shifted down by m, holds edge e as the bit string's digit
+    e; the low half is the matching's edge mask.
+
+    The sweep is the path-decomposition dynamic programme (Bodlaender, "A
+    tourist guide through treewidth", Acta Cybernetica 11, 1993).  The
+    vertices are placed in turn from vertex 0: each step places the vertex
+    next to the placed ones whose placing leaves the fewest unplaced vertices
+    next to them, the least id on ties, or the least unplaced vertex when
+    none is next to them.  With the vertex bits renumbered in that order,
+    ``rec(free)`` matches the lowest free vertex with each free neighbour
+    and is memoised on the free-vertex mask, so the placed prefix is all
+    matched and a state differs only in which vertices next to it are taken.
     """
-    options = [[] for _ in range(g.n)]  # (edge, far end bit) per vertex
-    near = [0] * g.n  # neighbour mask per vertex
-    for e, (u, v) in enumerate(g.edges):
+    n, m = g.n, g.m
+    near = [0] * n
+    for u, v in g.edges:
         if u != v:
-            options[u].append((e, 1 << v))
-            options[v].append((e, 1 << u))
             near[u] |= 1 << v
             near[v] |= 1 << u
-    found = []
-    chosen = []
+    pos, placed, front = [0] * n, 0, 0
+    for i in range(n):
+        fewest, y = n, front
+        while y:
+            bit = y & -y
+            v = bit.bit_length() - 1
+            size = ((front | near[v]) & ~(placed | bit)).bit_count()
+            if size < fewest:
+                best, fewest = v, size
+            y ^= bit
+        if not front:
+            best = (~placed & (placed + 1)).bit_length() - 1
+        pos[best] = i
+        placed |= 1 << best
+        front = (front | near[best]) & ~placed
+    options = [[] for _ in range(n)]  # (far end bit, edge key) of each later neighbour
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            a, b = sorted((pos[u], pos[v]))
+            options[a].append((1 << b, 1 << e | 1 << (2 * m - 1 - e)))
+    memo = {0: [0]}
 
     def rec(free):
-        if not free:
-            found.append(tuple(sorted(chosen)))
-            return
-        fewest = g.n
-        x = free
-        while x:
-            bit = x & -x
-            v = bit.bit_length() - 1
-            k = (free & near[v]).bit_count()
-            if k < fewest:
-                if not k:
-                    return
-                best, fewest = v, k
-                if k == 1:
-                    break
-            x ^= bit
-        rest = free & ~(1 << best)
-        for e, w in options[best]:
-            if rest & w:
-                chosen.append(e)
-                rec(rest ^ w)
-                chosen.pop()
+        low = free & -free
+        rest, out = free ^ low, []
+        for bit, key in options[low.bit_length() - 1]:
+            if rest & bit:
+                sub = rest ^ bit
+                keys = memo.get(sub)
+                out += map(key.__or__, rec(sub) if keys is None else keys)
+        memo[free] = out
+        return out
 
-    rec(free)
-    found.sort()
-    return found
+    keys = rec((1 << n) - 1) if n else [0]
+    keys.sort(reverse=True)
+    return keys
 
 
 def _edge_set(mask):
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+def _factor_circuits(g, pm):
+    """The circuits of the 2-factor E - pm, each as its edge ids in walk
+    order from its least vertex."""
+    mate = [0] * g.n
+    while pm:
+        bit = pm & -pm
+        e = bit.bit_length() - 1
+        u, v = g.edges[e]
+        mate[u] = mate[v] = e
+        pm ^= bit
+    seen = [False] * g.n
+    walks = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        # enter each vertex by a factor edge, leave by the first incident
+        # edge that is neither that one nor its mate
+        v, e, walk = start, mate[start], []
+        while True:
+            seen[v] = True
+            skip = mate[v]
+            for f in g.incident_edges[v]:
+                if f != e and f != skip:
+                    break
+            a, b = g.edges[f]
+            v, e = (b if a == v else a), f
+            walk.append(f)
+            if v == start:
+                break
+        walks.append(walk)
+    return walks
 
 
 class _Matchings:
@@ -778,7 +832,8 @@ class _Matchings:
 
     def __init__(self, g):
         self.g = g
-        self.masks = [_mask(pm) for pm in enumerate_perfect_matchings(g)]
+        bits = [1 << e for e in range(g.m)]
+        self.masks = [sum(map(bits.__getitem__, pm)) for pm in enumerate_perfect_matchings(g)]
         self._counts = []
         self._holders = None
 
@@ -805,41 +860,8 @@ class _Matchings:
         return list(self.factors())
 
     def _count(self, pm):
-        walks = self.factor_circuits(pm)
+        walks = _factor_circuits(self.g, pm)
         return sum(len(w) & 1 for w in walks), len(walks)
-
-    def factor_circuits(self, pm):
-        """The circuits of the 2-factor E - pm, each as its edge ids in walk
-        order from its least vertex."""
-        g = self.g
-        mate = [0] * g.n
-        while pm:
-            bit = pm & -pm
-            e = bit.bit_length() - 1
-            u, v = g.edges[e]
-            mate[u] = mate[v] = e
-            pm ^= bit
-        seen = [False] * g.n
-        walks = []
-        for start in range(g.n):
-            if seen[start]:
-                continue
-            # enter each vertex by a factor edge, leave by the first incident
-            # edge that is neither that one nor its mate
-            v, e, walk = start, mate[start], []
-            while True:
-                seen[v] = True
-                skip = mate[v]
-                for f in g.incident_edges[v]:
-                    if f != e and f != skip:
-                        break
-                a, b = g.edges[f]
-                v, e = (b if a == v else a), f
-                walk.append(f)
-                if v == start:
-                    break
-            walks.append(walk)
-        return walks
 
 
 @lru_cache(maxsize=1)
@@ -922,7 +944,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     for pm, (odd, _) in zip(store.masks, store.factors()):
         if not odd:
             halves = ([], [])
-            for walk in store.factor_circuits(pm):
+            for walk in _factor_circuits(g, pm):
                 halves[0].extend(walk[0::2])
                 halves[1].extend(walk[1::2])
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
@@ -966,13 +988,18 @@ def oddness(g: CubicGraph):
 # --------------------------------------------------------------------------
 
 def circumference(g: Multigraph, node_limit=None):
-    """Exact longest circuit: the first longest one of a DFS from each anchor
-    v0, the least vertex of the circuits it explores, along edges in id order.
+    """Exact longest circuit, with a witness.
 
-    A first pass keeps only a Hamiltonian circuit (its best starts at n - 1).
-    A Hamiltonian cubic graph is 3-edge-colourable, so that pass is skipped
-    for a cubic graph with no 3-edge-colouring.  Failing it, an improving
-    pass stops at its first circuit of length n - 1.
+    On a cubic graph the memoised 3-edge-colouring comes first: when the
+    2-factor left by one of its colour classes (colour 0, 1, 2 in turn) is a
+    single circuit, that Hamiltonian circuit is the answer, with no search.
+    Otherwise the witness is the first longest circuit of a DFS from each
+    anchor v0, the least vertex of the circuits it explores, along edges in
+    id order.  A first pass keeps only a Hamiltonian circuit (its best
+    starts at n - 1).  A Hamiltonian cubic graph is 3-edge-colourable, so
+    that pass is skipped for a cubic graph with no 3-edge-colouring.
+    Failing it, an improving pass stops at its first circuit of length
+    n - 1.
 
     Extending the path to w, let R be the free vertices (unvisited, above v0)
     that w reaches through free vertices.  The rest of the circuit runs from
@@ -982,6 +1009,13 @@ def circumference(g: Multigraph, node_limit=None):
     extension is one node of ``node_limit``, counted over both passes.
     """
     n = g.n
+    cubic = all(d == 3 for d in g.degrees())
+    colours = _colouring(g) if cubic else None
+    if colours is not None:
+        for c in range(3):
+            walks = _factor_circuits(g, _mask(e for e in range(g.m) if colours[e] == c))
+            if len(walks) == 1:
+                return n, trace_circuit(g, walks[0])
     adj = [[] for _ in range(n)]
     nbrs = [0] * n
     for e, (u, v) in enumerate(g.edges):
@@ -1047,7 +1081,7 @@ def circumference(g: Multigraph, node_limit=None):
         except _SearchStop:
             pass
 
-    if not (all(d == 3 for d in g.degrees()) and _colouring(g) is None):
+    if not (cubic and colours is None):
         search(n - 1, n)
     if best[1] is None:
         search(0, n - 1)

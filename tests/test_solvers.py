@@ -370,14 +370,27 @@ def _least_vertex_matchings(g):
     return res
 
 
-def test_perfect_matchings_match_least_vertex_oracle(pete, j5):
+def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5):
     digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
     # loops at 0 and 3 beside two digons: loops never enter a matching
     looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
-    graphs = [*load_corpus(12), pete, j5, goldberg(5), digons, looped]
+    # two disjoint K4s: the sweep's vertex order runs out of neighbours
+    # after the first and restarts at the second
+    two_k4 = build_graph([*k4.edges, *((u + 4, v + 4) for u, v in k4.edges)])
+    star = Multigraph(4, [(0, 1), (0, 2), (0, 3)])  # no perfect matching
+    with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
+        golden = [parse_graph6(line.strip()) for line in fh if line.strip()]
+    j11 = flower(11)
+    graphs = [*load_corpus(12), *load_snarks18(), *golden, pete, j5, goldberg(5),
+              relabelled(j5, 1), relabelled(goldberg(5), 2), j11, digons, looped, two_k4, star]
     for g in graphs:
-        assert enumerate_perfect_matchings(g) == _least_vertex_matchings(g)
+        pms = enumerate_perfect_matchings(g)
+        assert pms == _least_vertex_matchings(g)
+        assert _matchings(g).masks == [sum(1 << e for e in pm) for pm in pms]
     assert len(enumerate_perfect_matchings(looped)) == 5
+    assert len(enumerate_perfect_matchings(two_k4)) == 9
+    assert len(enumerate_perfect_matchings(j11)) == 2048
+    assert enumerate_perfect_matchings(star) == []
 
 
 def _two_regular_avoiding(g, x):
@@ -718,10 +731,53 @@ def test_circumference_matches_dfs_oracle(k4, prism, pete, j5):
     looped = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
     graphs = [*load_corpus(12), *load_snarks18(), *golden, k4, prism, pete, j5, flower(7),
               digons, looped, _bridged_cubic()]
+    settled = 0
     for g in graphs:
-        assert circumference(g) == _dfs_circumference(g)
+        length, circ = circumference(g)
+        want = _dfs_circumference(g)
+        assert length == want[0]
+        ham = _hamiltonian_class(g)
+        if ham is None:
+            # the DFS answers, so the witness is the oracle's
+            assert (length, circ) == want
+        else:
+            # the colour route answers with the first Hamiltonian class's
+            # 2-factor, a circuit of g through every vertex
+            settled += 1
+            assert trace_circuit(g, circ.edges) == circ and len(circ.edges) == length == g.n
+            assert circ.edge_set == ham
+    assert 0 < settled < len(graphs)
     assert circumference(digons)[0] == 6
     assert circumference(looped)[0] == 3
+
+
+def _hamiltonian_class(g):
+    """The 2-factor left by the first colour class (0, 1, 2 in turn) of g's
+    memoised 3-edge-colouring that is one circuit, as an edge set, or None
+    (g is not cubic, has no colouring, or no class leaves one circuit)."""
+    if any(d != 3 for d in g.degrees()) or (colours := solvers._colouring(g)) is None:
+        return None
+    for c in range(3):
+        rest = frozenset(e for e in range(g.m) if colours[e] != c)
+        if len(decompose_even_subgraph(g, rest)) == 1:
+            return rest
+    return None
+
+
+def test_colour_route_spends_no_node(k4, prism, pete):
+    # a Hamiltonian colour class settles circumference before any DFS node;
+    # a colourable graph with none (corpus graph 3, n = 8, circumference 8)
+    # and the snarks still search
+    hits = [g for g in load_bridgeless_corpus(12) if _hamiltonian_class(g) is not None]
+    assert len(hits) == 96
+    for g in (k4, prism, *hits):
+        assert circumference(g, node_limit=0)[0] == g.n
+    miss = load_corpus(12)[3]
+    assert miss.n == 8 and edge_colouring_3(miss) is not None
+    assert _hamiltonian_class(miss) is None and circumference(miss)[0] == 8
+    for g in (miss, pete, *load_snarks18()):
+        with pytest.raises(NodeLimitExceeded):
+            circumference(g, node_limit=0)
 
 
 def test_circumference_n_iff_hamiltonian_two_factor():
