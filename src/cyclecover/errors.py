@@ -22,9 +22,9 @@ class HypothesisViolated(GraphError):
 class NodeLimitExceeded(GraphError):
     """Search aborted by the configured node limit (not a proof of infeasibility).
 
-    ``search`` names the search that stopped: "transitions" (covers of
-    length 4m/3 and 4m/3 + 1, circuit-form CDCs), "cover engine" (longer
-    optima), "labelling" (tau, colourings, k-class CDCs) or "circumference".
+    ``search`` names the search that stopped: "transitions" (covers with
+    weights <= 2, circuit-form CDCs), "cover engine" (weights above 2),
+    "labelling" (tau, colourings, k-class CDCs) or "circumference".
     ``nodes`` is the budget spent over the whole call when it stopped: the
     nodes of every search stage that shares the limit, which is one more
     than the limit.

@@ -64,9 +64,9 @@ def _mask(ids):
 def _circuits(g: Multigraph):
     """Every circuit of g, for ``_deepening`` and ``_spectrum_over``; each
     once, as the (edges, vertices) walk that leaves its least edge e0 at the
-    first end of e0.  (The covers of length 4m/3 and 4m/3 + 1, and the
-    circuit-form double covers, need no circuit list: see
-    ``_transition_covers`` and ``find_cdc``.)"""
+    first end of e0.  (The covers with weights <= 2, and the circuit-form
+    double covers, need no circuit list: see ``_every_cover`` and
+    ``find_cdc``.)"""
     moves = [[] for _ in range(g.n)]  # (edge, far end) per vertex, loops left out
     for e, (u, v) in enumerate(g.edges):
         if u != v:
@@ -102,7 +102,7 @@ def enumerate_circuits(g: Multigraph):
 
 
 # --------------------------------------------------------------------------
-# the cover search engine (optima above 4m/3 + 1, and their enumeration)
+# the cover search engine (weights above 2, only with cap >= 3)
 # --------------------------------------------------------------------------
 
 class _SearchStop(Exception):
@@ -258,8 +258,9 @@ class _CoverEngine:
 
 @dataclass(frozen=True)
 class SccResult:
-    """``stage`` names the search that settled the optimum: "4m/3" or
-    "4m/3+1" (``_structured_covers``), or "deepening"."""
+    """``stage`` names the search that settled the optimum: "4m/3", or
+    "4m/3+e" at excess e >= 1 (``_structured_covers``), or "deepening" when
+    a weight above 2 gives a shorter cover (only with ``cap`` >= 3)."""
 
     length: int
     cover: CycleCover
@@ -269,7 +270,8 @@ class SccResult:
     stage: str
 
 
-_STAGES = ("4m/3", "4m/3+1")  # by the excess over 4m/3
+def _stage(g, length):
+    return f"4m/3+{length - 2 * g.n}" if length > 2 * g.n else "4m/3"
 
 
 def _check_coverable(g):
@@ -281,25 +283,23 @@ def _check_coverable(g):
 
 
 def _structured_covers(g, node_limit=None, first=False, decode=False):
-    """The covers of length 4m/3 or 4m/3 + 1, found through their weight-1 edges.
+    """The shortest covers with weights <= 2, found through their weight-1 edges.
 
-    A cover of length 2n + excess (2n = 4m/3) has vertex weights 4, that is
-    edge weights 1, 1, 2, except that at excess 1 one vertex x has weight 6,
-    with edge weights 2, 2, 2 (an edge of weight 3 would need weight 6 at
-    both ends).  So no cap above 2 changes these covers, and the weight-1
-    edges C form a 2-factor, or a 2-regular subgraph missing x.  Every
-    search is a ``_truncated_covers`` search, which finds each cover once.
-    Excess 0 comes first; each level is searched exhaustively, and one node
-    budget covers every search.  ``first`` stops at the first cover, which
-    at 4m/3 comes from the store's 2-factors in turn (``_transition_covers``).
+    Let X be the vertices of weight 6.  Their edges have weight 2 and every
+    other vertex has edge weights 1, 1, 2, so the weight-1 edges form a
+    2-regular subgraph missing exactly X, and the length is 2n + |X|
+    (2n = 4m/3), at most 3n.  The levels |X| = 0, 1, ... are searched in
+    turn, each exhaustively by ``_every_cover``, until one holds a cover;
+    one node budget covers every search.  ``first`` stops at the first
+    cover, which at 4m/3 comes from the store's 2-factors in turn
+    (``_transition_covers``).
 
     Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
     circuits as sorted edge tuples, or None unless ``decode`` or ``first``),
-    only the first one with ``first``.  Returns (None, [], nodes) when the
-    optimum is longer.
+    only the first one with ``first``.
     """
     nodes = 0
-    for excess in (0, 1):
+    for excess in range(g.n + 1):
         covers = []
         if first and not excess:
             for pm in _matchings(g).masks:
@@ -310,7 +310,7 @@ def _structured_covers(g, node_limit=None, first=False, decode=False):
             covers, nodes = _every_cover(g, excess, node_limit, decode or first, nodes, first)
         if covers:
             return 2 * g.n + excess, covers, nodes
-    return None, [], nodes
+    raise AssertionError("no cover with weights <= 2")
 
 
 class _Joins:
@@ -546,25 +546,26 @@ def _transition_covers(g, rest, first=False, decode=False, node_limit=None, node
 
 
 def _every_cover(g, excess, node_limit=None, decode=False, nodes=0, first=False):
-    """Every cover at one excess, as (weight-1 edge mask, circuits as sorted
-    edge tuples, or None unless ``decode``), with the running node count:
-    (covers, nodes); ``first`` stops at the first.
+    """Every cover with weights <= 2 at one excess, as (weight-1 edge mask,
+    circuits as sorted edge tuples, or None unless ``decode``), with the
+    running node count: (covers, nodes); ``first`` stops at the first.
 
-    Excess 0 is one search for a perfect matching of G, the weight-2 edges.
-    At excess 1 the vertex x of weight 6 is a triangle of T_x: x's three
-    edges take weight 2 first, then the search covers G - N[x].  A vertex
-    with two edges into x would have weight 6 too, so x needs three
-    distinct neighbours.
+    The vertex set X of weight 6 runs over the sets of that size in
+    ``combinations`` order, and is a set of triangles of T_X: the edges at X
+    take weight 2 first, in X's order, then the search covers G - X - N(X).
+    A vertex outside X has one edge of weight 2, so it may have only one
+    edge end in X.  X = () is one search for a perfect matching of G.
     """
-    everyone = (1 << g.n) - 1
-    if not excess:
-        return _truncated_covers(g, (), (), everyone, first, decode, node_limit, nodes)
-    near, covers = _joins(g).near, []
-    for x in range(g.n):
-        if near[x].bit_count() == 3 and not (first and covers):
-            found, nodes = _truncated_covers(g, (x,), g.incident_edges[x],
-                                             everyone & ~(near[x] | 1 << x), first, decode,
-                                             node_limit, nodes)
+    everyone, covers = (1 << g.n) - 1, []
+    for X in combinations(range(g.n), excess):
+        if first and covers:
+            break
+        inside = _mask(X)
+        edges = dict.fromkeys(e for x in X for e in g.incident_edges[x])
+        out = [v for e in edges for v in g.edges[e] if not inside >> v & 1]
+        if len(set(out)) == len(out):
+            found, nodes = _truncated_covers(g, X, edges, everyone & ~(inside | _mask(out)),
+                                             first, decode, node_limit, nodes)
             covers += found
     return covers, nodes
 
@@ -591,44 +592,41 @@ def _decode_joins(chosen):
     return tuple(circuits)
 
 
-def _deepening(g, cap, node_limit=None, nodes=0):
-    """Optimal length above 4m/3 + 1, by iterative deepening of the direct
-    branch and bound over all circuits.
-
-    Returns (length, witness indices, space, nodes), counting on from the
-    ``nodes`` already spent.
-    """
+def _deepening(g, cap, below, node_limit=None, nodes=0):
+    """The optimum shorter than ``below``, the cap-2 optimum, by iterative
+    deepening of the branch and bound over all circuits.  An edge of weight
+    3 or more puts both its ends at weight 6 or more, so the targets start
+    at 4m/3 + 2.  Returns (length, witness indices, space, nodes), counting
+    on from the ``nodes`` already spent; length and witness are None when
+    no cover is shorter."""
     space = _CircuitSpace(g)
     ones, caps = [1] * g.m, [cap] * g.m
-    target = 2 * g.n + 2
-    while True:
+    for target in range(2 * g.n + 2, below):
         eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, nodes=nodes)
         found = eng.search("first", bound=target)
         nodes = eng.nodes
         if found is not None:
             return target, found, space, nodes
-        if target > 2 * g.m * cap:
-            raise AssertionError("no cover found below the trivial bound")
-        target += 1
+    return None, None, space, nodes
 
 
 def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccResult:
     """Minimum-length cycle cover subject to every edge weight <= cap.
 
-    The witness is the first cover of ``_structured_covers``, else that of
-    ``_deepening``.
+    The witness is the first cover of ``_structured_covers``, the cap-2
+    optimum 4m/3 + e.  With ``cap`` >= 3 and e >= 3, ``_deepening`` then
+    looks for a shorter cover with a weight above 2, and its witness wins.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
     length, covers, nodes = _structured_covers(g, node_limit, first=True)
-    if covers:
-        cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
-        stage = _STAGES[length - 2 * g.n]
-    else:
-        length, found, space, nodes = _deepening(g, cap, node_limit, nodes)
-        cover = CycleCover.of(space.circuit(i) for i in found)
-        stage = "deepening"
+    cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
+    stage = _stage(g, length)
+    if cap > 2 and length > 2 * g.n + 2:
+        shorter, found, space, nodes = _deepening(g, cap, length, node_limit, nodes)
+        if found is not None:
+            length, cover, stage = shorter, CycleCover.of(map(space.circuit, found)), "deepening"
     assert cover.length == length
     return SccResult(length, cover, True, cap, nodes, stage)
 
@@ -636,9 +634,9 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
 @dataclass(frozen=True)
 class WeightSpectrum:
     """``stage`` names the search that settled the optimum, as in
-    ``SccResult``.  ``nodes`` counts the transition choices of weight-2
-    edges that the joint search tried, then the engine nodes of the
-    deepening route."""
+    ``SccResult``, and is "deepening" whenever the cover engine enumerated
+    the covers.  ``nodes`` counts the transition choices of weight-2 edges
+    that the joint search tried, then the engine nodes."""
 
     optimal_length: int
     per_edge: tuple
@@ -650,27 +648,29 @@ class WeightSpectrum:
 def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> WeightSpectrum:
     """Weights attained per edge over all optimal covers (same cap and rules).
 
-    At 4m/3 and 4m/3 + 1 each optimal cover comes once from
+    Each optimal cover with weights <= 2 comes once from
     ``_structured_covers``, whose joint search picks the weight-2 edges and
     their transitions together and builds no matching store; such a cover
-    has weight 1 on its weight-1 edges and 2 elsewhere.  Longer optima
-    enumerate every cover over all circuits.  ``nodes`` counts the search
+    has weight 1 on its weight-1 edges and 2 elsewhere.  With ``cap`` >= 3
+    and a cap-2 optimum of 4m/3 + 2 or more, a weight above 2 may give
+    covers as short (see ``_deepening``), so the engine enumerates every
+    cover of the optimum over all circuits.  ``nodes`` counts the search
     nodes of every stage, all within one ``node_limit``.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
     length, covers, nodes = _structured_covers(g, node_limit)
-    if covers:
+    if cap == 2 or length < 2 * g.n + 2:
         one = two = 0  # the edges of weight 1, and of weight 2, in some cover
         for ones, _ in covers:
             one |= ones
             two |= ~ones
         per_edge = tuple(frozenset(w for w, held in ((1, one), (2, two)) if held >> e & 1)
                          for e in range(g.m))
-        return WeightSpectrum(length, per_edge, len(covers), nodes, _STAGES[length - 2 * g.n])
-    length, _, space, nodes = _deepening(g, cap, node_limit, nodes=nodes)
-    return _spectrum_over(space, cap, length, node_limit, nodes)
+        return WeightSpectrum(length, per_edge, len(covers), nodes, _stage(g, length))
+    shorter, _, space, nodes = _deepening(g, cap, length, node_limit, nodes)
+    return _spectrum_over(space, cap, shorter or length, node_limit, nodes)
 
 
 def _spectrum_over(space, cap, length, node_limit=None, nodes=0):

@@ -345,12 +345,20 @@ def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
 
 
 def test_scc_and_spectrum_json_name_the_stage(tmp_path, capsys):
+    # and one node less than a search took aborts it (exit 3), never
+    # reporting that no cover exists (exit 2)
     path = tmp_path / "g.g6"
-    for g, stage in ((petersen(), "4m/3+1"), (flower(5), "4m/3")):
+    p = petersen()
+    for g, stage in ((p, "4m/3+1"), (flower(5), "4m/3"), (two_cut_join(p, 0, p, 0), "4m/3+2")):
         path.write_text(write_graph6(g) + "\n")
-        for command in ("scc", "spectrum"):
+        for command, solve in (("scc", solvers.shortest_cycle_cover),
+                               ("spectrum", solvers.edge_weight_spectrum)):
             assert main([command, str(path), "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["stage"] == stage
+            nodes = solve(parse_graph6(write_graph6(g))).nodes
+            assert main([command, str(path), "--node-limit", str(nodes - 1)]) == 3
+            assert capsys.readouterr().err == (
+                f"search aborted: node limit exceeded in transitions after {nodes} nodes\n")
 
 
 def test_generate_formats_and_seed_order_stability():
@@ -498,10 +506,12 @@ def test_construct_golden(tmp_path, capsys):
 def test_scc_golden(tmp_path, capsys):
     # the shortest covers as the CLI prints them, so that a changed witness
     # shows: settled at 4m/3 + 1 (Petersen, P+K4 and a relabelled Petersen),
-    # at 4m/3 (J5) and by the deepening (P+P)
+    # at 4m/3 (J5), at 4m/3 + 2 (P+P) and at 4m/3 + 3 (P+P+P, 30 vertices)
     p, k4 = petersen(), build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    pp = two_cut_join(p, 0, p, 0)
     graphs = [("petersen", p), ("P+K4", two_cut_join(p, 0, k4, 0)), ("J5", flower(5)),
-              ("P+P", two_cut_join(p, 0, p, 0)), ("relabelled(petersen, 1)", relabelled(p, 1))]
+              ("P+P", pp), ("relabelled(petersen, 1)", relabelled(p, 1)),
+              ("P+P+P", two_cut_join(pp, 0, p, 0))]
     lines = []
     for name, g in graphs:
         path = tmp_path / "g.g6"

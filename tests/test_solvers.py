@@ -23,6 +23,7 @@ from cyclecover.solvers import (
     _CircuitSpace,
     _circuits,
     _CoverEngine,
+    _deepening,
     _every_cover,
     _matchings,
     _partition_tables,
@@ -254,6 +255,16 @@ def test_transition_search_counts_one_running_budget(pete, j5):
         with pytest.raises(NodeLimitExceeded) as exc:
             _every_cover(g, 1, node_limit=total - 1, nodes=100)
         assert (exc.value.search, exc.value.nodes) == ("transitions", total)
+    # and at excess 2, over every X of two vertices of P+P
+    g = two_cut_join(pete, 0, pete, 0)
+    found, spent = _every_cover(g, 2)
+    total = 100 + spent
+    assert len(found) == 272
+    assert _every_cover(g, 2, nodes=100) == (found, total)
+    assert _every_cover(g, 2, node_limit=total, nodes=100)[1] == total
+    with pytest.raises(NodeLimitExceeded) as exc:
+        _every_cover(g, 2, node_limit=total - 1, nodes=100)
+    assert (exc.value.search, exc.value.nodes) == ("transitions", total)
     # over every weight-1 subgraph of scc, one budget
     res = shortest_cycle_cover(pete)
     assert res.stage == "4m/3+1" and res.nodes > len(_matchings(pete).masks)
@@ -312,22 +323,59 @@ def test_cap3_matches_cap2(k4, pete, prism, k33):
 
 
 def test_scc_deepening_petersen_pair(pete):
-    # optimum 4m/3 + 2: both structural levels come up empty
+    # optimum 4m/3 + 2: the levels |X| = 0 and 1 come up empty, and the
+    # first cover has two vertices of weight 6
     g = two_cut_join(pete, 0, pete, 0)
     res = shortest_cycle_cover(g)
     assert res.length == 42 == 4 * g.m // 3 + 2
-    assert validate(res.cover, g).ok
-    assert res.stage == "deepening"
-    # the deepening's search and witness are pinned: the two structured
-    # levels take 9,720 transition nodes on the first-cover route (the store
-    # walk at 4m/3, then the joint search at 4m/3 + 1), the deepening 770;
-    # the joint search for every cover takes 9,634 to find none
-    assert _structured_covers(g, first=True)[2] == 9720
-    assert _structured_covers(g)[:2] == (None, []) and _structured_covers(g)[2] == 9634
-    assert res.nodes == 9720 + 770
+    assert validate(res.cover, g).is_one_two_cover
+    assert res.stage == "4m/3+2"
+    # the level route's search and witness are pinned: levels 0 and 1 take
+    # 9,720 transition nodes on the first-cover route (the store walk at
+    # 4m/3, then the joint search at 4m/3 + 1), level 2 takes 1,608 more;
+    # for every cover the levels take 354, 9,280 and 71,108
+    assert res.nodes == 9720 + 1608
+    assert [_every_cover(g, excess)[1] for excess in (0, 1, 2)] == [354, 9280, 71108]
+    length, covers, nodes = _structured_covers(g)
+    assert (length, len(covers), nodes) == (42, 272, 354 + 9280 + 71108)
     assert [c.edges for c in res.cover.circuits] == [
-        (0, 1, 7, 12, 5), (1, 2, 8, 10, 6), (16, 21, 26, 25, 22), (17, 18, 23, 24, 22),
-        (3, 4, 13, 12, 11, 8), (14, 19, 26, 27, 23, 20), (0, 6, 9, 4, 28, 17, 16, 15, 14, 29)]
+        (2, 3, 4, 13, 7), (16, 17, 18, 27, 21), (1, 6, 10, 11, 12, 7), (15, 20, 24, 25, 26, 21),
+        (0, 6, 9, 4, 28, 18, 23, 20, 14, 29), (3, 8, 11, 5, 29, 19, 25, 22, 17, 28)]
+
+
+def test_deepening_searches_only_below_the_cap_two_optimum(pete):
+    # a weight above 2 makes a cover at least 4m/3 + 2 long, so the targets
+    # start there and stop below the bound: none is left below 42, and the
+    # engine at cap 3 takes 8,304 nodes to meet target 42
+    g = two_cut_join(pete, 0, pete, 0)
+    length, found, _, nodes = _deepening(g, 3, 42, nodes=5)
+    assert (length, found, nodes) == (None, None, 5)
+    length, found, space, nodes = _deepening(g, 3, 43)
+    assert (length, nodes) == (42, 8304)
+    cover = CycleCover.of(map(space.circuit, found))
+    assert cover.length == 42 and validate(cover, g).ok
+    with pytest.raises(NodeLimitExceeded) as exc:
+        _deepening(g, 3, 43, node_limit=8303)
+    assert (exc.value.search, exc.value.nodes) == ("cover engine", 8304)
+
+
+def test_cap_two_optima_run_no_cover_engine(monkeypatch, pete):
+    # at cap 2 every level is a transition search; at cap 3 an optimum of
+    # 4m/3 + 2 leaves no room for a weight above 2 to shorten it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cap-2 optimum built a circuit space or an engine")
+
+    g = two_cut_join(pete, 0, pete, 0)
+    monkeypatch.setattr(solvers, "_CircuitSpace", refuse)
+    monkeypatch.setattr(solvers, "_CoverEngine", refuse)
+    res = shortest_cycle_cover(g)
+    three = shortest_cycle_cover(g, cap=3)
+    assert (three.length, three.cover, three.nodes, three.stage) == (
+        res.length, res.cover, res.nodes, "4m/3+2")
+    assert three.weight_cap_used == 3
+    for cross in (False, True):
+        spec = edge_weight_spectrum(two_cut_join(pete, 0, pete, 0, cross=cross))
+        assert (spec.optimal_length, spec.n_optimal_covers, spec.stage) == (42, 272, "4m/3+2")
 
 
 def test_perfect_matchings(k4, pete):
@@ -978,7 +1026,8 @@ _PERMS = ((1, 0, 5, 2, 6, 4, 3), (6, 0, 3, 1, 4, 2, 5))
 
 def _full_space(g, length, cap=2):
     """(length, covers, per_edge) of the covers of that length, enumerated
-    over every circuit of g: the route kept for optima above 4m/3 + 1."""
+    over every circuit of g: the engine's route, which runs only with a cap
+    of 3 or more."""
     spec = _spectrum_over(_CircuitSpace(g), cap, length)
     return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
 
@@ -991,6 +1040,16 @@ def test_spectrum_matches_full_space_route(k4, pete):
         assert (length, spec.n_optimal_covers, spec.per_edge) == _full_space(g, length)
         assert _full_space(g, length - 1)[1] == 0
     assert edge_weight_spectrum(join).optimal_length == 4 * join.m // 3 + 1
+
+
+@pytest.mark.slow
+def test_spectrum_at_excess_two_matches_full_space_route(pete):
+    # the levels give the engine's covers at 4m/3 + 2 (about 12 s over the
+    # full circuit space)
+    g = two_cut_join(pete, 0, pete, 0)
+    spec = edge_weight_spectrum(g)
+    assert (spec.optimal_length, spec.n_optimal_covers, spec.per_edge) == _full_space(g, 42)
+    assert spec.n_optimal_covers == 272
 
 
 def test_spectrum_cap3_matches_cap2(pete):
