@@ -29,26 +29,29 @@ def _read_text(path: str) -> str:
 
 
 def _load_graphs(path: str, fmt: str | None):
-    """Cubic graphs from a file or stdin; graph6 streams carry one graph per line."""
+    """Cubic graphs from a file or stdin; graph6 streams carry one graph per
+    line, each parsed only when the caller asks for it, so a bad line fails
+    after the graphs before it."""
     text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if fmt is None:
         fmt = "adj" if lines and len(lines[0].split()) == 2 else "g6"
     if fmt == "g6":
-        return [families.parse_graph6(ln) for ln in lines]
+        yield from map(families.parse_graph6, lines)
+        return
     g = families.parse_adjacency(text)
     if not isinstance(g, CubicGraph):
         v = next(v for v in range(g.n) if g.degree(v) != 3)
         raise GraphError(f"vertex {v} has degree {g.degree(v)}, not 3")
-    return [g]
+    yield g
 
 
 def _load_graph(path: str, fmt: str | None):
-    """The first graph of the input."""
-    graphs = _load_graphs(path, fmt)
-    if not graphs:
+    """The first graph of the input; the lines after it are not read."""
+    g = next(_load_graphs(path, fmt), None)
+    if g is None:
         raise GraphError("no graph in input")
-    return graphs[0]
+    return g
 
 
 def _emit(obj, as_json: bool):

@@ -25,9 +25,9 @@ class NodeLimitExceeded(GraphError):
     ``search`` names the search that stopped: "transitions" (covers with
     weights <= 2, circuit-form CDCs), "cover engine" (weights above 2),
     "labelling" (tau, colourings, k-class CDCs) or "circumference".
-    ``nodes`` is the budget spent over the whole call when it stopped: the
-    nodes of every search stage that shares the limit, which is one more
-    than the limit.
+    ``nodes`` is the budget spent over the whole call when it stopped: every
+    search stage of one public call spends one node budget in turn, so it
+    counts them all, and it is one more than the limit.
     """
 
     def __init__(self, search: str, nodes: int):

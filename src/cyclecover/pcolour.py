@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .covers import CycleCover, decompose_even_subgraph, trace_circuit, validate
+from .covers import CycleCover, decompose_even_subgraph, validate
 from .constructions import ConstructionResult, _check_result
 from .errors import GraphError, HypothesisViolated
 from .families import petersen
 from .graphs import CubicGraph
 from .solvers import (
+    _Budget,
+    _decode_joins,
     _label_search,
     _mask,
     _matching_cuts,
@@ -84,8 +86,8 @@ def find_petersen_colouring(g: CubicGraph, node_limit=None):
     complete fails at once, whatever the edge order.  The store is filled
     before the search and ``node_limit`` bounds only the labelling nodes.
     """
-    assignment, _ = _label_search(g, _P_STARS, node_limit=node_limit,
-                                  cuts=_matching_cuts(g, _P_MATCHINGS))
+    assignment = _label_search(g, _P_STARS, _Budget(node_limit),
+                               cuts=_matching_cuts(g, _P_MATCHINGS))
     return None if assignment is None else PetersenColouring(tuple(assignment))
 
 
@@ -122,9 +124,8 @@ def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
 @cache
 def _optimal_p_covers():
     """All shortest covers of the reference Petersen graph (length 21), cached."""
-    _, covers, _ = _structured_covers(REFERENCE, decode=True)
-    return tuple(sorted((CycleCover.of(trace_circuit(REFERENCE, edges) for edges in circuits)
-                         for _, circuits in covers),
+    _, covers = _structured_covers(REFERENCE, _Budget())
+    return tuple(sorted((_decode_joins(REFERENCE, run) for _, run in covers),
                         key=lambda c: tuple(x.edges for x in c.circuits)))
 
 

@@ -1,7 +1,8 @@
 """Exact solvers: circuits, covers, matchings, colourings, connectivity search.
 
 Everything here is exhaustive or branch-and-bound with proofs by search
-completion; node limits abort a search (``NodeLimitExceeded``) and are never
+completion.  The searches of one public call spend one node budget
+(``_Budget``), whose limit aborts them (``NodeLimitExceeded``), never
 conflated with a proven negative answer.  All searches use fixed variable and
 value orders, so results are deterministic for a given graph.
 """
@@ -10,11 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from .graphs import CubicGraph, Multigraph, bridges, is_connected
+
+
+class _Budget:
+    """The node budget of one public call, which its searches spend in turn.
+
+    ``spend(search)`` counts one node and raises ``NodeLimitExceeded(search,
+    nodes)`` once the count passes ``limit`` (None: no limit), so ``nodes``
+    is always the running total of the call, and an abort reports it.
+    """
+
+    __slots__ = ("limit", "nodes")
+
+    def __init__(self, limit=None):
+        self.limit = float("inf") if limit is None else limit
+        self.nodes = 0
+
+    def spend(self, search):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise NodeLimitExceeded(search, self.nodes)
 
 
 # --------------------------------------------------------------------------
@@ -105,10 +126,6 @@ def enumerate_circuits(g: Multigraph):
 # the cover search engine (weights above 2, only with cap >= 3)
 # --------------------------------------------------------------------------
 
-class _SearchStop(Exception):
-    pass
-
-
 class _CoverEngine:
     """Branch and bound over circuit multisets.
 
@@ -119,16 +136,15 @@ class _CoverEngine:
     tried in space order, shortest first; a tried candidate is banned for the
     rest of the node so every multiset is visited once.
     The lower bound is  (1/2) * sum_v nexteven(w(v) + deficit(v)).
-    ``nodes`` starts at the nodes a caller already spent under the same
-    ``node_limit``, so it and an abort's count are running totals.
+    Each candidate tried is one node of ``budget``.
     """
 
-    def __init__(self, g, space, coverage, cap, node_limit=None, nodes=0):
+    def __init__(self, g, space, coverage, cap, budget):
         self.g = g
         self.space = space
         self.coverage = coverage
         self.cap = cap
-        self.node_limit = node_limit
+        self.budget = budget
         m, n = g.m, g.n
         self.vcap = [0] * n
         self.deficit = [0] * n
@@ -146,7 +162,6 @@ class _CoverEngine:
         self.vfull_mask = _mask(v for v in range(n) if self.vcap[v] <= 1)
         self.banned = [False] * len(space.masks)
         self.chosen = []
-        self.nodes = nodes
 
     def _c(self, v):
         x = self.wv[v] + self.deficit[v]
@@ -200,31 +215,18 @@ class _CoverEngine:
                     key, best = k, e
         return best
 
-    # -- search modes --------------------------------------------------------
+    # -- search --------------------------------------------------------------
 
-    def search(self, mode, bound, collect=None):
-        """mode 'first': return the first cover of length <= bound in the fixed
-        DFS order, or None when none exists (complete proof).
-
-        mode 'all': call ``collect(chosen)`` for every cover of length exactly
-        ``bound`` and return None.
-        """
+    def covers(self, bound):
+        """Every cover of length <= bound, as its tuple of circuit indices,
+        in the fixed DFS order; a cover ends its branch.  Exhausting the
+        generator proves there is no other."""
         self.bound = bound
-        self.best = None
-        self._collect = collect
-        try:
-            self._dfs(mode == "first")
-        except _SearchStop:
-            pass
-        return self.best
+        return self._dfs()
 
-    def _dfs(self, first_mode):
+    def _dfs(self):
         if self.short == 0:
-            if first_mode:
-                self.best = tuple(self.chosen)
-                raise _SearchStop
-            if self.length == self.bound:
-                self._collect(tuple(self.chosen))
+            yield tuple(self.chosen)
             return
         e = self._pick_edge()
         rem = self.bound - self.length
@@ -241,13 +243,11 @@ class _CoverEngine:
                     continue
                 if vmasks[ci] & self.vfull_mask:
                     continue
-                self.nodes += 1
-                if self.node_limit is not None and self.nodes > self.node_limit:
-                    raise NodeLimitExceeded("cover engine", self.nodes)
+                self.budget.spend("cover engine")
                 self.chosen.append(ci)
                 self._apply(ci, +1)
                 if self.total // 2 <= self.bound:
-                    self._dfs(first_mode)
+                    yield from self._dfs()
                 self._apply(self.chosen.pop(), -1)
                 banned[ci] = True
                 unban.append(ci)
@@ -282,34 +282,30 @@ def _check_coverable(g):
         raise HypothesisViolated(f"no cycle cover exists: bridge(s) at edges {b}")
 
 
-def _structured_covers(g, node_limit=None, first=False, decode=False):
+def _structured_covers(g, budget, first=False):
     """The shortest covers with weights <= 2, found through their weight-1 edges.
 
     Let X be the vertices of weight 6.  Their edges have weight 2 and every
     other vertex has edge weights 1, 1, 2, so the weight-1 edges form a
     2-regular subgraph missing exactly X, and the length is 2n + |X|
     (2n = 4m/3), at most 3n.  The levels |X| = 0, 1, ... are searched in
-    turn, each exhaustively by ``_every_cover``, until one holds a cover;
-    one node budget covers every search.  ``first`` stops at the first
-    cover, which at 4m/3 comes from the store's 2-factors in turn
-    (``_transition_covers``).
+    turn, each exhaustively by ``_every_cover``, until one holds a cover,
+    all from one ``budget``.  ``first`` stops at the first cover, which at
+    4m/3 comes from the store's 2-factors in turn (``_transition_covers``).
 
-    Returns (length, covers, nodes): ``covers`` lists (weight-1 edge mask,
-    circuits as sorted edge tuples, or None unless ``decode`` or ``first``),
+    Returns (length, covers): ``covers`` lists each cover as (weight-1 edge
+    mask, run of options, which ``_decode_joins`` turns into its circuits),
     only the first one with ``first``.
     """
-    nodes = 0
     for excess in range(g.n + 1):
-        covers = []
         if first and not excess:
-            for pm in _matchings(g).masks:
-                covers, nodes = _transition_covers(g, pm, True, True, node_limit, nodes)
-                if covers:
-                    break
+            found = (cover for pm in _matchings(g).masks
+                     for cover in _transition_covers(g, pm, budget))
         else:
-            covers, nodes = _every_cover(g, excess, node_limit, decode or first, nodes, first)
+            found = _every_cover(g, excess, budget)
+        covers = list(islice(found, 1) if first else found)
         if covers:
-            return 2 * g.n + excess, covers, nodes
+            return 2 * g.n + excess, covers
     raise AssertionError("no cover with weights <= 2")
 
 
@@ -392,12 +388,11 @@ def _truncation(g, X):
     return Multigraph(n, edges + triangles)
 
 
-def _join_search(table, order, space, first, decode, covers, nodes, limit):
+def _join_search(table, order, space, budget):
     """Every run of choices that keeps each circuit off a repeated vertex:
     one option from each list of ``order`` in turn, then a perfect matching
-    of the vertex mask ``space`` with one choice per matching edge.  Each
-    is appended to ``covers`` as (weight-1 edge mask, circuits when
-    ``decode``, else None); ``first`` stops at the first.
+    of the vertex mask ``space`` with one choice per matching edge.  Yields
+    each as (weight-1 edge mask, run of options).
 
     The matching grows on the free vertex with the fewest free neighbours,
     backing up at one with none; the edges to its free neighbours are tried
@@ -405,11 +400,13 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
     edges form chains, and each free end h of a chain holds the chain's
     other free end ``opp[h]`` and its vertex mask ``vm[h]``, so a join that
     closes a chain is a circuit, and one that links two chains whose masks
-    meet is refused with its whole choice.  The trail records each link as its two joined ends, whose
-    entries keep the old chain ends, so a frame takes its choice back
-    before trying the next.  One frame per list of ``order`` or matching
-    edge, on an explicit stack; a node is one option tried.  Returns the
-    running node count.
+    meet is refused with its whole choice.  The trail records each link as
+    its two joined ends, whose entries keep the old chain ends, so a frame
+    takes its choice back before trying the next.  One frame per list of
+    ``order`` or matching edge, on an explicit stack; a node is one option
+    tried.  The hot loop counts nodes in a local copy of ``budget.nodes``:
+    it writes the count back before each yield (and reads it again after),
+    at its end and before an abort.
     """
     near, full = table.near, (1 << table.g.m) - 1
     opp, vm, trail = table.opp[:], table.vm[:], []
@@ -419,16 +416,17 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
     # outside space) and the trail length before its choice, and its choice
     options, blocks, marks, chosen = [None] * size, [0] * size, [0] * size, [None] * size
     depth, blocked = 0, ~space
+    nodes, limit = budget.nodes, budget.limit
     push = iter(order[0]) if fixed else None
     while True:
         if push is None:
             if blocked == -1:
-                held = 0
-                for _, r, _ in chosen[:depth]:
+                run, held = chosen[:depth], 0
+                for _, r, _ in run:
                     held |= 1 << r
-                covers.append((full & ~held, _decode_joins(chosen[:depth]) if decode else None))
-                if first:
-                    return nodes
+                budget.nodes = nodes
+                yield full & ~held, run
+                nodes = budget.nodes
             else:
                 free, best, fewest = ~blocked, -1, 4
                 y = free
@@ -463,6 +461,7 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
             for option in options[top]:
                 nodes += 1
                 if nodes > limit:
+                    budget.nodes = nodes
                     raise NodeLimitExceeded("transitions", nodes)
                 bit, _, joins = option
                 for p, q in joins:
@@ -490,11 +489,11 @@ def _join_search(table, order, space, first, decode, covers, nodes, limit):
             push = iter(order[depth]) if depth < fixed else None
             break
         else:
-            return nodes
+            budget.nodes = nodes
+            return
 
 
-def _truncated_covers(g, X, edges, space=0, first=False, decode=False, node_limit=None,
-                      nodes=0, pins=None):
+def _truncated_covers(g, X, edges, space, budget, pins=None):
     """The covers of g whose vertices of weight 6 are those of X, by one
     ``_join_search`` over the join table of the truncation T_X.
 
@@ -502,53 +501,47 @@ def _truncated_covers(g, X, edges, space=0, first=False, decode=False, node_limi
     hold the triangles, so each edge at a vertex of X has weight 2.  The
     search takes the weight-2 edges ``edges`` in turn, each with its two
     choices or the one that ``pins`` names, then a perfect matching of the
-    vertex mask ``space``, whose vertices keep their ids in T_X.  Returns
-    (covers, nodes) as ``_join_search`` finds them, with the weight-1 masks
-    and the circuits cut back to g's edge ids.
+    vertex mask ``space``, whose vertices keep their ids in T_X.  Yields
+    the covers as ``_join_search`` finds them, with the weight-1 masks cut
+    back to g's edge ids; ``_decode_joins(g, run)`` leaves the triangles out.
     """
     table = _Joins(_truncation(g, X)) if X else _joins(g)
     pins = pins or {}
     order = [(table.pair(e)[pins[e]],) if e in pins else table.pair(e) for e in edges]
-    covers, limit = [], float("inf") if node_limit is None else node_limit
-    nodes = _join_search(table, order, space, first, decode, covers, nodes, limit)
-    if X:
-        full = (1 << g.m) - 1
-        covers = [(ones & full, found and tuple(tuple(e for e in c if e < g.m) for c in found))
-                  for ones, found in covers]
-    return covers, nodes
+    full = (1 << g.m) - 1
+    for ones, run in _join_search(table, order, space, budget):
+        yield ones & full, run
 
 
-def _transition_covers(g, rest, first=False, decode=False, node_limit=None, nodes=0):
+def _transition_covers(g, rest, budget):
     """The covers whose weight-1 edges are the 2-factor C = E - rest, by
     their transitions.
 
     Each rest edge takes one of its two ``_Joins`` choices; a choice is a
     cover exactly when no circuit passes a vertex twice, that is when the
     two C edges at a vertex never join one circuit.  Distinct choices give
-    distinct covers.  The rest edges are tried in the order a walk along
-    C's circuits meets them, so joined C edges grow as chains along the
-    walk; a node is one choice tried.  This is the route of the first
-    cover, where the store already holds C; ``_every_cover`` finds every
-    cover without it.  Returns (covers, nodes) as ``_every_cover`` does.
+    distinct covers.  The rest edges are tried in the order the walks of
+    ``_factor_circuits`` meet them, each walk from the least end of its
+    first edge and each rest edge at its first end, so joined C edges grow
+    as chains along the walk; a node is one choice tried.  This is the
+    route of the first cover, where the store already holds C;
+    ``_every_cover`` finds every cover without it.  Yields the covers as
+    ``_every_cover`` does.
     """
-    order, seen = [], [False] * g.n
-    for start in range(g.n):
-        v, e = start, -1
-        while not seen[v]:
-            seen[v] = True
-            a, b, c = g.incident_edges[v]
-            r, c0, c1 = (a, b, c) if rest >> a & 1 else (b, a, c) if rest >> b & 1 else (c, a, b)
-            if not seen[g.other_end(r, v)]:  # else the walk met r at its far end
-                order.append(r)
-            e = c1 if e == c0 else c0
+    order = {}
+    for walk in _factor_circuits(g, rest):
+        v = min(g.edges[walk[0]])
+        for e in walk:
+            for r in g.incident_edges[v]:
+                if rest >> r & 1:
+                    order.setdefault(r)
             v = g.other_end(e, v)
-    return _truncated_covers(g, (), order, 0, first, decode, node_limit, nodes)
+    return _truncated_covers(g, (), order, 0, budget)
 
 
-def _every_cover(g, excess, node_limit=None, decode=False, nodes=0, first=False):
-    """Every cover with weights <= 2 at one excess, as (weight-1 edge mask,
-    circuits as sorted edge tuples, or None unless ``decode``), with the
-    running node count: (covers, nodes); ``first`` stops at the first.
+def _every_cover(g, excess, budget):
+    """Every cover with weights <= 2 at one excess, yielded as (weight-1
+    edge mask, run of options).
 
     The vertex set X of weight 6 runs over the sets of that size in
     ``combinations`` order, and is a set of triangles of T_X: the edges at X
@@ -556,26 +549,22 @@ def _every_cover(g, excess, node_limit=None, decode=False, nodes=0, first=False)
     A vertex outside X has one edge of weight 2, so it may have only one
     edge end in X.  X = () is one search for a perfect matching of G.
     """
-    everyone, covers = (1 << g.n) - 1, []
+    everyone = (1 << g.n) - 1
     for X in combinations(range(g.n), excess):
-        if first and covers:
-            break
         inside = _mask(X)
         edges = dict.fromkeys(e for x in X for e in g.incident_edges[x])
         out = [v for e in edges for v in g.edges[e] if not inside >> v & 1]
         if len(set(out)) == len(out):
-            found, nodes = _truncated_covers(g, X, edges, everyone & ~(inside | _mask(out)),
-                                             first, decode, node_limit, nodes)
-            covers += found
-    return covers, nodes
+            yield from _truncated_covers(g, X, edges, everyone & ~(inside | _mask(out)), budget)
 
 
-def _decode_joins(chosen):
-    """The circuits of a run of options, as sorted edge tuples: walk from
-    each unseen half-edge along its edge, then through the join at the far
-    end and the weight-2 edge of its option."""
+def _decode_joins(g, run):
+    """The cover of g that a run of options gives: walk from each unseen
+    half-edge along its edge, then through the join at the far end and the
+    weight-2 edge of its option.  Edges from g.m up are a truncation's
+    triangle edges, which the circuits of g leave out."""
     mate, strand = {}, {}
-    for _, r, joins in chosen:
+    for _, r, joins in run:
         for p, q in joins:
             mate[p], mate[q] = q, p
             strand[p] = strand[q] = r
@@ -588,26 +577,23 @@ def _decode_joins(chosen):
             edges += (p >> 1, strand[t])
             p = mate[t]
         if edges:
-            circuits.append(tuple(sorted(edges)))
-    return tuple(circuits)
+            circuits.append(trace_circuit(g, [e for e in edges if e < g.m]))
+    return CycleCover.of(circuits)
 
 
-def _deepening(g, cap, below, node_limit=None, nodes=0):
+def _deepening(g, cap, below, budget):
     """The optimum shorter than ``below``, the cap-2 optimum, by iterative
     deepening of the branch and bound over all circuits.  An edge of weight
     3 or more puts both its ends at weight 6 or more, so the targets start
-    at 4m/3 + 2.  Returns (length, witness indices, space, nodes), counting
-    on from the ``nodes`` already spent; length and witness are None when
-    no cover is shorter."""
+    at 4m/3 + 2.  Returns (length, witness indices, space); length and
+    witness are None when no cover is shorter."""
     space = _CircuitSpace(g)
     ones, caps = [1] * g.m, [cap] * g.m
     for target in range(2 * g.n + 2, below):
-        eng = _CoverEngine(g, space, ones, caps, node_limit=node_limit, nodes=nodes)
-        found = eng.search("first", bound=target)
-        nodes = eng.nodes
+        found = next(_CoverEngine(g, space, ones, caps, budget).covers(target), None)
         if found is not None:
-            return target, found, space, nodes
-    return None, None, space, nodes
+            return target, found, space
+    return None, None, space
 
 
 def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccResult:
@@ -616,19 +602,20 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
     The witness is the first cover of ``_structured_covers``, the cap-2
     optimum 4m/3 + e.  With ``cap`` >= 3 and e >= 3, ``_deepening`` then
     looks for a shorter cover with a weight above 2, and its witness wins.
+    Every stage spends one budget of ``node_limit`` nodes.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    length, covers, nodes = _structured_covers(g, node_limit, first=True)
-    cover = CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
-    stage = _stage(g, length)
+    budget = _Budget(node_limit)
+    length, [(_, run)] = _structured_covers(g, budget, first=True)
+    cover, stage = _decode_joins(g, run), _stage(g, length)
     if cap > 2 and length > 2 * g.n + 2:
-        shorter, found, space, nodes = _deepening(g, cap, length, node_limit, nodes)
+        shorter, found, space = _deepening(g, cap, length, budget)
         if found is not None:
             length, cover, stage = shorter, CycleCover.of(map(space.circuit, found)), "deepening"
     assert cover.length == length
-    return SccResult(length, cover, True, cap, nodes, stage)
+    return SccResult(length, cover, True, cap, budget.nodes, stage)
 
 
 @dataclass(frozen=True)
@@ -660,7 +647,8 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    length, covers, nodes = _structured_covers(g, node_limit)
+    budget = _Budget(node_limit)
+    length, covers = _structured_covers(g, budget)
     if cap == 2 or length < 2 * g.n + 2:
         one = two = 0  # the edges of weight 1, and of weight 2, in some cover
         for ones, _ in covers:
@@ -668,22 +656,19 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
             two |= ~ones
         per_edge = tuple(frozenset(w for w, held in ((1, one), (2, two)) if held >> e & 1)
                          for e in range(g.m))
-        return WeightSpectrum(length, per_edge, len(covers), nodes, _stage(g, length))
-    shorter, _, space, nodes = _deepening(g, cap, length, node_limit, nodes)
-    return _spectrum_over(space, cap, shorter or length, node_limit, nodes)
+        return WeightSpectrum(length, per_edge, len(covers), budget.nodes, _stage(g, length))
+    shorter, _, space = _deepening(g, cap, length, budget)
+    return _spectrum_over(space, cap, shorter or length, budget)
 
 
-def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
-    """The spectrum of the covers of the given length over every circuit of
-    ``space`` (the engine visits each multiset once); ``nodes`` counts on
-    from the nodes already spent."""
+def _spectrum_over(space, cap, length, budget):
+    """The spectrum of the covers of the optimum ``length`` over every
+    circuit of ``space`` (the engine visits each multiset once, and no cover
+    is shorter), with the nodes ``budget`` has spent in all."""
     g = space.g
-    eng = _CoverEngine(g, space, [1] * g.m, [cap] * g.m, node_limit=node_limit, nodes=nodes)
     attained = [set() for _ in range(g.m)]
     covers = 0
-
-    def collect(chosen):
-        nonlocal covers
+    for chosen in _CoverEngine(g, space, [1] * g.m, [cap] * g.m, budget).covers(length):
         covers += 1
         w = [0] * g.m
         for ci in chosen:
@@ -691,9 +676,7 @@ def _spectrum_over(space, cap, length, node_limit=None, nodes=0):
                 w[e] += 1
         for e in range(g.m):
             attained[e].add(w[e])
-
-    eng.search("all", bound=length, collect=collect)
-    return WeightSpectrum(length, tuple(frozenset(s) for s in attained), covers, eng.nodes,
+    return WeightSpectrum(length, tuple(frozenset(s) for s in attained), covers, budget.nodes,
                           "deepening")
 
 
@@ -823,7 +806,7 @@ class _Matchings:
     the (odd circuits, circuits) of the complementary 2-factor.  Each pair is
     computed once, when a walk first reaches it, and memoised, so a question
     that stops early leaves the rest uncounted and the next walk reads the
-    counted prefix before it counts on.  ``factor_counts`` drains the walk.
+    counted prefix before it counts on.
     ``holders[e]`` is the set of matchings that hold edge e, as a bitmask
     over their indices, built on first use.
     """
@@ -854,10 +837,6 @@ class _Matchings:
             if i == len(counts):
                 counts.append(self._count(pm))
             yield counts[i]
-
-    @property
-    def factor_counts(self):
-        return list(self.factors())
 
     def _count(self, pm):
         walks = _factor_circuits(self.g, pm)
@@ -935,8 +914,9 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     the store's, so a label that no perfect matching completes fails at
     once, whatever the edge order.  An edge that no perfect matching holds
     (a loop, or an edge beside a bridge) puts tau above any limit, with no
-    search.  ``node_limit`` bounds the labelling nodes over every k; an
-    abort raises ``NodeLimitExceeded`` with the nodes spent.
+    search.  The labelling nodes over every k spend one budget of
+    ``node_limit`` nodes; an abort raises ``NodeLimitExceeded`` with the
+    nodes spent.
     """
     store = _matchings(g)
     if limit < 3 or not store.masks:
@@ -950,17 +930,16 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
-    nodes = 0
+    budget = _Budget(node_limit)
     for k in range(4, limit + 1):
         subsets, stars = _partition_tables(k)
         holds = [_mask(a for a, s in enumerate(subsets) if s >> i & 1) for i in range(k)]
-        labels, nodes = _label_search(g, stars, subsets, node_limit, nodes,
-                                      _matching_cuts(g, holds))
+        labels = _label_search(g, stars, budget, subsets, _matching_cuts(g, holds))
         if labels is not None:
             held = [subsets[a] for a in labels]
             return TauResult(k, tuple(frozenset(e for e in range(g.m) if held[e] >> i & 1)
-                                      for i in range(k)), nodes)
-    return TauResult(None, (), nodes)
+                                      for i in range(k)), budget.nodes)
+    return TauResult(None, (), budget.nodes)
 
 
 def oddness(g: CubicGraph):
@@ -1006,7 +985,8 @@ def circumference(g: Multigraph, node_limit=None):
     w through R to a neighbour of v0, and each of its inner vertices has two
     neighbours in R + {w, v0}.  A branch is cut when v0 has no neighbour in
     R + {w}, or when those inner vertices cannot beat the best circuit.  Each
-    extension is one node of ``node_limit``, counted over both passes.
+    extension is one node of a budget of ``node_limit`` nodes, spent over
+    both passes; the DFS returns True to stop its pass.
     """
     n = g.n
     cubic = all(d == 3 for d in g.degrees())
@@ -1025,10 +1005,9 @@ def circumference(g: Multigraph, node_limit=None):
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
     best = [0, None]
-    nodes = 0
+    spend = _Budget(node_limit).spend
 
     def dfs(v0, cur, visited, path_edges, path_verts, stop):
-        nonlocal nodes
         length = len(path_edges)
         for e, w in adj[cur]:
             if w == v0:
@@ -1037,7 +1016,7 @@ def circumference(g: Multigraph, node_limit=None):
                     best[0] = length + 1
                     best[1] = (tuple(path_edges + [e]), tuple(path_verts))
                     if best[0] == stop:
-                        raise _SearchStop
+                        return True
                 continue
             if visited >> w & 1:
                 continue
@@ -1061,25 +1040,21 @@ def circumference(g: Multigraph, node_limit=None):
                 rest ^= low
             if length + 2 + inner <= best[0]:
                 continue
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise NodeLimitExceeded("circumference", nodes)
+            spend("circumference")
             path_edges.append(e)
             path_verts.append(w)
-            dfs(v0, w, visited | 1 << w, path_edges, path_verts, stop)
+            if dfs(v0, w, visited | 1 << w, path_edges, path_verts, stop):
+                return True
             path_edges.pop()
             path_verts.pop()
+        return False
 
     def search(floor, stop):
         best[0] = floor
-        try:
-            for v0 in range(n):
-                if n - v0 <= best[0]:
-                    break
-                # every vertex up to v0 counts as visited
-                dfs(v0, v0, (2 << v0) - 1, [], [v0], stop)
-        except _SearchStop:
-            pass
+        for v0 in range(n):
+            # every vertex up to v0 counts as visited
+            if n - v0 <= best[0] or dfs(v0, v0, (2 << v0) - 1, [], [v0], stop):
+                break
 
     if not (cubic and colours is None):
         search(n - 1, n)
@@ -1154,11 +1129,9 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
                 if (e, s0) in taken or pins.setdefault(e, s0 ^ s1) != s0 ^ s1:
                     return None  # a transition taken twice, or two that no choice holds
                 taken.add((e, s0))
-        covers, _ = _truncated_covers(g, range(g.n), _bfs_edges(g), 0, True, True, node_limit,
-                                      pins=pins)
-        if not covers:
-            return None
-        return CycleCover.of(trace_circuit(g, edges) for edges in covers[0][1])
+        found = next(_truncated_covers(g, range(g.n), _bfs_edges(g), 0, _Budget(node_limit),
+                                       pins), None)
+        return None if found is None else _decode_joins(g, found[1])
     if must_contain:
         raise GraphError("must_contain is only available in the circuit-form search")
     if k < 2:
@@ -1170,7 +1143,7 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
              for a, b, c in combinations(range(k), 3) if tf in (None, c)]
     # the classes other than the 2-factor class are interchangeable
     symbols = [_mask(c for c in p if c != tf) for p in pairs]
-    labels, _ = _label_search(g, stars, symbols, node_limit)
+    labels = _label_search(g, stars, _Budget(node_limit), symbols)
     if labels is None:
         return None
     return KCdc.of(frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(k))
@@ -1252,11 +1225,11 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
 # covers by k perfect matchings
 # --------------------------------------------------------------------------
 
-def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, cuts=None):
+def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
     """First labelling of the edges of ``g`` (loopless) in which the labels
     at every vertex of degree 3 form one of ``stars``, and the labels at any
-    vertex are pairwise in a common star, with the running node count:
-    (labels, nodes), or (None, nodes) when none exists (complete proof).
+    vertex are pairwise in a common star, or None when none exists
+    (complete proof).
 
     ``stars`` are sets of three labels, and two labels lie in at most one
     star, so any two labels at a vertex fix the third.  Each edge keeps a
@@ -1265,10 +1238,10 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, 
     vertex whose other two edges are labelled; a domain that falls to one
     label is labelled at once.  The search branches on the smallest domain,
     then the lowest edge id, and tries its labels in ascending order, one
-    node each.  ``symbols[a]`` masks the interchangeable symbols that label
-    ``a`` uses; a branch may use no new symbol above the highest used one
-    plus one, which stays sound when propagation uses symbols out of order.
-    ``nodes`` is the count spent before this search, as in ``_CoverEngine``.
+    node of ``budget`` each.  ``symbols[a]`` masks the interchangeable
+    symbols that label ``a`` uses; a branch may use no new symbol above the
+    highest used one plus one, which stays sound when propagation uses
+    symbols out of order.
     ``cuts(dom)``, when given, runs after each branch's propagation on the
     domains: None refutes the branch, else its (edge, mask) pairs narrow the
     edge's domain to the mask, and that narrowing propagates in turn.
@@ -1326,7 +1299,7 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, 
         return cut is not None and all(narrow(f, dom[f] & d, queue) for f, d in cut) and label(queue)
 
     def rec():
-        nonlocal used, nodes
+        nonlocal used
         best, size = -1, count + 1
         for e in range(m):
             if lab[e] < 0 and dom[e].bit_count() < size:
@@ -1342,9 +1315,7 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, 
             high = (used | symbols[a]) >> used.bit_length()
             if high & (high + 1):
                 continue
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise NodeLimitExceeded("labelling", nodes)
+            budget.spend("labelling")
             if label([(best, a)]) and settle() and rec():
                 return True
             while len(trail) > mark:
@@ -1352,8 +1323,7 @@ def _label_search(g: Multigraph, stars, symbols=None, node_limit=None, nodes=0, 
             used = before
         return False
 
-    found = rec()
-    return (lab if found else None), nodes
+    return lab if rec() else None
 
 
 def _partition_tables(k):
@@ -1381,7 +1351,7 @@ def _colouring(g):
     ``_matchings``, read by ``edge_colouring_3`` and ``circumference``."""
     if g.loops:
         return None
-    labels, _ = _label_search(g, [{0, 1, 2}], symbols=[1, 2, 4])
+    labels = _label_search(g, [{0, 1, 2}], _Budget(), [1, 2, 4])
     return None if labels is None else tuple(labels)
 
 

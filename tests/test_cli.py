@@ -534,6 +534,7 @@ def _error_cases(tmp_path):
     identity = [f"{u} {v} -> {u} {v}" for u, v in p.edges]
     files = {
         "p.g6": write_graph6(p) + "\n",
+        "p_then_bad.g6": write_graph6(p) + "\nA_\n",
         "bridged.adj": write_adjacency(_bridged_cubic()),
         "nopm.adj": write_adjacency(build_graph(nopm)),
         "k33.adj": "0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
@@ -610,6 +611,10 @@ def _error_cases(tmp_path):
         # exit 3: a search aborts
         ("tau node limit", ["tau", path["p.g6"], "--node-limit", "1"]),
         ("circ node limit", ["circ", path["p.g6"], "--node-limit", "1"]),
+        # a bad graph6 line after the first graph: a single-graph command
+        # reads only that graph, and analyze reports the graphs before it
+        ("scc graph6 bad line", ["scc", path["p_then_bad.g6"]]),
+        ("analyze graph6 bad line", ["analyze", path["p_then_bad.g6"]]),
     ]
 
 

@@ -222,6 +222,31 @@ def test_oddness2_rejects_four_odd_components():
         cover_via_oddness2(g, two_factor=factor)
 
 
+def test_oddness2_refuses_a_link_graph_that_is_not_2_connected():
+    # the path variant takes any distinct matching edges as links.  Links
+    # that give each odd circuit three ends and each even one two or none
+    # keep the 2-factor's image even, so the coloured part colours, but the
+    # searched part can still have a bridge or fall apart
+    from conftest import load_snarks18
+
+    cases = [
+        # G5: edge 0 joins the odd circuits, and edges 1 and 47 are chords
+        # of them, so edge 0 is a bridge of the searched part
+        (goldberg(5), (0, 1, 47), [8, 15, 17], [(1, 2), (1, 1), (2, 2)]),
+        # snarks18[0]: three edges join the odd 5-circuits, and edge 8 is a
+        # chord of the 8-circuit, a second piece of the searched part
+        (load_snarks18()[0], (8, 14, 22, 26), [5, 5, 8], [(2, 2), (0, 1), (0, 1), (0, 1)]),
+    ]
+    for g, links, sizes, ends in cases:
+        everything = frozenset(range(g.m))
+        factor = next(everything - pm for pm in enumerate_perfect_matchings(g) if set(links) <= pm
+                      and [len(c) for c in decompose_even_subgraph(g, everything - pm)] == sizes)
+        where = {v: i for i, c in enumerate(decompose_even_subgraph(g, factor)) for v in c.vertices}
+        assert [tuple(sorted(where[v] for v in g.edges[e])) for e in links] == ends
+        with pytest.raises(HypothesisViolated, match="link-graph reduction is not 2-connected"):
+            cover_via_oddness2(g, two_factor=factor, links=[(e,) for e in links])
+
+
 # --- tau constructions ---------------------------------------------------------
 
 def test_five_cdc_roundtrip_flower():

@@ -18,7 +18,7 @@ from cyclecover.pcolour import (
     pullback_cover,
     verify_petersen_colouring,
 )
-from cyclecover.solvers import _label_search, edge_colouring_3, shortest_cycle_cover
+from cyclecover.solvers import _Budget, _label_search, edge_colouring_3, shortest_cycle_cover
 
 
 def star_colouring(g):
@@ -81,7 +81,7 @@ def test_colouring_search_is_order_robust():
     j9 = flower(9)
     for g in (j9, relabelled(j9, 1), relabelled(j9, 2)):
         with pytest.raises(NodeLimitExceeded):
-            _label_search(g, _P_STARS, node_limit=1000)
+            _label_search(g, _P_STARS, _Budget(1000))
     for g, limit in ((j9, 1000), (parse_graph6(write_graph6(j9)), 1000),
                      (relabelled(j9, 1), 1000), (relabelled(j9, 2), 1000), (flower(11), 2000)):
         c = find_petersen_colouring(g, node_limit=limit)

@@ -11,6 +11,7 @@ from cyclecover.pcolour import (
     verify_petersen_colouring,
 )
 from cyclecover.solvers import (
+    _Budget,
     _label_search,
     _matchings,
     edge_colouring_3,
@@ -77,7 +78,7 @@ def test_petersen_colouring_iff_bridgeless_corpus():
     for g in [*load_corpus(12), *load_snarks18(), flower(5), flower(7)]:
         colouring = find_petersen_colouring(g)
         assert (colouring is not None) == is_bridgeless(g)
-        assert (_label_search(g, _P_STARS)[0] is not None) == is_bridgeless(g)
+        assert (_label_search(g, _P_STARS, _Budget()) is not None) == is_bridgeless(g)
         if colouring is not None:
             assert verify_petersen_colouring(g, colouring) == (True, None)
             stored = set(_matchings(g).masks)

@@ -20,9 +20,11 @@ from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
 from cyclecover.solvers import (
+    _Budget,
     _CircuitSpace,
     _circuits,
     _CoverEngine,
+    _decode_joins,
     _deepening,
     _every_cover,
     _matchings,
@@ -191,9 +193,28 @@ def _covers_by_engine(g, rest, x):
     with demand and cap 1 on E - rest and 2 on rest."""
     space = _space_of(g, _alternating_circuits(g, rest, x))
     demand = [1 + (rest >> e & 1) for e in range(g.m)]
-    hits = []
-    _CoverEngine(g, space, demand, demand).search("all", bound=sum(demand), collect=hits.append)
+    hits = _CoverEngine(g, space, demand, demand, _Budget()).covers(sum(demand))
     return Counter(tuple(sorted(space.elists[i] for i in hit)) for hit in hits)
+
+
+def _circuit_sets(g, run):
+    """The cover of a run of options as its circuits' sorted edge tuples,
+    sorted, as ``_covers_by_engine`` counts them."""
+    return tuple(sorted(tuple(sorted(c.edges)) for c in _decode_joins(g, run).circuits))
+
+
+def _budget(limit=None, spent=0):
+    """A budget of ``limit`` nodes that has already spent ``spent``."""
+    budget = _Budget(limit)
+    budget.nodes = spent
+    return budget
+
+
+def _run(search, *args, limit=None, spent=0):
+    """(every cover a cover search yields, the nodes its budget holds after)
+    on ``_budget(limit, spent)``."""
+    budget = _budget(limit, spent)
+    return list(search(*args, budget)), budget.nodes
 
 
 def test_transition_covers_match_engine_oracle(pete, j5):
@@ -211,10 +232,10 @@ def test_transition_covers_match_engine_oracle(pete, j5):
         for g in (g0, relabelled(g0, 1), relabelled(g0, 2)):
             full, union = (1 << g.m) - 1, (Counter(), Counter())
             for pm in _matchings(g).masks:
-                found, _ = _transition_covers(g, pm, decode=True)
+                found, _ = _run(_transition_covers, g, pm)
                 want = _covers_by_engine(g, pm, -1)
-                assert Counter(tuple(sorted(c)) for _, c in found) == want
-                assert _transition_covers(g, pm)[0] == [(full & ~pm, None)] * len(found)
+                assert Counter(_circuit_sets(g, run) for _, run in found) == want
+                assert [ones for ones, _ in found] == [full & ~pm] * len(found)
                 union[0].update({(full & ~pm, cover): k for cover, k in want.items()})
             for x in range(g.n):
                 for ones in _two_regular_avoiding(g, x):
@@ -224,46 +245,44 @@ def test_transition_covers_match_engine_oracle(pete, j5):
             subgraphs += len(_matchings(g).masks)
             covers += sum(union[0].values()) + sum(union[1].values())
             for excess, want in enumerate(union):
-                found, _ = _every_cover(g, excess, decode=True)
-                assert Counter((ones, tuple(sorted(c))) for ones, c in found) == want
-                assert [ones for ones, _ in _every_cover(g, excess)[0]] == [
-                    ones for ones, _ in found]
+                found, _ = _run(_every_cover, g, excess)
+                assert Counter((ones, _circuit_sets(g, run)) for ones, run in found) == want
     assert subgraphs > 10000 and covers > 30000
     # vertex 0 has a digon to a neighbour, or three edges to one, so it lies
     # on C in every cover at 4m/3 + 1
     for g in (digon_at_x, theta):
-        for ones, _ in _every_cover(g, 1)[0]:
+        for ones, _ in _every_cover(g, 1, _Budget()):
             assert any(ones >> e & 1 for e in g.incident_edges[0])
 
 
 def test_transition_search_counts_one_running_budget(pete, j5):
-    # the search counts on from the nodes it is given, and an abort reports
-    # the running total
+    # the search counts on from the nodes its budget has spent, and an abort
+    # reports the running total
     for g in (pete, j5):
         for pm in _matchings(g).masks[:20]:
-            found, spent = _transition_covers(g, pm)
+            found, spent = _run(_transition_covers, g, pm)
             total = 100 + spent
-            assert _transition_covers(g, pm, nodes=100) == (found, total)
-            assert _transition_covers(g, pm, node_limit=total, nodes=100)[1] == total
+            assert _run(_transition_covers, g, pm, spent=100) == (found, total)
+            assert _run(_transition_covers, g, pm, limit=total, spent=100)[1] == total
             with pytest.raises(NodeLimitExceeded) as exc:
-                _transition_covers(g, pm, node_limit=total - 1, nodes=100)
+                _run(_transition_covers, g, pm, limit=total - 1, spent=100)
             assert (exc.value.search, exc.value.nodes) == ("transitions", total)
-        found, spent = _every_cover(g, 1)
+        found, spent = _run(_every_cover, g, 1)
         total = 100 + spent
-        assert _every_cover(g, 1, nodes=100) == (found, total)
-        assert _every_cover(g, 1, node_limit=total, nodes=100)[1] == total
+        assert _run(_every_cover, g, 1, spent=100) == (found, total)
+        assert _run(_every_cover, g, 1, limit=total, spent=100)[1] == total
         with pytest.raises(NodeLimitExceeded) as exc:
-            _every_cover(g, 1, node_limit=total - 1, nodes=100)
+            _run(_every_cover, g, 1, limit=total - 1, spent=100)
         assert (exc.value.search, exc.value.nodes) == ("transitions", total)
     # and at excess 2, over every X of two vertices of P+P
     g = two_cut_join(pete, 0, pete, 0)
-    found, spent = _every_cover(g, 2)
+    found, spent = _run(_every_cover, g, 2)
     total = 100 + spent
     assert len(found) == 272
-    assert _every_cover(g, 2, nodes=100) == (found, total)
-    assert _every_cover(g, 2, node_limit=total, nodes=100)[1] == total
+    assert _run(_every_cover, g, 2, spent=100) == (found, total)
+    assert _run(_every_cover, g, 2, limit=total, spent=100)[1] == total
     with pytest.raises(NodeLimitExceeded) as exc:
-        _every_cover(g, 2, node_limit=total - 1, nodes=100)
+        _run(_every_cover, g, 2, limit=total - 1, spent=100)
     assert (exc.value.search, exc.value.nodes) == ("transitions", total)
     # over every weight-1 subgraph of scc, one budget
     res = shortest_cycle_cover(pete)
@@ -277,7 +296,7 @@ def test_transition_search_counts_one_running_budget(pete, j5):
 def test_stage_names_the_settling_search(k4, pete):
     for g, stage in ((k4, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
-    assert _spectrum_over(_CircuitSpace(k4), 2, 8).stage == "deepening"
+    assert _spectrum_over(_CircuitSpace(k4), 2, 8, _Budget()).stage == "deepening"
 
 
 def test_scc_k4(k4):
@@ -335,9 +354,10 @@ def test_scc_deepening_petersen_pair(pete):
     # 4m/3, then the joint search at 4m/3 + 1), level 2 takes 1,608 more;
     # for every cover the levels take 354, 9,280 and 71,108
     assert res.nodes == 9720 + 1608
-    assert [_every_cover(g, excess)[1] for excess in (0, 1, 2)] == [354, 9280, 71108]
-    length, covers, nodes = _structured_covers(g)
-    assert (length, len(covers), nodes) == (42, 272, 354 + 9280 + 71108)
+    assert [_run(_every_cover, g, excess)[1] for excess in (0, 1, 2)] == [354, 9280, 71108]
+    budget = _Budget()
+    length, covers = _structured_covers(g, budget)
+    assert (length, len(covers), budget.nodes) == (42, 272, 354 + 9280 + 71108)
     assert [c.edges for c in res.cover.circuits] == [
         (2, 3, 4, 13, 7), (16, 17, 18, 27, 21), (1, 6, 10, 11, 12, 7), (15, 20, 24, 25, 26, 21),
         (0, 6, 9, 4, 28, 18, 23, 20, 14, 29), (3, 8, 11, 5, 29, 19, 25, 22, 17, 28)]
@@ -348,14 +368,16 @@ def test_deepening_searches_only_below_the_cap_two_optimum(pete):
     # start there and stop below the bound: none is left below 42, and the
     # engine at cap 3 takes 8,304 nodes to meet target 42
     g = two_cut_join(pete, 0, pete, 0)
-    length, found, _, nodes = _deepening(g, 3, 42, nodes=5)
-    assert (length, found, nodes) == (None, None, 5)
-    length, found, space, nodes = _deepening(g, 3, 43)
-    assert (length, nodes) == (42, 8304)
+    budget = _budget(spent=5)
+    length, found, _ = _deepening(g, 3, 42, budget)
+    assert (length, found, budget.nodes) == (None, None, 5)
+    budget = _Budget()
+    length, found, space = _deepening(g, 3, 43, budget)
+    assert (length, budget.nodes) == (42, 8304)
     cover = CycleCover.of(map(space.circuit, found))
     assert cover.length == 42 and validate(cover, g).ok
     with pytest.raises(NodeLimitExceeded) as exc:
-        _deepening(g, 3, 43, node_limit=8303)
+        _deepening(g, 3, 43, _Budget(8303))
     assert (exc.value.search, exc.value.nodes) == ("cover engine", 8304)
 
 
@@ -548,7 +570,7 @@ def test_matching_store_counts_only_the_factors_it_needs():
         store = _matchings(g)
         counted = list(store._counts)
         assert (len(counted) < len(store.masks)) == lazy
-        assert store.factor_counts[:len(counted)] == counted
+        assert list(store.factors())[:len(counted)] == counted
 
 
 def test_matching_store_holders(pete, j5):
@@ -833,7 +855,7 @@ def test_circumference_n_iff_hamiltonian_two_factor():
     rng = random.Random(2013)
     graphs = load_corpus(12) + [_random_cubic(n, rng) for n in (40, 44, 48, 52, 56)]
     for g in graphs:
-        hamiltonian = any(circuits == 1 for _, circuits in _matchings(g).factor_counts)
+        hamiltonian = any(circuits == 1 for _, circuits in list(_matchings(g).factors()))
         assert (circumference(g)[0] == g.n) == hamiltonian
 
 
@@ -923,7 +945,7 @@ def _find_cdc_over_every_circuit(g, must_contain):
             demand[e] -= 1
     if any(d < 0 for d in demand):
         return None
-    found = _CoverEngine(g, space, demand, demand).search("first", bound=sum(demand))
+    found = next(_CoverEngine(g, space, demand, demand, _Budget()).covers(sum(demand)), None)
     if found is None:
         return None
     return CycleCover.of([trace_circuit(g, c.edges) for c in must_contain]
@@ -1028,7 +1050,7 @@ def _full_space(g, length, cap=2):
     """(length, covers, per_edge) of the covers of that length, enumerated
     over every circuit of g: the engine's route, which runs only with a cap
     of 3 or more."""
-    spec = _spectrum_over(_CircuitSpace(g), cap, length)
+    spec = _spectrum_over(_CircuitSpace(g), cap, length, _Budget())
     return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
 
 
@@ -1076,6 +1098,59 @@ def test_spectrum_node_budget_spans_every_search(j5):
         edge_weight_spectrum(j5, node_limit=spec.nodes - 1)
     # the abort reports the whole budget spent, not the last search's count
     assert exc.value.nodes == spec.nodes
+
+
+def _deepened(limit):
+    """The engine's entry: the cap-3 deepening of P+P below its cap-2
+    optimum, with the nodes it spent."""
+    budget = _Budget(limit)
+    length, found, _ = _deepening(two_cut_join(petersen(), 0, petersen(), 0), 3, 43, budget)
+    return length, found, budget.nodes
+
+
+def _least_limit(call):
+    """The least node limit under which ``call`` returns, by bisection."""
+    def returns(limit):
+        try:
+            call(limit)
+        except NodeLimitExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not returns(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if returns(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("search, call, reported", [
+    ("transitions", lambda limit: shortest_cycle_cover(petersen(), node_limit=limit),
+     lambda res: res.nodes),
+    ("transitions", lambda limit: edge_weight_spectrum(flower(5), node_limit=limit),
+     lambda res: res.nodes),
+    ("transitions", lambda limit: find_cdc(flower(5), node_limit=limit), None),
+    ("labelling", lambda limit: find_cdc(petersen(), k=5, node_limit=limit), None),
+    ("labelling", lambda limit: perfect_matching_index(petersen(), node_limit=limit),
+     lambda res: res.nodes),
+    ("labelling", lambda limit: find_petersen_colouring(flower(5), node_limit=limit), None),
+    ("circumference", lambda limit: circumference(flower(5), node_limit=limit), None),
+    ("cover engine", _deepened, lambda res: res[2]),
+], ids=["scc", "spectrum", "circuit cdc", "k-class cdc", "tau", "petersen colouring",
+        "circumference", "deepening"])
+def test_node_limit_of_the_nodes_spent_returns_the_unlimited_result(search, call, reported):
+    # every search of a call spends one budget: a limit of the nodes it
+    # spent returns the unlimited result, and one node less aborts it with
+    # the search's name and that count (found by bisection when the result
+    # reports none)
+    result = call(None)
+    spent = _least_limit(call) if reported is None else reported(result)
+    assert call(spent) == result
+    with pytest.raises(NodeLimitExceeded) as exc:
+        call(spent - 1)
+    assert (exc.value.search, exc.value.nodes) == (search, spent)
 
 
 def test_three_disjoint_paths_contracted_petersen(pete):
