@@ -355,6 +355,16 @@ def _oddness2_paths(g, f, comps, odd_comps, links, node_limit):
     for e in all_link_edges:
         if e in f:
             raise HypothesisViolated("path edges must be matching edges")
+    # the coloured part keeps each circuit's image even only with link ends
+    # of its parity, and leaves a circuit with an end at every vertex apart;
+    # the searched part suppresses a circuit with one end into a loop
+    ends = {v for e in all_link_edges for v in g.edges[e]}
+    for c in comps:
+        k = len(ends.intersection(c.vertices))
+        if k % 2 != len(c) % 2 or k in (1, len(c)):
+            raise HypothesisViolated(
+                f"links {paths} end {k} times on a {len(c)}-circuit: each circuit needs "
+                "a number of link ends of its parity, neither one nor all its vertices")
 
     cert = {"two_factor": f, "paths": tuple(paths), "d": d}
     cover = _oddness2_pipeline(g, f, comps, all_link_edges, node_limit)

@@ -8,8 +8,25 @@ ids); loops are recorded and flagged on ``Multigraph`` but rejected by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import GraphError
+
+
+def _one_graph_memo(build):
+    """``build(g)`` memoised for the last graph it was called on.  Graphs are
+    immutable and hash by identity, so consecutive calls on one graph share
+    one value; ``held(g)`` reads that value, or None, without building it."""
+    memo = [None, None]
+
+    @wraps(build)
+    def cached(g):
+        if memo[0] is not g:
+            memo[:] = g, build(g)
+        return memo[1]
+
+    cached.held = lambda g: memo[1] if memo[0] is g else None
+    return cached
 
 
 class Multigraph:
@@ -136,8 +153,11 @@ def is_connected(g: Multigraph) -> bool:
     return g.n == 0 or len(connected_components(g)) == 1
 
 
+@_one_graph_memo
 def _cut_labels(g: Multigraph):
-    """Exact cycle-space labels of the edges, and the number of components.
+    """Exact cycle-space labels of the edges, and the number of components,
+    memoised for the last graph (read by ``bridges`` and
+    ``cyclic_connectivity_at_least``; callers must not change the labels).
 
     Over a spanning forest, each non-tree edge gets a bit of its own and each
     tree edge the XOR of the bits of the non-tree edges whose fundamental

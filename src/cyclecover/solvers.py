@@ -10,12 +10,11 @@ value orders, so results are deterministic for a given graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
-from .graphs import CubicGraph, Multigraph, bridges, is_connected
+from .graphs import CubicGraph, Multigraph, _one_graph_memo, bridges, is_connected
 
 
 class _Budget:
@@ -361,7 +360,7 @@ class _Joins:
         return known[reach]
 
 
-@lru_cache(maxsize=1)
+@_one_graph_memo
 def _joins(g) -> _Joins:
     """The join table of ``g``, a one-graph memo like ``_matchings``."""
     return _Joins(g)
@@ -842,11 +841,16 @@ class _Matchings:
         walks = _factor_circuits(self.g, pm)
         return sum(len(w) & 1 for w in walks), len(walks)
 
+    def no_even_factor(self):
+        """True when every 2-factor is counted and each has an odd circuit."""
+        return len(self._counts) == len(self.masks) and all(odd for odd, _ in self._counts)
 
-@lru_cache(maxsize=1)
+
+@_one_graph_memo
 def _matchings(g) -> _Matchings:
     """The matching store of ``g``.  Graphs are immutable and hash by
-    identity, so consecutive solver calls on one graph share one store."""
+    identity, so consecutive solver calls on one graph share one store;
+    ``_matchings.held(g)`` reads it only if it is already built."""
     return _Matchings(g)
 
 
@@ -856,26 +860,44 @@ def _matching_cuts(g, holds):
     matchings.
 
     On the domains of a branch, the edges whose whole domain lies in a mask
-    are in its matching and those whose domain misses it are out.  When no
-    stored matching fits, the branch is refuted; an open edge that no fitting
-    matching holds leaves the mask, and one that every fitting matching
-    holds takes it.  Sound whenever every labelling sought makes each mask's
-    edges a perfect matching of g.
+    are in its matching and those whose domain misses it are out, so the
+    stored matchings that fit the mask are the AND of those edges' holder
+    masks and of their complements.  Edges with one domain fall on one side
+    of every mask together, so each call first ANDs the holder masks of the
+    edges of each domain met (a label alone, mostly) into an inside and an
+    outside mask, and each mask then takes one of the two per domain.  When
+    no stored matching fits, the branch is refuted; an open edge (its domain
+    on both sides) that no fitting matching holds leaves the mask, and one
+    that every fitting matching holds takes it, in edge order.  Sound
+    whenever every labelling sought makes each mask's edges a perfect
+    matching of g.
     """
     store = _matchings(g)
     holders, every = store.holders, (1 << len(store.masks)) - 1
 
     def cuts(dom):
+        groups = {}  # domain: [AND of holders, AND of complements, edges]
+        for e, d in enumerate(dom):
+            h, group = holders[e], groups.get(d)
+            if group is None:
+                groups[d] = [h, ~h, [e]]
+            else:
+                group[0] &= h
+                group[1] &= ~h
+                group[2].append(e)
         out = []
         for hold in holds:
             fit, open_ = every, []
-            for e, d in enumerate(dom):
-                if d & hold and d & ~hold:
-                    open_.append(e)
+            for d, (inside, outside, edges) in groups.items():
+                if not d & ~hold:
+                    fit &= inside
+                elif not d & hold:
+                    fit &= outside
                 else:
-                    fit &= holders[e] if d & hold else ~holders[e]
+                    open_ += edges
             if not fit:
                 return None
+            open_.sort()
             out += [(e, ~hold) for e in open_ if not fit & holders[e]]
             out += [(e, hold) for e in open_ if not fit & ~holders[e]]
         return out
@@ -1236,8 +1258,12 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
     bitmask domain.  Labelling an edge narrows the other edges at its ends to
     the labels that share a star with it, and fixes the third edge of a
     vertex whose other two edges are labelled; a domain that falls to one
-    label is labelled at once.  The search branches on the smallest domain,
-    then the lowest edge id, and tries its labels in ascending order, one
+    label is labelled at once.  Both rules are one table lookup per
+    neighbour: ``third[a][b]`` is the mask left beside labels a and b (every
+    label sharing a star with a when b is -1, unlabelled), and ``beside[e]``
+    pairs each edge at an end of e with the third edge there.  The search
+    branches on the smallest domain, then the lowest edge id (so a domain of
+    two labels ends the scan), and tries its labels in ascending order, one
     node of ``budget`` each.  ``symbols[a]`` masks the interchangeable
     symbols that label ``a`` uses; a branch may use no new symbol above the
     highest used one plus one, which stays sound when propagation uses
@@ -1247,21 +1273,32 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
     edge's domain to the mask, and that narrowing propagates in turn.
     """
     count = 1 + max((max(star) for star in stars), default=-1)
-    adj = [0] * count
-    third = {}
+    # third[a][b]: the labels left to an edge beside a and b at a vertex of
+    # degree 3, as a mask: the third label of their star; third[a][-1] (b
+    # unlabelled, or no b) is every label sharing a star with a
+    third = [[0] * (count + 1) for _ in range(count)]
     for star in stars:
         for a in star:
             for b in star:
                 if a != b:
-                    adj[a] |= 1 << b
-                    (third[a, b],) = set(star) - {a, b}
+                    third[a][-1] |= 1 << b
+                    (c,) = set(star) - {a, b}
+                    third[a][b] = 1 << c
     symbols = symbols or [0] * count
     m = g.m
-    # ends[e]: for each end of e, the other edges there
-    ends = [[[f for f in g.incident_edges[v] if f != e] for v in g.edges[e]] for e in range(m)]
+    # beside[e]: (f, o) for each other edge f at each end of e, where o is
+    # the third edge there, or m when the end has no third edge
+    at = []  # at[v][e]: those pairs at v
+    for inc in g.incident_edges:
+        if len(inc) == 3:
+            x, y, z = inc
+            at.append({x: ((y, z), (z, y)), y: ((x, z), (z, x)), z: ((x, y), (y, x))})
+        else:
+            at.append({e: tuple((f, m) for f in inc if f != e) for e in inc})
+    beside = [at[u][e] + at[v][e] for e, (u, v) in enumerate(g.edges)]
     full = _mask(a for star in stars for a in star)
     dom = [full] * m
-    lab = [-1] * m
+    lab = [-1] * (m + 1)  # lab[m] stays -1
     trail = []  # (edge, domain, label) before each change
     used = 0  # symbols of the labelled edges
 
@@ -1282,13 +1319,18 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
             trail.append((e, dom[e], -1))
             dom[e], lab[e] = 1 << a, a
             used |= symbols[a]
-            for others in ends[e]:
-                done = [lab[f] for f in others if lab[f] >= 0]
-                for f in others:
-                    if lab[f] < 0:
-                        d = 1 << third[a, done[0]] if len(others) == 2 and done else adj[a]
-                        if not narrow(f, dom[f] & d, queue):
+            left = third[a]
+            for f, o in beside[e]:
+                if lab[f] < 0:
+                    d = dom[f]
+                    x = d & left[lab[o]]
+                    if x != d:  # narrow(f, x, queue), inline
+                        if not x:
                             return False
+                        trail.append((f, d, -1))
+                        dom[f] = x
+                        if not x & (x - 1):
+                            queue.append((f, x.bit_length() - 1))
         return True
 
     def settle():
@@ -1302,8 +1344,12 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
         nonlocal used
         best, size = -1, count + 1
         for e in range(m):
-            if lab[e] < 0 and dom[e].bit_count() < size:
-                best, size = e, dom[e].bit_count()
+            if lab[e] < 0:
+                c = dom[e].bit_count()
+                if c < size:
+                    best, size = e, c
+                    if c == 2:
+                        break  # no smaller domain: one label alone is labelled already
         if best < 0:
             return True
         mark, before = len(trail), used
@@ -1323,7 +1369,7 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
             used = before
         return False
 
-    return lab if rec() else None
+    return lab[:m] if rec() else None
 
 
 def _partition_tables(k):
@@ -1344,12 +1390,24 @@ def _partition_tables(k):
     return subsets, stars
 
 
-@lru_cache(maxsize=1)
+@_one_graph_memo
 def _colouring(g):
     """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None
     (proven impossible; always so with a loop).  A one-graph memo like
-    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``."""
+    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``.
+
+    A loopless cubic graph is 3-edge-colourable exactly when some 2-factor is
+    even: two colour classes form one, and an even 2-factor's circuits
+    coloured alternately, with its matching as the third class, give a
+    colouring.  So when g's store is held with every 2-factor counted and
+    none even (as after ``oddness`` or tau on a snark), the answer is None
+    with no search.  Otherwise the labelling search decides, as it does on
+    every colourable graph.
+    """
     if g.loops:
+        return None
+    store = _matchings.held(g)
+    if store is not None and store.no_even_factor() and all(d == 3 for d in g.degrees()):
         return None
     labels = _label_search(g, [{0, 1, 2}], _Budget(), [1, 2, 4])
     return None if labels is None else tuple(labels)

@@ -245,6 +245,16 @@ def test_oddness2_refuses_a_link_graph_that_is_not_2_connected():
         assert [tuple(sorted(where[v] for v in g.edges[e])) for e in links] == ends
         with pytest.raises(HypothesisViolated, match="link-graph reduction is not 2-connected"):
             cover_via_oddness2(g, two_factor=factor, links=[(e,) for e in links])
+    # on the last case's snarks18[0] and (5, 5, 8) 2-factor, links that give
+    # an odd circuit no end, a circuit exactly one end or an end at each of
+    # its vertices are refused before any reduction: edge 8 is a chord of the
+    # 8-circuit, edge 14 joins the two 5-circuits, and the five edges end at
+    # every vertex of the second 5-circuit
+    for links, k, size in (((8,), 0, 5), ((14,), 1, 5), ((14, 15, 18, 22, 26), 5, 5)):
+        paths = [(e,) for e in links]
+        with pytest.raises(HypothesisViolated) as exc:
+            cover_via_oddness2(g, two_factor=factor, links=paths)
+        assert str(exc.value).startswith(f"links {paths} end {k} times on a {size}-circuit")
 
 
 # --- tau constructions ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from collections import Counter
@@ -6,7 +7,16 @@ from itertools import combinations
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
-from cyclecover import build_graph, flower, goldberg, permutation_snark, petersen, solvers, two_cut_join
+from cyclecover import (
+    build_graph,
+    flower,
+    goldberg,
+    pcolour,
+    permutation_snark,
+    petersen,
+    solvers,
+    two_cut_join,
+)
 from cyclecover.covers import (
     Circuit,
     CycleCover,
@@ -886,6 +896,33 @@ def test_colouring_memo_returns_copies(monkeypatch):
     assert calls == [g, h]
 
 
+def test_counted_store_refutes_colourings(monkeypatch, k4, prism):
+    # a cubic graph is 3-edge-colourable iff some 2-factor is even, so once
+    # oddness has counted every 2-factor of a snark, its colouring needs no
+    # search; a colourable graph, a snark whose store is not held, and one
+    # whose store is held but not counted still search
+    calls = []
+    original = solvers._label_search
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_label_search", counting)
+    for g in (petersen(), flower(5), *load_snarks18()):
+        assert oddness(g)[0] == 2
+        assert edge_colouring_3(g) is None and calls == []
+    for h in (k4, prism):
+        oddness(h)
+        assert edge_colouring_3(h) is not None and calls == [h]
+        calls.clear()
+    fresh, uncounted = flower(5), flower(7)
+    oddness(flower(5))
+    assert edge_colouring_3(fresh) is None and calls == [fresh]
+    _matchings(uncounted).holders
+    assert edge_colouring_3(uncounted) is None and calls == [fresh, uncounted]
+
+
 def test_edge_colouring(k4, pete):
     colour = edge_colouring_3(k4)
     assert colour is not None
@@ -894,6 +931,53 @@ def test_edge_colouring(k4, pete):
     assert edge_colouring_3(pete) is None
     g = CubicGraph(2, [(0, 1), (0, 1), (0, 1)])
     assert edge_colouring_3(g) is not None
+
+
+def _labelling_records(monkeypatch):
+    """The witness and node count of each labelling search on a fixed set of
+    graphs, as the lines of ``labelling_golden.jsonl``: the 3-edge-colouring
+    search, the Petersen colouring, tau and the 5-class CDC with a 2-factor
+    class.  The budgets are read off every ``_label_search`` call."""
+    budgets = []
+    search = solvers._label_search
+
+    def recording(g, stars, budget, *args, **kwargs):
+        budgets.append(budget)
+        return search(g, stars, budget, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_label_search", recording)
+    monkeypatch.setattr(pcolour, "_label_search", recording)
+
+    def nodes():
+        spent = sum(b.nodes for b in budgets)
+        budgets.clear()
+        return spent
+
+    graphs = [("petersen", petersen()), ("J5", flower(5)), ("J7", flower(7))]
+    graphs += [(f"snarks18[{i}]", g) for i, g in enumerate(load_snarks18())]
+    graphs += [(f"relabelled(J9, {s})", relabelled(flower(9), s)) for s in (1, 2, 3)]
+    graphs += [(f"cubic_le12[{i}]", g) for i, g in enumerate(load_corpus(12)) if i % 12 == 0]
+    for name, g in graphs:
+        labels = search(g, [{0, 1, 2}], budget := _Budget(), [1, 2, 4])
+        yield {"graph": name, "search": "colouring", "witness": labels, "nodes": budget.nodes}
+        found = find_petersen_colouring(g)
+        yield {"graph": name, "search": "petersen", "nodes": nodes(),
+               "witness": None if found is None else list(found.assignment)}
+        res = perfect_matching_index(g)
+        budgets.clear()  # one budget over every k: its total is res.nodes
+        yield {"graph": name, "search": "tau", "nodes": res.nodes,
+               "witness": [res.tau, [sorted(pm) for pm in res.matchings]]}
+        cdc = find_cdc(g, k=5, two_factor_class=True)
+        yield {"graph": name, "search": "cdc5", "nodes": nodes(),
+               "witness": None if cdc is None else [sorted(c) for c in cdc.classes]}
+
+
+def test_labelling_searches_match_golden(monkeypatch):
+    # every labelling search keeps its search tree: the same first witness
+    # after the same number of nodes as when the golden file was written
+    with open(os.path.join(DATA, "labelling_golden.jsonl"), encoding="ascii") as fh:
+        want = [json.loads(line) for line in fh]
+    assert list(_labelling_records(monkeypatch)) == want
 
 
 def test_find_cdc_circuit_form(k4, pete, j5):
