@@ -94,8 +94,6 @@ def cmd_analyze(args) -> int:
         report["bridgeless"] = run("bridgeless", lambda: is_bridgeless(g))
         report["cyclically_4_edge_connected"] = run(
             "cyclic_connectivity", lambda: cyclic_connectivity_at_least(g, 4))
-        colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
-        report["three_edge_colourable"] = colouring is not None
         if report["bridgeless"]:
             scc = run("scc", lambda: solvers.shortest_cycle_cover(
                 g, cap=args.cap, node_limit=args.node_limit))
@@ -108,6 +106,9 @@ def cmd_analyze(args) -> int:
             report["scc"] = None
             report["tau"] = None
             report["oddness"] = None
+        # after oddness, so that a snark's counted matching store settles it
+        colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
+        report["three_edge_colourable"] = colouring is not None
         circ = run("circumference", lambda: solvers.circumference(g, node_limit=args.node_limit))
         report["circumference"] = circ[0]
         ok = True

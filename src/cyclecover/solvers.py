@@ -309,10 +309,20 @@ def _structured_covers(g, budget, first=False):
 
 
 class _Joins:
-    """The transition choices of a loopless cubic graph, which do not depend
-    on the weight-1 edges, and the start of every search over them.
+    """The transition choices of a loopless cubic graph g, which do not
+    depend on the weight-1 edges, and the start of every search over them;
+    with X, those of the truncation T_X, where each x in X is a triangle on
+    its three edge ends.  T_X keeps g's edge ids, orientations and m (so
+    ``_join_search`` yields masks of g's edges); x stays as the end of its
+    first edge, the ends of its other two take new ids from n up, and the
+    triangle edges (a, b), (a, c), (b, c) over its ends in incident-edge
+    order take ids from m up.  ``ends`` and ``incident`` are T_X's edges
+    and incidence lists in id order, g's own with X empty.  So at each end
+    of an edge e of g the triangle edges come in the id order of g's other
+    edges there, and ``pair(e)`` pairs g's transitions at e's ends as X = ()
+    pairs the half-edges.
 
-    A half-edge h = 2e + s is the end of edge e at ``g.edges[e][s]``.  When
+    A half-edge h = 2e + s is the end of edge e at ``ends[e][s]``.  When
     an edge r = uv has weight 2 in a cover whose vertices all have weight 4,
     its two other edges at u and its two at v have weight 1, and the two
     circuits through r pair the half-edges of those at u with those at v:
@@ -328,34 +338,45 @@ class _Joins:
     chains before any join (see ``_join_search``).
     """
 
-    __slots__ = ("g", "near", "opp", "vm", "_pairs", "_options")
+    __slots__ = ("m", "ends", "incident", "near", "opp", "vm", "_pairs", "_options")
 
-    def __init__(self, g):
-        self.g, size = g, 2 * g.m
-        self.near = [0] * g.n
-        for u, v in g.edges:
+    def __init__(self, g, X=()):
+        ends, incident, n = g.edges, g.incident_edges, g.n
+        if X:
+            ends, incident = [list(uv) for uv in ends], list(incident)
+            for x in X:
+                e0, e1, e2 = g.incident_edges[x]
+                b, c, t = n, n + 1, len(ends)
+                for e, y in ((e1, b), (e2, c)):
+                    ends[e][ends[e].index(x)] = y
+                ends += ((x, b), (x, c), (b, c))
+                incident[x] = (e0, t, t + 1)
+                incident += ((e1, t, t + 2), (e2, t + 1, t + 2))
+                n += 2
+        self.m, self.ends, self.incident, size = g.m, ends, incident, 2 * len(ends)
+        self.near = [0] * n
+        for u, v in ends:
             self.near[u] |= 1 << v
             self.near[v] |= 1 << u
         self.opp, self.vm = [0] * size, [0] * size
         self.opp[0::2], self.opp[1::2] = range(1, size, 2), range(0, size, 2)
-        self.vm[0::2] = self.vm[1::2] = [1 << u | 1 << v for u, v in g.edges]
-        self._pairs = [None] * g.m
-        self._options = [{} for _ in range(g.n)]
+        self.vm[0::2] = self.vm[1::2] = [1 << u | 1 << v for u, v in ends]
+        self._pairs, self._options = [None] * len(ends), [{} for _ in range(n)]
 
     def pair(self, r):
         if self._pairs[r] is None:
-            g = self.g
-            (a0, a1), (b0, b1) = ([2 * f + (g.edges[f][0] != v) for f in g.incident_edges[v]
-                                   if f != r] for v in g.edges[r])
+            ends = self.ends
+            (a0, a1), (b0, b1) = ([2 * f + (ends[f][0] != v) for f in self.incident[v]
+                                   if f != r] for v in ends[r])
             self._pairs[r] = ((0, r, ((a0, b0), (a1, b1))), (0, r, ((a0, b1), (a1, b0))))
         return self._pairs[r]
 
     def options(self, v, reach):
         known = self._options[v]
         if reach not in known:
-            g = self.g
-            known[reach] = [(bit, e, choice) for e in g.incident_edges[v]
-                            for bit in (1 << g.other_end(e, v),) if reach & bit
+            ends = self.ends
+            known[reach] = [(bit, e, choice) for e in self.incident[v]
+                            for bit in (1 << ends[e][ends[e][0] == v],) if reach & bit
                             for _, _, choice in self.pair(e)]
         return known[reach]
 
@@ -366,32 +387,12 @@ def _joins(g) -> _Joins:
     return _Joins(g)
 
 
-def _truncation(g, X):
-    """T_X: g with each vertex x of X made a triangle on the ends of its
-    three edges.
-
-    Edge e keeps id e and its orientation.  x stays as the end of its first
-    edge, the ends of its other two take new ids from n up, and the triangle
-    edges (a, b), (a, c), (b, c) over its ends in incident-edge order take
-    ids from m up.  So the vertices outside X keep their ids, and at each
-    end of an edge of g the triangle edges come in the id order of g's
-    other edges there: ``_Joins(T_X).pair(e)`` pairs g's transitions at e's
-    ends as ``_Joins(g).pair(e)`` pairs the half-edges.
-    """
-    edges, n, triangles = [list(uv) for uv in g.edges], g.n, []
-    for x in X:
-        for e in g.incident_edges[x][1:]:
-            edges[e][edges[e].index(x)] = n
-            n += 1
-        triangles += ((x, n - 2), (x, n - 1), (n - 2, n - 1))
-    return Multigraph(n, edges + triangles)
-
-
-def _join_search(table, order, space, budget):
+def _join_search(table, edges, space, budget, pins=None):
     """Every run of choices that keeps each circuit off a repeated vertex:
-    one option from each list of ``order`` in turn, then a perfect matching
-    of the vertex mask ``space`` with one choice per matching edge.  Yields
-    each as (weight-1 edge mask, run of options).
+    one option of each edge of ``edges`` in turn, from its two or the one
+    that ``pins`` names, then a perfect matching of the vertex mask
+    ``space`` with one choice per matching edge.  Yields each as (weight-1
+    edge mask, run of options).
 
     The matching grows on the free vertex with the fewest free neighbours,
     backing up at one with none; the edges to its free neighbours are tried
@@ -401,13 +402,14 @@ def _join_search(table, order, space, budget):
     closes a chain is a circuit, and one that links two chains whose masks
     meet is refused with its whole choice.  The trail records each link as
     its two joined ends, whose entries keep the old chain ends, so a frame
-    takes its choice back before trying the next.  One frame per list of
-    ``order`` or matching edge, on an explicit stack; a node is one option
+    takes its choice back before trying the next.  One frame per edge of
+    ``edges`` or matching edge, on an explicit stack; a node is one option
     tried.  The hot loop counts nodes in a local copy of ``budget.nodes``:
     it writes the count back before each yield (and reads it again after),
     at its end and before an abort.
     """
-    near, full = table.near, (1 << table.g.m) - 1
+    near, full = table.near, (1 << table.m) - 1
+    order = [(table.pair(e)[pins[e]],) if pins and e in pins else table.pair(e) for e in edges]
     opp, vm, trail = table.opp[:], table.vm[:], []
     fixed = len(order)
     size = fixed + space.bit_count() // 2 + 1
@@ -492,26 +494,6 @@ def _join_search(table, order, space, budget):
             return
 
 
-def _truncated_covers(g, X, edges, space, budget, pins=None):
-    """The covers of g whose vertices of weight 6 are those of X, by one
-    ``_join_search`` over the join table of the truncation T_X.
-
-    Those are the covers of T_X of length 4|E(T_X)|/3 whose weight-1 edges
-    hold the triangles, so each edge at a vertex of X has weight 2.  The
-    search takes the weight-2 edges ``edges`` in turn, each with its two
-    choices or the one that ``pins`` names, then a perfect matching of the
-    vertex mask ``space``, whose vertices keep their ids in T_X.  Yields
-    the covers as ``_join_search`` finds them, with the weight-1 masks cut
-    back to g's edge ids; ``_decode_joins(g, run)`` leaves the triangles out.
-    """
-    table = _Joins(_truncation(g, X)) if X else _joins(g)
-    pins = pins or {}
-    order = [(table.pair(e)[pins[e]],) if e in pins else table.pair(e) for e in edges]
-    full = (1 << g.m) - 1
-    for ones, run in _join_search(table, order, space, budget):
-        yield ones & full, run
-
-
 def _transition_covers(g, rest, budget):
     """The covers whose weight-1 edges are the 2-factor C = E - rest, by
     their transitions.
@@ -524,8 +506,8 @@ def _transition_covers(g, rest, budget):
     first edge and each rest edge at its first end, so joined C edges grow
     as chains along the walk; a node is one choice tried.  This is the
     route of the first cover, where the store already holds C;
-    ``_every_cover`` finds every cover without it.  Yields the covers as
-    ``_every_cover`` does.
+    ``_every_cover`` finds every cover without it.  One ``_join_search``
+    over g's memoised table yields the covers as ``_every_cover`` does.
     """
     order = {}
     for walk in _factor_circuits(g, rest):
@@ -535,7 +517,7 @@ def _transition_covers(g, rest, budget):
                 if rest >> r & 1:
                     order.setdefault(r)
             v = g.other_end(e, v)
-    return _truncated_covers(g, (), order, 0, budget)
+    return _join_search(_joins(g), order, 0, budget)
 
 
 def _every_cover(g, excess, budget):
@@ -543,10 +525,11 @@ def _every_cover(g, excess, budget):
     edge mask, run of options).
 
     The vertex set X of weight 6 runs over the sets of that size in
-    ``combinations`` order, and is a set of triangles of T_X: the edges at X
-    take weight 2 first, in X's order, then the search covers G - X - N(X).
-    A vertex outside X has one edge of weight 2, so it may have only one
-    edge end in X.  X = () is one search for a perfect matching of G.
+    ``combinations`` order; its covers are those of T_X of length
+    4|E(T_X)|/3 whose weight-1 edges hold the triangles.  The search over
+    ``_Joins(g, X)`` takes the edges at X first, in X's order, then covers
+    G - X - N(X); a vertex outside X has one edge of weight 2, so it may
+    have only one edge end in X.  X = () is one perfect matching search.
     """
     everyone = (1 << g.n) - 1
     for X in combinations(range(g.n), excess):
@@ -554,7 +537,8 @@ def _every_cover(g, excess, budget):
         edges = dict.fromkeys(e for x in X for e in g.incident_edges[x])
         out = [v for e in edges for v in g.edges[e] if not inside >> v & 1]
         if len(set(out)) == len(out):
-            yield from _truncated_covers(g, X, edges, everyone & ~(inside | _mask(out)), budget)
+            yield from _join_search(_Joins(g, X) if X else _joins(g), edges,
+                                    everyone & ~(inside | _mask(out)), budget)
 
 
 def _decode_joins(g, run):
@@ -1116,10 +1100,10 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     or ``None`` when the search space is exhausted (proven infeasible).  The
     three circuits of a CDC through a vertex take its three pairs of edges
     once each, so the CDCs of g are its covers in which every vertex has
-    weight 6: ``_truncated_covers`` with X = V, one transition choice per
-    edge, taken in ``_bfs_edges`` order.  A forced circuit pins each of its
-    edges to the choice that joins its own transitions (only its edge set
-    counts), and no CDC takes a transition twice.
+    weight 6: one ``_join_search`` over ``_Joins(g, V)``, one transition
+    choice per edge, in ``_bfs_edges`` order.  A forced circuit pins each of
+    its edges to the choice that joins its own transitions (only its edge
+    set counts), and no CDC takes a transition twice.
 
     With ``k``: searches for a k-class CDC (``KCdc``); classes may be empty.
     ``two_factor_class`` requires the last class to be a spanning 2-factor.
@@ -1151,8 +1135,8 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
                 if (e, s0) in taken or pins.setdefault(e, s0 ^ s1) != s0 ^ s1:
                     return None  # a transition taken twice, or two that no choice holds
                 taken.add((e, s0))
-        found = next(_truncated_covers(g, range(g.n), _bfs_edges(g), 0, _Budget(node_limit),
-                                       pins), None)
+        found = next(_join_search(_Joins(g, range(g.n)), _bfs_edges(g), 0, _Budget(node_limit),
+                                  pins), None)
         return None if found is None else _decode_joins(g, found[1])
     if must_contain:
         raise GraphError("must_contain is only available in the circuit-form search")

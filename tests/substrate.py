@@ -1,8 +1,11 @@
-"""Canonical forms and exhaustive small-graph enumeration for the tests.
+"""Canonical forms, exhaustive small-graph enumeration and reference
+constructions for the tests.
 
 ``enumerate_cubic_graphs`` generated the committed corpus
 ``tests/data/cubic_le12.g6``, and ``test_families`` regenerates and compares
-it.  Tests import this module as they import ``conftest``.
+it.  ``truncation`` builds T_X as a graph, the reference for the join
+tables that the solvers build straight from g.  Tests import this module as
+they import ``conftest``.
 """
 
 import itertools
@@ -149,3 +152,21 @@ def enumerate_cubic_graphs(n: int):
     # vertex 0 always attaches to fresh vertices 1,2,3
     rec(1)
     return [found[k] for k in sorted(found)]
+
+
+def truncation(g: Multigraph, X) -> Multigraph:
+    """T_X: g with each vertex x of X made a triangle on the ends of its
+    three edges, as a graph.
+
+    Edge e keeps id e and its orientation.  x stays as the end of its first
+    edge, the ends of its other two take new ids from n up, and the triangle
+    edges (a, b), (a, c), (b, c) over its ends in incident-edge order take
+    ids from m up.
+    """
+    edges, n, triangles = [list(uv) for uv in g.edges], g.n, []
+    for x in X:
+        for e in g.incident_edges[x][1:]:
+            edges[e][edges[e].index(x)] = n
+            n += 1
+        triangles += ((x, n - 2), (x, n - 1), (n - 2, n - 1))
+    return Multigraph(n, edges + triangles)

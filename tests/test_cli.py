@@ -483,6 +483,39 @@ def test_analyze_golden(monkeypatch, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_analyze_snarks_golden(monkeypatch, capsys):
+    # reports on P, J5, J7, the two 18-vertex snarks and a bridged graph,
+    # none of them 3-edge-colourable
+    monkeypatch.chdir(DATA)
+    assert main(["analyze", "analyze_snarks_golden.g6", "--json", "--no-timing"]) == 0
+    with open(os.path.join(DATA, "analyze_snarks_golden.jsonl"), encoding="ascii") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_analyze_colours_snarks_without_a_search(monkeypatch, capsys, tmp_path):
+    # the colouring comes after scc, tau and oddness, whose counted store
+    # refutes it on a snark; a colourable graph searches once
+    calls = []
+    original = solvers._label_search
+
+    def counting(g, stars, *args, **kwargs):
+        if stars == [{0, 1, 2}]:
+            calls.append(g)
+        return original(g, stars, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_label_search", counting)
+    path = tmp_path / "snarks.g6"
+    path.write_text("".join(write_graph6(g) + "\n"
+                            for g in (petersen(), flower(5), *load_snarks18())))
+    assert main(["analyze", str(path), "--json", "--no-timing"]) == 0
+    reports = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [r["three_edge_colourable"] for r in reports] == [False] * 4
+    assert calls == []
+    assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert len(calls) == len(set(map(id, calls))) == 10
+
+
 def test_construct_golden(tmp_path, capsys):
     # the circumference and oddness-2 certificates on the classic snarks,
     # as the CLI prints them, with exit codes and error output

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
+from substrate import truncation
 from cyclecover import (
     build_graph,
     flower,
@@ -37,6 +38,7 @@ from cyclecover.solvers import (
     _decode_joins,
     _deepening,
     _every_cover,
+    _Joins,
     _matchings,
     _partition_tables,
     _spectrum_over,
@@ -263,6 +265,48 @@ def test_transition_covers_match_engine_oracle(pete, j5):
     for g in (digon_at_x, theta):
         for ones, _ in _every_cover(g, 1, _Budget()):
             assert any(ones >> e & 1 for e in g.incident_edges[0])
+
+
+def test_join_tables_match_the_truncation_graph(pete, j5):
+    # the table of T_X built straight from g is the table of T_X built as a
+    # graph, for every X of up to two vertices and for X = V, with g's m;
+    # with X empty it reads g's own lists
+    digon_at_x = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+                              (4, 5)])
+    digon_between = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 5),
+                                 (4, 5), (4, 5)])
+    theta = build_graph([(0, 1)] * 3)
+    tables = 0
+    for g in [*load_bridgeless_corpus(10), pete, j5, digon_at_x, digon_between, theta]:
+        bare = _Joins(g)
+        assert bare.ends is g.edges and bare.incident is g.incident_edges
+        sets = [X for k in range(3) for X in combinations(range(g.n), k)] + [tuple(range(g.n))]
+        for X in sets:
+            t = truncation(g, X)
+            table, want = _Joins(g, X), _Joins(t)
+            assert table.m == g.m
+            assert [tuple(uv) for uv in table.ends] == list(t.edges)
+            assert [tuple(inc) for inc in table.incident] == list(t.incident_edges)
+            assert (table.near, table.opp, table.vm) == (want.near, want.opp, want.vm)
+            assert [table.pair(e) for e in range(t.m)] == [want.pair(e) for e in range(t.m)]
+            tables += 1
+    assert tables > 1500
+
+
+def test_cover_searches_build_no_graph(monkeypatch, pete, j5):
+    # the truncations of the CDC search and of the spectrum's levels past
+    # 4m/3 are join tables only
+    built = []
+    original = Multigraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting)
+    assert find_cdc(j5) is not None
+    assert edge_weight_spectrum(pete).stage == "4m/3+1"
+    assert built == []
 
 
 def test_transition_search_counts_one_running_budget(pete, j5):
