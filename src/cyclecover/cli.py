@@ -359,6 +359,13 @@ def cmd_pcolour(args) -> int:
     return 0
 
 
+def _node_count(text: str) -> int:
+    """The ``--node-limit`` type: a whole number of nodes, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a node count (0 or more): {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cyclecover",
                                   description="exact cycle-cover toolkit for cubic graphs")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the flags that only some commands read
     optional = {"--cap": {"type": int, "default": 2},
-                "--node-limit": {"type": int, "default": None},
+                "--node-limit": {"type": _node_count, "default": None},
                 "--no-timing": {"action": "store_true"}}
 
     def common(p, *flags):

@@ -76,6 +76,22 @@ def _image(edge_ids, rmap):
     return [e for e, path in enumerate(rmap.edge_path) if edge_ids.issuperset(path)]
 
 
+def _check_edge_ids(g, edge_ids, what):
+    for e in edge_ids:
+        if not 0 <= e < g.m:
+            raise GraphError(f"{what} holds {e}, which is not an edge id of the graph")
+
+
+def _check_circuit(g, c):
+    """Refuse ``c`` unless it is a circuit of g as ``trace_circuit`` gives it."""
+    try:
+        ok = all(0 <= e < g.m for e in c.edges) and trace_circuit(g, c.edges) == c
+    except ValueError:
+        ok = False
+    if not ok:
+        raise GraphError(f"{c} is not a circuit of the graph")
+
+
 def _check_result(g, cover, bound, theorem, certificate) -> ConstructionResult:
     report = validate(cover, g)
     if not report.ok:
@@ -132,20 +148,14 @@ def extract_cdc_from_cover(g: CubicGraph, cover: CycleCover):
     return frozenset(ones), cdc
 
 
-def hamiltonian_3ec(g: CubicGraph, ham: Circuit, swap: bool = False):
-    """Colour a hamiltonian graph: 1/2 alternating on the circuit, 3 on chords.
-
-    ``swap`` exchanges colours 1 and 2 (the other alternation phase).
-    """
-    if len(ham) != g.n or len(set(ham.vertices)) != g.n:
+def hamiltonian_3ec(g: CubicGraph, ham: Circuit):
+    """Colour a hamiltonian graph: 1/2 alternating on the circuit, 3 on chords."""
+    _check_circuit(g, ham)
+    if len(ham) != g.n:
         raise GraphError("circuit does not span all vertices")
-    colour = {}
-    a, b = (2, 1) if swap else (1, 2)
+    colour = dict.fromkeys(range(g.m), 3)
     for i, e in enumerate(ham.edges):
-        colour[e] = a if i % 2 == 0 else b
-    for e in range(g.m):
-        if e not in colour:
-            colour[e] = 3
+        colour[e] = 1 if i % 2 == 0 else 2
     return colour
 
 
@@ -183,19 +193,29 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
     return merged
 
 
-def _split_cover(g, coloured, colouring, searched, shared, node_limit, where) -> CycleCover:
+def _split_cover(g, factor, gain, coloured, searched, shared, node_limit, where) -> CycleCover:
     """The short cover of a graph cut into a coloured and a searched part.
 
     ``coloured`` and ``searched`` are edge sets of g that meet only in the
-    circuits ``shared``.  The reduction of the coloured part is
-    3-edge-coloured by ``colouring(reduced, rmap)``, and its colour-pair CDC
-    and (1, 3) class are lifted to g.  The reduction of the searched part must
-    be 2-connected (``where`` names it); a CDC of it through the images of
-    ``shared`` is lifted too.  The two CDCs are merged, and the lifted (1, 3)
-    class is dropped from the result.
+    circuits ``shared``.  The image of ``factor`` (a circuit or a 2-factor of
+    g) in the reduction of the coloured part must be a 2-factor of even
+    circuits.  Each of them is coloured 1/2 alternately along its walk, in
+    the phase whose colour-1 edges lift to paths of g with the larger sum of
+    ``gain(path)`` (the first phase on a tie), and every other edge 3; the
+    colour-pair CDC and the (1, 3) class are lifted to g.  The reduction of
+    the searched part must be 2-connected (``where`` names it); a CDC of it
+    through the images of ``shared`` is lifted too.  The two CDCs are
+    merged, and the lifted (1, 3) class is dropped from the result.
     """
     reduced, rmap = suppress_degree_two(g, coloured)
-    colour = colouring(reduced, rmap)
+    colour = dict.fromkeys(range(reduced.m), 3)
+    for circ in decompose_even_subgraph(reduced, _image(factor, rmap)):
+        if len(circ) % 2:
+            raise AssertionError("2-factor image has an odd component")
+        phases = (circ.edges[::2], circ.edges[1::2])
+        ones = max(phases, key=lambda ones: sum(gain(rmap.edge_path[e]) for e in ones))
+        colour.update(dict.fromkeys(circ.edges, 2))
+        colour.update(dict.fromkeys(ones, 1))
     cdc1 = lift_cover(_colouring_cover(reduced, colour), rmap)
     c13 = lift_edge_set([e for e, c in colour.items() if c in (1, 3)], rmap)
 
@@ -224,6 +244,8 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
         raise HypothesisViolated("graph must be 2-connected")
     if longest is None:
         _, longest = circumference(g, node_limit=node_limit)
+    else:
+        _check_circuit(g, longest)
     k = g.n - len(longest)
     base = 2 * g.n
     cert = {"circuit": longest, "k": k}
@@ -243,16 +265,10 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
         cover = cover_from_cdc(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
-    def colouring(reduced, rmap):
-        # 1/2 alternating along the circuit's image, 3 on the chords: the
-        # phase whose lifted (1, 3) class is larger
-        image = trace_circuit(reduced, _image(c_set, rmap))
-        phases = [hamiltonian_3ec(reduced, image, swap) for swap in (False, True)]
-        return max(phases, key=lambda colour: len(
-            lift_edge_set([e for e, c in colour.items() if c in (1, 3)], rmap)))
-
+    # the circuit's image is a Hamiltonian circuit of the coloured part: the
+    # phase with the longer colour-1 paths has the larger lifted (1, 3) class
     chord_set = set(chords)
-    cover = _split_cover(g, c_set | chord_set, colouring,
+    cover = _split_cover(g, c_set, len, c_set | chord_set,
                          [e for e in range(g.m) if e not in chord_set], [longest],
                          node_limit, "chord-free reduction")
     return _check_result(g, cover, base + 4 * k, "circumference", cert)
@@ -279,6 +295,8 @@ def cover_via_oddness2(g: CubicGraph, two_factor=None, links=None,
         if odd != 2:
             raise HypothesisViolated(f"oddness is {odd}, not 2")
     f = frozenset(two_factor)
+    if not is_spanning_regular(g, f, 2):
+        raise GraphError(f"two_factor {sorted(f)} is not a 2-factor of the graph")
     comps = decompose_even_subgraph(g, f)
     odd_comps = [c for c in comps if len(c) % 2]
     if len(odd_comps) != 2:
@@ -323,6 +341,7 @@ def _oddness2_edges(g, f, comps, links, force_base, node_limit):
                 raise HypothesisViolated("fewer than three edges join the two circuits")
             links = cross[:3]
     links = list(links)
+    _check_edge_ids(g, links, f"links {links}")
     if len(links) != 3 or len(set(links)) != 3:
         raise HypothesisViolated("need three distinct connecting edges")
     for e in links:
@@ -350,6 +369,7 @@ def _oddness2_paths(g, f, comps, odd_comps, links, node_limit):
         paths = [tuple(p) for p in links]
         d = sum(len(p) for p in paths)
     all_link_edges = [e for p in paths for e in p]
+    _check_edge_ids(g, all_link_edges, f"links {paths}")
     if len(set(all_link_edges)) != d:
         raise HypothesisViolated("paths share a matching edge")
     for e in all_link_edges:
@@ -378,23 +398,12 @@ def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
     ends = {v for e in link_edges for v in g.edges[e]}
     touched = [c for c in comps if not ends.isdisjoint(c.vertices)]
 
-    def colouring(reduced, rmap):
-        # the 2-factor's image is all even circuits: colour each 1/2
-        # alternately, in the phase that puts the most link ends on colour-1
-        # paths of g, and the rest 3
-        components = decompose_even_subgraph(reduced, _image(f, rmap))
-        if any(len(c) % 2 for c in components):
-            raise AssertionError("2-factor image has an odd component")
-        colour = dict.fromkeys(range(reduced.m), 3)
-        for comp in components:
-            phases = [{e: 1 if (i + phase) % 2 == 0 else 2 for i, e in enumerate(comp.edges)}
-                      for phase in (0, 1)]
-            colour.update(max(phases, key=lambda local: len(
-                {v for e, c in local.items() if c == 1
-                 for x in rmap.edge_path[e] for v in g.edges[x] if v in ends})))
-        return colour
+    def link_ends(path):
+        return len(ends.intersection(v for x in path for v in g.edges[x]))
 
-    return _split_cover(g, [e for e in range(g.m) if e not in link_set], colouring,
+    # the phase that puts the most link ends on colour-1 paths: these are
+    # vertex-disjoint, so their counts add up
+    return _split_cover(g, f, link_ends, [e for e in range(g.m) if e not in link_set],
                         set().union(*[c.edge_set for c in touched]) | link_set, touched,
                         node_limit, "link-graph reduction")
 

@@ -50,7 +50,7 @@ class _CircuitSpace:
     edge ``e`` in that order.
     """
 
-    __slots__ = ("g", "masks", "vmasks", "elists", "vlists", "lengths", "by_edge")
+    __slots__ = ("g", "masks", "elists", "vlists", "lengths", "by_edge")
 
     def __init__(self, g: Multigraph):
         self.g = g
@@ -60,7 +60,6 @@ class _CircuitSpace:
         self.vlists = [t[1] for t in raw]
         self.lengths = [len(t[0]) for t in raw]
         self.masks = [_mask(t[0]) for t in raw]
-        self.vmasks = [_mask(t[1]) for t in raw]
         by_edge = [[] for _ in range(g.m)]
         for i, edges in enumerate(self.elists):
             for e in edges:
@@ -155,10 +154,8 @@ class _CoverEngine:
         self.wv = [0] * n
         self.contrib = [self._c(v) for v in range(n)]
         self.total = sum(self.contrib)
-        self.short = sum(coverage)  # sum of remaining edge deficits
         self.length = 0
         self.sat_mask = _mask(e for e in range(m) if cap[e] == 0)
-        self.vfull_mask = _mask(v for v in range(n) if self.vcap[v] <= 1)
         self.banned = [False] * len(space.masks)
         self.chosen = []
 
@@ -170,7 +167,7 @@ class _CoverEngine:
 
     def _apply(self, ci, sign):
         g = self.g
-        coverage, cap, vcap = self.coverage, self.cap, self.vcap
+        coverage, cap = self.coverage, self.cap
         wv, w, deficit, contrib = self.wv, self.w, self.deficit, self.contrib
         for v in self.space.vlists[ci]:
             wv[v] += 2 * sign
@@ -182,7 +179,6 @@ class _CoverEngine:
                     u, x = g.edges[e]
                     deficit[u] -= 1
                     deficit[x] -= 1
-                    self.short -= 1
                 if new == cap[e]:
                     self.sat_mask |= 1 << e
             else:
@@ -190,18 +186,12 @@ class _CoverEngine:
                     u, x = g.edges[e]
                     deficit[u] += 1
                     deficit[x] += 1
-                    self.short += 1
                 if old == cap[e]:
                     self.sat_mask &= ~(1 << e)
         for v in self.space.vlists[ci]:
             c = self._c(v)
             self.total += c - contrib[v]
             contrib[v] = c
-            # full: one more circuit through v would exceed vcap[v]
-            if sign > 0 and wv[v] >= vcap[v] - 1:
-                self.vfull_mask |= 1 << v
-            elif sign < 0 and wv[v] < vcap[v] - 1:
-                self.vfull_mask &= ~(1 << v)
         self.length += sign * self.space.lengths[ci]
 
     def _pick_edge(self):
@@ -224,23 +214,23 @@ class _CoverEngine:
         return self._dfs()
 
     def _dfs(self):
-        if self.short == 0:
+        e = self._pick_edge()
+        if e < 0:  # no edge is short of its coverage
             yield tuple(self.chosen)
             return
-        e = self._pick_edge()
         rem = self.bound - self.length
         unban = []
         lengths = self.space.lengths
         masks = self.space.masks
-        vmasks = self.space.vmasks
         banned = self.banned
         try:
             for ci in self.space.by_edge[e]:
                 if lengths[ci] > rem or banned[ci]:
                     continue
+                # this also keeps every vertex within vcap: where at most one
+                # unit of vcap - w(v) is left, a circuit through v takes two
+                # of its edges, and one of them is saturated
                 if masks[ci] & self.sat_mask:
-                    continue
-                if vmasks[ci] & self.vfull_mask:
                     continue
                 self.budget.spend("cover engine")
                 self.chosen.append(ci)
@@ -1122,7 +1112,7 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
                 walk = trace_circuit(g, c.edges)
             except (IndexError, ValueError):
                 return None  # not a circuit of g: nothing can contain it
-            if sorted(walk.edges) != sorted(c.edges):
+            if min(c.edges) < 0 or sorted(walk.edges) != sorted(c.edges):
                 return None
             for i, e in enumerate(walk.edges):
                 # at each end of e, the place of the circuit's edge there among

@@ -648,11 +648,16 @@ def _error_cases(tmp_path):
         # reads only that graph, and analyze reports the graphs before it
         ("scc graph6 bad line", ["scc", path["p_then_bad.g6"]]),
         ("analyze graph6 bad line", ["analyze", path["p_then_bad.g6"]]),
+        # exit 1: a negative node limit is a usage error, not an abort
+        ("scc negative node limit", ["scc", path["p.g6"], "--node-limit", "-1"]),
+        ("pcolour find negative node limit", ["pcolour", "find", path["p.g6"], "--node-limit", "-1"]),
     ]
 
 
-def test_error_golden(tmp_path, capsys):
-    # every failing outcome above with its exit code and full output
+def test_error_golden(tmp_path, capsys, monkeypatch):
+    # every failing outcome above with its exit code and full output; argparse
+    # wraps its usage lines to the terminal width, so the width is fixed
+    monkeypatch.setenv("COLUMNS", "80")
     lines = []
     for case, argv in _error_cases(tmp_path):
         code = main(argv)

@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import load_corpus
+from conftest import load_corpus, relabelled
 from substrate import canonical_form, enumerate_cubic_graphs, isomorphic
 from cyclecover.errors import GraphError
 from cyclecover.families import (
+    _GOLDBERG_QUOTIENT,
     flower,
     goldberg,
     parse_adjacency,
@@ -127,6 +128,27 @@ def test_canonical_form_distinguishes(prism, k33):
     assert canonical_form(prism) != canonical_form(k33)
     relabeled = CubicGraph(6, [(5 - u, 5 - v) for u, v in prism.edges])
     assert canonical_form(relabeled) == canonical_form(prism)
+
+
+def test_isomorphic_agrees_with_canonical_form():
+    # every pair of corpus classes up to 10 vertices, the second relabelled
+    gs = load_corpus(10)
+    keys = [canonical_form(g) for g in gs]
+    for i, g in enumerate(gs):
+        for j, h in enumerate(gs):
+            assert isomorphic(g, relabelled(h, i + j)) == (keys[i] == keys[j])
+
+
+def test_isomorphic_tells_the_goldberg_ring_variants_apart():
+    # the crossed pairing of the links (3 -> 5 and 7 -> 4, see families.py)
+    # gives a second ring with the same invariants that is not G5
+    links = ((0, 2, 1), (4, 1, 1))
+    quotient = _GOLDBERG_QUOTIENT[:-2] + links
+    crossed = CubicGraph(40, [(u + 8 * i, v + 8 * ((i + step) % 5))
+                              for u, v, step in quotient for i in range(5)])
+    g = goldberg(5)
+    assert not isomorphic(g, crossed)
+    assert isomorphic(g, relabelled(g, 1)) and isomorphic(crossed, relabelled(crossed, 1))
 
 
 @pytest.mark.parametrize("n,count", [(4, 1), (6, 2), (8, 5)])

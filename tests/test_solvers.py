@@ -1042,6 +1042,10 @@ def test_find_cdc_circuit_form(k4, pete, j5):
     cube = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
                         (0, 4), (1, 5), (2, 6), (3, 7)])
     assert find_cdc(cube, must_contain=[Circuit(tuple(range(8)), tuple(range(8)))]) is None
+    # edge ids outside 0..m-1, where -1 is not the last edge
+    for bad in (99, -1):
+        walk = Circuit(tuple(bad if e == pete.m - 1 else e for e in circ.edges), circ.vertices)
+        assert pete.m - 1 in circ.edges and find_cdc(pete, must_contain=[walk]) is None
     # two J7 blocks joined by a bridge, which no circuit passes: no choice
     # is tried (without the bridge test the search ran past 2,000,000 nodes)
     (u, v), rest = flower(7).edges[0], flower(7).edges[1:]
