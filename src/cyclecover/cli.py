@@ -361,9 +361,13 @@ def cmd_pcolour(args) -> int:
 
 def _node_count(text: str) -> int:
     """The ``--node-limit`` type: a whole number of nodes, 0 or more."""
-    if not text.isdecimal():
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
         raise argparse.ArgumentTypeError(f"not a node count (0 or more): {text!r}")
-    return int(text)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

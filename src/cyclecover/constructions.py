@@ -13,6 +13,7 @@ from .covers import (
     Circuit,
     CycleCover,
     KCdc,
+    circuit_of,
     decompose_even_subgraph,
     lift_cover,
     lift_edge_set,
@@ -82,16 +83,6 @@ def _check_edge_ids(g, edge_ids, what):
             raise GraphError(f"{what} holds {e}, which is not an edge id of the graph")
 
 
-def _check_circuit(g, c):
-    """Refuse ``c`` unless it is a circuit of g as ``trace_circuit`` gives it."""
-    try:
-        ok = all(0 <= e < g.m for e in c.edges) and trace_circuit(g, c.edges) == c
-    except ValueError:
-        ok = False
-    if not ok:
-        raise GraphError(f"{c} is not a circuit of the graph")
-
-
 def _check_result(g, cover, bound, theorem, certificate) -> ConstructionResult:
     report = validate(cover, g)
     if not report.ok:
@@ -149,13 +140,18 @@ def extract_cdc_from_cover(g: CubicGraph, cover: CycleCover):
 
 
 def hamiltonian_3ec(g: CubicGraph, ham: Circuit):
-    """Colour a hamiltonian graph: 1/2 alternating on the circuit, 3 on chords."""
-    _check_circuit(g, ham)
+    """Colour a hamiltonian graph: 1/2 alternating along the walk of the
+    circuit, 3 on chords."""
+    circuit_of(g, ham)
     if len(ham) != g.n:
         raise GraphError("circuit does not span all vertices")
+    return _alternating(g, ham)
+
+
+def _alternating(g, ham):
     colour = dict.fromkeys(range(g.m), 3)
-    for i, e in enumerate(ham.edges):
-        colour[e] = 1 if i % 2 == 0 else 2
+    colour.update(dict.fromkeys(ham.edges[::2], 1))
+    colour.update(dict.fromkeys(ham.edges[1::2], 2))
     return colour
 
 
@@ -193,19 +189,20 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
     return merged
 
 
-def _split_cover(g, factor, gain, coloured, searched, shared, node_limit, where) -> CycleCover:
+def _split_cover(g, factor, coloured, searched, shared, node_limit, where) -> CycleCover:
     """The short cover of a graph cut into a coloured and a searched part.
 
     ``coloured`` and ``searched`` are edge sets of g that meet only in the
     circuits ``shared``.  The image of ``factor`` (a circuit or a 2-factor of
     g) in the reduction of the coloured part must be a 2-factor of even
     circuits.  Each of them is coloured 1/2 alternately along its walk, in
-    the phase whose colour-1 edges lift to paths of g with the larger sum of
-    ``gain(path)`` (the first phase on a tie), and every other edge 3; the
-    colour-pair CDC and the (1, 3) class are lifted to g.  The reduction of
-    the searched part must be 2-connected (``where`` names it); a CDC of it
-    through the images of ``shared`` is lifted too.  The two CDCs are
-    merged, and the lifted (1, 3) class is dropped from the result.
+    the phase whose colour-1 edges lift to the longer paths of g (the first
+    phase on a tie), and every other edge 3: that phase has the larger
+    lifted (1, 3) class.  The colour-pair CDC and the (1, 3) class are
+    lifted to g.  The reduction of the searched part must be 2-connected
+    (``where`` names it); a CDC of it through the images of ``shared`` is
+    lifted too.  The two CDCs are merged, and the lifted (1, 3) class is
+    dropped from the result.
     """
     reduced, rmap = suppress_degree_two(g, coloured)
     colour = dict.fromkeys(range(reduced.m), 3)
@@ -213,7 +210,7 @@ def _split_cover(g, factor, gain, coloured, searched, shared, node_limit, where)
         if len(circ) % 2:
             raise AssertionError("2-factor image has an odd component")
         phases = (circ.edges[::2], circ.edges[1::2])
-        ones = max(phases, key=lambda ones: sum(gain(rmap.edge_path[e]) for e in ones))
+        ones = max(phases, key=lambda ones: sum(len(rmap.edge_path[e]) for e in ones))
         colour.update(dict.fromkeys(circ.edges, 2))
         colour.update(dict.fromkeys(ones, 1))
     cdc1 = lift_cover(_colouring_cover(reduced, colour), rmap)
@@ -245,13 +242,13 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     if longest is None:
         _, longest = circumference(g, node_limit=node_limit)
     else:
-        _check_circuit(g, longest)
+        longest = circuit_of(g, longest)
     k = g.n - len(longest)
     base = 2 * g.n
     cert = {"circuit": longest, "k": k}
 
     if k == 0:
-        cover = _colouring_cover(g, hamiltonian_3ec(g, longest), ((1, 3), (2, 3)))
+        cover = _colouring_cover(g, _alternating(g, longest), ((1, 3), (2, 3)))
         return _check_result(g, cover, base, "circumference", cert)
 
     c_set = longest.edge_set
@@ -265,10 +262,8 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
         cover = cover_from_cdc(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
-    # the circuit's image is a Hamiltonian circuit of the coloured part: the
-    # phase with the longer colour-1 paths has the larger lifted (1, 3) class
     chord_set = set(chords)
-    cover = _split_cover(g, c_set, len, c_set | chord_set,
+    cover = _split_cover(g, c_set, c_set | chord_set,
                          [e for e in range(g.m) if e not in chord_set], [longest],
                          node_limit, "chord-free reduction")
     return _check_result(g, cover, base + 4 * k, "circumference", cert)
@@ -398,12 +393,7 @@ def _oddness2_pipeline(g, f, comps, link_edges, node_limit):
     ends = {v for e in link_edges for v in g.edges[e]}
     touched = [c for c in comps if not ends.isdisjoint(c.vertices)]
 
-    def link_ends(path):
-        return len(ends.intersection(v for x in path for v in g.edges[x]))
-
-    # the phase that puts the most link ends on colour-1 paths: these are
-    # vertex-disjoint, so their counts add up
-    return _split_cover(g, f, link_ends, [e for e in range(g.m) if e not in link_set],
+    return _split_cover(g, f, [e for e in range(g.m) if e not in link_set],
                         set().union(*[c.edge_set for c in touched]) | link_set, touched,
                         node_limit, "link-graph reduction")
 

@@ -62,6 +62,8 @@ def circuit_from_walk(edges, vertices) -> Circuit:
 def trace_circuit(g: Multigraph, edge_ids) -> Circuit:
     """Interpret an edge set as the single simple circuit it spans."""
     edge_ids = sorted(set(edge_ids))
+    if edge_ids and not (0 <= edge_ids[0] and edge_ids[-1] < g.m):
+        raise ValueError("edge set names an id that is not an edge of the graph")
     inc = {}
     for e in edge_ids:
         u, v = g.edges[e]
@@ -269,6 +271,16 @@ def _check_circuit(g: Multigraph, c: Circuit, problems):
         if set(g.edges[e]) != {u, v}:
             problems.append(f"edge {e} does not join {u} and {v}")
             return
+
+
+def circuit_of(g: Multigraph, c: Circuit) -> Circuit:
+    """``c`` in canonical form; ``GraphError`` unless its walk is a circuit
+    of g (any rotation or direction)."""
+    problems = []
+    _check_circuit(g, c, problems)
+    if problems:
+        raise GraphError(f"{c} is not a circuit of the graph: {problems[0]}")
+    return circuit_from_walk(c.edges, c.vertices)
 
 
 def validate(obj, g: Multigraph) -> CoverReport:

@@ -1110,9 +1110,9 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
         for c in must_contain:
             try:
                 walk = trace_circuit(g, c.edges)
-            except (IndexError, ValueError):
+            except ValueError:
                 return None  # not a circuit of g: nothing can contain it
-            if min(c.edges) < 0 or sorted(walk.edges) != sorted(c.edges):
+            if sorted(walk.edges) != sorted(c.edges):
                 return None
             for i, e in enumerate(walk.edges):
                 # at each end of e, the place of the circuit's edge there among

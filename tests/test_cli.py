@@ -147,6 +147,12 @@ def test_node_limit_abort_exit_code():
     assert code == 3 and out == "" and "search aborted" in err
 
 
+@pytest.mark.parametrize("text, limit", [("0", 0), ("+5", 5), (" 5", 5), ("1_000", 1000)])
+def test_node_limit_reads_any_whole_number(text, limit):
+    # only a negative count or a non-number is refused (error_golden.jsonl)
+    assert build_parser().parse_args(["scc", "-", "--node-limit", text]).node_limit == limit
+
+
 def test_pcolour_find_node_limit_counts_the_cut_search(tmp_path, capsys):
     # J9 read back from graph6 takes 10 labelling nodes under the matching
     # cut; filling the matching store first is not counted

@@ -9,6 +9,7 @@ from cyclecover.covers import (
     CycleCover,
     KCdc,
     circuit_from_walk,
+    circuit_of,
     decompose_even_subgraph,
     lift_cover,
     trace_circuit,
@@ -61,6 +62,22 @@ def test_trace_circuit_triangle(k4):
     circ = trace_circuit(k4, [0, 1, 3])  # edges (0,1),(0,2),(1,2)
     assert len(circ) == 3
     assert set(circ.vertices) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_trace_circuit_refuses_ids_outside_the_graph(k4, bad):
+    # -1 is not read as the last edge
+    with pytest.raises(ValueError, match="not an edge of the graph"):
+        trace_circuit(k4, [0, 1, 3, bad])
+
+
+def test_circuit_of_takes_any_walk_of_a_circuit(k4):
+    circ = trace_circuit(k4, [0, 1, 3])
+    e, v = circ.edges, circ.vertices
+    assert circuit_of(k4, Circuit(e[1:] + e[:1], v[1:] + v[:1])) == circ
+    assert circuit_of(k4, Circuit(e[::-1], v[:1] + v[:0:-1])) == circ
+    with pytest.raises(GraphError, match="is not a circuit of the graph: edge"):
+        circuit_of(k4, Circuit(e, v[1:] + v[:1]))
 
 
 def test_decompose_two_factor(pete):
