@@ -15,6 +15,7 @@ from .covers import (
     KCdc,
     circuit_of,
     decompose_even_subgraph,
+    is_even_subgraph,
     lift_cover,
     lift_edge_set,
     trace_circuit,
@@ -53,10 +54,13 @@ class ConstructionResult:
         return self.cover.length
 
 
-def _as_circuits(g, c):
+def _as_circuits(g, c, what):
     if isinstance(c, Circuit):
         return (c,)
     if isinstance(c, (set, frozenset)):
+        _check_edge_ids(g, c, what)
+        if not is_even_subgraph(g, c):
+            raise GraphError(f"{what} {sorted(c)} is not an even subgraph of the graph")
         return decompose_even_subgraph(g, c)
     return tuple(c)
 
@@ -104,7 +108,7 @@ def cover_from_cdc(g: CubicGraph, cdc, c) -> CycleCover:
     """
     if isinstance(cdc, KCdc):
         cdc = cdc.as_cover(g)
-    removed = _as_circuits(g, c)
+    removed = _as_circuits(g, c, "c")
     rest = list(cdc.circuits)
     size = 0
     for circ in removed:
@@ -173,7 +177,7 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
     ``cdc1`` and ``cdc2`` are CDCs of edge-disjoint subgraphs whose union is
     g, except that both contain the shared circuits; the result is a CDC of g.
     """
-    shared = _as_circuits(g, shared)
+    shared = _as_circuits(g, shared, "shared")
     circuits = []
     for cdc in (cdc1, cdc2):
         rest = list(cdc.circuits)
@@ -441,12 +445,12 @@ def five_cdc_from_pm_cover(g: CubicGraph, matchings) -> KCdc:
 def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
     """Four perfect matchings covering E(g), from a 5-CDC with a 2-factor class."""
     if cdc.k != 5:
-        raise ValueError(f"need a 5-CDC, got {cdc.k} classes")
+        raise GraphError(f"need a 5-CDC, got {cdc.k} classes")
     if any(not cls for cls in cdc.classes):
-        raise ValueError("empty colour classes are not allowed")
+        raise GraphError("empty colour classes are not allowed")
     report = validate(cdc, g)
     if not report.ok:
-        raise ValueError(f"not a valid 5-CDC: {report.problems}")
+        raise GraphError(f"not a valid 5-CDC: {report.problems}")
     if two_factor_index is None:
         two_factor_index = next((i for i, cls in enumerate(cdc.classes)
                                  if is_spanning_regular(g, cls, 2)), None)

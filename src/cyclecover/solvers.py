@@ -321,14 +321,19 @@ class _Joins:
     choices come in the order ``_transition_covers`` has always tried them.
 
     Options for ``_join_search`` are (vertex bit, weight-2 edge, choice):
-    ``pair(r)`` gives r's two, and ``options(v, reach)`` the two of each
-    edge from v into the vertex mask ``reach``, with the bit of its far
-    end; each is built on first use, so a search pays only for the edges it
-    meets.  ``near[v]`` is v's neighbour mask; ``opp`` and ``vm`` are the
+    ``pair(r)`` gives r's two.  ``frame(blocked)`` is the matching frame at
+    the free vertices ~blocked: the bit of the vertex v it picks and v's
+    options, the two of each edge from v to a free vertex with the bit of
+    its far end, or (0, ()) where the pick meets a free vertex with no free
+    neighbour.  Both are built on first use, so a search pays only for the
+    edges and frames it meets.  A frame depends only on the table and
+    ``blocked``, which holds every vertex outside the search's space, so
+    ``frames`` memoises it for every search over the table, whatever its
+    space.  ``near[v]`` is v's neighbour mask; ``opp`` and ``vm`` are the
     chains before any join (see ``_join_search``).
     """
 
-    __slots__ = ("m", "ends", "incident", "near", "opp", "vm", "_pairs", "_options")
+    __slots__ = ("m", "ends", "incident", "near", "opp", "vm", "frames", "_pairs")
 
     def __init__(self, g, X=()):
         ends, incident, n = g.edges, g.incident_edges, g.n
@@ -351,7 +356,7 @@ class _Joins:
         self.opp, self.vm = [0] * size, [0] * size
         self.opp[0::2], self.opp[1::2] = range(1, size, 2), range(0, size, 2)
         self.vm[0::2] = self.vm[1::2] = [1 << u | 1 << v for u, v in ends]
-        self._pairs, self._options = [None] * len(ends), [{} for _ in range(n)]
+        self._pairs, self.frames = [None] * len(ends), {}
 
     def pair(self, r):
         if self._pairs[r] is None:
@@ -361,14 +366,24 @@ class _Joins:
             self._pairs[r] = ((0, r, ((a0, b0), (a1, b1))), (0, r, ((a0, b1), (a1, b0))))
         return self._pairs[r]
 
-    def options(self, v, reach):
-        known = self._options[v]
-        if reach not in known:
-            ends = self.ends
-            known[reach] = [(bit, e, choice) for e in self.incident[v]
-                            for bit in (1 << ends[e][ends[e][0] == v],) if reach & bit
-                            for _, _, choice in self.pair(e)]
-        return known[reach]
+    def frame(self, blocked):
+        # the free vertex with the fewest free neighbours, the least on a
+        # tie; the scan stops at the first with none (a dead end) or one
+        free, near, fewest = ~blocked, self.near, (4, -1)
+        for v in range(free.bit_length()):
+            if free >> v & 1:
+                k = (free & near[v]).bit_count()
+                if k < fewest[0]:
+                    fewest = k, v
+                    if k <= 1:
+                        break
+        k, v = fewest
+        ends = self.ends
+        found = (1 << v, [(bit, e, choice) for e in self.incident[v]
+                          for bit in (1 << ends[e][ends[e][0] == v],) if free & bit
+                          for _, _, choice in self.pair(e)]) if k else (0, ())
+        self.frames[blocked] = found
+        return found
 
 
 @_one_graph_memo
@@ -386,19 +401,24 @@ def _join_search(table, edges, space, budget, pins=None):
 
     The matching grows on the free vertex with the fewest free neighbours,
     backing up at one with none; the edges to its free neighbours are tried
-    with their two choices at once (``_Joins.options``).  Joined weight-1
-    edges form chains, and each free end h of a chain holds the chain's
-    other free end ``opp[h]`` and its vertex mask ``vm[h]``, so a join that
-    closes a chain is a circuit, and one that links two chains whose masks
-    meet is refused with its whole choice.  The trail records each link as
-    its two joined ends, whose entries keep the old chain ends, so a frame
-    takes its choice back before trying the next.  One frame per edge of
-    ``edges`` or matching edge, on an explicit stack; a node is one option
+    with their two choices at once.  That pick depends only on the blocked
+    vertices (matched, or outside ``space``), and a search meets few
+    distinct masks of them in many nodes (hundreds on J7 and J9 against
+    hundreds of thousands of nodes), so each frame looks its pick and
+    options up in the table's memo (``_Joins.frame``), which scans only on
+    a miss.  Joined weight-1 edges form chains, and each free end h of a
+    chain holds the chain's other free end ``opp[h]`` and its vertex mask
+    ``vm[h]``, so a join that closes a chain is a circuit, and one that
+    links two chains whose masks meet is refused with its whole choice.
+    The trail records each link as its two joined ends, whose entries keep
+    the old chain ends, so a frame takes its choice back before trying the
+    next.  One frame per edge of ``edges`` or matching edge (a dead end's
+    frame has no options), on an explicit stack; a node is one option
     tried.  The hot loop counts nodes in a local copy of ``budget.nodes``:
     it writes the count back before each yield (and reads it again after),
     at its end and before an abort.
     """
-    near, full = table.near, (1 << table.m) - 1
+    frames, full = table.frames, (1 << table.m) - 1
     order = [(table.pair(e)[pins[e]],) if pins and e in pins else table.pair(e) for e in edges]
     opp, vm, trail = table.opp[:], table.vm[:], []
     fixed = len(order)
@@ -419,24 +439,9 @@ def _join_search(table, edges, space, budget, pins=None):
                 yield full & ~held, run
                 nodes = budget.nodes
             else:
-                free, best, fewest = ~blocked, -1, 4
-                y = free
-                while y:
-                    bit = y & -y
-                    v = bit.bit_length() - 1
-                    around = free & near[v]
-                    k = around.bit_count()
-                    if k < fewest:
-                        if not k:
-                            best = -1
-                            break
-                        best, fewest, reach = v, k, around
-                        if k == 1:
-                            break
-                    y ^= bit
-                if best >= 0:
-                    blocked |= 1 << best
-                    push = iter(table.options(best, reach))
+                bit, found = frames.get(blocked) or table.frame(blocked)
+                blocked |= bit
+                push = iter(found)
         if push is not None:
             options[depth], blocks[depth], marks[depth] = push, blocked, len(trail)
             depth += 1
@@ -454,26 +459,33 @@ def _join_search(table, edges, space, budget, pins=None):
                 if nodes > limit:
                     budget.nodes = nodes
                     raise NodeLimitExceeded("transitions", nodes)
-                bit, _, joins = option
-                for p, q in joins:
-                    P = opp[p]
-                    if P != q:  # else the join closes p's chain into a circuit
-                        a, b = vm[p], vm[q]
-                        if a & b:
-                            break
-                        Q = opp[q]
-                        opp[P], opp[Q] = Q, P
-                        vm[P] = vm[Q] = a | b
-                        trail.append((p, q))
-                else:
-                    chosen[top] = option
-                    blocked |= bit
-                    break
-                while len(trail) > mark:
-                    p, q = trail.pop()
-                    P, Q = opp[p], opp[q]
-                    opp[P], opp[Q] = p, q
-                    vm[P], vm[Q] = vm[p], vm[q]
+                bit, _, ((p, q), (p2, q2)) = option
+                P = opp[p]
+                if P != q:  # else the join closes p's chain into a circuit
+                    a, b = vm[p], vm[q]
+                    if a & b:
+                        continue
+                    Q = opp[q]
+                    opp[P], opp[Q] = Q, P
+                    vm[P] = vm[Q] = a | b
+                    trail.append((p, q))
+                P = opp[p2]
+                if P != q2:
+                    a, b = vm[p2], vm[q2]
+                    if a & b:
+                        if len(trail) > mark:  # take the first join back
+                            p, q = trail.pop()
+                            P, Q = opp[p], opp[q]
+                            opp[P], opp[Q] = p, q
+                            vm[P], vm[Q] = vm[p], vm[q]
+                        continue
+                    Q = opp[q2]
+                    opp[P], opp[Q] = Q, P
+                    vm[P] = vm[Q] = a | b
+                    trail.append((p2, q2))
+                chosen[top] = option
+                blocked |= bit
+                break
             else:
                 depth = top
                 continue

@@ -4,8 +4,9 @@ constructions for the tests.
 ``enumerate_cubic_graphs`` generated the committed corpus
 ``tests/data/cubic_le12.g6``, and ``test_families`` regenerates and compares
 it.  ``truncation`` builds T_X as a graph, the reference for the join
-tables that the solvers build straight from g.  Tests import this module as
-they import ``conftest``.
+tables that the solvers build straight from g, and ``join_search`` is the
+reference for the transition search over them.  Tests import this module
+as they import ``conftest``.
 """
 
 import itertools
@@ -228,3 +229,72 @@ def truncation(g: Multigraph, X) -> Multigraph:
             n += 1
         triangles += ((x, n - 2), (x, n - 1), (n - 2, n - 1))
     return Multigraph(n, edges + triangles)
+
+
+def join_search(table, edges, space, pins=None):
+    """The reference for ``solvers._join_search``: (every (weight-1 edge
+    mask, run of options) in the order it yields them, nodes spent), by
+    plain recursion over its documented rule on the table's ``ends``,
+    ``incident`` and ``pair``.
+
+    Each edge of ``edges`` takes one of its two choices, or the one
+    ``pins`` names; then the free vertices of ``space`` are matched.  The
+    pick scans the free vertices in id order: the first with at most one
+    free neighbour decides (none is a dead end, one is the pick), else the
+    least with the fewest.  Its options are the two choices of each edge to
+    a free neighbour, in incident order.  A chain is a path of joined
+    half-edges with two free ends; a join of a chain's two ends closes a
+    circuit, and a join of two chains that share a vertex refuses the
+    choice.  A node is one option tried.
+    """
+    ends, full = table.ends, (1 << table.m) - 1
+    near = {}
+    for u, v in ends:
+        near.setdefault(u, set()).add(v)
+        near.setdefault(v, set()).add(u)
+    order = [(table.pair(e)[pins[e]],) if pins and e in pins else table.pair(e) for e in edges]
+    # each free half-edge: the other free end of its chain, and its vertices
+    mate = {h: h ^ 1 for h in range(2 * len(ends))}
+    verts = {h: frozenset(ends[h >> 1]) for h in mate}
+    found, nodes = [], 0
+
+    def joined(mate, verts, p, q):
+        if mate[p] == q:
+            return mate, verts
+        if verts[p] & verts[q]:
+            return None
+        mate, verts = dict(mate), dict(verts)
+        P, Q = mate[p], mate[q]
+        mate[P], mate[Q] = Q, P
+        verts[P] = verts[Q] = verts[p] | verts[q]
+        return mate, verts
+
+    def pick(free):
+        counts = [(len(near[v] & free), v) for v in sorted(free)]
+        return next((kv for kv in counts if kv[0] <= 1), min(counts))
+
+    def rec(depth, free, mate, verts, run):
+        nonlocal nodes
+        if depth < len(order):
+            v, tried = None, order[depth]
+        elif not free:
+            found.append((full & ~sum({1 << r for _, r, _ in run}), run))
+            return
+        else:
+            k, v = pick(free)
+            tried = [(1 << w, e, choice) for e in table.incident[v]
+                     for w in (ends[e][ends[e][0] == v],) if k and w in free
+                     for _, _, choice in table.pair(e)]
+        for option in tried:
+            nodes += 1
+            state = (mate, verts)
+            for p, q in option[2]:
+                state = joined(*state, p, q)
+                if state is None:
+                    break
+            else:
+                left = free if v is None else free - {v, option[0].bit_length() - 1}
+                rec(depth + 1, left, *state, run + [option])
+
+    rec(0, {v for v in range(space.bit_length()) if space >> v & 1}, mate, verts, [])
+    return found, nodes

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -130,6 +131,25 @@ def test_hamiltonian_3ec_rejects_short(k4):
     tri = trace_circuit(k4, [0, 1, 3])
     with pytest.raises(GraphError, match="circuit does not span all vertices"):
         hamiltonian_3ec(k4, tri)
+
+
+_BAD_EDGE_SETS = pytest.mark.parametrize("edges, problem", [
+    ({0}, "[0] is not an even subgraph of the graph"),
+    ({99}, "holds 99, which is not an edge id of the graph"),
+], ids=["odd", "out of range"])
+
+
+@_BAD_EDGE_SETS
+def test_cover_from_cdc_checks_an_edge_set(pete, edges, problem):
+    with pytest.raises(GraphError, match=re.escape(f"c {problem}")):
+        cover_from_cdc(pete, find_cdc(pete), edges)
+
+
+@_BAD_EDGE_SETS
+def test_merge_cdcs_checks_an_edge_set(pete, edges, problem):
+    cdc = find_cdc(pete)
+    with pytest.raises(GraphError, match=re.escape(f"shared {problem}")):
+        merge_cdcs(pete, cdc, cdc, edges)
 
 
 def test_merge_cdcs_requires_shared(k4):
@@ -455,10 +475,18 @@ def test_five_cdc_rejects_uncovering(pete, j5):
 
 
 def test_pm_cover_rejects_empty_classes(k4):
+    # a bad 5-CDC is bad input, as in the module's other checks
     _, classes = _colour_cdc(k4)
     padded = KCdc.of(classes + [frozenset(), frozenset()])
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError, match="empty colour classes are not allowed"):
         pm_cover_from_five_cdc(k4, padded)
+
+
+def test_pm_cover_rejects_a_kcdc_that_is_not_a_five_cdc(pete):
+    with pytest.raises(GraphError, match="need a 5-CDC, got 4 classes"):
+        pm_cover_from_five_cdc(pete, KCdc.of([{0}] * 4))
+    with pytest.raises(GraphError, match="not a valid 5-CDC"):
+        pm_cover_from_five_cdc(pete, KCdc.of([{0}] * 5))
 
 
 def test_pm_cover_requires_two_factor_class(j5):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
-from substrate import truncation
+from substrate import join_search, truncation
 from cyclecover import (
     build_graph,
     flower,
@@ -291,6 +291,49 @@ def test_join_tables_match_the_truncation_graph(pete, j5):
             assert [table.pair(e) for e in range(t.m)] == [want.pair(e) for e in range(t.m)]
             tables += 1
     assert tables > 1500
+
+
+def _every_cover_by_reference(g, excess):
+    """What ``_every_cover`` yields and spends, from ``substrate.join_search``
+    over the same sets X, edges and spaces."""
+    found, nodes, everyone = [], 0, (1 << g.n) - 1
+    for X in combinations(range(g.n), excess):
+        edges = dict.fromkeys(e for x in X for e in g.incident_edges[x])
+        out = [v for e in edges for v in g.edges[e] if v not in X]
+        if len(set(out)) == len(out):
+            space = everyone & ~sum(1 << v for v in {*X, *out})
+            covers, spent = join_search(_Joins(g, X), edges, space)
+            found += covers
+            nodes += spent
+    return found, nodes
+
+
+def test_join_search_matches_the_reference_rule(pete, j5):
+    # the search yields what the plain recursion over its documented rule
+    # yields, in the same order, and spends the same nodes; twice over, so a
+    # table that kept what the first search learnt gives the same again
+    snarks = [pete, j5, *load_snarks18()]
+    graphs = [*load_bridgeless_corpus(12), *snarks,
+              *(relabelled(g, seed) for g in snarks for seed in (1, 2))]
+    searched = 0
+    for g in graphs:
+        for excess in (0, 1):
+            want = _every_cover_by_reference(g, excess)
+            assert _run(_every_cover, g, excess) == want
+            assert _run(_every_cover, g, excess) == want
+            searched += bool(want[0])
+    assert searched > 100
+
+
+def test_spectrum_work_is_pinned(pete, j5):
+    # (optimal covers, transition nodes) of the spectrum search
+    g18 = load_snarks18()
+    cases = [(pete, 20, 802), (j5, 182, 8348), (flower(7), 6050, 220834),
+             (two_cut_join(pete, 0, pete, 0), 272, 80742), (g18[0], 22, 1480),
+             (g18[1], 32, 1974)]
+    for g, covers, nodes in cases:
+        spec = edge_weight_spectrum(g)
+        assert (spec.n_optimal_covers, spec.nodes) == (covers, nodes)
 
 
 def test_cover_searches_build_no_graph(monkeypatch, pete, j5):
