@@ -104,21 +104,28 @@ def cover_from_cdc(g: CubicGraph, cdc, c) -> CycleCover:
     """Drop the circuits of the 2-regular subgraph ``c`` from a CDC.
 
     The remainder is a (1,2)-cover of length exactly 2m - |c|: edges of ``c``
-    keep weight 1, all others weight 2.
+    keep weight 1, all others weight 2.  ``GraphError`` unless ``cdc`` (a
+    ``CycleCover`` or a ``KCdc``) is a CDC of g that holds those circuits.
     """
-    if isinstance(cdc, KCdc):
-        cdc = cdc.as_cover(g)
-    removed = _as_circuits(g, c, "c")
+    _check_cdc(g, cdc, "cdc")
+    return _drop_circuits(g, cdc.as_cover(g) if isinstance(cdc, KCdc) else cdc, c)
+
+
+def _drop_circuits(g, cdc, c):
+    """``cover_from_cdc`` for a ``CycleCover`` known to be a CDC of g."""
     rest = list(cdc.circuits)
-    size = 0
-    for circ in removed:
+    for circ in _as_circuits(g, c, "c"):
         if circ not in rest:
             raise GraphError(f"circuit {circ.edges} is not in the CDC")
         rest.remove(circ)
-        size += len(circ)
-    cover = CycleCover.of(rest)
-    assert cover.length == 2 * g.m - size
-    return cover
+    return CycleCover.of(rest)
+
+
+def _check_cdc(g, cdc, what):
+    report = validate(cdc, g)
+    if report.problems or not report.is_cdc:
+        problem = next(iter(report.problems), f"edge weights {report.weight_histogram}, not all 2")
+        raise GraphError(f"{what} is not a CDC of the graph: {problem}")
 
 
 def extract_cdc_from_cover(g: CubicGraph, cover: CycleCover):
@@ -128,14 +135,15 @@ def extract_cdc_from_cover(g: CubicGraph, cover: CycleCover):
     2-regular subgraph missing exactly k vertices, and adding its circuits to
     the cover yields a CDC.
     """
+    report = validate(cover, g)
+    if not report.ok:
+        raise GraphError(f"cover is not a cycle cover of the graph: {report.problems[0]}")
     base = 2 * g.n  # 4m/3
     k = cover.length - base
     if k not in (0, 1):
         raise GraphError(f"length {cover.length} = 4m/3 + {k}; extraction needs k in {{0,1}}")
-    ones = cover.weight_one_edges(g.m)
+    ones = report.weight_one_edges
     circuits = decompose_even_subgraph(g, ones)
-    if len(ones) != g.n - k:
-        raise AssertionError("weight-1 subgraph has the wrong size")
     cdc = CycleCover.of(list(cover.circuits) + list(circuits))
     report = validate(cdc, g)
     if not report.is_cdc:
@@ -187,9 +195,7 @@ def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> Cyc
             rest.remove(circ)
         circuits.extend(rest)
     merged = CycleCover.of(circuits)
-    report = validate(merged, g)
-    if not report.is_cdc:
-        raise GraphError(f"merge result is not a CDC: {report.problems}")
+    _check_cdc(g, merged, "merge result")
     return merged
 
 
@@ -226,7 +232,7 @@ def _split_cover(g, factor, coloured, searched, shared, node_limit, where) -> Cy
     images = [trace_circuit(reduced, _image(c.edges, rmap)) for c in shared]
     cdc2 = _cdc_through(reduced, images, node_limit, f"of the {where} through the shared circuits")
     merged = merge_cdcs(g, cdc1, lift_cover(cdc2, rmap), shared)
-    return cover_from_cdc(g, merged, c13)
+    return _drop_circuits(g, merged, c13)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +269,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     if not chords:
         # the chordless part is g itself: one CDC through the circuit suffices
         cdc = _cdc_through(g, [longest], node_limit, "through the given circuit")
-        cover = cover_from_cdc(g, cdc, [longest])
+        cover = _drop_circuits(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
     chord_set = set(chords)
@@ -491,7 +497,7 @@ def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
     else:
         kcdc = five_cdc_from_pm_cover(g, result.matchings)
         factor = kcdc.classes[4]
-        cover = cover_from_cdc(g, kcdc, factor)
+        cover = _drop_circuits(g, kcdc.as_cover(g), factor)
         cert = {"tau": 4, "matchings": result.matchings}
     res = _check_result(g, cover, base, "tau4", cert)
     assert res.length == base

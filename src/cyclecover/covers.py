@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graphs import Multigraph
+from .graphs import Multigraph, _walks
 
 
 @dataclass(frozen=True)
@@ -59,37 +59,30 @@ def circuit_from_walk(edges, vertices) -> Circuit:
     return Circuit(e, v)
 
 
+def _two_regular_walks(g: Multigraph, edge_ids):
+    """``graphs._walks`` of an edge set; ``ValueError`` unless every id is an
+    edge of g and every vertex has degree 0 or 2 in the set."""
+    m, ends = g.m, g.edges
+    keep, deg = 0, {}
+    for e in set(edge_ids):
+        if not 0 <= e < m:
+            raise ValueError(f"edge set names {e}, which is not an edge of the graph")
+        keep |= 1 << e
+        u, v = ends[e]
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    for v, d in deg.items():
+        if d != 2:
+            raise ValueError(f"vertex {v} has degree {d} in the edge set")
+    return _walks(g, keep, sorted(deg))
+
+
 def trace_circuit(g: Multigraph, edge_ids) -> Circuit:
     """Interpret an edge set as the single simple circuit it spans."""
-    edge_ids = sorted(set(edge_ids))
-    if edge_ids and not (0 <= edge_ids[0] and edge_ids[-1] < g.m):
-        raise ValueError("edge set names an id that is not an edge of the graph")
-    inc = {}
-    for e in edge_ids:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    if len(inc) != len(edge_ids):
-        raise ValueError("edge set is not a single circuit (vertex/edge count mismatch)")
-    for v, es in inc.items():
-        if len(es) != 2:
-            raise ValueError(f"vertex {v} has degree {len(es)} in the edge set")
-    start = min(inc)
-    first = min(inc[start])
-    walk_v = [start]
-    walk_e = [first]
-    cur = g.other_end(first, start)
-    prev = first
-    while cur != start:
-        walk_v.append(cur)
-        a, b = inc[cur]
-        nxt = b if a == prev else a
-        walk_e.append(nxt)
-        cur = g.other_end(nxt, cur)
-        prev = nxt
-    if len(walk_e) != len(edge_ids):
-        raise ValueError("edge set is not connected (not a single circuit)")
-    return circuit_from_walk(walk_e, walk_v)
+    walks = _two_regular_walks(g, edge_ids)
+    if len(walks) != 1:
+        raise ValueError(f"edge set is {len(walks)} circuits, not a single circuit")
+    return circuit_from_walk(*walks[0])
 
 
 def is_even_subgraph(g: Multigraph, edge_ids) -> bool:
@@ -102,48 +95,11 @@ def is_even_subgraph(g: Multigraph, edge_ids) -> bool:
 
 
 def decompose_even_subgraph(g: Multigraph, edge_ids):
-    """Split an even subgraph into circuits, deterministically.
-
-    Walks greedily from the least remaining edge id, always leaving a vertex by
-    its least unused edge, extracting a circuit at the first vertex repeat.
-    For degree-0/2 subgraphs this is the unique decomposition.
-    """
-    edge_ids = set(edge_ids)
-    if not is_even_subgraph(g, edge_ids):
-        raise ValueError("edge set is not an even subgraph")
-    inc = {}
-    for e in edge_ids:
-        u, v = g.edges[e]
-        inc.setdefault(u, set()).add(e)
-        inc.setdefault(v, set()).add(e)
-    circuits = []
-    remaining = edge_ids
-    walk_v, walk_e, pos = [], [], {}
-    while remaining or walk_e:
-        if not walk_e:
-            e0 = min(remaining)
-            start = min(g.edges[e0])
-            walk_v = [start]
-            pos = {start: 0}
-            nxt = e0
-        else:
-            cur = walk_v[-1]
-            nxt = min(inc[cur] & remaining)
-        cur = walk_v[-1]
-        remaining.discard(nxt)
-        walk_e.append(nxt)
-        w = g.other_end(nxt, cur)
-        if w in pos:
-            p = pos[w]
-            circuits.append(circuit_from_walk(walk_e[p:], walk_v[p:]))
-            for v in walk_v[p + 1:]:
-                del pos[v]
-            del walk_v[p + 1:]
-            del walk_e[p:]
-        else:
-            walk_v.append(w)
-            pos[w] = len(walk_v) - 1
-    return tuple(sorted(circuits, key=Circuit.sort_key))
+    """The circuits of an edge set in which every vertex has degree 0 or 2,
+    sorted by ``Circuit.sort_key``; ``ValueError`` for any other degree or
+    an id that is not an edge of g."""
+    return tuple(sorted((circuit_from_walk(*w) for w in _two_regular_walks(g, edge_ids)),
+                        key=Circuit.sort_key))
 
 
 @dataclass(frozen=True)

@@ -127,30 +127,8 @@ def build_graph(edge_list) -> CubicGraph:
 # connectivity
 # --------------------------------------------------------------------------
 
-def connected_components(g: Multigraph):
-    """Vertex sets of the connected components, sorted by least vertex."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for e in g.incident_edges[v]:
-                w = g.other_end(e, v)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def is_connected(g: Multigraph) -> bool:
-    return g.n == 0 or len(connected_components(g)) == 1
+    return _cut_labels(g)[1] <= 1
 
 
 @_one_graph_memo
@@ -292,6 +270,43 @@ def girth(g: Multigraph) -> int:
     return 0 if best > g.n else best
 
 
+def _walks(g: Multigraph, keep, starts=None):
+    """The circuits of the edges in the mask ``keep``, in which every vertex
+    must have degree 0 or 2 (unchecked): one (edges, vertices) walk per
+    circuit, where ``edges[i]`` leaves ``vertices[i]``.  Circuits come in
+    order of their least vertex; each walk leaves that vertex by the lower
+    of its two kept edges, and every other vertex by its other kept edge.
+    ``starts`` lists, in increasing order, vertices that include every one
+    the kept edges touch (default: all of them).
+    """
+    inc, ends = g.incident_edges, g.edges
+    seen = [False] * g.n
+    walks = []
+    for start in range(g.n) if starts is None else starts:
+        if seen[start]:
+            continue
+        for e in inc[start]:
+            if keep >> e & 1:
+                break
+        else:
+            continue
+        v, edges, verts = start, [], []
+        while True:
+            seen[v] = True
+            edges.append(e)
+            verts.append(v)
+            a, b = ends[e]
+            v = b if a == v else a
+            if v == start:
+                break
+            for f in inc[v]:
+                if f != e and keep >> f & 1:
+                    break
+            e = f
+        walks.append((edges, verts))
+    return walks
+
+
 # --------------------------------------------------------------------------
 # surgery
 # --------------------------------------------------------------------------
@@ -404,27 +419,15 @@ def contract_two_factor(g: CubicGraph, two_factor):
     if not is_spanning_regular(g, f, 2):
         raise GraphError("edge set is not a spanning 2-regular subgraph")
 
-    comp = [-1] * g.n
-    cid = 0
-    for start in range(g.n):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            v = stack.pop()
-            for e in g.incident_edges[v]:
-                if e not in f:
-                    continue
-                w = g.other_end(e, v)
-                if comp[w] == -1:
-                    comp[w] = cid
-                    stack.append(w)
-        cid += 1
+    walks = _walks(g, sum(1 << e for e in f))
+    comp = [0] * g.n
+    for i, (_, verts) in enumerate(walks):
+        for v in verts:
+            comp[v] = i
 
     rest = sorted(set(range(g.m)) - f)
     new_edges = [(comp[g.edges[e][0]], comp[g.edges[e][1]]) for e in rest]
-    contracted = Multigraph(cid, new_edges)
+    contracted = Multigraph(len(walks), new_edges)
     cmap = ContractionMap(tuple(comp), tuple(rest))
     return contracted, cmap
 

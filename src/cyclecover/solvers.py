@@ -14,7 +14,7 @@ from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
-from .graphs import CubicGraph, Multigraph, _one_graph_memo, bridges, is_connected
+from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges, is_connected
 
 
 class _Budget:
@@ -504,21 +504,18 @@ def _transition_covers(g, rest, budget):
     cover exactly when no circuit passes a vertex twice, that is when the
     two C edges at a vertex never join one circuit.  Distinct choices give
     distinct covers.  The rest edges are tried in the order the walks of
-    ``_factor_circuits`` meet them, each walk from the least end of its
-    first edge and each rest edge at its first end, so joined C edges grow
-    as chains along the walk; a node is one choice tried.  This is the
-    route of the first cover, where the store already holds C;
+    ``_walks`` over C meet them, each rest edge at its first end, so joined
+    C edges grow as chains along the walk; a node is one choice tried.  This
+    is the route of the first cover, where the store already holds C;
     ``_every_cover`` finds every cover without it.  One ``_join_search``
     over g's memoised table yields the covers as ``_every_cover`` does.
     """
     order = {}
-    for walk in _factor_circuits(g, rest):
-        v = min(g.edges[walk[0]])
-        for e in walk:
+    for _, verts in _walks(g, ((1 << g.m) - 1) & ~rest):
+        for v in verts:
             for r in g.incident_edges[v]:
                 if rest >> r & 1:
                     order.setdefault(r)
-            v = g.other_end(e, v)
     return _join_search(_joins(g), order, 0, budget)
 
 
@@ -750,39 +747,6 @@ def _edge_set(mask):
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
-def _factor_circuits(g, pm):
-    """The circuits of the 2-factor E - pm, each as its edge ids in walk
-    order from its least vertex."""
-    mate = [0] * g.n
-    while pm:
-        bit = pm & -pm
-        e = bit.bit_length() - 1
-        u, v = g.edges[e]
-        mate[u] = mate[v] = e
-        pm ^= bit
-    seen = [False] * g.n
-    walks = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        # enter each vertex by a factor edge, leave by the first incident
-        # edge that is neither that one nor its mate
-        v, e, walk = start, mate[start], []
-        while True:
-            seen[v] = True
-            skip = mate[v]
-            for f in g.incident_edges[v]:
-                if f != e and f != skip:
-                    break
-            a, b = g.edges[f]
-            v, e = (b if a == v else a), f
-            walk.append(f)
-            if v == start:
-                break
-        walks.append(walk)
-    return walks
-
-
 class _Matchings:
     """The perfect matchings of one graph as edge masks, in enumeration order,
     and the 2-factors they leave.
@@ -824,8 +788,8 @@ class _Matchings:
             yield counts[i]
 
     def _count(self, pm):
-        walks = _factor_circuits(self.g, pm)
-        return sum(len(w) & 1 for w in walks), len(walks)
+        walks = _walks(self.g, ((1 << self.g.m) - 1) & ~pm)
+        return sum(len(edges) & 1 for edges, _ in walks), len(walks)
 
     def no_even_factor(self):
         """True when every 2-factor is counted and each has an odd circuit."""
@@ -932,9 +896,9 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     for pm, (odd, _) in zip(store.masks, store.factors()):
         if not odd:
             halves = ([], [])
-            for walk in _factor_circuits(g, pm):
-                halves[0].extend(walk[0::2])
-                halves[1].extend(walk[1::2])
+            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~pm):
+                halves[0].extend(edges[0::2])
+                halves[1].extend(edges[1::2])
             return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
@@ -1001,9 +965,9 @@ def circumference(g: Multigraph, node_limit=None):
     colours = _colouring(g) if cubic else None
     if colours is not None:
         for c in range(3):
-            walks = _factor_circuits(g, _mask(e for e in range(g.m) if colours[e] == c))
+            walks = _walks(g, _mask(e for e in range(g.m) if colours[e] != c))
             if len(walks) == 1:
-                return n, trace_circuit(g, walks[0])
+                return n, circuit_from_walk(*walks[0])
     adj = [[] for _ in range(n)]
     nbrs = [0] * n
     for e, (u, v) in enumerate(g.edges):
@@ -1168,6 +1132,8 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
     cubic graph: paths may share an intermediate vertex of the multigraph but
     never an edge.  Unit-capacity min-cost flow (successive shortest paths).
     """
+    if not (0 <= s < mg.n and 0 <= t < mg.n):
+        raise ValueError(f"endpoints {s}, {t} must be vertices 0..{mg.n - 1}")
     if s == t:
         raise ValueError("endpoints must differ")
     # arcs: (from, to, edge_id); cap 1 each; an optimal flow never uses both

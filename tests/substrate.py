@@ -5,13 +5,16 @@ constructions for the tests.
 ``tests/data/cubic_le12.g6``, and ``test_families`` regenerates and compares
 it.  ``truncation`` builds T_X as a graph, the reference for the join
 tables that the solvers build straight from g, and ``join_search`` is the
-reference for the transition search over them.  Tests import this module
-as they import ``conftest``.
+reference for the transition search over them.  ``factor_circuits`` and
+``greedy_decomposition`` are the two walkers that ``graphs._walks``
+replaced, the references for its walks.  Tests import this module as they
+import ``conftest``.
 """
 
 import itertools
 from collections import Counter
 
+from cyclecover.covers import Circuit, circuit_from_walk, is_even_subgraph
 from cyclecover.errors import GraphError
 from cyclecover.graphs import CubicGraph, Multigraph
 
@@ -298,3 +301,80 @@ def join_search(table, edges, space, pins=None):
 
     rec(0, {v for v in range(space.bit_length()) if space >> v & 1}, mate, verts, [])
     return found, nodes
+
+
+def factor_circuits(g, pm):
+    """The circuits of the 2-factor E - pm (``pm`` an edge mask of a perfect
+    matching of the cubic graph g), each as its edge ids in walk order from
+    its least vertex, in order of that vertex."""
+    mate = [0] * g.n
+    while pm:
+        bit = pm & -pm
+        e = bit.bit_length() - 1
+        u, v = g.edges[e]
+        mate[u] = mate[v] = e
+        pm ^= bit
+    seen = [False] * g.n
+    walks = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        # enter each vertex by a factor edge, leave by the first incident
+        # edge that is neither that one nor its mate
+        v, e, walk = start, mate[start], []
+        while True:
+            seen[v] = True
+            skip = mate[v]
+            for f in g.incident_edges[v]:
+                if f != e and f != skip:
+                    break
+            a, b = g.edges[f]
+            v, e = (b if a == v else a), f
+            walk.append(f)
+            if v == start:
+                break
+        walks.append(walk)
+    return walks
+
+
+def greedy_decomposition(g, edge_ids):
+    """Split an even subgraph (any even degrees) into circuits: walk
+    greedily from the least remaining edge id, always leaving a vertex by
+    its least unused edge, and extract a circuit at the first vertex
+    repeat.  Sorted by ``Circuit.sort_key``."""
+    edge_ids = set(edge_ids)
+    if not is_even_subgraph(g, edge_ids):
+        raise ValueError("edge set is not an even subgraph")
+    inc = {}
+    for e in edge_ids:
+        u, v = g.edges[e]
+        inc.setdefault(u, set()).add(e)
+        inc.setdefault(v, set()).add(e)
+    circuits = []
+    remaining = edge_ids
+    walk_v, walk_e, pos = [], [], {}
+    while remaining or walk_e:
+        if not walk_e:
+            e0 = min(remaining)
+            start = min(g.edges[e0])
+            walk_v = [start]
+            pos = {start: 0}
+            nxt = e0
+        else:
+            cur = walk_v[-1]
+            nxt = min(inc[cur] & remaining)
+        cur = walk_v[-1]
+        remaining.discard(nxt)
+        walk_e.append(nxt)
+        w = g.other_end(nxt, cur)
+        if w in pos:
+            p = pos[w]
+            circuits.append(circuit_from_walk(walk_e[p:], walk_v[p:]))
+            for v in walk_v[p + 1:]:
+                del pos[v]
+            del walk_v[p + 1:]
+            del walk_e[p:]
+        else:
+            walk_v.append(w)
+            pos[w] = len(walk_v) - 1
+    return tuple(sorted(circuits, key=Circuit.sort_key))

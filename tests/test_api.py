@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -26,3 +27,24 @@ def test_runtime_is_stdlib_only_and_single_process():
     assert imported, "no module parsed"
     assert imported <= sys.stdlib_module_names
     assert not imported & {"threading", "multiprocessing", "concurrent", "subprocess"}
+
+
+def test_private_names_in_the_readme_are_defined():
+    # a backticked `_name` or `module._name` in README.md names a function,
+    # class or variable defined in that module (any module without a prefix)
+    root = Path(cyclecover.__file__).parent
+    defined = {}
+    for path in root.glob("*.py"):
+        names = defined.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    everywhere = set().union(*defined.values())
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    refs = re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)", readme)
+    assert refs, "no private name found"
+    stale = [f"{mod}.{name}" if mod else name for mod, name in refs
+             if name not in defined.get(mod, everywhere)]
+    assert stale == []

@@ -83,6 +83,19 @@ def test_cover_from_cdc_rejects_absent_circuit(k4, pete):
         cover_from_cdc(k4, cdc, [bogus])
 
 
+def test_cover_from_cdc_rejects_a_cover_that_is_no_cdc(pete):
+    c = trace_circuit(pete, [0, 1, 2, 3, 4])
+    with pytest.raises(GraphError, match="^cdc is not a CDC of the graph: edges not covered"):
+        cover_from_cdc(pete, CycleCover.of([c]), [c])
+
+
+def test_cover_from_cdc_rejects_a_kcdc_naming_no_edge(pete):
+    classes = [*find_cdc(pete, k=5).classes]
+    classes[0] |= {99}
+    with pytest.raises(GraphError, match="^cdc is not a CDC of the graph: class 0 references unknown edge 99"):
+        cover_from_cdc(pete, KCdc.of(classes), classes[1])
+
+
 def test_cdc_through_circuits_that_share_a_transition(pete):
     # the three circuits of a CDC at a vertex take its three pairs of edges
     # once each, so no CDC holds two circuits that pass a vertex by the same
@@ -115,6 +128,13 @@ def test_extract_rejects_long_cover(k4):
     cdc, _ = _colour_cdc(k4)  # length 12 = 4m/3 + 4
     with pytest.raises(GraphError, match=r"= 4m/3 \+ 4; extraction needs k in"):
         extract_cdc_from_cover(k4, cdc)
+
+
+def test_extract_rejects_a_cover_that_misses_edges(pete):
+    # four copies of the outer 5-circuit: length 20 = 4m/3, 5 edges covered
+    outer = trace_circuit(pete, [0, 1, 2, 3, 4])
+    with pytest.raises(GraphError, match="^cover is not a cycle cover of the graph: edges not covered"):
+        extract_cdc_from_cover(pete, CycleCover.of([outer] * 4))
 
 
 def test_hamiltonian_3ec(k4, prism):

@@ -1,8 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
+from conftest import load_bridgeless_corpus, load_snarks18, relabelled
+from substrate import factor_circuits, greedy_decomposition
 
-from cyclecover import petersen
+from cyclecover import flower, petersen
 from cyclecover.covers import (
     _canonicalize_walk,
     Circuit,
@@ -16,8 +19,8 @@ from cyclecover.covers import (
     validate,
 )
 from cyclecover.errors import GraphError
-from cyclecover.graphs import Multigraph, suppress_degree_two
-from cyclecover.solvers import edge_colouring_3, shortest_cycle_cover
+from cyclecover.graphs import Multigraph, _walks, suppress_degree_two
+from cyclecover.solvers import edge_colouring_3, enumerate_perfect_matchings, shortest_cycle_cover
 
 
 def test_circuit_canonical_rotation_reflection():
@@ -93,6 +96,69 @@ def test_decompose_two_factor(pete):
 def test_decompose_rejects_odd_degrees(k4):
     with pytest.raises(ValueError):
         decompose_even_subgraph(k4, [0, 1])
+
+
+def _two_factors():
+    """(g, perfect matching mask) for every perfect matching of the
+    bridgeless corpus graphs, P, J5, the 18-vertex snarks and two relabelled
+    copies of J9."""
+    j9 = flower(9)
+    graphs = [*load_bridgeless_corpus(12), petersen(), flower(5), *load_snarks18(),
+              relabelled(j9, 1), relabelled(j9, 2)]
+    for g in graphs:
+        for pm in enumerate_perfect_matchings(g):
+            yield g, sum(1 << e for e in pm)
+
+
+def test_walks_of_two_factors_match_the_reference_walker():
+    for g, pm in _two_factors():
+        walks = _walks(g, ((1 << g.m) - 1) & ~pm)
+        assert [edges for edges, _ in walks] == factor_circuits(g, pm)
+        for edges, verts in walks:
+            assert verts[0] == min(verts) and len(set(verts)) == len(verts)
+            for i, e in enumerate(edges):
+                assert set(g.edges[e]) == {verts[i], verts[(i + 1) % len(verts)]}
+
+
+def test_decompose_matches_the_greedy_reference_on_two_factors_and_their_parts():
+    for g, pm in _two_factors():
+        factor = [e for e in range(g.m) if not pm >> e & 1]
+        circuits = decompose_even_subgraph(g, factor)
+        assert circuits == greedy_decomposition(g, factor)
+        for c in circuits:
+            assert trace_circuit(g, c.edges) == c
+        for r in range(1, len(circuits)):
+            for part in combinations(circuits, r):
+                edges = frozenset().union(*(c.edge_set for c in part))
+                assert decompose_even_subgraph(g, edges) == greedy_decomposition(g, edges)
+
+
+def test_a_digon_traces_to_a_two_circuit():
+    g = Multigraph(2, [(0, 1), (0, 1), (0, 1)])
+    digon = Circuit((0, 2), (0, 1))
+    assert trace_circuit(g, [2, 0]) == digon
+    assert decompose_even_subgraph(g, {0, 2}) == (digon,)
+
+
+@pytest.mark.parametrize("split", [trace_circuit, decompose_even_subgraph])
+def test_a_loop_is_no_circuit(split):
+    g = Multigraph(2, [(0, 0), (0, 1), (0, 1)])
+    with pytest.raises(ValueError):
+        split(g, [0])
+
+
+@pytest.mark.parametrize("split", [trace_circuit, decompose_even_subgraph])
+def test_a_vertex_of_degree_four_is_refused(split):
+    # two triangles at vertex 0: even, but not 2-regular
+    g = Multigraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    with pytest.raises(ValueError, match="vertex 0 has degree 4"):
+        split(g, range(6))
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_decompose_refuses_ids_outside_the_graph(k4, bad):
+    with pytest.raises(ValueError, match="not an edge of the graph"):
+        decompose_even_subgraph(k4, [0, 1, 3, bad])
 
 
 def test_cover_weights_and_length_identity(k4):

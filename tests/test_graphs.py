@@ -13,7 +13,6 @@ from cyclecover.graphs import (
     CubicGraph,
     Multigraph,
     bridges,
-    connected_components,
     contract_two_factor,
     cyclic_connectivity_at_least,
     girth,
@@ -90,6 +89,28 @@ def test_two_cut_join_and_connectivity(k4):
     assert (joined.n, joined.m) == (8, 12)
     assert isinstance(joined, CubicGraph)
     assert not cyclic_connectivity_at_least(joined, 3)
+
+
+def connected_components(g: Multigraph):
+    """Vertex sets of the connected components, sorted by least vertex."""
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for e in g.incident_edges[v]:
+                w = g.other_end(e, v)
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 def _scan_cyclic_connectivity(g, k):
@@ -332,6 +353,7 @@ def test_bridges_match_lowpoint_bridges():
     assert any(_lowpoint_bridges(g) for g in multigraphs)
     for g in multigraphs:
         assert bridges(g) == _lowpoint_bridges(g)
+        assert is_connected(g) is (len(connected_components(g)) <= 1)
 
 
 def test_bridges_of_contracted_two_factors():

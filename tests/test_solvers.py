@@ -1353,3 +1353,10 @@ def test_three_disjoint_paths_errors():
     g2 = Multigraph(2, [(0, 1), (0, 1)])
     with pytest.raises(HypothesisViolated, match="only 2 disjoint paths exist"):
         three_disjoint_paths(g2, 0, 1)
+
+
+@pytest.mark.parametrize("s, t", [(0, 99), (-1, 3), (10, 0)])
+def test_three_disjoint_paths_refuses_endpoints_that_are_no_vertices(pete, s, t):
+    # a bad endpoint is no proven negative (HypothesisViolated)
+    with pytest.raises(ValueError, match="must be vertices 0..9"):
+        three_disjoint_paths(pete, s, t)
