@@ -74,7 +74,7 @@ def _two_regular_walks(g: Multigraph, edge_ids):
     for v, d in deg.items():
         if d != 2:
             raise ValueError(f"vertex {v} has degree {d} in the edge set")
-    return _walks(g, keep, sorted(deg))
+    return _walks(g, keep)
 
 
 def trace_circuit(g: Multigraph, edge_ids) -> Circuit:
@@ -137,7 +137,8 @@ class CycleCover:
 
 @dataclass(frozen=True)
 class KCdc:
-    """k even subgraphs covering every edge exactly twice."""
+    """k even subgraphs covering every edge exactly twice.  ``as_cover``
+    needs vertex degrees 0 and 2 in each, as on a cubic graph."""
 
     classes: tuple
 

@@ -270,19 +270,17 @@ def girth(g: Multigraph) -> int:
     return 0 if best > g.n else best
 
 
-def _walks(g: Multigraph, keep, starts=None):
+def _walks(g: Multigraph, keep):
     """The circuits of the edges in the mask ``keep``, in which every vertex
     must have degree 0 or 2 (unchecked): one (edges, vertices) walk per
     circuit, where ``edges[i]`` leaves ``vertices[i]``.  Circuits come in
     order of their least vertex; each walk leaves that vertex by the lower
     of its two kept edges, and every other vertex by its other kept edge.
-    ``starts`` lists, in increasing order, vertices that include every one
-    the kept edges touch (default: all of them).
     """
     inc, ends = g.incident_edges, g.edges
     seen = [False] * g.n
     walks = []
-    for start in range(g.n) if starts is None else starts:
+    for start in range(g.n):
         if seen[start]:
             continue
         for e in inc[start]:

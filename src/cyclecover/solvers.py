@@ -47,17 +47,18 @@ class _CircuitSpace:
     Order: increasing (length, sorted edge tuple); this is also the canonical
     candidate order of the cover engine, where trying short circuits first
     keeps the lower bound tight.  ``by_edge[e]`` lists the circuits through
-    edge ``e`` in that order.
+    edge ``e`` in that order; ``walks`` and ``vlists`` keep each walk.
     """
 
-    __slots__ = ("g", "masks", "elists", "vlists", "lengths", "by_edge")
+    __slots__ = ("g", "masks", "elists", "walks", "vlists", "lengths", "by_edge")
 
     def __init__(self, g: Multigraph):
         self.g = g
-        raw = [(tuple(sorted(edges)), verts) for edges, verts in _circuits(g)]
+        raw = [(tuple(sorted(edges)), edges, verts) for edges, verts in _circuits(g)]
         raw.sort(key=lambda t: (len(t[0]), t[0]))
         self.elists = [t[0] for t in raw]
-        self.vlists = [t[1] for t in raw]
+        self.walks = [t[1] for t in raw]
+        self.vlists = [t[2] for t in raw]
         self.lengths = [len(t[0]) for t in raw]
         self.masks = [_mask(t[0]) for t in raw]
         by_edge = [[] for _ in range(g.m)]
@@ -67,7 +68,7 @@ class _CircuitSpace:
         self.by_edge = [tuple(lst) for lst in by_edge]
 
     def circuit(self, i: int) -> Circuit:
-        return trace_circuit(self.g, self.elists[i])
+        return circuit_from_walk(self.walks[i], self.vlists[i])
 
     def __len__(self):
         return len(self.masks)
