@@ -8,6 +8,8 @@ is ``5-7-9-6-8-5``.  Edge ids: 0-4 outer circuit, 5-9 spokes, 10-14 pentagram.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import GraphError
 from .graphs import CubicGraph, Multigraph
 
@@ -117,8 +119,18 @@ def _g6_read_n(data: bytes):
     raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
 
 
+_G6_BODY = bytes(range(63, 127))
+_G6_OCTAL = [""] * 63 + [format(x, "02o") for x in range(64)]  # a body byte's 6 bits
+
+
 def parse_graph6(line: str) -> CubicGraph:
-    """Decode one graph6 line into a validated cubic graph."""
+    """Decode one graph6 line into a validated cubic graph.
+
+    The body's bytes, two octal digits each, fold into one integer.  With
+    the padding shifted off, its bit need_bits - 1 - k is bit k of the upper
+    triangle, column by column: the pair (i, j) with k = j(j - 1)/2 + i.
+    Its set bits, highest first, give the edges in that order.
+    """
     line = line.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -129,21 +141,21 @@ def parse_graph6(line: str) -> CubicGraph:
     need_bytes = (need_bits + 5) // 6
     if len(body) != need_bytes:
         raise GraphError(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
-    bits = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise GraphError(f"byte {b} outside graph6 range")
-        x = b - 63
-        bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[need_bits:]):
+    bad = body.translate(None, _G6_BODY)
+    if bad:
+        raise GraphError(f"byte {bad[0]} outside graph6 range")
+    bits = int("0" + "".join(map(_G6_OCTAL.__getitem__, body)), 8)
+    pad = 6 * need_bytes - need_bits
+    if bits & ((1 << pad) - 1):
         raise GraphError("nonzero padding bits")
+    bits >>= pad
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    while bits:
+        b = bits.bit_length() - 1
+        k = need_bits - 1 - b
+        j = (1 + isqrt(8 * k + 1)) >> 1
+        edges.append((k - (j * (j - 1) >> 1), j))
+        bits ^= 1 << b
     try:
         return CubicGraph(n, edges)
     except GraphError as exc:

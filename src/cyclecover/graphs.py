@@ -276,11 +276,14 @@ def _walks(g: Multigraph, keep):
     circuit, where ``edges[i]`` leaves ``vertices[i]``.  Circuits come in
     order of their least vertex; each walk leaves that vertex by the lower
     of its two kept edges, and every other vertex by its other kept edge.
+    The scan for start vertices stops once every kept edge is walked.
     """
     inc, ends = g.incident_edges, g.edges
     seen = [False] * g.n
-    walks = []
+    walks, left = [], keep.bit_count()
     for start in range(g.n):
+        if not left:
+            break
         if seen[start]:
             continue
         for e in inc[start]:
@@ -302,6 +305,7 @@ def _walks(g: Multigraph, keep):
                     break
             e = f
         walks.append((edges, verts))
+        left -= len(edges)
     return walks
 
 

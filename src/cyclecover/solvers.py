@@ -289,8 +289,9 @@ def _structured_covers(g, budget, first=False):
     """
     for excess in range(g.n + 1):
         if first and not excess:
-            found = (cover for pm in _matchings(g).masks
-                     for cover in _transition_covers(g, pm, budget))
+            store = _matchings(g)
+            found = (cover for i in range(len(store.pms))
+                     for cover in _transition_covers(g, store.mask(i), budget))
         else:
             found = _every_cover(g, excess, budget)
         covers = list(islice(found, 1) if first else found)
@@ -544,23 +545,33 @@ def _every_cover(g, excess, budget):
 def _decode_joins(g, run):
     """The cover of g that a run of options gives: walk from each unseen
     half-edge along its edge, then through the join at the far end and the
-    weight-2 edge of its option.  Edges from g.m up are a truncation's
-    triangle edges, which the circuits of g leave out."""
-    mate, strand = {}, {}
+    weight-2 edge of its option, noting the vertex of g each edge leaves.
+    A truncation keeps g's edge ids and orientations, so half-edge h leaves
+    ``g.edges[h >> 1][h & 1]``, and a join's first half-edge lies at the
+    first end of its weight-2 edge (``_Joins.pair``).  Edges from g.m up
+    are a truncation's triangle edges, which the circuits of g leave out."""
+    ends, m = g.edges, g.m
+    mate, strand = {}, {}  # half-edge: joined half-edge; (weight-2 edge, vertex it leaves)
     for _, r, joins in run:
+        u, v = ends[r]
         for p, q in joins:
             mate[p], mate[q] = q, p
-            strand[p] = strand[q] = r
+            strand[p], strand[q] = (r, u), (r, v)
     circuits, seen = [], set()
     for start in mate:
-        p, edges = start, []
+        p, edges, verts = start, [], []
         while p not in seen:
-            t = p ^ 1
+            t, e = p ^ 1, p >> 1
             seen.update((p, t))
-            edges += (p >> 1, strand[t])
+            if e < m:
+                edges.append(e)
+                verts.append(ends[e][p & 1])
+            r, v = strand[t]
+            edges.append(r)
+            verts.append(v)
             p = mate[t]
         if edges:
-            circuits.append(trace_circuit(g, [e for e in edges if e < g.m]))
+            circuits.append(circuit_from_walk(edges, verts))
     return CycleCover.of(circuits)
 
 
@@ -744,31 +755,39 @@ def _matching_keys(g):
     return keys
 
 
-def _edge_set(mask):
-    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
-
-
 class _Matchings:
-    """The perfect matchings of one graph as edge masks, in enumeration order,
-    and the 2-factors they leave.
+    """The perfect matchings of one graph, as ``enumerate_perfect_matchings``
+    lists them (``pms``), and the 2-factors they leave.
 
     ``factors()`` walks the 2-factors in that order and yields, per matching,
-    the (odd circuits, circuits) of the complementary 2-factor.  Each pair is
-    computed once, when a walk first reaches it, and memoised, so a question
-    that stops early leaves the rest uncounted and the next walk reads the
-    counted prefix before it counts on.
-    ``holders[e]`` is the set of matchings that hold edge e, as a bitmask
-    over their indices, built on first use.
+    the (odd circuits, circuits) of the complementary 2-factor.  ``mask(i)``
+    (matching i as an edge mask) and each pair are computed once, when a
+    walk or search first reaches them, and memoised, so a question that
+    stops early leaves the rest unbuilt and the next walk reads the prefix
+    before it goes on.  ``masks`` completes the list, and ``holders[e]``,
+    built from it on first use, is the set of matchings that hold edge e,
+    as a bitmask over their indices.
     """
 
-    __slots__ = ("g", "masks", "_counts", "_holders")
+    __slots__ = ("g", "pms", "_bits", "_masks", "_counts", "_holders")
 
     def __init__(self, g):
         self.g = g
-        bits = [1 << e for e in range(g.m)]
-        self.masks = [sum(map(bits.__getitem__, pm)) for pm in enumerate_perfect_matchings(g)]
-        self._counts = []
-        self._holders = None
+        self.pms = enumerate_perfect_matchings(g)
+        self._bits = [1 << e for e in range(g.m)]
+        self._masks, self._counts, self._holders = [], [], None
+
+    def mask(self, i):
+        masks, bits, pms = self._masks, self._bits, self.pms
+        while len(masks) <= i:
+            masks.append(sum(map(bits.__getitem__, pms[len(masks)])))
+        return masks[i]
+
+    @property
+    def masks(self):
+        if self.pms:
+            self.mask(len(self.pms) - 1)
+        return self._masks
 
     @property
     def holders(self):
@@ -783,9 +802,9 @@ class _Matchings:
 
     def factors(self):
         counts = self._counts
-        for i, pm in enumerate(self.masks):
+        for i in range(len(self.pms)):
             if i == len(counts):
-                counts.append(self._count(pm))
+                counts.append(self._count(self.mask(i)))
             yield counts[i]
 
     def _count(self, pm):
@@ -794,7 +813,7 @@ class _Matchings:
 
     def no_even_factor(self):
         """True when every 2-factor is counted and each has an odd circuit."""
-        return len(self._counts) == len(self.masks) and all(odd for odd, _ in self._counts)
+        return len(self._counts) == len(self.pms) and all(odd for odd, _ in self._counts)
 
 
 @_one_graph_memo
@@ -824,7 +843,7 @@ def _matching_cuts(g, holds):
     matching of g.
     """
     store = _matchings(g)
-    holders, every = store.holders, (1 << len(store.masks)) - 1
+    holders, every = store.holders, (1 << len(store.pms)) - 1
 
     def cuts(dom):
         groups = {}  # domain: [AND of holders, AND of complements, edges]
@@ -892,15 +911,15 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     nodes spent.
     """
     store = _matchings(g)
-    if limit < 3 or not store.masks:
+    if limit < 3 or not store.pms:
         return TauResult(None, ())
-    for pm, (odd, _) in zip(store.masks, store.factors()):
+    for i, (odd, _) in enumerate(store.factors()):
         if not odd:
             halves = ([], [])
-            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~pm):
+            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~store.mask(i)):
                 halves[0].extend(edges[0::2])
                 halves[1].extend(edges[1::2])
-            return TauResult(3, (_edge_set(pm), *map(frozenset, halves)))
+            return TauResult(3, (store.pms[i], *map(frozenset, halves)))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
     budget = _Budget(node_limit)
@@ -924,7 +943,7 @@ def oddness(g: CubicGraph):
     a 2-factor can have, so that one is the witness.
     """
     store = _matchings(g)
-    if not store.masks:
+    if not store.pms:
         raise HypothesisViolated("graph has no perfect matching, hence no 2-factor")
     best = best_key = None
     for i, key in enumerate(store.factors()):
@@ -932,7 +951,7 @@ def oddness(g: CubicGraph):
             best, best_key = i, key
             if key == (0, 1):
                 break
-    return best_key[0], _edge_set(((1 << g.m) - 1) & ~store.masks[best])
+    return best_key[0], frozenset(range(g.m)) - store.pms[best]
 
 
 # --------------------------------------------------------------------------

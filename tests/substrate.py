@@ -7,15 +7,24 @@ it.  ``truncation`` builds T_X as a graph, the reference for the join
 tables that the solvers build straight from g, and ``join_search`` is the
 reference for the transition search over them.  ``factor_circuits`` and
 ``greedy_decomposition`` are the two walkers that ``graphs._walks``
-replaced, the references for its walks.  Tests import this module as they
-import ``conftest``.
+replaced, the references for its walks.  ``decode_joins_by_trace`` and
+``graph6_edges`` are the earlier cover decode and graph6 reader, the
+references for ``solvers._decode_joins`` and ``families.parse_graph6``.
+Tests import this module as they import ``conftest``.
 """
 
 import itertools
 from collections import Counter
 
-from cyclecover.covers import Circuit, circuit_from_walk, is_even_subgraph
+from cyclecover.covers import (
+    Circuit,
+    CycleCover,
+    circuit_from_walk,
+    is_even_subgraph,
+    trace_circuit,
+)
 from cyclecover.errors import GraphError
+from cyclecover.families import _g6_read_n
 from cyclecover.graphs import CubicGraph, Multigraph
 
 
@@ -378,3 +387,60 @@ def greedy_decomposition(g, edge_ids):
             walk_v.append(w)
             pos[w] = len(walk_v) - 1
     return tuple(sorted(circuits, key=Circuit.sort_key))
+
+
+def decode_joins_by_trace(g, run):
+    """The cover of g that a run of ``_join_search`` options gives, each
+    circuit traced again from its edge set: the reference for
+    ``solvers._decode_joins``, which builds each circuit from its own walk.
+    Walk from each unseen half-edge along its edge, then through the join at
+    the far end and the weight-2 edge of its option; edges from g.m up are a
+    truncation's triangle edges, which the circuits of g leave out."""
+    mate, strand = {}, {}
+    for _, r, joins in run:
+        for p, q in joins:
+            mate[p], mate[q] = q, p
+            strand[p] = strand[q] = r
+    circuits, seen = [], set()
+    for start in mate:
+        p, edges = start, []
+        while p not in seen:
+            t = p ^ 1
+            seen.update((p, t))
+            edges += (p >> 1, strand[t])
+            p = mate[t]
+        if edges:
+            circuits.append(trace_circuit(g, [e for e in edges if e < g.m]))
+    return CycleCover.of(circuits)
+
+
+def graph6_edges(line):
+    """The edges of a graph6 line in column order, read bit by bit from a
+    list of the body's bits: the reference for ``families.parse_graph6``,
+    with its checks and messages in the same order."""
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    data = line.encode("ascii", errors="replace")
+    n, pos = _g6_read_n(data)
+    body = data[pos:]
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    if len(body) != need_bytes:
+        raise GraphError(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
+    bits = []
+    for b in body:
+        if not 63 <= b <= 126:
+            raise GraphError(f"byte {b} outside graph6 range")
+        x = b - 63
+        bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    if any(bits[need_bits:]):
+        raise GraphError("nonzero padding bits")
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return edges

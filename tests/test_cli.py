@@ -10,7 +10,8 @@ import pytest
 import cyclecover
 from conftest import DATA, load_snarks18, relabelled
 from cyclecover import (
-    build_graph, cover_via_oddness2, flower, goldberg, pcolour, petersen, solvers, two_cut_join,
+    build_graph, constructions, cover_via_oddness2, covers, flower, goldberg, pcolour, petersen,
+    solvers, two_cut_join,
 )
 from cyclecover.cli import build_parser, main
 from cyclecover.errors import HypothesisViolated
@@ -479,6 +480,30 @@ def test_analyze_counts_few_two_factors(monkeypatch, capsys):
     assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
     assert len(counted) == 25
+
+
+def test_analyze_builds_no_holder_masks_and_traces_no_circuit(monkeypatch, capsys):
+    # every golden graph is 3-edge-colourable, so no search reads the
+    # holders that need every stored matching as a mask, and each cover
+    # circuit comes from the decode's own walk
+    calls = {"masks": 0, "trace_circuit": 0}
+    masks, trace = solvers._Matchings.__dict__["masks"], covers.trace_circuit
+
+    def read_masks(store):
+        calls["masks"] += 1
+        return masks.__get__(store)
+
+    def tracing(*args):
+        calls["trace_circuit"] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(solvers._Matchings, "masks", property(read_masks, masks.__set__))
+    for module in (cyclecover, covers, solvers, constructions, pcolour):
+        if getattr(module, "trace_circuit", None) is trace:
+            monkeypatch.setattr(module, "trace_circuit", tracing)
+    assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert calls == {"masks": 0, "trace_circuit": 0}
 
 
 def test_analyze_golden(monkeypatch, capsys):

@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
-from conftest import load_corpus, relabelled
-from substrate import canonical_form, enumerate_cubic_graphs, isomorphic
+from conftest import DATA, load_corpus, relabelled
+from substrate import canonical_form, enumerate_cubic_graphs, graph6_edges, isomorphic
 from cyclecover.errors import GraphError
 from cyclecover.families import (
     _GOLDBERG_QUOTIENT,
@@ -85,6 +87,35 @@ def test_graph6_truncated_rejected(pete):
 def test_graph6_noncubic_rejected():
     with pytest.raises(GraphError, match="non-cubic graph: vertex 0 has degree 0"):
         parse_graph6("D??")  # 5 isolated vertices
+
+
+def test_graph6_reader_matches_the_bit_list_reference():
+    from test_solvers import _random_cubic_24_to_40
+
+    lines = []
+    for name in ("cubic_le12.g6", "snarks18.g6", "analyze_golden.g6", "analyze_snarks_golden.g6"):
+        with open(os.path.join(DATA, name)) as fh:
+            lines += [line.strip() for line in fh if line.strip()]
+    # J21 has 84 vertices, past one size byte
+    j21 = write_graph6(flower(21))
+    assert j21.startswith("~?@S")
+    lines += [j21, *map(write_graph6, _random_cubic_24_to_40())]
+    for line in lines:
+        assert list(parse_graph6(line).edges) == graph6_edges(line)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("Ihe!@G\x7fAo", "byte 33 outside graph6 range"),  # the first of two bad bytes
+    ("Ihe\x7f@G!Ao", "byte 127 outside graph6 range"),
+    ("IheA@GUAp", "nonzero padding bits"),  # Petersen with a padding bit set
+    ("Ihe!@GUAp", "byte 33 outside graph6 range"),  # a bad byte before the padding
+    ("Ihe!@GUA", "expected 8 data bytes for n=10, got 7"),  # the length first
+])
+def test_graph6_checks_in_order(line, message):
+    with pytest.raises(GraphError, match=message):
+        graph6_edges(line)
+    with pytest.raises(GraphError, match=message):
+        parse_graph6(line)
 
 
 def test_graph6_write_rejects_parallel():

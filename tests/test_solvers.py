@@ -2,12 +2,12 @@ import json
 import os
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
-from substrate import join_search, truncation
+from substrate import decode_joins_by_trace, join_search, truncation
 from cyclecover import (
     build_graph,
     flower,
@@ -31,6 +31,7 @@ from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
 from cyclecover.solvers import (
+    _bfs_edges,
     _Budget,
     _CircuitSpace,
     _circuits,
@@ -38,6 +39,7 @@ from cyclecover.solvers import (
     _decode_joins,
     _deepening,
     _every_cover,
+    _join_search,
     _Joins,
     _matchings,
     _partition_tables,
@@ -394,6 +396,26 @@ def test_stage_names_the_settling_search(k4, pete):
     for g, stage in ((k4, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
     assert _spectrum_over(_CircuitSpace(k4), 2, 8, _Budget()).stage == "deepening"
+
+
+def test_decode_builds_the_covers_the_trace_reference_builds(pete, j5):
+    # each circuit comes from the run's own walk; the reference traces it
+    # again from its edge set.  Every cover at the optimum of P (X of one
+    # vertex), P+P (two), J5 and the 18-vertex snarks, ...
+    runs = []
+    for g in (pete, two_cut_join(pete, 0, pete, 0), j5, *load_snarks18()):
+        runs += [(g, run) for _, run in _structured_covers(g, _Budget())[1]]
+    # ... the first cover of each bridgeless corpus graph, from the store's
+    # 2-factors, and the first CDCs of the circuit-form search (X = V)
+    corpus = load_bridgeless_corpus(12)
+    for g in corpus:
+        runs.append((g, _structured_covers(g, _Budget(), first=True)[1][0][1]))
+    for g in (*corpus, pete, j5, flower(7)):
+        found = _join_search(_Joins(g, range(g.n)), _bfs_edges(g), 0, _Budget())
+        runs += [(g, run) for _, run in islice(found, 20)]
+    assert len(runs) == 20 + 272 + 182 + 22 + 32 + 107 + 2102
+    for g, run in runs:
+        assert _decode_joins(g, run) == decode_joins_by_trace(g, run)
 
 
 def test_scc_k4(k4):
