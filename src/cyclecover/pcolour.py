@@ -27,10 +27,9 @@ from .solvers import (
     _Budget,
     _decode_joins,
     _label_search,
-    _mask,
     _matching_cuts,
+    _matchings,
     _structured_covers,
-    enumerate_perfect_matchings,
 )
 
 REFERENCE = petersen()
@@ -41,7 +40,7 @@ _P_STARS = tuple(frozenset(REFERENCE.incident_edges[v]) for v in range(REFERENCE
 _P_STAR_SET = frozenset(_P_STARS)
 # the six perfect matchings of P, as masks over its edges; a valid colouring
 # pulls each back to a perfect matching of g
-_P_MATCHINGS = tuple(_mask(pm) for pm in enumerate_perfect_matchings(REFERENCE))
+_P_MATCHINGS = tuple(_matchings(REFERENCE).masks)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
-from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges, is_connected
+from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges
 
 
 class _Budget:
@@ -265,8 +265,6 @@ def _stage(g, length):
 
 
 def _check_coverable(g):
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
     b = bridges(g)
     if b:
         raise HypothesisViolated(f"no cycle cover exists: bridge(s) at edges {b}")
@@ -290,8 +288,8 @@ def _structured_covers(g, budget, first=False):
     for excess in range(g.n + 1):
         if first and not excess:
             store = _matchings(g)
-            found = (cover for i in range(len(store.pms))
-                     for cover in _transition_covers(g, store.mask(i), budget))
+            found = (cover for mask in store.masks
+                     for cover in _transition_covers(g, mask, budget))
         else:
             found = _every_cover(g, excess, budget)
         covers = list(islice(found, 1) if first else found)
@@ -690,10 +688,12 @@ def enumerate_perfect_matchings(g: Multigraph):
             for key in _matching_keys(g)]
 
 
+@_one_graph_memo
 def _matching_keys(g):
     """The perfect matchings of g as keys, in the order of their sorted edge
     tuples: a matching's key has bit e and bit 2m - 1 - e for each of its
-    edges e.
+    edges e.  Memoised for the last graph, so ``enumerate_perfect_matchings``
+    and the matching store read one sweep; callers must not change the list.
 
     One tuple sorts before another exactly when the least edge in their
     symmetric difference lies in it, and that edge is the highest bit in
@@ -759,35 +759,25 @@ class _Matchings:
     """The perfect matchings of one graph, as ``enumerate_perfect_matchings``
     lists them (``pms``), and the 2-factors they leave.
 
-    ``factors()`` walks the 2-factors in that order and yields, per matching,
-    the (odd circuits, circuits) of the complementary 2-factor.  ``mask(i)``
-    (matching i as an edge mask) and each pair are computed once, when a
-    walk or search first reaches them, and memoised, so a question that
-    stops early leaves the rest unbuilt and the next walk reads the prefix
-    before it goes on.  ``masks`` completes the list, and ``holders[e]``,
-    built from it on first use, is the set of matchings that hold edge e,
-    as a bitmask over their indices.
+    ``masks[i]`` is matching i as an edge mask, the low half of its key in
+    the sweep (``_matching_keys``) that ``pms`` was decoded from.
+    ``factors()`` walks the 2-factors in that order and yields, per
+    matching, the (odd circuits, circuits) of the complementary 2-factor,
+    each pair computed once, when a walk first reaches it, and memoised, so
+    a question that stops early leaves the rest uncounted and the next walk
+    reads the prefix before it goes on.  ``holders[e]``, built on first use,
+    is the set of matchings that hold edge e, as a bitmask over their
+    indices.
     """
 
-    __slots__ = ("g", "pms", "_bits", "_masks", "_counts", "_holders")
+    __slots__ = ("g", "pms", "masks", "_counts", "_holders")
 
     def __init__(self, g):
         self.g = g
         self.pms = enumerate_perfect_matchings(g)
-        self._bits = [1 << e for e in range(g.m)]
-        self._masks, self._counts, self._holders = [], [], None
-
-    def mask(self, i):
-        masks, bits, pms = self._masks, self._bits, self.pms
-        while len(masks) <= i:
-            masks.append(sum(map(bits.__getitem__, pms[len(masks)])))
-        return masks[i]
-
-    @property
-    def masks(self):
-        if self.pms:
-            self.mask(len(self.pms) - 1)
-        return self._masks
+        full = (1 << g.m) - 1
+        self.masks = [key & full for key in _matching_keys(g)]
+        self._counts, self._holders = [], None
 
     @property
     def holders(self):
@@ -802,9 +792,9 @@ class _Matchings:
 
     def factors(self):
         counts = self._counts
-        for i in range(len(self.pms)):
+        for i, mask in enumerate(self.masks):
             if i == len(counts):
-                counts.append(self._count(self.mask(i)))
+                counts.append(self._count(mask))
             yield counts[i]
 
     def _count(self, pm):
@@ -916,7 +906,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     for i, (odd, _) in enumerate(store.factors()):
         if not odd:
             halves = ([], [])
-            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~store.mask(i)):
+            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~store.masks[i]):
                 halves[0].extend(edges[0::2])
                 halves[1].extend(edges[1::2])
             return TauResult(3, (store.pms[i], *map(frozenset, halves)))

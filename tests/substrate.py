@@ -10,7 +10,8 @@ reference for the transition search over them.  ``factor_circuits`` and
 replaced, the references for its walks.  ``decode_joins_by_trace`` and
 ``graph6_edges`` are the earlier cover decode and graph6 reader, the
 references for ``solvers._decode_joins`` and ``families.parse_graph6``.
-Tests import this module as they import ``conftest``.
+``disjoint_union`` builds disconnected cubic graphs.  Tests import this
+module as they import ``conftest``.
 """
 
 import itertools
@@ -223,6 +224,16 @@ def enumerate_cubic_graphs(n: int):
     # vertex 0 always attaches to fresh vertices 1,2,3
     rec(1)
     return [found[k] for k in sorted(found)]
+
+
+def disjoint_union(*graphs) -> CubicGraph:
+    """The cubic graphs side by side: each one's vertices and edges follow
+    those of the graphs before it, in order."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return CubicGraph(n, edges)
 
 
 def truncation(g: Multigraph, X) -> Multigraph:

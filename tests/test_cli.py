@@ -9,6 +9,7 @@ import pytest
 
 import cyclecover
 from conftest import DATA, load_snarks18, relabelled
+from substrate import disjoint_union
 from cyclecover import (
     build_graph, constructions, cover_via_oddness2, covers, flower, goldberg, pcolour, petersen,
     solvers, two_cut_join,
@@ -444,6 +445,17 @@ def test_analyze_batch_stream_order():
     assert [r["index"] for r in lines] == [0, 1]
 
 
+def test_analyze_streams_past_a_disconnected_graph(capsys, tmp_path):
+    # 2xK4 is bridgeless, so it has covers (those of its two K4s) and a report
+    k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    p = write_graph6(petersen())
+    path = tmp_path / "stream.g6"
+    path.write_text(f"{p}\n{write_graph6(disjoint_union(k4, k4))}\n{p}\n")
+    assert main(["analyze", str(path), "--json", "--no-timing"]) == 0
+    reports = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [(r["index"], r["n"], r["scc"]) for r in reports] == [(0, 10, 21), (1, 8, 16), (2, 10, 21)]
+
+
 def test_main_callable_directly():
     assert main(["generate", "petersen"]) == 0
 
@@ -483,27 +495,27 @@ def test_analyze_counts_few_two_factors(monkeypatch, capsys):
 
 
 def test_analyze_builds_no_holder_masks_and_traces_no_circuit(monkeypatch, capsys):
-    # every golden graph is 3-edge-colourable, so no search reads the
-    # holders that need every stored matching as a mask, and each cover
-    # circuit comes from the decode's own walk
-    calls = {"masks": 0, "trace_circuit": 0}
-    masks, trace = solvers._Matchings.__dict__["masks"], covers.trace_circuit
+    # every golden graph is 3-edge-colourable, so no search builds the
+    # per-edge holder masks (the transposition of every stored matching),
+    # and each cover circuit comes from the decode's own walk
+    calls = {"holders": 0, "trace_circuit": 0}
+    holders, trace = solvers._Matchings.__dict__["holders"], covers.trace_circuit
 
-    def read_masks(store):
-        calls["masks"] += 1
-        return masks.__get__(store)
+    def reading(store):
+        calls["holders"] += store._holders is None
+        return holders.__get__(store)
 
     def tracing(*args):
         calls["trace_circuit"] += 1
         return trace(*args)
 
-    monkeypatch.setattr(solvers._Matchings, "masks", property(read_masks, masks.__set__))
+    monkeypatch.setattr(solvers._Matchings, "holders", property(reading))
     for module in (cyclecover, covers, solvers, constructions, pcolour):
         if getattr(module, "trace_circuit", None) is trace:
             monkeypatch.setattr(module, "trace_circuit", tracing)
     assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
-    assert calls == {"masks": 0, "trace_circuit": 0}
+    assert calls == {"holders": 0, "trace_circuit": 0}
 
 
 def test_analyze_golden(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import load_corpus, load_snarks18
+from substrate import disjoint_union
 from cyclecover import build_graph, petersen
 from cyclecover.constructions import cover_via_oddness2
 from cyclecover.covers import decompose_even_subgraph
@@ -226,17 +227,13 @@ _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
 
 
-def _k4_beside(edges):
-    """K4 and, disjoint from it, the graph with the given edges."""
-    return build_graph(_K4 + [(u + 4, v + 4) for u, v in edges])
-
-
 def _connectivity_cases():
     cases = [(f"corpus-{i}", g) for i, g in enumerate(load_corpus(12))]
+    k4 = build_graph(_K4)
     cases += [
         # disconnected: the empty cut already separates two circuits
-        ("2K4", _k4_beside(_K4)),
-        ("K4+prism", _k4_beside(_PRISM)),
+        ("2K4", disjoint_union(k4, k4)),
+        ("K4+prism", disjoint_union(k4, build_graph(_PRISM))),
         # digons at both ends of a 4-circuit
         ("digons", build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])),
         # two triangles that each hold a digon, so one edge leaves each

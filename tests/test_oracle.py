@@ -9,6 +9,7 @@ structure (no vertex-weight bound, no 2-factor guidance).
 import pytest
 
 from conftest import load_bridgeless_corpus
+from substrate import disjoint_union
 from cyclecover.solvers import edge_weight_spectrum, shortest_cycle_cover
 
 
@@ -126,3 +127,10 @@ def test_spectrum_matches_oracle(pete):
         assert (spec.optimal_length, spec.n_optimal_covers, spec.per_edge) == oracle_spectrum(g)
         excess.append(spec.optimal_length - 4 * g.m // 3)
     assert excess == [0] * (len(excess) - 1) + [1]
+
+
+def test_disconnected_graphs_match_oracle(k4, prism, k33):
+    for g in (disjoint_union(k4, k4), disjoint_union(k4, prism), disjoint_union(k33, k4)):
+        spec = edge_weight_spectrum(g)
+        assert shortest_cycle_cover(g).length == oracle_scc(g)
+        assert (spec.optimal_length, spec.n_optimal_covers, spec.per_edge) == oracle_spectrum(g)

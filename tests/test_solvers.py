@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from itertools import combinations, islice
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
-from substrate import decode_joins_by_trace, join_search, truncation
+from substrate import decode_joins_by_trace, disjoint_union, join_search, truncation
 from cyclecover import (
     build_graph,
     flower,
@@ -41,6 +42,7 @@ from cyclecover.solvers import (
     _every_cover,
     _join_search,
     _Joins,
+    _matching_keys,
     _matchings,
     _partition_tables,
     _spectrum_over,
@@ -455,6 +457,21 @@ def test_scc_rejects_bridge():
         shortest_cycle_cover(_bridged_cubic())
 
 
+def test_disconnected_covers_add_up(k4, pete, j5):
+    # a cover of a disjoint union is one cover of each component, so the
+    # optimum is the sum of theirs, the optimal covers are their products
+    # and each edge keeps the weights it has in its own component
+    for parts, length in (((k4, k4), 16), ((pete, k4), 29), ((pete, pete), 42), ((j5, pete), 61)):
+        g = disjoint_union(*parts)
+        res = shortest_cycle_cover(g)
+        assert res.length == length and validate(res.cover, g).ok
+        alone = [edge_weight_spectrum(h) for h in parts]
+        spec = edge_weight_spectrum(g)
+        assert spec.optimal_length == length == sum(a.optimal_length for a in alone)
+        assert spec.n_optimal_covers == math.prod(a.n_optimal_covers for a in alone)
+        assert spec.per_edge == sum((a.per_edge for a in alone), ())
+
+
 def test_cap3_matches_cap2(k4, pete, prism, k33):
     for g in (k4, pete, prism, k33):
         assert shortest_cycle_cover(g, cap=3).length == shortest_cycle_cover(g, cap=2).length
@@ -565,7 +582,7 @@ def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5):
     looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
     # two disjoint K4s: the sweep's vertex order runs out of neighbours
     # after the first and restarts at the second
-    two_k4 = build_graph([*k4.edges, *((u + 4, v + 4) for u, v in k4.edges)])
+    two_k4 = disjoint_union(k4, k4)
     star = Multigraph(4, [(0, 1), (0, 2), (0, 3)])  # no perfect matching
     with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
         golden = [parse_graph6(line.strip()) for line in fh if line.strip()]
@@ -646,6 +663,16 @@ def test_matching_store_shared_by_consecutive_calls(monkeypatch):
     for graph in (h, g, h):
         oddness(graph)
     assert calls == [g, h, g, h]
+
+
+def test_matching_sweep_runs_once_per_graph():
+    # the listing and the store's masks both read the one memoised sweep
+    g = flower(5)  # a fresh graph object, so no earlier test swept it
+    keys = _matching_keys(g)
+    store = _matchings(g)
+    assert enumerate_perfect_matchings(g) == store.pms
+    assert _matching_keys(g) is keys
+    assert store.masks == [key & ((1 << g.m) - 1) for key in keys]
 
 
 def test_spectrum_builds_no_matching_store(monkeypatch):
