@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
             report["scc"] = None
             report["tau"] = None
             report["oddness"] = None
-        # after oddness, so that a snark's counted matching store settles it
+        # after oddness, so that a snark's least 2-factor settles it
         colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
         report["three_edge_colourable"] = colouring is not None
         circ = run("circumference", lambda: solvers.circumference(g, node_limit=args.node_limit))

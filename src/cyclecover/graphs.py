@@ -333,14 +333,17 @@ def suppress_degree_two(g: Multigraph, edge_ids):
     Every vertex that the edges touch must have degree 2 or 3 in the
     subgraph.  The reduced vertices are the degree-3 vertices in id order,
     and each one's chains are walked over its kept edges in id order.
-    Raises ``GraphError`` when some component of the subgraph has no
-    degree-3 vertex (its edges lie on no chain; the caller must
-    special-case circuit components), or when smoothing would close a
+    Raises ``ValueError`` for an id that is not an edge of ``g`` or a vertex
+    of another degree, and ``GraphError`` when some component of the
+    subgraph has no degree-3 vertex (its edges lie on no chain; the caller
+    must special-case circuit components), or when smoothing would close a
     chain onto a single degree-3 vertex.
     """
     kept = sorted(set(edge_ids))
     inc = [[] for _ in range(g.n)]
     for e in kept:
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge set names {e}, which is not an edge of the graph")
         u, v = g.edges[e]
         inc[u].append(e)
         inc[v].append(e)
@@ -441,10 +444,11 @@ def two_cut_join(g1: CubicGraph, e1: int, g2: CubicGraph, e2: int, cross: bool =
     endpoint of e2; with ``cross=True`` the pairing is swapped.  The result
     always has a 2-edge cut, so it fails cyclic connectivity 3.
     """
-    if e1 in bridges(g1):
-        raise GraphError(f"edge {e1} is a bridge of the first graph")
-    if e2 in bridges(g2):
-        raise GraphError(f"edge {e2} is a bridge of the second graph")
+    for g, e, which in ((g1, e1, "first"), (g2, e2, "second")):
+        if not 0 <= e < g.m:
+            raise GraphError(f"edge {e} is not an edge of the {which} graph")
+        if e in bridges(g):
+            raise GraphError(f"edge {e} is a bridge of the {which} graph")
     u1, v1 = sorted(g1.edges[e1])
     u2, v2 = sorted(g2.edges[e2])
     off = g1.n

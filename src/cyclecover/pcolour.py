@@ -45,15 +45,19 @@ _P_MATCHINGS = tuple(_matchings(REFERENCE).masks)
 
 @dataclass(frozen=True)
 class PetersenColouring:
-    """Edge map ``assignment[e of g] = edge of P``; every entry must be set,
-    so no reader meets an unassigned edge (``verify_petersen_colouring``
-    also checks that there is one entry per edge of g)."""
+    """Edge map ``assignment[e of g] = edge of P``; every entry must be an
+    edge id of P, so no reader meets an unassigned or unknown edge
+    (``verify_petersen_colouring`` also checks that there is one entry per
+    edge of g)."""
 
     assignment: tuple
 
     def __post_init__(self):
         if any(a is None for a in self.assignment):
             raise GraphError("assignment must cover every edge")
+        for a in self.assignment:
+            if not 0 <= a < REFERENCE.m:
+                raise GraphError(f"assignment names {a}, which is not an edge of P")
 
     def fiber_sizes(self):
         out = [0] * REFERENCE.m

@@ -757,27 +757,24 @@ def _matching_keys(g):
 
 class _Matchings:
     """The perfect matchings of one graph, as ``enumerate_perfect_matchings``
-    lists them (``pms``), and the 2-factors they leave.
+    lists them (``pms``), and the least 2-factor they leave.
 
     ``masks[i]`` is matching i as an edge mask, the low half of its key in
     the sweep (``_matching_keys``) that ``pms`` was decoded from.
-    ``factors()`` walks the 2-factors in that order and yields, per
-    matching, the (odd circuits, circuits) of the complementary 2-factor,
-    each pair computed once, when a walk first reaches it, and memoised, so
-    a question that stops early leaves the rest uncounted and the next walk
-    reads the prefix before it goes on.  ``holders[e]``, built on first use,
-    is the set of matchings that hold edge e, as a bitmask over their
-    indices.
+    ``least()`` is the first 2-factor in that order with the least (odd
+    circuits, circuits) key, walked once and memoised.  ``holders[e]``,
+    built on first use, is the set of matchings that hold edge e, as a
+    bitmask over their indices.
     """
 
-    __slots__ = ("g", "pms", "masks", "_counts", "_holders")
+    __slots__ = ("g", "pms", "masks", "_least", "_holders")
 
     def __init__(self, g):
         self.g = g
         self.pms = enumerate_perfect_matchings(g)
         full = (1 << g.m) - 1
         self.masks = [key & full for key in _matching_keys(g)]
-        self._counts, self._holders = [], None
+        self._least = self._holders = None
 
     @property
     def holders(self):
@@ -790,20 +787,26 @@ class _Matchings:
             self._holders = cols or [0] * m
         return self._holders
 
-    def factors(self):
-        counts = self._counts
-        for i, mask in enumerate(self.masks):
-            if i == len(counts):
-                counts.append(self._count(mask))
-            yield counts[i]
+    def least(self):
+        """(i, (odd circuits, circuits), walks) of the first 2-factor, in
+        matching order, with the least key, where i indexes its matching and
+        ``walks`` are its circuits' ``_walks``; None with no matching.  The
+        walk stops at the first Hamiltonian 2-factor, since (0, 1) is the
+        least key there is."""
+        if self._least is None:
+            best = None
+            for i, mask in enumerate(self.masks):
+                key, walks = self._count(mask)
+                if best is None or key < best[1]:
+                    best = i, key, walks
+                    if key == (0, 1):
+                        break
+            self._least = best
+        return self._least
 
     def _count(self, pm):
         walks = _walks(self.g, ((1 << self.g.m) - 1) & ~pm)
-        return sum(len(edges) & 1 for edges, _ in walks), len(walks)
-
-    def no_even_factor(self):
-        """True when every 2-factor is counted and each has an odd circuit."""
-        return len(self._counts) == len(self.pms) and all(odd for odd, _ in self._counts)
+        return (sum(len(edges) & 1 for edges, _ in walks), len(walks)), walks
 
 
 @_one_graph_memo
@@ -887,10 +890,12 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     tau = 3 exactly when some 2-factor has no odd circuit: its matching and
     the two alternating halves of its circuits are three disjoint perfect
     matchings, and three perfect matchings that cover all 3n/2 edges are
-    disjoint, so any two of them form an even 2-factor.  The witness is then
-    the first even 2-factor of the store's walk, as (matching, the edges at
-    even places of each circuit's walk, those at odd places).  Only without
-    an even 2-factor does the labelling search try k = 4, ..., limit over
+    disjoint, so any two of them form an even 2-factor.  The store's least
+    2-factor (``_Matchings.least``) has the fewest odd circuits, so tau = 3
+    exactly when it has none, and the witness is then that 2-factor, as
+    (matching, the edges at even places of each circuit's walk, those at odd
+    places), read off the walks the store keeps.  Only without an even
+    2-factor does the labelling search try k = 4, ..., limit over
     ``_partition_tables(k)``; matching i of its witness is the edges whose
     label holds i.  Its cuts (``_matching_cuts``) keep each matching i one of
     the store's, so a label that no perfect matching completes fails at
@@ -903,13 +908,10 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     store = _matchings(g)
     if limit < 3 or not store.pms:
         return TauResult(None, ())
-    for i, (odd, _) in enumerate(store.factors()):
-        if not odd:
-            halves = ([], [])
-            for edges, _ in _walks(g, ((1 << g.m) - 1) & ~store.masks[i]):
-                halves[0].extend(edges[0::2])
-                halves[1].extend(edges[1::2])
-            return TauResult(3, (store.pms[i], *map(frozenset, halves)))
+    i, (odd, _), walks = store.least()
+    if not odd:
+        halves = [frozenset(e for edges, _ in walks for e in edges[at::2]) for at in (0, 1)]
+        return TauResult(3, (store.pms[i], *halves))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
     budget = _Budget(node_limit)
@@ -928,20 +930,14 @@ def oddness(g: CubicGraph):
     """Minimum odd-component count over all 2-factors, with a witness.
 
     Among minimisers the witness has the fewest components in total, then is
-    first in matching enumeration order.  The walk over the store's 2-factors
-    stops at the first Hamiltonian one: (0 odd, 1 circuit) is the least key
-    a 2-factor can have, so that one is the witness.
+    first in matching enumeration order: the store's least 2-factor
+    (``_Matchings.least``), which tau reads too.
     """
     store = _matchings(g)
     if not store.pms:
         raise HypothesisViolated("graph has no perfect matching, hence no 2-factor")
-    best = best_key = None
-    for i, key in enumerate(store.factors()):
-        if best is None or key < best_key:
-            best, best_key = i, key
-            if key == (0, 1):
-                break
-    return best_key[0], frozenset(range(g.m)) - store.pms[best]
+    i, (odd, _), _ = store.least()
+    return odd, frozenset(range(g.m)) - store.pms[i]
 
 
 # --------------------------------------------------------------------------
@@ -1361,15 +1357,16 @@ def _colouring(g):
     A loopless cubic graph is 3-edge-colourable exactly when some 2-factor is
     even: two colour classes form one, and an even 2-factor's circuits
     coloured alternately, with its matching as the third class, give a
-    colouring.  So when g's store is held with every 2-factor counted and
-    none even (as after ``oddness`` or tau on a snark), the answer is None
-    with no search.  Otherwise the labelling search decides, as it does on
-    every colourable graph.
+    colouring.  So when g's store is held, already knows its least 2-factor
+    and that 2-factor has an odd circuit (as after ``oddness`` or tau on a
+    snark), the answer is None with no search; this never starts the walk.
+    Otherwise the labelling search decides, as it does on every colourable
+    graph.
     """
     if g.loops:
         return None
-    store = _matchings.held(g)
-    if store is not None and store.no_even_factor() and all(d == 3 for d in g.degrees()):
+    least = (store := _matchings.held(g)) and store._least
+    if least and least[1][0] and all(d == 3 for d in g.degrees()):
         return None
     labels = _label_search(g, [{0, 1, 2}], _Budget(), [1, 2, 4])
     return None if labels is None else tuple(labels)

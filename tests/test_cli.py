@@ -479,8 +479,8 @@ def test_analyze_enumerates_matchings_once_per_graph(monkeypatch, capsys, tmp_pa
 
 
 def test_analyze_counts_few_two_factors(monkeypatch, capsys):
-    # oddness stops at the first Hamiltonian 2-factor and tau at the first
-    # even one, so the golden graphs count 25 of their 1,189 2-factors
+    # the store's one walk to its least 2-factor stops at the first
+    # Hamiltonian one, so the golden graphs count 25 of their 1,189 2-factors
     counted = []
     original = solvers._Matchings._count
 

@@ -391,6 +391,23 @@ def test_two_cut_join_rejects_bridge():
         two_cut_join(g, bridge, g, bridge)
 
 
+@pytest.mark.parametrize("ids", [[-1, *range(14)], [99, *range(1, 15)]])
+def test_suppress_rejects_ids_outside_the_graph(pete, ids):
+    # -1 was read as edge 14, and 99 raised a bare IndexError
+    with pytest.raises(ValueError, match=f"edge set names {ids[0]}, which is not an edge"):
+        suppress_degree_two(pete, ids)
+
+
+@pytest.mark.parametrize("e", [-1, 99])
+def test_two_cut_join_rejects_edges_outside_the_graph(e):
+    # -1 was read as edge 14 and joined Petersen into a degree-4 vertex, and
+    # 99 raised a bare IndexError
+    with pytest.raises(GraphError, match=f"edge {e} is not an edge of the first graph"):
+        two_cut_join(petersen(), e, petersen(), 0)
+    with pytest.raises(GraphError, match=f"edge {e} is not an edge of the second graph"):
+        two_cut_join(petersen(), 0, petersen(), e)
+
+
 def test_suppress_path():
     # path of degree-2 vertices between two degree-3 vertices becomes one edge
     g = Multigraph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7),

@@ -67,6 +67,16 @@ def test_best_pullback_rejects_a_partial_assignment(pete):
         verify_petersen_colouring(pete, PetersenColouring(tuple(range(14))))
 
 
+@pytest.mark.parametrize("p", [-1, 99])
+def test_colouring_rejects_ids_outside_p(p):
+    # -1 was counted into edge 14 of P, so is_balanced judged another
+    # colouring, and 99 raised a bare IndexError
+    with pytest.raises(GraphError, match=f"assignment names {p}, which is not an edge of P"):
+        PetersenColouring((p,) * 15)
+    with pytest.raises(GraphError, match=f"assignment names {p}"):
+        PetersenColouring((*range(14), p))
+
+
 def test_find_colouring(k4, pete, j5):
     for g in (k4, pete, j5):
         c = find_petersen_colouring(g)

@@ -706,17 +706,54 @@ def test_tau_matches_colourability(k4, pete, prism, k33):
         assert (perfect_matching_index(g).tau == 3) == colourable
 
 
-def test_matching_store_counts_only_the_factors_it_needs():
-    # a Hamiltonian 2-factor ends oddness, and an even one settles tau = 3,
-    # before the last matching; Petersen has neither, so both read them all
+def test_matching_store_counts_only_the_factors_it_needs(monkeypatch):
+    # the least 2-factor is walked once: a Hamiltonian 2-factor ends the walk
+    # before the last matching; Petersen has none, so its walk reads them
+    # all, and the readers of the store after it walk nothing
+    counted = []
+    count = solvers._Matchings._count
+    monkeypatch.setattr(solvers._Matchings, "_count",
+                        lambda store, pm: counted.append(pm) or count(store, pm))
     rng = random.Random(7)
     for g, lazy in ((_random_cubic(24, rng), True), (petersen(), False)):
+        counted.clear()
+        store = _matchings(g)
+        least = store.least()
+        assert len(counted) == (least[0] + 1 if lazy else len(store.masks))
+        assert (len(counted) < len(store.masks)) == lazy
+        assert counted == store.masks[:len(counted)]
+        walked = len(counted)
         oddness(g)
         perfect_matching_index(g)
+        edge_colouring_3(g)
+        assert len(counted) == walked and store.least() is least
+
+
+def test_least_two_factor_is_read_by_tau_oddness_and_colouring(monkeypatch):
+    # tau's tau-3 witness is the least 2-factor's matching and the edges at
+    # even and odd places of its walks; tau after oddness walks no 2-factor
+    # again, and on a snark the colouring is then refuted with no search
+    walks, searches = [], []
+    walk, search = solvers._walks, solvers._label_search
+    monkeypatch.setattr(solvers, "_walks", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(solvers, "_label_search",
+                        lambda *a, **kw: searches.append(a) or search(*a, **kw))
+    colourable = load_corpus(12)[12]
+    for g in (petersen(), flower(5), *load_snarks18(), colourable):
+        odd, factor = oddness(g)
         store = _matchings(g)
-        counted = list(store._counts)
-        assert (len(counted) < len(store.masks)) == lazy
-        assert list(store.factors())[:len(counted)] == counted
+        i, (least_odd, _), least = store.least()
+        assert (odd, factor) == (least_odd, frozenset(range(g.m)) - store.pms[i])
+        walks.clear()
+        res = perfect_matching_index(g)
+        assert walks == []
+        if g is colourable:
+            even = frozenset(edges[j] for edges, _ in least for j in range(0, len(edges), 2))
+            assert res.tau == 3 and res.matchings == (store.pms[i], even, factor - even)
+        else:
+            assert least_odd and res.tau in (4, 5)
+            searches.clear()
+            assert edge_colouring_3(g) is None and searches == []
 
 
 def test_matching_store_holders(pete, j5):
@@ -1001,7 +1038,7 @@ def test_circumference_n_iff_hamiltonian_two_factor():
     rng = random.Random(2013)
     graphs = load_corpus(12) + [_random_cubic(n, rng) for n in (40, 44, 48, 52, 56)]
     for g in graphs:
-        hamiltonian = any(circuits == 1 for _, circuits in list(_matchings(g).factors()))
+        hamiltonian = _matchings(g).least()[1] == (0, 1)
         assert (circumference(g)[0] == g.n) == hamiltonian
 
 
@@ -1034,9 +1071,9 @@ def test_colouring_memo_returns_copies(monkeypatch):
 
 def test_counted_store_refutes_colourings(monkeypatch, k4, prism):
     # a cubic graph is 3-edge-colourable iff some 2-factor is even, so once
-    # oddness has counted every 2-factor of a snark, its colouring needs no
-    # search; a colourable graph, a snark whose store is not held, and one
-    # whose store is held but not counted still search
+    # oddness has found a snark's least 2-factor, with its odd circuits, the
+    # colouring needs no search; a colourable graph, a snark whose store is
+    # not held, and one whose store is held but has not walked still search
     calls = []
     original = solvers._label_search
 
