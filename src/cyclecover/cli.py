@@ -461,10 +461,12 @@ def main(argv=None) -> int:
     except NodeLimitExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 3
-    except RecursionError:
-        # the recursive searches go about n deep; running out of stack is an
-        # abort, never a proof that no answer exists
-        print("search aborted: recursion limit exceeded", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        # the recursive searches go about n deep, and a listing (a snark's
+        # perfect matchings) may not fit in memory; running out of either is
+        # an abort, never a proof that no answer exists
+        why = "out of memory" if isinstance(exc, MemoryError) else "recursion limit exceeded"
+        print(f"search aborted: {why}", file=sys.stderr)
         return 3
     except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

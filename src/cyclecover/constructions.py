@@ -32,6 +32,7 @@ from .graphs import (
     suppress_degree_two,
 )
 from .solvers import (
+    _colouring_cover,
     circumference,
     find_cdc,
     oddness,
@@ -165,18 +166,6 @@ def _alternating(g, ham):
     colour.update(dict.fromkeys(ham.edges[::2], 1))
     colour.update(dict.fromkeys(ham.edges[1::2], 2))
     return colour
-
-
-def _colouring_cover(g, colour, pairs=((1, 2), (1, 3), (2, 3))) -> CycleCover:
-    """The circuits of the colour-pair classes of a 3-edge-colouring.
-
-    All three classes give a CDC; (1, 3) and (2, 3) alone give a cover of
-    length 4m/3 whose weight-1 edges are the (1, 2) class.
-    """
-    circuits = []
-    for pair in pairs:
-        circuits.extend(decompose_even_subgraph(g, (e for e in range(g.m) if colour[e] in pair)))
-    return CycleCover.of(circuits)
 
 
 def merge_cdcs(g: CubicGraph, cdc1: CycleCover, cdc2: CycleCover, shared) -> CycleCover:

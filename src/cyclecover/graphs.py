@@ -16,7 +16,8 @@ from .errors import GraphError
 def _one_graph_memo(build):
     """``build(g)`` memoised for the last graph it was called on.  Graphs are
     immutable and hash by identity, so consecutive calls on one graph share
-    one value; ``held(g)`` reads that value, or None, without building it."""
+    one value; ``held(g)`` reads that value, or None, without building it,
+    and ``keep(g, value)`` stores a value that ``build(g)`` would return."""
     memo = [None, None]
 
     @wraps(build)
@@ -25,7 +26,11 @@ def _one_graph_memo(build):
             memo[:] = g, build(g)
         return memo[1]
 
+    def keep(g, value):
+        memo[:] = g, value
+
     cached.held = lambda g: memo[1] if memo[0] is g else None
+    cached.keep = keep
     return cached
 
 

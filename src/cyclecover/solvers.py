@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 
-from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
+from .covers import (Circuit, CycleCover, KCdc, circuit_from_walk, decompose_even_subgraph,
+                     trace_circuit)
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges
 
@@ -248,9 +249,12 @@ class _CoverEngine:
 
 @dataclass(frozen=True)
 class SccResult:
-    """``stage`` names the search that settled the optimum: "4m/3", or
-    "4m/3+e" at excess e >= 1 (``_structured_covers``), or "deepening" when
-    a weight above 2 gives a shorter cover (only with ``cap`` >= 3)."""
+    """``stage`` names the search that settled the optimum: "colouring"
+    when a 3-edge-colouring gave a cover at 4m/3, else "4m/3", or "4m/3+e"
+    at excess e >= 1 (``_structured_covers``), or "deepening" when a weight
+    above 2 gives a shorter cover (only with ``cap`` >= 3).  ``nodes``
+    counts the labelling nodes of the capped colouring search, then the
+    transition and engine nodes."""
 
     length: int
     cover: CycleCover
@@ -277,21 +281,16 @@ def _structured_covers(g, budget, first=False):
     other vertex has edge weights 1, 1, 2, so the weight-1 edges form a
     2-regular subgraph missing exactly X, and the length is 2n + |X|
     (2n = 4m/3), at most 3n.  The levels |X| = 0, 1, ... are searched in
-    turn, each exhaustively by ``_every_cover``, until one holds a cover,
-    all from one ``budget``.  ``first`` stops at the first cover, which at
-    4m/3 comes from the store's 2-factors in turn (``_transition_covers``).
+    turn, each by the joint transition search ``_every_cover``, until one
+    holds a cover, all from one ``budget``; ``first`` keeps only the first
+    cover of that level.
 
     Returns (length, covers): ``covers`` lists each cover as (weight-1 edge
     mask, run of options, which ``_decode_joins`` turns into its circuits),
     only the first one with ``first``.
     """
     for excess in range(g.n + 1):
-        if first and not excess:
-            store = _matchings(g)
-            found = (cover for mask in store.masks
-                     for cover in _transition_covers(g, mask, budget))
-        else:
-            found = _every_cover(g, excess, budget)
+        found = _every_cover(g, excess, budget)
         covers = list(islice(found, 1) if first else found)
         if covers:
             return 2 * g.n + excess, covers
@@ -317,8 +316,8 @@ class _Joins:
     its two other edges at u and its two at v have weight 1, and the two
     circuits through r pair the half-edges of those at u with those at v:
     in order, or crossed.  A choice is the tuple of these two joins
-    (half-edge, half-edge).  With an edge's other edges in id order, the
-    choices come in the order ``_transition_covers`` has always tried them.
+    (half-edge, half-edge).  With an edge's other edges in id order, choice
+    0 joins them in order and choice 1 crossed.
 
     Options for ``_join_search`` are (vertex bit, weight-2 edge, choice):
     ``pair(r)`` gives r's two.  ``frame(blocked)`` is the matching frame at
@@ -496,29 +495,6 @@ def _join_search(table, edges, space, budget, pins=None):
             return
 
 
-def _transition_covers(g, rest, budget):
-    """The covers whose weight-1 edges are the 2-factor C = E - rest, by
-    their transitions.
-
-    Each rest edge takes one of its two ``_Joins`` choices; a choice is a
-    cover exactly when no circuit passes a vertex twice, that is when the
-    two C edges at a vertex never join one circuit.  Distinct choices give
-    distinct covers.  The rest edges are tried in the order the walks of
-    ``_walks`` over C meet them, each rest edge at its first end, so joined
-    C edges grow as chains along the walk; a node is one choice tried.  This
-    is the route of the first cover, where the store already holds C;
-    ``_every_cover`` finds every cover without it.  One ``_join_search``
-    over g's memoised table yields the covers as ``_every_cover`` does.
-    """
-    order = {}
-    for _, verts in _walks(g, ((1 << g.m) - 1) & ~rest):
-        for v in verts:
-            for r in g.incident_edges[v]:
-                if rest >> r & 1:
-                    order.setdefault(r)
-    return _join_search(_joins(g), order, 0, budget)
-
-
 def _every_cover(g, excess, budget):
     """Every cover with weights <= 2 at one excess, yielded as (weight-1
     edge mask, run of options).
@@ -591,23 +567,47 @@ def _deepening(g, cap, below, budget):
 def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccResult:
     """Minimum-length cycle cover subject to every edge weight <= cap.
 
-    The witness is the first cover of ``_structured_covers``, the cap-2
-    optimum 4m/3 + e.  With ``cap`` >= 3 and e >= 3, ``_deepening`` then
-    looks for a shorter cover with a weight above 2, and its witness wins.
-    Every stage spends one budget of ``node_limit`` nodes.
+    The colouring search of ``_colouring`` runs first, capped at 4m nodes;
+    a colouring found gives the least length, 4m/3, by the colour pairs
+    (0, 2) and (1, 2), and is kept in ``_colouring``'s memo.  Reaching the
+    cap proves nothing, so the witness is then the first cover of
+    ``_structured_covers``, the cap-2 optimum 4m/3 + e.  With ``cap`` >= 3
+    and e >= 3, ``_deepening`` then looks for a shorter cover with a weight
+    above 2, and its witness wins.  Every stage spends one budget of
+    ``node_limit`` nodes, and no memo read can change the result.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
     budget = _Budget(node_limit)
-    length, [(_, run)] = _structured_covers(g, budget, first=True)
-    cover, stage = _decode_joins(g, run), _stage(g, length)
+    limit, budget.limit = budget.limit, min(budget.limit, 4 * g.m)
+    try:
+        colours = _label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
+    except NodeLimitExceeded:
+        if budget.nodes > limit:
+            raise
+        colours = None  # the cap, not node_limit: a miss
+    budget.limit = limit
+    if colours is not None:
+        _colouring.keep(g, tuple(colours))
+        length, cover, stage = 2 * g.n, _colouring_cover(g, colours, ((0, 2), (1, 2))), "colouring"
+    else:
+        length, [(_, run)] = _structured_covers(g, budget, first=True)
+        cover, stage = _decode_joins(g, run), _stage(g, length)
     if cap > 2 and length > 2 * g.n + 2:
         shorter, found, space = _deepening(g, cap, length, budget)
         if found is not None:
             length, cover, stage = shorter, CycleCover.of(map(space.circuit, found)), "deepening"
     assert cover.length == length
     return SccResult(length, cover, True, cap, budget.nodes, stage)
+
+
+def _colouring_cover(g, colour, pairs=((1, 2), (1, 3), (2, 3))) -> CycleCover:
+    """The circuits of the colour-pair classes of a 3-edge-colouring (any
+    three colours, indexed by edge).  All three pairs give a CDC; two that
+    share a colour give a cover of length 4m/3, weight 2 on that colour."""
+    return CycleCover.of(c for pair in pairs for c in decompose_even_subgraph(
+        g, (e for e in range(g.m) if colour[e] in pair)))
 
 
 @dataclass(frozen=True)
@@ -1352,16 +1352,16 @@ def _partition_tables(k):
 def _colouring(g):
     """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None
     (proven impossible; always so with a loop).  A one-graph memo like
-    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``.
+    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``;
+    ``shortest_cycle_cover`` keeps here what its capped run of this search
+    finds, the same colouring, since the search is deterministic.
 
     A loopless cubic graph is 3-edge-colourable exactly when some 2-factor is
-    even: two colour classes form one, and an even 2-factor's circuits
-    coloured alternately, with its matching as the third class, give a
-    colouring.  So when g's store is held, already knows its least 2-factor
-    and that 2-factor has an odd circuit (as after ``oddness`` or tau on a
-    snark), the answer is None with no search; this never starts the walk.
-    Otherwise the labelling search decides, as it does on every colourable
-    graph.
+    even (two colour classes form one; an even 2-factor's circuits coloured
+    alternately, with its matching, give a colouring).  So when g's store is
+    held and its least 2-factor, already walked, has an odd circuit (as after
+    ``oddness`` or tau on a snark), the answer is None with no search; this
+    never starts the walk.
     """
     if g.loops:
         return None

@@ -5,7 +5,8 @@ constructions for the tests.
 ``tests/data/cubic_le12.g6``, and ``test_families`` regenerates and compares
 it.  ``truncation`` builds T_X as a graph, the reference for the join
 tables that the solvers build straight from g, and ``join_search`` is the
-reference for the transition search over them.  ``factor_circuits`` and
+reference for the transition search over them; ``transition_covers`` is
+the earlier per-2-factor route to the first cover.  ``factor_circuits`` and
 ``greedy_decomposition`` are the two walkers that ``graphs._walks``
 replaced, the references for its walks.  ``decode_joins_by_trace`` and
 ``graph6_edges`` are the earlier cover decode and graph6 reader, the
@@ -26,7 +27,8 @@ from cyclecover.covers import (
 )
 from cyclecover.errors import GraphError
 from cyclecover.families import _g6_read_n
-from cyclecover.graphs import CubicGraph, Multigraph
+from cyclecover.graphs import CubicGraph, Multigraph, _walks
+from cyclecover.solvers import _join_search, _joins
 
 
 def _vertex_invariant(g: Multigraph):
@@ -321,6 +323,27 @@ def join_search(table, edges, space, pins=None):
 
     rec(0, {v for v in range(space.bit_length()) if space >> v & 1}, mate, verts, [])
     return found, nodes
+
+
+def transition_covers(g, rest, budget):
+    """The covers whose weight-1 edges are the 2-factor C = E - rest, by
+    their transitions: the earlier first-cover route of
+    ``solvers.shortest_cycle_cover``, kept as a reference for the joint
+    search at 4m/3, which yields the covers of every 2-factor at once.
+
+    Each rest edge takes one of its two ``_Joins`` choices; a choice is a
+    cover exactly when no circuit passes a vertex twice.  The rest edges are
+    tried in the order the walks of ``_walks`` over C meet them, each at its
+    first end, in one ``solvers._join_search`` over g's memoised table with
+    no matching to grow; a node is one choice tried.
+    """
+    order = {}
+    for _, verts in _walks(g, ((1 << g.m) - 1) & ~rest):
+        for v in verts:
+            for r in g.incident_edges[v]:
+                if rest >> r & 1:
+                    order.setdefault(r)
+    return _join_search(_joins(g), order, 0, budget)
 
 
 def factor_circuits(g, pm):

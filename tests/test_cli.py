@@ -341,7 +341,7 @@ def test_verify_cover_reads_edge_ids(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, search", [
-    (["scc"], "transitions"), (["spectrum"], "transitions"), (["tau"], "labelling"),
+    (["scc"], "labelling"), (["spectrum"], "transitions"), (["tau"], "labelling"),
     (["circ"], "circumference"), (["construct", "--via", "oddness2"], "transitions")])
 def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
     path = tmp_path / "p.g6"
@@ -350,6 +350,28 @@ def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"search aborted: node limit exceeded in {search} after 2 nodes\n"
+
+
+def test_out_of_memory_is_an_abort(monkeypatch, tmp_path, capsys):
+    # a listing too large for memory (tau, oddness and analyze on J25 list
+    # its 2^25 perfect matchings) exits 3 with the reason, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solvers, "oddness", exhausted)
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main(["oddness", str(path)]) == 3
+    assert capsys.readouterr() == ("", "search aborted: out of memory\n")
+
+
+def test_scc_of_j25_under_a_node_limit(tmp_path, capsys):
+    # J25's cover needs no listing of its 2^25 perfect matchings
+    path = tmp_path / "j25.g6"
+    path.write_text(write_graph6(flower(25)) + "\n")
+    assert main(["scc", str(path), "--node-limit", "1000", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["scc"], out["stage"], out["valid"]) == (200, "4m/3", True)
 
 
 def test_scc_and_spectrum_json_name_the_stage(tmp_path, capsys):
@@ -536,15 +558,17 @@ def test_analyze_snarks_golden(monkeypatch, capsys):
 
 
 def test_analyze_colours_snarks_without_a_search(monkeypatch, capsys, tmp_path):
-    # the colouring comes after scc, tau and oddness, whose counted store
-    # refutes it on a snark; a colourable graph searches once
-    calls = []
+    # scc's colouring search, capped at 4m nodes, runs once on every graph.
+    # The colouring of edge_colouring_3 comes after scc, tau and oddness: on
+    # a snark their counted store refutes it, and on a colourable graph it
+    # reads the colouring scc kept, so its own uncapped search never runs
+    calls = []  # (graph, whether the search was capped)
     original = solvers._label_search
 
-    def counting(g, stars, *args, **kwargs):
+    def counting(g, stars, budget, *args, **kwargs):
         if stars == [{0, 1, 2}]:
-            calls.append(g)
-        return original(g, stars, *args, **kwargs)
+            calls.append((g, budget.limit < float("inf")))
+        return original(g, stars, budget, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_label_search", counting)
     path = tmp_path / "snarks.g6"
@@ -553,10 +577,13 @@ def test_analyze_colours_snarks_without_a_search(monkeypatch, capsys, tmp_path):
     assert main(["analyze", str(path), "--json", "--no-timing"]) == 0
     reports = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert [r["three_edge_colourable"] for r in reports] == [False] * 4
-    assert calls == []
+    assert len(calls) == len({id(g) for g, _ in calls}) == 4
+    assert all(capped for _, capped in calls)
+    calls.clear()
     assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
-    assert len(calls) == len(set(map(id, calls))) == 10
+    assert len(calls) == len({id(g) for g, _ in calls}) == 10
+    assert all(capped for _, capped in calls)
 
 
 def test_construct_golden(tmp_path, capsys):

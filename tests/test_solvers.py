@@ -8,7 +8,13 @@ from itertools import combinations, islice
 import pytest
 
 from conftest import DATA, load_bridgeless_corpus, load_corpus, load_snarks18, relabelled
-from substrate import decode_joins_by_trace, disjoint_union, join_search, truncation
+from substrate import (
+    decode_joins_by_trace,
+    disjoint_union,
+    join_search,
+    transition_covers,
+    truncation,
+)
 from cyclecover import (
     build_graph,
     flower,
@@ -47,7 +53,6 @@ from cyclecover.solvers import (
     _partition_tables,
     _spectrum_over,
     _structured_covers,
-    _transition_covers,
     circumference,
     edge_colouring_3,
     edge_weight_spectrum,
@@ -248,7 +253,7 @@ def test_transition_covers_match_engine_oracle(pete, j5):
         for g in (g0, relabelled(g0, 1), relabelled(g0, 2)):
             full, union = (1 << g.m) - 1, (Counter(), Counter())
             for pm in _matchings(g).masks:
-                found, _ = _run(_transition_covers, g, pm)
+                found, _ = _run(transition_covers, g, pm)
                 want = _covers_by_engine(g, pm, -1)
                 assert Counter(_circuit_sets(g, run) for _, run in found) == want
                 assert [ones for ones, _ in found] == [full & ~pm] * len(found)
@@ -361,12 +366,12 @@ def test_transition_search_counts_one_running_budget(pete, j5):
     # reports the running total
     for g in (pete, j5):
         for pm in _matchings(g).masks[:20]:
-            found, spent = _run(_transition_covers, g, pm)
+            found, spent = _run(transition_covers, g, pm)
             total = 100 + spent
-            assert _run(_transition_covers, g, pm, spent=100) == (found, total)
-            assert _run(_transition_covers, g, pm, limit=total, spent=100)[1] == total
+            assert _run(transition_covers, g, pm, spent=100) == (found, total)
+            assert _run(transition_covers, g, pm, limit=total, spent=100)[1] == total
             with pytest.raises(NodeLimitExceeded) as exc:
-                _run(_transition_covers, g, pm, limit=total - 1, spent=100)
+                _run(transition_covers, g, pm, limit=total - 1, spent=100)
             assert (exc.value.search, exc.value.nodes) == ("transitions", total)
         found, spent = _run(_every_cover, g, 1)
         total = 100 + spent
@@ -394,8 +399,12 @@ def test_transition_search_counts_one_running_budget(pete, j5):
     assert (exc.value.search, exc.value.nodes) == ("transitions", res.nodes)
 
 
-def test_stage_names_the_settling_search(k4, pete):
-    for g, stage in ((k4, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
+def test_stage_names_the_settling_search(k4, pete, j5):
+    # a colourable graph's cover comes from its colouring; the spectrum
+    # searches every cover at 4m/3
+    assert shortest_cycle_cover(k4).stage == "colouring"
+    assert edge_weight_spectrum(k4).stage == "4m/3"
+    for g, stage in ((j5, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
     assert _spectrum_over(_CircuitSpace(k4), 2, 8, _Budget()).stage == "deepening"
 
@@ -457,6 +466,90 @@ def test_scc_rejects_bridge():
         shortest_cycle_cover(_bridged_cubic())
 
 
+def test_scc_builds_no_matching_store(monkeypatch):
+    # the cover comes from a capped colouring search or from the joint
+    # transition search, and neither lists a perfect matching
+    def refuse(g):
+        raise AssertionError("scc listed the perfect matchings")
+
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings", refuse)
+    monkeypatch.setattr(solvers, "_matching_keys", refuse)
+    p = petersen()  # fresh graph objects, whose store no earlier call holds
+    k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
+        stream = parse_graph6(fh.readline().strip())
+    for g, stage in ((p, "4m/3+1"), (k4, "colouring"), (flower(5), "4m/3"),
+                     (two_cut_join(petersen(), 0, petersen(), 0), "4m/3+2"),
+                     (stream, "colouring")):
+        res = shortest_cycle_cover(g)
+        assert res.stage == stage and validate(res.cover, g).is_one_two_cover
+
+
+def test_scc_of_large_snarks(monkeypatch):
+    # J25 has 2^25 perfect matchings and G13 about 10^7, which the store
+    # would list; the colouring search misses at its cap of 4m nodes, and
+    # the joint search finds a cover at 4m/3 within a few hundred more
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings", None)
+    for g in (flower(25), goldberg(13)):
+        res = shortest_cycle_cover(g, node_limit=5 * g.m)
+        assert (res.length, res.stage) == (4 * g.m // 3, "4m/3")
+        assert res.nodes > 4 * g.m and validate(res.cover, g).is_one_two_cover
+
+
+def test_colour_route_checked_by_the_joint_search():
+    # every cover the colouring settles is a (1,2)-cover of length 4m/3 whose
+    # weight-2 edges are one colour class of the colouring edge_colouring_3
+    # finds on a fresh copy of the graph (so not the one scc kept); the joint
+    # transition search, asked for its first cover, reaches 4m/3 as well.
+    # On these graphs the cap never cuts a colourable graph's search short
+    settled = 0
+    for g in (*load_bridgeless_corpus(12), *_random_cubic_24_to_40()):
+        res = shortest_cycle_cover(g)
+        colour = edge_colouring_3(CubicGraph(g.n, g.edges))
+        assert (res.stage == "colouring") == (colour is not None)
+        if colour is None:
+            continue
+        settled += 1
+        report = validate(res.cover, g)
+        assert report.ok and report.is_one_two_cover and res.length == 4 * g.m // 3
+        twos = {e for e, w in enumerate(res.cover.edge_weight(g.m)) if w == 2}
+        assert twos in [{e for e in range(g.m) if colour[e] == c} for c in (1, 2, 3)]
+        assert _structured_covers(g, _Budget(), first=True)[0] == res.length
+    assert settled == 125
+
+
+def test_results_do_not_depend_on_call_history(k4, prism):
+    # each public solver on a graph no call has seen (a fresh copy) gives
+    # what it gives after any other solver on that graph, after all of them,
+    # and after a call on another graph, witnesses and nodes included.  scc
+    # keeps its colouring in the memo that edge_colouring_3 and
+    # circumference read, and reads none itself
+    calls = {
+        "scc": shortest_cycle_cover,
+        "spectrum": edge_weight_spectrum,
+        "tau": perfect_matching_index,
+        "oddness": oddness,
+        "edge_colouring_3": edge_colouring_3,
+        "circumference": circumference,
+        "find_cdc": find_cdc,
+        "find_cdc k=5": lambda g: find_cdc(g, k=5, two_factor_class=True),
+        "perfect matchings": enumerate_perfect_matchings,
+        "petersen colouring": find_petersen_colouring,
+    }
+    corpus = load_corpus(12)
+    for g in (k4, corpus[3], corpus[12], petersen(), flower(5), two_cut_join(petersen(), 0, k4, 0)):
+        for name, solve in calls.items():
+            cold = solve(CubicGraph(g.n, g.edges))
+            others = [other for key, other in calls.items() if key != name]
+            for before in [*([other] for other in others), others, others[::-1]]:
+                h = CubicGraph(g.n, g.edges)
+                for other in before:
+                    other(h)
+                assert solve(h) == cold, name
+                solve(CubicGraph(prism.n, prism.edges))
+                assert solve(h) == cold, name
+
+
 def test_disconnected_covers_add_up(k4, pete, j5):
     # a cover of a disjoint union is one cover of each component, so the
     # optimum is the sum of theirs, the optimal covers are their products
@@ -485,11 +578,11 @@ def test_scc_deepening_petersen_pair(pete):
     assert res.length == 42 == 4 * g.m // 3 + 2
     assert validate(res.cover, g).is_one_two_cover
     assert res.stage == "4m/3+2"
-    # the level route's search and witness are pinned: levels 0 and 1 take
-    # 9,720 transition nodes on the first-cover route (the store walk at
-    # 4m/3, then the joint search at 4m/3 + 1), level 2 takes 1,608 more;
+    # the level route's search and witness are pinned: the colouring search
+    # refutes in 14 labelling nodes, levels 0 and 1 take 354 and 9,280
+    # transition nodes, and level 2 takes 1,608 more to its first cover;
     # for every cover the levels take 354, 9,280 and 71,108
-    assert res.nodes == 9720 + 1608
+    assert res.nodes == 14 + 354 + 9280 + 1608
     assert [_run(_every_cover, g, excess)[1] for excess in (0, 1, 2)] == [354, 9280, 71108]
     budget = _Budget()
     length, covers = _structured_covers(g, budget)
