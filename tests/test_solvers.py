@@ -239,10 +239,10 @@ def _run(search, *args, limit=None, spent=0):
 
 
 def test_transition_covers_match_engine_oracle(pete, j5):
-    # per 2-factor (the first-cover route), and over all weight-1 subgraphs
-    # at once: the joint search of each level returns the union of the
-    # oracle's covers over the 2-factors (excess 0), or over every x and the
-    # 2-regular subgraphs missing only x (excess 1)
+    # per 2-factor (the reference `transition_covers`), and over all
+    # weight-1 subgraphs at once: the joint search of each level returns
+    # the union of the oracle's covers over the 2-factors (excess 0), or
+    # over every x and the 2-regular subgraphs missing only x (excess 1)
     digon_at_x = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
                               (4, 5)])
     digon_between = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 5),
@@ -416,8 +416,8 @@ def test_decode_builds_the_covers_the_trace_reference_builds(pete, j5):
     runs = []
     for g in (pete, two_cut_join(pete, 0, pete, 0), j5, *load_snarks18()):
         runs += [(g, run) for _, run in _structured_covers(g, _Budget())[1]]
-    # ... the first cover of each bridgeless corpus graph, from the store's
-    # 2-factors, and the first CDCs of the circuit-form search (X = V)
+    # ... the first cover of each bridgeless corpus graph at its first
+    # level, and the first CDCs of the circuit-form search (X = V)
     corpus = load_bridgeless_corpus(12)
     for g in corpus:
         runs.append((g, _structured_covers(g, _Budget(), first=True)[1][0][1]))
