@@ -17,7 +17,6 @@ from .covers import (
     decompose_even_subgraph,
     is_even_subgraph,
     lift_cover,
-    lift_edge_set,
     trace_circuit,
     validate,
 )
@@ -197,11 +196,12 @@ def _split_cover(g, factor, coloured, searched, shared, node_limit, where) -> Cy
     circuits.  Each of them is coloured 1/2 alternately along its walk, in
     the phase whose colour-1 edges lift to the longer paths of g (the first
     phase on a tie), and every other edge 3: that phase has the larger
-    lifted (1, 3) class.  The colour-pair CDC and the (1, 3) class are
-    lifted to g.  The reduction of the searched part must be 2-connected
-    (``where`` names it); a CDC of it through the images of ``shared`` is
-    lifted too.  The two CDCs are merged, and the lifted (1, 3) class is
-    dropped from the result.
+    lifted (1, 3) class.  Each path of g takes its reduced edge's colour
+    and every other edge 0; the colour-pair CDC and the (1, 3) circuits are
+    pullbacks of that labelling (``_colouring_cover``).  The reduction of
+    the searched part must be 2-connected (``where`` names it); a CDC of it
+    through the images of ``shared`` is lifted to g.  The two CDCs are
+    merged, and the (1, 3) circuits are dropped from the result.
     """
     reduced, rmap = suppress_degree_two(g, coloured)
     colour = dict.fromkeys(range(reduced.m), 3)
@@ -212,8 +212,10 @@ def _split_cover(g, factor, coloured, searched, shared, node_limit, where) -> Cy
         ones = max(phases, key=lambda ones: sum(len(rmap.edge_path[e]) for e in ones))
         colour.update(dict.fromkeys(circ.edges, 2))
         colour.update(dict.fromkeys(ones, 1))
-    cdc1 = lift_cover(_colouring_cover(reduced, colour), rmap)
-    c13 = lift_edge_set([e for e, c in colour.items() if c in (1, 3)], rmap)
+    label = dict.fromkeys(range(g.m), 0)
+    label.update((f, c) for e, c in colour.items() for f in rmap.edge_path[e])
+    cdc1 = _colouring_cover(g, label, ((1, 2), (1, 3), (2, 3)))
+    c13 = _colouring_cover(g, label, ((1, 3),)).circuits
 
     reduced, rmap = suppress_degree_two(g, searched)
     if not is_connected(reduced) or not is_bridgeless(reduced):
@@ -470,7 +472,9 @@ def pm_cover_from_five_cdc(g: CubicGraph, cdc: KCdc, two_factor_index=None):
 
 
 def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
-    """Cover of length exactly 4m/3 for graphs with perfect matching index <= 4.
+    """Cover of length exactly 4m/3 for graphs with perfect matching index <= 4:
+    at tau 3 two colour pairs of the matchings, at tau 4 the 5-CDC less its
+    2-factor class, the pullback of its other classes under the identity.
 
     ``node_limit`` bounds the perfect matching index search.
     """
@@ -485,8 +489,7 @@ def scc_cover_from_tau4(g: CubicGraph, node_limit=None) -> ConstructionResult:
         cert = {"tau": 3, "matchings": result.matchings}
     else:
         kcdc = five_cdc_from_pm_cover(g, result.matchings)
-        factor = kcdc.classes[4]
-        cover = _drop_circuits(g, kcdc.as_cover(g), factor)
+        cover = _colouring_cover(g, range(g.m), kcdc.classes[:4])
         cert = {"tau": 4, "matchings": result.matchings}
     res = _check_result(g, cover, base, "tau4", cert)
     assert res.length == base

@@ -168,17 +168,6 @@ class KCdc:
 # lifting along reduction maps
 # --------------------------------------------------------------------------
 
-def lift_edge_set(edge_ids, rmap) -> frozenset:
-    """The edges of ``rmap.original`` on the paths of the reduced edges."""
-    paths = rmap.edge_path
-    out = set()
-    for e in edge_ids:
-        if not 0 <= e < len(paths):
-            raise GraphError(f"edge {e} not in the reduction map")
-        out.update(paths[e])
-    return frozenset(out)
-
-
 def lift_cover(cover: CycleCover, rmap) -> CycleCover:
     """Replace each reduced edge by its path in ``rmap.original``.
 
@@ -187,7 +176,12 @@ def lift_cover(cover: CycleCover, rmap) -> CycleCover:
     because the interior path vertices have degree 2 in the smoothed
     subgraph.
     """
-    lifted = [trace_circuit(rmap.original, lift_edge_set(c.edges, rmap)) for c in cover.circuits]
+    paths, lifted = rmap.edge_path, []
+    for c in cover.circuits:
+        for e in c.edges:
+            if not 0 <= e < len(paths):
+                raise GraphError(f"edge {e} not in the reduction map")
+        lifted.append(trace_circuit(rmap.original, [f for e in c.edges for f in paths[e]]))
     return CycleCover.of(lifted)
 
 

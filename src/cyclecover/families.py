@@ -105,18 +105,23 @@ def permutation_snark(perm) -> CubicGraph:
 # --------------------------------------------------------------------------
 
 def _g6_read_n(data: bytes):
+    """(n, start of the body); size bytes outside 63..126 and n = 0 are refused."""
     if not data:
         raise GraphError("empty graph6 line")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 4 and data[1] != 126:
-        n = 0
-        for b in data[1:4]:
-            if not 63 <= b <= 126:
-                raise GraphError("bad byte in graph6 size field")
-            n = (n << 6) | (b - 63)
-        return n, 4
-    raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
+        size, pos = data[:1], 1
+    elif len(data) >= 4 and data[1] != 126:
+        size, pos = data[1:4], 4
+    else:
+        raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
+    n = 0
+    for b in size:
+        if not 63 <= b <= 126:
+            raise GraphError("bad byte in graph6 size field")
+        n = (n << 6) | (b - 63)
+    if not n:
+        raise GraphError("graph6 line encodes an empty graph")
+    return n, pos
 
 
 _G6_BODY = bytes(range(63, 127))

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .covers import CycleCover, decompose_even_subgraph, validate
+from .covers import CycleCover, validate
 from .constructions import ConstructionResult, _check_result
 from .errors import GraphError, HypothesisViolated
 from .families import petersen
 from .graphs import CubicGraph
 from .solvers import (
     _Budget,
+    _colouring_cover,
     _decode_joins,
     _label_search,
     _matching_cuts,
@@ -102,22 +103,16 @@ def is_balanced(colouring: PetersenColouring, m: int) -> bool:
 
 def pullback_cover(g: CubicGraph, colouring: PetersenColouring,
                    cover_of_p: CycleCover) -> CycleCover:
-    """Preimage of each circuit of a P-cover, decomposed into circuits of g."""
+    """The preimage of each circuit of a P-cover, as circuits of g: the
+    pullback ``solvers._colouring_cover``, since by the star condition a
+    circuit of P takes 0 or 2 edges of each vertex star of g."""
     ok, bad = verify_petersen_colouring(g, colouring)
     if not ok:
         raise HypothesisViolated(f"colouring violates the star condition at vertex {bad}")
     report = validate(cover_of_p, REFERENCE)
     if not report.ok:
         raise ValueError(f"not a valid cover of the reference graph: {report.problems}")
-    circuits = []
-    for circ in cover_of_p.circuits:
-        pset = circ.edge_set
-        pre = [e for e in range(g.m) if colouring.assignment[e] in pset]
-        try:
-            circuits.extend(decompose_even_subgraph(g, pre))
-        except ValueError as exc:
-            raise HypothesisViolated(str(exc)) from exc
-    cover = CycleCover.of(circuits)
+    cover = _colouring_cover(g, colouring.assignment, [c.edge_set for c in cover_of_p.circuits])
     fibers = colouring.fiber_sizes()
     w = cover_of_p.edge_weight(REFERENCE.m)
     assert cover.length == sum(w[e] * fibers[e] for e in range(REFERENCE.m))

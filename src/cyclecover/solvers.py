@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 
-from .covers import (Circuit, CycleCover, KCdc, circuit_from_walk, decompose_even_subgraph,
-                     trace_circuit)
+from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges
 
@@ -327,9 +326,10 @@ class _Joins:
     neighbour.  Both are built on first use, so a search pays only for the
     edges and frames it meets.  A frame depends only on the table and
     ``blocked``, which holds every vertex outside the search's space, so
-    ``frames`` memoises it for every search over the table, whatever its
-    space.  ``near[v]`` is v's neighbour mask; ``opp`` and ``vm`` are the
-    chains before any join (see ``_join_search``).
+    ``frames`` memoises it for every search over the table (the program
+    keeps none, so one), whatever its space.  ``near[v]`` is v's neighbour
+    mask; ``opp`` and ``vm`` are the chains before any join (see
+    ``_join_search``).
     """
 
     __slots__ = ("m", "ends", "incident", "near", "opp", "vm", "frames", "_pairs")
@@ -383,12 +383,6 @@ class _Joins:
                           for _, _, choice in self.pair(e)]) if k else (0, ())
         self.frames[blocked] = found
         return found
-
-
-@_one_graph_memo
-def _joins(g) -> _Joins:
-    """The join table of ``g``, a one-graph memo like ``_matchings``."""
-    return _Joins(g)
 
 
 def _join_search(table, edges, space, budget, pins=None):
@@ -502,9 +496,9 @@ def _every_cover(g, excess, budget):
     The vertex set X of weight 6 runs over the sets of that size in
     ``combinations`` order; its covers are those of T_X of length
     4|E(T_X)|/3 whose weight-1 edges hold the triangles.  The search over
-    ``_Joins(g, X)`` takes the edges at X first, in X's order, then covers
-    G - X - N(X); a vertex outside X has one edge of weight 2, so it may
-    have only one edge end in X.  X = () is one perfect matching search.
+    a fresh ``_Joins(g, X)`` takes the edges at X first, in X's order, then
+    covers G - X - N(X); a vertex outside X has one edge of weight 2, so it
+    may have only one edge end in X.  X = () is one perfect matching search.
     """
     everyone = (1 << g.n) - 1
     for X in combinations(range(g.n), excess):
@@ -512,8 +506,8 @@ def _every_cover(g, excess, budget):
         edges = dict.fromkeys(e for x in X for e in g.incident_edges[x])
         out = [v for e in edges for v in g.edges[e] if not inside >> v & 1]
         if len(set(out)) == len(out):
-            yield from _join_search(_Joins(g, X) if X else _joins(g), edges,
-                                    everyone & ~(inside | _mask(out)), budget)
+            yield from _join_search(_Joins(g, X), edges, everyone & ~(inside | _mask(out)),
+                                    budget)
 
 
 def _decode_joins(g, run):
@@ -602,12 +596,14 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
     return SccResult(length, cover, True, cap, budget.nodes, stage)
 
 
-def _colouring_cover(g, colour, pairs=((1, 2), (1, 3), (2, 3))) -> CycleCover:
-    """The circuits of the colour-pair classes of a 3-edge-colouring (any
-    three colours, indexed by edge).  All three pairs give a CDC; two that
-    share a colour give a cover of length 4m/3, weight 2 on that colour."""
-    return CycleCover.of(c for pair in pairs for c in decompose_even_subgraph(
-        g, (e for e in range(g.m) if colour[e] in pair)))
+def _colouring_cover(g, label, classes) -> CycleCover:
+    """The pullback of an edge labelling: the circuits (``_walks``, unchecked)
+    of each class's preimage, the edges e with ``label[e]`` in it, which must
+    be 2-regular, as when every vertex star of g lands on a star of the
+    target.  Of a 3-edge-colouring's colour pairs, two that share a colour
+    give a cover of length 4m/3 (weight 2 on that colour), all three a CDC."""
+    return CycleCover.of(circuit_from_walk(*walk) for cls in classes
+                         for walk in _walks(g, _mask(e for e in range(g.m) if label[e] in cls)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ the earlier per-2-factor route to the first cover.  ``factor_circuits`` and
 replaced, the references for its walks.  ``decode_joins_by_trace`` and
 ``graph6_edges`` are the earlier cover decode and graph6 reader, the
 references for ``solvers._decode_joins`` and ``families.parse_graph6``.
+``pullback_by_decomposition`` and ``split_cover_by_decomposition`` are the
+earlier route to the covers read off an edge labelling, through the checked
+``covers.decompose_even_subgraph``: the references for the pullback
+``solvers._colouring_cover`` and for ``constructions._split_cover``.
 ``disjoint_union`` builds disconnected cubic graphs.  Tests import this
 module as they import ``conftest``.
 """
@@ -18,17 +22,20 @@ module as they import ``conftest``.
 import itertools
 from collections import Counter
 
+from cyclecover.constructions import _image, cover_from_cdc, merge_cdcs
 from cyclecover.covers import (
     Circuit,
     CycleCover,
     circuit_from_walk,
+    decompose_even_subgraph,
     is_even_subgraph,
+    lift_cover,
     trace_circuit,
 )
 from cyclecover.errors import GraphError
 from cyclecover.families import _g6_read_n
-from cyclecover.graphs import CubicGraph, Multigraph, _walks
-from cyclecover.solvers import _join_search, _joins
+from cyclecover.graphs import CubicGraph, Multigraph, _walks, suppress_degree_two
+from cyclecover.solvers import _Joins, _join_search, find_cdc
 
 
 def _vertex_invariant(g: Multigraph):
@@ -334,8 +341,8 @@ def transition_covers(g, rest, budget):
     Each rest edge takes one of its two ``_Joins`` choices; a choice is a
     cover exactly when no circuit passes a vertex twice.  The rest edges are
     tried in the order the walks of ``_walks`` over C meet them, each at its
-    first end, in one ``solvers._join_search`` over g's memoised table with
-    no matching to grow; a node is one choice tried.
+    first end, in one ``solvers._join_search`` over g's table with no
+    matching to grow; a node is one choice tried.
     """
     order = {}
     for _, verts in _walks(g, ((1 << g.m) - 1) & ~rest):
@@ -343,7 +350,7 @@ def transition_covers(g, rest, budget):
             for r in g.incident_edges[v]:
                 if rest >> r & 1:
                     order.setdefault(r)
-    return _join_search(_joins(g), order, 0, budget)
+    return _join_search(_Joins(g), order, 0, budget)
 
 
 def factor_circuits(g, pm):
@@ -446,6 +453,37 @@ def decode_joins_by_trace(g, run):
         if edges:
             circuits.append(trace_circuit(g, [e for e in edges if e < g.m]))
     return CycleCover.of(circuits)
+
+
+def pullback_by_decomposition(g, label, classes):
+    """The cover of the circuits of each class's preimage (the edges e with
+    ``label[e]`` in the class), each preimage split by the checked
+    ``decompose_even_subgraph``: the reference for the pullback
+    ``solvers._colouring_cover``, which walks the preimages unchecked."""
+    return CycleCover.of(c for cls in classes for c in decompose_even_subgraph(
+        g, [e for e in range(g.m) if label[e] in cls]))
+
+
+def split_cover_by_decomposition(g, factor, coloured, searched, shared, node_limit, where):
+    """``constructions._split_cover`` by the earlier route: the colour-pair
+    CDC pulled back in the reduction of the coloured part and lifted circuit
+    by circuit, and the (1, 3) class lifted as an edge set and dropped by
+    ``cover_from_cdc``, which splits it into circuits again.  The phase rule
+    and the searched part are those of ``_split_cover``."""
+    reduced, rmap = suppress_degree_two(g, coloured)
+    colour = dict.fromkeys(range(reduced.m), 3)
+    for circ in decompose_even_subgraph(reduced, _image(factor, rmap)):
+        phases = (circ.edges[::2], circ.edges[1::2])
+        ones = max(phases, key=lambda ones: sum(len(rmap.edge_path[e]) for e in ones))
+        colour.update(dict.fromkeys(circ.edges, 2))
+        colour.update(dict.fromkeys(ones, 1))
+    cdc1 = lift_cover(pullback_by_decomposition(reduced, colour, ((1, 2), (1, 3), (2, 3))), rmap)
+    c13 = {f for e, c in colour.items() if c in (1, 3) for f in rmap.edge_path[e]}
+    reduced, rmap = suppress_degree_two(g, searched)
+    images = [trace_circuit(reduced, _image(c.edges, rmap)) for c in shared]
+    cdc2 = find_cdc(reduced, must_contain=images, node_limit=node_limit)
+    merged = merge_cdcs(g, cdc1, lift_cover(cdc2, rmap), shared)
+    return cover_from_cdc(g, merged, c13)
 
 
 def graph6_edges(line):

@@ -117,6 +117,17 @@ def test_empty_input_exit_code(command, monkeypatch, capsys):
     assert captured.out == "" and captured.err == "error: no graph in input\n"
 
 
+@pytest.mark.parametrize("line, message", [("4", "bad byte in graph6 size field"),
+                                           ("?", "graph6 line encodes an empty graph")])
+def test_graph6_size_field_exit_code(line, message, tmp_path, capsys):
+    # a size byte below 63 and an empty graph are bad input, for every command
+    path = tmp_path / "size.g6"
+    path.write_text(line + "\n")
+    for command in (["tau"], ["analyze"]):
+        assert main([*command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_empty_stream_analyze(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert main(["analyze", "-", "--json"]) == 0

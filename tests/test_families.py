@@ -110,6 +110,10 @@ def test_graph6_reader_matches_the_bit_list_reference():
     ("IheA@GUAp", "nonzero padding bits"),  # Petersen with a padding bit set
     ("Ihe!@GUAp", "byte 33 outside graph6 range"),  # a bad byte before the padding
     ("Ihe!@GUA", "expected 8 data bytes for n=10, got 7"),  # the length first
+    ("4", "bad byte in graph6 size field"),  # a size byte below 63
+    ("\x7f", "bad byte in graph6 size field"),  # and one above 126
+    ("?", "graph6 line encodes an empty graph"),  # n = 0
+    ("~???", "graph6 line encodes an empty graph"),  # n = 0 in the long form
 ])
 def test_graph6_checks_in_order(line, message):
     with pytest.raises(GraphError, match=message):
