@@ -105,15 +105,18 @@ def permutation_snark(perm) -> CubicGraph:
 # --------------------------------------------------------------------------
 
 def _g6_read_n(data: bytes):
-    """(n, start of the body); size bytes outside 63..126 and n = 0 are refused."""
+    """(n, start of the body); size bytes outside 63..126, a size field cut
+    short and n = 0 are refused."""
     if not data:
         raise GraphError("empty graph6 line")
     if data[0] != 126:
         size, pos = data[:1], 1
-    elif len(data) >= 4 and data[1] != 126:
+    elif data[1:2] == b"~":
+        raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
+    elif len(data) >= 4:
         size, pos = data[1:4], 4
     else:
-        raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
+        raise GraphError("truncated graph6 size field")
     n = 0
     for b in size:
         if not 63 <= b <= 126:

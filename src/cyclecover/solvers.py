@@ -9,8 +9,10 @@ value orders, so results are deterministic for a given graph.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from heapq import heappop, heappush
+from itertools import combinations, compress, islice, repeat
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
@@ -677,19 +679,79 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string's digits as 0/1 bytes
 
 def enumerate_perfect_matchings(g: Multigraph):
     """All perfect matchings as frozensets of edge ids, sorted by their
-    sorted edge tuples."""
-    m = g.m
-    ids, digits = range(m), f"0{m}b"
-    return [frozenset(compress(ids, format(key >> m, digits).encode().translate(_BITS)))
-            for key in _matching_keys(g)]
+    sorted edge tuples: a read-only sequence over the memoised sweep
+    (``_matching_keys``) whose ``len`` is the sweep's count, with no listing,
+    and whose matchings are made and decoded as they are read.  It compares
+    equal to the list of the same matchings."""
+    return _MatchingView(_matching_keys(g), g.m)
+
+
+def _decoded(key, m):
+    """The matching of a sweep key, as a frozenset of edge ids."""
+    return frozenset(compress(range(m), format(key >> m, f"0{m}b").encode().translate(_BITS)))
+
+
+class _MatchingView(Sequence):
+    """The matchings of a ``_Keys`` stream, decoded on each read."""
+
+    __slots__ = ("keys", "m")
+
+    def __init__(self, keys, m):
+        self.keys, self.m = keys, m
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return _decoded(self.keys[i], self.m)
+
+    def __iter__(self):
+        return map(_decoded, self.keys, repeat(self.m))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _MatchingView) else other)
+
+
+class _Keys:
+    """The ``count`` keys of a walk, made on demand and kept in ``made``, so
+    every reader sees one sequence: key i is made, with the keys before it,
+    on its first read, and ``rest()`` makes them all."""
+
+    __slots__ = ("made", "count", "_walk")
+
+    def __init__(self, count, walk):
+        self.made, self.count, self._walk = [], count, walk
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, i):
+        i, made = range(self.count)[i], self.made
+        if i >= len(made):
+            made += islice(self._walk, i + 1 - len(made))
+        return made[i]
+
+    def __iter__(self):
+        made, i = self.made, 0
+        while i < self.count:
+            if i == len(made):
+                made.append(next(self._walk))
+            yield made[i]
+            i += 1
+
+    def rest(self):
+        self.made += self._walk
+        return self.made
 
 
 @_one_graph_memo
 def _matching_keys(g):
-    """The perfect matchings of g as keys, in the order of their sorted edge
-    tuples: a matching's key has bit e and bit 2m - 1 - e for each of its
-    edges e.  Memoised for the last graph, so ``enumerate_perfect_matchings``
-    and the matching store read one sweep; callers must not change the list.
+    """The perfect matchings of g as keys (``_Keys``), in the order of their
+    sorted edge tuples: a matching's key has bit e and bit 2m - 1 - e for
+    each of its edges e.  Memoised for the last graph, so
+    ``enumerate_perfect_matchings`` and the matching store read one sweep.
 
     One tuple sorts before another exactly when the least edge in their
     symmetric difference lies in it, and that edge is the highest bit in
@@ -702,10 +764,15 @@ def _matching_keys(g):
     vertices are placed in turn from vertex 0: each step places the vertex
     next to the placed ones whose placing leaves the fewest unplaced vertices
     next to them, the least id on ties, or the least unplaced vertex when
-    none is next to them.  With the vertex bits renumbered in that order,
-    ``rec(free)`` matches the lowest free vertex with each free neighbour
-    and is memoised on the free-vertex mask, so the placed prefix is all
-    matched and a state differs only in which vertices next to it are taken.
+    none is next to them.  With the vertex bits renumbered in that order, a
+    state is a free-vertex mask whose lowest free vertex is matched with each
+    free neighbour (its options), so the placed prefix is all matched and a
+    state differs only in which vertices next to it are taken.  ``rec(free)``
+    memoises the number of its completions and their greatest key (-1 with
+    none).  ``deviations(free)`` lists, greatest first, the other completions
+    of ``free`` by where they leave its greatest one: each state on that
+    path and each other option taken there, as (their greatest key, the key
+    of the edges down to the option's state, that state).
     """
     n, m = g.n, g.m
     near = [0] * n
@@ -733,44 +800,96 @@ def _matching_keys(g):
         if u != v:
             a, b = sorted((pos[u], pos[v]))
             options[a].append((1 << b, 1 << e | 1 << (2 * m - 1 - e)))
-    memo = {0: [0]}
+    memo, devs = {0: (1, 0)}, {0: []}
 
     def rec(free):
         low = free & -free
-        rest, out = free ^ low, []
+        rest, count, top = free ^ low, 0, -1
         for bit, key in options[low.bit_length() - 1]:
             if rest & bit:
                 sub = rest ^ bit
-                keys = memo.get(sub)
-                out += map(key.__or__, rec(sub) if keys is None else keys)
-        memo[free] = out
+                c, t = memo.get(sub) or rec(sub)
+                if c:
+                    count += c
+                    if key | t > top:
+                        top = key | t
+        memo[free] = out = count, top
         return out
 
-    keys = rec((1 << n) - 1) if n else [0]
-    keys.sort(reverse=True)
-    return keys
+    def deviations(free):
+        out = devs.get(free)
+        if out is None:
+            low = free & -free
+            rest, live = free ^ low, []
+            for bit, key in options[low.bit_length() - 1]:
+                if rest & bit:
+                    c, t = memo[rest ^ bit]
+                    if c:
+                        live.append((key | t, key, rest ^ bit))
+            live.sort(reverse=True)
+            _, key, sub = live[0]
+            # or-ing one key into a list greatest first keeps it so
+            out = [(v | key, p | key, s) for v, p, s in deviations(sub)]
+            if len(live) > 1:
+                out += live[1:]
+                out.sort(reverse=True)
+            devs[free] = out
+        return out
+
+    root = (1 << n) - 1
+    count, top = memo.get(root) or rec(root)
+    return _Keys(count, _greatest_first(top, root, deviations))
+
+
+def _greatest_first(top, root, deviations):
+    """The completion keys of ``root``, greatest first, from their greatest
+    key ``top`` (-1: none) and ``deviations`` (see ``_matching_keys``): a
+    best-first walk in the manner of Eppstein's k shortest paths (SIAM J.
+    Comput. 28, 1998).  A heap entry (-key, base, list, j) holds the greatest
+    key of the completions of deviation j of a list, below the edges
+    ``base``; popping it yields that key and pushes deviation j + 1 of the
+    list and the first of the entry's own deviations, which hold every key
+    of the entry's completions but the one yielded.
+    """
+    heap = [(-top, 0, [(top, 0, root)], 0)] if top >= 0 else []
+    while heap:
+        neg, base, dev, j = heappop(heap)
+        yield -neg
+        if j + 1 < len(dev):
+            heappush(heap, (-(base | dev[j + 1][0]), base, dev, j + 1))
+        _, pre, sub = dev[j]
+        own = deviations(sub)
+        if own:
+            heappush(heap, (-(base | pre | own[0][0]), base | pre, own, 0))
 
 
 class _Matchings:
     """The perfect matchings of one graph, as ``enumerate_perfect_matchings``
-    lists them (``pms``), and the least 2-factor they leave.
+    lists them (``pms``, whose ``len`` is the sweep's count), and the least
+    2-factor they leave.
 
-    ``masks[i]`` is matching i as an edge mask, the low half of its key in
-    the sweep (``_matching_keys``) that ``pms`` was decoded from.
     ``least()`` is the first 2-factor in that order with the least (odd
-    circuits, circuits) key, walked once and memoised.  ``holders[e]``,
-    built on first use, is the set of matchings that hold edge e, as a
-    bitmask over their indices.
+    circuits, circuits) key, walked once and memoised; it makes the sweep's
+    keys (``_matching_keys``) only up to where it stops.  ``masks[i]`` is
+    matching i as an edge mask, the low half of its key; ``masks`` makes
+    every key on first read.  ``holders[e]``, built on first use, is the
+    set of matchings that hold edge e, as a bitmask over their indices.
     """
 
-    __slots__ = ("g", "pms", "masks", "_least", "_holders")
+    __slots__ = ("g", "pms", "_keys", "_masks", "_least", "_holders")
 
     def __init__(self, g):
         self.g = g
         self.pms = enumerate_perfect_matchings(g)
-        full = (1 << g.m) - 1
-        self.masks = [key & full for key in _matching_keys(g)]
-        self._least = self._holders = None
+        self._keys = _matching_keys(g)
+        self._masks = self._least = self._holders = None
+
+    @property
+    def masks(self):
+        if self._masks is None:
+            full = (1 << self.g.m) - 1
+            self._masks = [key & full for key in self._keys.rest()]
+        return self._masks
 
     @property
     def holders(self):
@@ -790,9 +909,9 @@ class _Matchings:
         walk stops at the first Hamiltonian 2-factor, since (0, 1) is the
         least key there is."""
         if self._least is None:
-            best = None
-            for i, mask in enumerate(self.masks):
-                key, walks = self._count(mask)
+            best, full = None, (1 << self.g.m) - 1
+            for i, key in enumerate(self._keys):
+                key, walks = self._count(key & full)
                 if best is None or key < best[1]:
                     best = i, key, walks
                     if key == (0, 1):

@@ -118,9 +118,11 @@ def test_empty_input_exit_code(command, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("line, message", [("4", "bad byte in graph6 size field"),
-                                           ("?", "graph6 line encodes an empty graph")])
+                                           ("?", "graph6 line encodes an empty graph"),
+                                           ("~?", "truncated graph6 size field")])
 def test_graph6_size_field_exit_code(line, message, tmp_path, capsys):
-    # a size byte below 63 and an empty graph are bad input, for every command
+    # a size byte below 63, an empty graph and a long-form size field cut
+    # short are bad input, for every command
     path = tmp_path / "size.g6"
     path.write_text(line + "\n")
     for command in (["tau"], ["analyze"]):

@@ -114,6 +114,10 @@ def test_graph6_reader_matches_the_bit_list_reference():
     ("\x7f", "bad byte in graph6 size field"),  # and one above 126
     ("?", "graph6 line encodes an empty graph"),  # n = 0
     ("~???", "graph6 line encodes an empty graph"),  # n = 0 in the long form
+    ("~", "truncated graph6 size field"),  # a long-form size field cut short
+    ("~?", "truncated graph6 size field"),
+    ("~??", "truncated graph6 size field"),
+    ("~~", "graph6 sizes beyond 258047 vertices are not supported"),  # the 8-byte form
 ])
 def test_graph6_checks_in_order(line, message):
     with pytest.raises(GraphError, match=message):

@@ -669,7 +669,12 @@ def _least_vertex_matchings(g):
     return res
 
 
-def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5):
+def _make_no_key(*args):
+    raise AssertionError("a perfect matching was listed")
+    yield  # a generator, so the walk fails on its first key, not when it is set up
+
+
+def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5, monkeypatch):
     digons = build_graph([(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
     # loops at 0 and 3 beside two digons: loops never enter a matching
     looped = Multigraph(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 3), (0, 3)])
@@ -690,6 +695,11 @@ def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5):
     assert len(enumerate_perfect_matchings(two_k4)) == 9
     assert len(enumerate_perfect_matchings(j11)) == 2048
     assert enumerate_perfect_matchings(star) == []
+    # the length is the sweep's count, with no matching listed
+    monkeypatch.setattr(solvers, "_greatest_first", _make_no_key)
+    for g, count in ((flower(25), 2 ** 25), (flower(33), 2 ** 33), (goldberg(13), 9_994_664)):
+        pms = enumerate_perfect_matchings(g)
+        assert len(pms) == count and pms
 
 
 def _two_regular_avoiding(g, x):
@@ -766,6 +776,34 @@ def test_matching_sweep_runs_once_per_graph():
     assert enumerate_perfect_matchings(g) == store.pms
     assert _matching_keys(g) is keys
     assert store.masks == [key & ((1 << g.m) - 1) for key in keys]
+
+
+def test_matching_readers_share_one_stream():
+    # a listing read in turns with the store's least walk, which makes its
+    # keys further ahead, still reads every matching once, in order
+    with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
+        g = parse_graph6(fh.readline().strip())  # least 2-factor at matching 5 of 48
+    listing = iter(enumerate_perfect_matchings(g))
+    head = [next(listing), next(listing)]
+    i = _matchings(g).least()[0]
+    assert len(_matching_keys(g).made) == i + 1 > len(head)
+    assert head + list(listing) == _least_vertex_matchings(g)
+
+
+def test_tau_and_oddness_make_only_the_keys_they_walk(monkeypatch):
+    # a Hamiltonian 2-factor ends the least walk, and the one matching
+    # decoded is its witness; Petersen's walk makes all 6 keys
+    decoded = []
+    decode = solvers._decoded
+    monkeypatch.setattr(solvers, "_decoded", lambda key, m: decoded.append(key) or decode(key, m))
+    for g, lazy in ((_random_cubic(24, random.Random(7)), True), (petersen(), False)):
+        decoded.clear()
+        assert perfect_matching_index(g).tau == (3 if lazy else 5)
+        oddness(g)
+        i, keys = _matchings(g).least()[0], _matching_keys(g)
+        assert len(keys.made) == (i + 1 if lazy else 6)
+        assert (len(keys.made) < len(keys)) == lazy
+        assert set(decoded) == {keys.made[i]}
 
 
 def test_spectrum_builds_no_matching_store(monkeypatch):

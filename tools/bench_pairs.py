@@ -25,7 +25,9 @@ the metric's bound, by the rules of a simplicity review:
 - ``no regression`` otherwise.
 
 The failed share of the jobs of each side is printed too.  The exit status
-is 1 when a run prints no result.
+is 1 when a run prints no result, and, after a verdict line, when the
+change fails a larger share of its jobs than the parent or any run of either
+side reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -108,9 +110,18 @@ def main(argv) -> int:
         print(f"{name:<12} {statistics.median(a):>11.4g} {q3 - q1:>11.4g} "
               f"{statistics.median(b):>11.4g} {wins:>5.0%}  "
               f"{verdict(a, b, q3 - q1, wins, sign, bound)} ({bound:.0%})")
+    share = {}
     for side, runs in results.items():
         failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        share[side] = failed / attempted if attempted else 0.0
         print(f"failed jobs, {side}: {failed} of {attempted}")
+    wrong = [f"{side} seed {seed}" for side, runs in results.items()
+             for seed, r in enumerate(runs, 1) if not r["correct"]]
+    if share["change"] > share["parent"] or wrong:
+        print(f"verdict: failed (failed share {share['parent']:.2%} -> {share['change']:.2%}; "
+              f"correct: false in {', '.join(wrong) or 'no run'})")
+        return 1
+    print("verdict: no failed share added, every run correct")
     return 0
 
 
