@@ -236,7 +236,12 @@ def cmd_cdc(args) -> int:
     g = _load_graph(args.graph, args.format)
     must = []
     if args.contains:
-        verts = [int(x) for x in args.contains.split(",")]
+        try:
+            verts = [int(x) for x in args.contains.split(",")]
+        except ValueError:
+            print(f"--contains is not a circuit: {args.contains!r} is not a comma-separated "
+                  "list of vertex numbers", file=sys.stderr)
+            return 1
         edges, missing = _walk_edges(_edge_index(g), verts)
         if missing:
             print(f"--contains names a missing edge {missing[0]}-{missing[1]}", file=sys.stderr)

@@ -111,9 +111,12 @@ def _circuits(g: Multigraph):
             path_v.pop()
             path_e.pop()
 
-    for e0, (u0, v0) in enumerate(g.edges):
-        if u0 != v0:
-            extend(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+    try:
+        for e0, (u0, v0) in enumerate(g.edges):
+            if u0 != v0:
+                extend(v0, e0, u0, (1 << u0) | (1 << v0), [e0], [u0, v0])
+    finally:
+        extend = None  # extend's cell holds extend: unbound, no cycle outlives the call
     return out
 
 
@@ -769,10 +772,11 @@ def _matching_keys(g):
     free neighbour (its options), so the placed prefix is all matched and a
     state differs only in which vertices next to it are taken.  ``rec(free)``
     memoises the number of its completions and their greatest key (-1 with
-    none).  ``deviations(free)`` lists, greatest first, the other completions
-    of ``free`` by where they leave its greatest one: each state on that
-    path and each other option taken there, as (their greatest key, the key
-    of the edges down to the option's state, that state).
+    none).  ``_Deviations.of(free)``, which the walk reads after the call,
+    lists, greatest first, the other completions of ``free`` by where they
+    leave its greatest one: each state on that path and each other option
+    taken there, as (their greatest key, the key of the edges down to the
+    option's state, that state).
     """
     n, m = g.n, g.m
     near = [0] * n
@@ -800,7 +804,7 @@ def _matching_keys(g):
         if u != v:
             a, b = sorted((pos[u], pos[v]))
             options[a].append((1 << b, 1 << e | 1 << (2 * m - 1 - e)))
-    memo, devs = {0: (1, 0)}, {0: []}
+    memo = {0: (1, 0)}
 
     def rec(free):
         low = free & -free
@@ -816,29 +820,45 @@ def _matching_keys(g):
         memo[free] = out = count, top
         return out
 
-    def deviations(free):
-        out = devs.get(free)
+    root = (1 << n) - 1
+    try:
+        count, top = memo.get(root) or rec(root)
+    finally:
+        rec = None  # rec's cell holds rec: unbound, no cycle outlives the call
+    return _Keys(count, _greatest_first(top, root, _Deviations(memo, options).of))
+
+
+class _Deviations:
+    """``of(free)``: the deviation lists of ``_matching_keys``, memoised in
+    ``devs``, over its sweep's ``memo`` and ``options``.  The walk reads them
+    for as long as its keys are read, so they live in an object that
+    recurses through ``self`` and holds no reference to itself: the memos go
+    by reference counting with the walk."""
+
+    __slots__ = ("memo", "options", "devs")
+
+    def __init__(self, memo, options):
+        self.memo, self.options, self.devs = memo, options, {0: []}
+
+    def of(self, free):
+        out = self.devs.get(free)
         if out is None:
             low = free & -free
             rest, live = free ^ low, []
-            for bit, key in options[low.bit_length() - 1]:
+            for bit, key in self.options[low.bit_length() - 1]:
                 if rest & bit:
-                    c, t = memo[rest ^ bit]
+                    c, t = self.memo[rest ^ bit]
                     if c:
                         live.append((key | t, key, rest ^ bit))
             live.sort(reverse=True)
             _, key, sub = live[0]
             # or-ing one key into a list greatest first keeps it so
-            out = [(v | key, p | key, s) for v, p, s in deviations(sub)]
+            out = [(v | key, p | key, s) for v, p, s in self.of(sub)]
             if len(live) > 1:
                 out += live[1:]
                 out.sort(reverse=True)
-            devs[free] = out
+            self.devs[free] = out
         return out
-
-    root = (1 << n) - 1
-    count, top = memo.get(root) or rec(root)
-    return _Keys(count, _greatest_first(top, root, deviations))
 
 
 def _greatest_first(top, root, deviations):
@@ -1149,10 +1169,13 @@ def circumference(g: Multigraph, node_limit=None):
             if n - v0 <= best[0] or dfs(v0, v0, (2 << v0) - 1, [], [v0], stop):
                 break
 
-    if not (cubic and colours is None):
-        search(n - 1, n)
-    if best[1] is None:
-        search(0, n - 1)
+    try:
+        if not (cubic and colours is None):
+            search(n - 1, n)
+        if best[1] is None:
+            search(0, n - 1)
+    finally:
+        dfs = None  # dfs's cell holds dfs, which search calls: unbound, even on an abort
     if best[1] is None:
         return 0, None
     return best[0], circuit_from_walk(*best[1])
@@ -1442,7 +1465,10 @@ def _label_search(g: Multigraph, stars, budget, symbols=None, cuts=None):
             used = before
         return False
 
-    return lab[:m] if rec() else None
+    try:
+        return lab[:m] if rec() else None
+    finally:
+        rec = None  # rec's cell holds rec and what it calls: unbound, even on an abort
 
 
 def _partition_tables(k):

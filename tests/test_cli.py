@@ -240,8 +240,9 @@ def test_cdc_without_contains_on_j7(tmp_path, capsys):
 def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
-    # edge 0-1 twice, then a walk that repeats its vertices
-    for walk in ("0,1", "0,1,0,1"):
+    # edge 0-1 twice, a walk that repeats its vertices, then two lists that
+    # are not all vertex numbers
+    for walk in ("0,1", "0,1,0,1", "a,b", "0,,1"):
         assert main(["cdc", str(path), "--contains", walk, "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--contains is not a circuit" in captured.err

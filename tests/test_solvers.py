@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -33,7 +34,12 @@ from cyclecover.covers import (
     trace_circuit,
     validate,
 )
-from cyclecover.errors import HypothesisViolated, NodeLimitExceeded
+from cyclecover.constructions import (
+    cover_via_circumference,
+    cover_via_oddness2,
+    scc_cover_from_tau4,
+)
+from cyclecover.errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
@@ -1178,6 +1184,34 @@ def test_circumference_node_limit(j5):
         circumference(j5, node_limit=5)
     assert exc.value.nodes == 6
     assert circumference(j5, node_limit=10**6) == circumference(j5)
+
+
+def test_public_calls_leave_no_cyclic_garbage(k4, pete, j5):
+    # every search frees its tables by reference counting when it returns or
+    # aborts, so nothing is left for the cyclic collector; the last calls,
+    # on another graph, drop the one-graph memos of the graph before
+    calls = [
+        shortest_cycle_cover, edge_weight_spectrum, lambda g: list(enumerate_perfect_matchings(g)),
+        perfect_matching_index, oddness, circumference, find_cdc, edge_colouring_3,
+        lambda g: three_disjoint_paths(g, 0, 1), enumerate_circuits, find_petersen_colouring,
+        cover_via_circumference, cover_via_oddness2, scc_cover_from_tau4,
+        lambda g: shortest_cycle_cover(g, node_limit=1), lambda g: circumference(g, node_limit=1),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (k4, pete, j5, _random_cubic(24, random.Random(44))):
+            for call in calls:
+                try:
+                    call(g)
+                except GraphError:  # an abort, or a pipeline's hypothesis failing
+                    pass
+            h = CubicGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+            for call in (oddness, edge_colouring_3, shortest_cycle_cover):
+                call(h)
+            assert gc.collect() == 0, f"cyclic garbage after the calls on {g.n} vertices"
+    finally:
+        gc.enable()
 
 
 def test_colouring_memo_returns_copies(monkeypatch):

@@ -3,8 +3,11 @@
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD PAIRS
 
 Runs ``perfbench/run.py --workload WORKLOAD --seed S --seconds 45`` in the
-two checkouts by turns, PAIRS pairs with seeds 1..PAIRS; the side that runs
-first switches each pair, so a drift in the machine's speed falls on both.
+two checkouts by turns, one pair a seed: PAIRS is a count N (seeds 1..N) or
+a range FIRST-LAST (seeds FIRST..LAST, so a claim can be checked on seeds
+not used while building), at least two seeds either way.  The side that
+runs first switches each pair, so a drift in the machine's speed falls on
+both.
 Every run goes without a bytecode cache: the ``__pycache__`` directories
 under each checkout's ``src/`` and ``perfbench/`` are removed before the
 first run and none are written (``PYTHONDONTWRITEBYTECODE``), because a
@@ -77,17 +80,28 @@ def verdict(parent, change, iqr, wins, sign, bound) -> str:
     return "no regression"
 
 
+def seed_range(text: str):
+    """The seeds of a PAIRS argument, ``N`` (1..N) or ``FIRST-LAST``; None
+    unless that names at least two seeds."""
+    first, last = text.split("-", 1) if "-" in text else ("1", text)
+    if not (first.isdigit() and last.isdigit()):
+        return None
+    seeds = range(int(first), int(last) + 1)
+    return seeds if len(seeds) >= 2 else None
+
+
 def main(argv) -> int:
-    if len(argv) != 4 or not argv[3].isdigit() or int(argv[3]) < 2:
+    seeds = seed_range(argv[3]) if len(argv) == 4 else None
+    if seeds is None:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    workload, pairs = argv[2], int(argv[3])
+    workload, pairs = argv[2], len(seeds)
     metrics = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
     for checkout in (parent, change):
         clear_bytecode(checkout)
     results = {"parent": [], "change": []}
-    for seed in range(1, pairs + 1):
+    for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             res = run(parent if side == "parent" else change, workload, seed)
@@ -95,7 +109,7 @@ def main(argv) -> int:
             values = ", ".join(f"{m['name']} {res['metrics'][m['name']]['value']:.4g}"
                                for m in metrics)
             print(f"pair {seed} {side}: {values}", flush=True)
-    print(f"\n{workload}: {pairs} pairs, seeds 1-{pairs}, --seconds {SECONDS}, "
+    print(f"\n{workload}: {pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, --seconds {SECONDS}, "
           f"no bytecode cache")
     print(f"  parent {parent}\n  change {change}")
     print(f"{'metric':<12} {'parent p50':>11} {'parent IQR':>11} {'change p50':>11} "
@@ -116,7 +130,7 @@ def main(argv) -> int:
         share[side] = failed / attempted if attempted else 0.0
         print(f"failed jobs, {side}: {failed} of {attempted}")
     wrong = [f"{side} seed {seed}" for side, runs in results.items()
-             for seed, r in enumerate(runs, 1) if not r["correct"]]
+             for seed, r in zip(seeds, runs) if not r["correct"]]
     if share["change"] > share["parent"] or wrong:
         print(f"verdict: failed (failed share {share['parent']:.2%} -> {share['change']:.2%}; "
               f"correct: false in {', '.join(wrong) or 'no run'})")
