@@ -104,6 +104,9 @@ def permutation_snark(perm) -> CubicGraph:
 # graph6 (simple graphs only, bytes 63..126, upper triangle column by column)
 # --------------------------------------------------------------------------
 
+_MAX_N = 258047  # the most vertices of a 4-byte graph6 size, and of any graph read here
+
+
 def _g6_read_n(data: bytes):
     """(n, start of the body); size bytes outside 63..126, a size field cut
     short and n = 0 are refused."""
@@ -112,7 +115,7 @@ def _g6_read_n(data: bytes):
     if data[0] != 126:
         size, pos = data[:1], 1
     elif data[1:2] == b"~":
-        raise GraphError("graph6 sizes beyond 258047 vertices are not supported")
+        raise GraphError(f"graph6 sizes beyond {_MAX_N} vertices are not supported")
     elif len(data) >= 4:
         size, pos = data[1:4], 4
     else:
@@ -179,7 +182,7 @@ def write_graph6(g: Multigraph) -> str:
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= 258047:
+    elif n <= _MAX_N:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise GraphError("graph too large for the supported graph6 sizes")
@@ -227,6 +230,9 @@ def parse_adjacency(text: str):
             raise GraphError(f"line {lineno}: negative vertex in {raw!r}")
         if u == v:
             raise GraphError(f"line {lineno}: loop at vertex {u}")
+        if max(u, v) >= _MAX_N:  # refused before the graph is allocated
+            raise GraphError(f"line {lineno}: vertex {max(u, v)} needs more than the "
+                             f"{_MAX_N} vertices supported")
         edges.append((u, v))
     if not edges:
         raise GraphError("no edges")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, compress, islice, repeat
+from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
 from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
@@ -682,11 +682,19 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string's digits as 0/1 bytes
 
 def enumerate_perfect_matchings(g: Multigraph):
     """All perfect matchings as frozensets of edge ids, sorted by their
-    sorted edge tuples: a read-only sequence over the memoised sweep
-    (``_matching_keys``) whose ``len`` is the sweep's count, with no listing,
-    and whose matchings are made and decoded as they are read.  It compares
-    equal to the list of the same matchings."""
-    return _MatchingView(_matching_keys(g), g.m)
+    sorted edge tuples: g's one matching store (``_Matchings``), which tau,
+    oddness and the labelling cuts read too.  A read-only sequence whose
+    ``len`` is the sweep's count, with no listing, whose matchings are made
+    as they are read, and which equals the list of the same matchings."""
+    return _matching_sweep(g)
+
+
+def _matchings(g):
+    """g's matching store: the held one, else built by the public call, so
+    a tracer that wraps ``enumerate_perfect_matchings`` counts each graph's
+    store once, when it is built, and no later read."""
+    store = _matching_sweep.held(g)
+    return enumerate_perfect_matchings(g) if store is None else store
 
 
 def _decoded(key, m):
@@ -694,67 +702,13 @@ def _decoded(key, m):
     return frozenset(compress(range(m), format(key >> m, f"0{m}b").encode().translate(_BITS)))
 
 
-class _MatchingView(Sequence):
-    """The matchings of a ``_Keys`` stream, decoded on each read."""
-
-    __slots__ = ("keys", "m")
-
-    def __init__(self, keys, m):
-        self.keys, self.m = keys, m
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return _decoded(self.keys[i], self.m)
-
-    def __iter__(self):
-        return map(_decoded, self.keys, repeat(self.m))
-
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, _MatchingView) else other)
-
-
-class _Keys:
-    """The ``count`` keys of a walk, made on demand and kept in ``made``, so
-    every reader sees one sequence: key i is made, with the keys before it,
-    on its first read, and ``rest()`` makes them all."""
-
-    __slots__ = ("made", "count", "_walk")
-
-    def __init__(self, count, walk):
-        self.made, self.count, self._walk = [], count, walk
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, i):
-        i, made = range(self.count)[i], self.made
-        if i >= len(made):
-            made += islice(self._walk, i + 1 - len(made))
-        return made[i]
-
-    def __iter__(self):
-        made, i = self.made, 0
-        while i < self.count:
-            if i == len(made):
-                made.append(next(self._walk))
-            yield made[i]
-            i += 1
-
-    def rest(self):
-        self.made += self._walk
-        return self.made
-
-
 @_one_graph_memo
-def _matching_keys(g):
-    """The perfect matchings of g as keys (``_Keys``), in the order of their
-    sorted edge tuples: a matching's key has bit e and bit 2m - 1 - e for
-    each of its edges e.  Memoised for the last graph, so
-    ``enumerate_perfect_matchings`` and the matching store read one sweep.
+def _matching_sweep(g):
+    """The matching store of g over the keys of its perfect matchings, in
+    the order of their sorted edge tuples: a matching's key has bit e and bit
+    2m - 1 - e for each of its edges e.  Memoised for the last graph, so
+    every reader of g's matchings reads one store;
+    ``_matching_sweep.held(g)`` reads it only if it is already built.
 
     One tuple sorts before another exactly when the least edge in their
     symmetric difference lies in it, and that edge is the highest bit in
@@ -825,11 +779,11 @@ def _matching_keys(g):
         count, top = memo.get(root) or rec(root)
     finally:
         rec = None  # rec's cell holds rec: unbound, no cycle outlives the call
-    return _Keys(count, _greatest_first(top, root, _Deviations(memo, options).of))
+    return _Matchings(g, count, _greatest_first(top, root, _Deviations(memo, options).of))
 
 
 class _Deviations:
-    """``of(free)``: the deviation lists of ``_matching_keys``, memoised in
+    """``of(free)``: the deviation lists of ``_matching_sweep``, memoised in
     ``devs``, over its sweep's ``memo`` and ``options``.  The walk reads them
     for as long as its keys are read, so they live in an object that
     recurses through ``self`` and holds no reference to itself: the memos go
@@ -863,7 +817,7 @@ class _Deviations:
 
 def _greatest_first(top, root, deviations):
     """The completion keys of ``root``, greatest first, from their greatest
-    key ``top`` (-1: none) and ``deviations`` (see ``_matching_keys``): a
+    key ``top`` (-1: none) and ``deviations`` (see ``_matching_sweep``): a
     best-first walk in the manner of Eppstein's k shortest paths (SIAM J.
     Comput. 28, 1998).  A heap entry (-key, base, list, j) holds the greatest
     key of the completions of deviation j of a list, below the edges
@@ -883,32 +837,51 @@ def _greatest_first(top, root, deviations):
             heappush(heap, (-(base | pre | own[0][0]), base | pre, own, 0))
 
 
-class _Matchings:
-    """The perfect matchings of one graph, as ``enumerate_perfect_matchings``
-    lists them (``pms``, whose ``len`` is the sweep's count), and the least
-    2-factor they leave.
+class _Matchings(Sequence):
+    """The perfect matchings of one graph, as frozensets of edge ids in the
+    order of their sorted edge tuples, and the least 2-factor they leave:
+    the store that ``enumerate_perfect_matchings`` returns.
 
+    ``len`` is the sweep's count.  ``made`` holds the keys made so far: key
+    i is made by the walk, with the keys before it, on its first read, so
+    every reader sees one sequence; a matching is decoded on each read.
     ``least()`` is the first 2-factor in that order with the least (odd
-    circuits, circuits) key, walked once and memoised; it makes the sweep's
-    keys (``_matching_keys``) only up to where it stops.  ``masks[i]`` is
-    matching i as an edge mask, the low half of its key; ``masks`` makes
-    every key on first read.  ``holders[e]``, built on first use, is the
-    set of matchings that hold edge e, as a bitmask over their indices.
+    circuits, circuits) key, walked once and memoised; it makes the keys
+    only up to where it stops.  ``masks[i]`` is matching i as an edge mask,
+    the low half of its key, and makes every key.  ``holders[e]``, built on
+    first use, is the set of matchings that hold edge e, as a bitmask over
+    their indices.  A store with no matching is falsy.
     """
 
-    __slots__ = ("g", "pms", "_keys", "_masks", "_least", "_holders")
+    __slots__ = ("g", "made", "_size", "_walk", "_masks", "_least", "_holders")
 
-    def __init__(self, g):
-        self.g = g
-        self.pms = enumerate_perfect_matchings(g)
-        self._keys = _matching_keys(g)
+    def __init__(self, g, size, walk):
+        self.g, self.made, self._size, self._walk = g, [], size, walk
         self._masks = self._least = self._holders = None
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._size)[i]]
+        return _decoded(self._key(range(self._size)[i]), self.g.m)
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Matchings) else other)
+
+    def _key(self, i):
+        made = self.made
+        if i >= len(made):
+            made += islice(self._walk, i + 1 - len(made))
+        return made[i]
 
     @property
     def masks(self):
         if self._masks is None:
+            self.made += self._walk
             full = (1 << self.g.m) - 1
-            self._masks = [key & full for key in self._keys.rest()]
+            self._masks = [key & full for key in self.made]
         return self._masks
 
     @property
@@ -930,8 +903,8 @@ class _Matchings:
         least key there is."""
         if self._least is None:
             best, full = None, (1 << self.g.m) - 1
-            for i, key in enumerate(self._keys):
-                key, walks = self._count(key & full)
+            for i in range(self._size):
+                key, walks = self._count(self._key(i) & full)
                 if best is None or key < best[1]:
                     best = i, key, walks
                     if key == (0, 1):
@@ -942,14 +915,6 @@ class _Matchings:
     def _count(self, pm):
         walks = _walks(self.g, ((1 << self.g.m) - 1) & ~pm)
         return (sum(len(edges) & 1 for edges, _ in walks), len(walks)), walks
-
-
-@_one_graph_memo
-def _matchings(g) -> _Matchings:
-    """The matching store of ``g``.  Graphs are immutable and hash by
-    identity, so consecutive solver calls on one graph share one store;
-    ``_matchings.held(g)`` reads it only if it is already built."""
-    return _Matchings(g)
 
 
 def _matching_cuts(g, holds):
@@ -971,7 +936,7 @@ def _matching_cuts(g, holds):
     matching of g.
     """
     store = _matchings(g)
-    holders, every = store.holders, (1 << len(store.pms)) - 1
+    holders, every = store.holders, (1 << len(store)) - 1
 
     def cuts(dom):
         groups = {}  # domain: [AND of holders, AND of complements, edges]
@@ -1041,12 +1006,12 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     nodes spent.
     """
     store = _matchings(g)
-    if limit < 3 or not store.pms:
+    if limit < 3 or not store:
         return TauResult(None, ())
     i, (odd, _), walks = store.least()
     if not odd:
         halves = [frozenset(e for edges, _ in walks for e in edges[at::2]) for at in (0, 1)]
-        return TauResult(3, (store.pms[i], *halves))
+        return TauResult(3, (store[i], *halves))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
     budget = _Budget(node_limit)
@@ -1069,10 +1034,10 @@ def oddness(g: CubicGraph):
     (``_Matchings.least``), which tau reads too.
     """
     store = _matchings(g)
-    if not store.pms:
+    if not store:
         raise HypothesisViolated("graph has no perfect matching, hence no 2-factor")
     i, (odd, _), _ = store.least()
-    return odd, frozenset(range(g.m)) - store.pms[i]
+    return odd, frozenset(range(g.m)) - store[i]
 
 
 # --------------------------------------------------------------------------
@@ -1082,9 +1047,12 @@ def oddness(g: CubicGraph):
 def circumference(g: Multigraph, node_limit=None):
     """Exact longest circuit, with a witness.
 
-    On a cubic graph the memoised 3-edge-colouring comes first: when the
-    2-factor left by one of its colour classes (colour 0, 1, 2 in turn) is a
-    single circuit, that Hamiltonian circuit is the answer, with no search.
+    On a cubic graph the 3-edge-colouring comes first: when the 2-factor
+    left by one of its colour classes (colour 0, 1, 2 in turn) is a single
+    circuit, that Hamiltonian circuit is the answer, with no DFS.  With no
+    ``node_limit`` it is read from ``_colouring``'s memo; under a limit its
+    labelling search spends the call's budget first, reads no memo and
+    keeps its result in that memo.
     Otherwise the witness is the first longest circuit of a DFS from each
     anchor v0, the least vertex of the circuits it explores, along edges in
     id order.  A first pass keeps only a Hamiltonian circuit (its best
@@ -1098,12 +1066,18 @@ def circumference(g: Multigraph, node_limit=None):
     w through R to a neighbour of v0, and each of its inner vertices has two
     neighbours in R + {w, v0}.  A branch is cut when v0 has no neighbour in
     R + {w}, or when those inner vertices cannot beat the best circuit.  Each
-    extension is one node of a budget of ``node_limit`` nodes, spent over
-    both passes; the DFS returns True to stop its pass.
+    extension is one node of the same budget, spent over both passes; the
+    DFS returns True to stop its pass.
     """
     n = g.n
     cubic = all(d == 3 for d in g.degrees())
-    colours = _colouring(g) if cubic else None
+    budget = _Budget(node_limit)
+    if cubic and node_limit is not None:  # the colouring spends the budget, reading no memo
+        labels = None if g.loops else _label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
+        colours = None if labels is None else tuple(labels)
+        _colouring.keep(g, colours)
+    else:
+        colours = _colouring(g) if cubic else None
     if colours is not None:
         for c in range(3):
             walks = _walks(g, _mask(e for e in range(g.m) if colours[e] != c))
@@ -1118,7 +1092,7 @@ def circumference(g: Multigraph, node_limit=None):
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
     best = [0, None]
-    spend = _Budget(node_limit).spend
+    spend = budget.spend
 
     def dfs(v0, cur, visited, path_edges, path_verts, stop):
         length = len(path_edges)
@@ -1220,6 +1194,10 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
     Each edge is labelled by the pair of classes that hold it: at a vertex
     every class is used twice or not at all, so the three pairs form a
     triangle of classes, and with a 2-factor class a triangle through it.
+    Each edge lies in two classes, and a nonempty class of a loopless g
+    has two edges or more, so at most m classes are nonempty: the search
+    uses min(k, m) classes, and empty ones make up the rest, placed before
+    a 2-factor class.
     """
     if k is None:
         if two_factor_class:
@@ -1252,17 +1230,21 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
         raise GraphError("must_contain is only available in the circuit-form search")
     if k < 2:
         raise GraphError("k-CDC search needs k >= 2")
-    pairs = list(combinations(range(k), 2))
+    used = min(k, g.m)
+    pairs = list(combinations(range(used), 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
-    tf = k - 1 if two_factor_class else None
+    tf = used - 1 if two_factor_class else None
     stars = [{pair_id[a, b], pair_id[a, c], pair_id[b, c]}
-             for a, b, c in combinations(range(k), 3) if tf in (None, c)]
+             for a, b, c in combinations(range(used), 3) if tf in (None, c)]
     # the classes other than the 2-factor class are interchangeable
     symbols = [_mask(c for c in p if c != tf) for p in pairs]
     labels = _label_search(g, stars, _Budget(node_limit), symbols)
     if labels is None:
         return None
-    return KCdc.of(frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(k))
+    classes = [frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(used)]
+    at = used if tf is None else tf
+    classes[at:at] = [frozenset()] * (k - used)
+    return KCdc.of(classes)
 
 
 # --------------------------------------------------------------------------
@@ -1493,7 +1475,7 @@ def _partition_tables(k):
 def _colouring(g):
     """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None
     (proven impossible; always so with a loop).  A one-graph memo like
-    ``_matchings``, read by ``edge_colouring_3`` and ``circumference``;
+    ``_matching_sweep``, read by ``edge_colouring_3`` and ``circumference``;
     ``shortest_cycle_cover`` keeps here what its capped run of this search
     finds, the same colouring, since the search is deterministic.
 
@@ -1506,7 +1488,7 @@ def _colouring(g):
     """
     if g.loops:
         return None
-    least = (store := _matchings.held(g)) and store._least
+    least = None if (store := _matching_sweep.held(g)) is None else store._least
     if least and least[1][0] and all(d == 3 for d in g.degrees()):
         return None
     labels = _label_search(g, [{0, 1, 2}], _Budget(), [1, 2, 4])

@@ -44,6 +44,26 @@ def test_generate_petersen_analyze_pipe():
     assert report["consistent"] is True
 
 
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # ``python -m cyclecover`` is the command line, exit codes included
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "cyclecover", *args], capture_output=True,
+                              text=True, timeout=600, env=_ENV)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run("generate", "petersen") == (0, write_graph6(petersen()) + "\n", "")
+    code, out, err = run("scc", str(tmp_path / "missing.g6"))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_oversized_adjacency_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.adj"
+    path.write_text("0 5000000\n")
+    assert main(["scc", str(path), "--format", "adj"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: line 1: vertex 5000000 needs more than the 258047 vertices supported\n")
+
+
 def test_generate_goldberg_scc_pipe():
     code, g6, _ = run_cli(["generate", "goldberg", "5"])
     assert code == 0
@@ -354,9 +374,10 @@ def test_verify_cover_reads_edge_ids(tmp_path, capsys):
             assert "do not follow" in captured.err or "every circuit" in captured.err
 
 
+# under a node limit, circ refutes or finds a 3-edge-colouring before its DFS
 @pytest.mark.parametrize("command, search", [
     (["scc"], "labelling"), (["spectrum"], "transitions"), (["tau"], "labelling"),
-    (["circ"], "circumference"), (["construct", "--via", "oddness2"], "transitions")])
+    (["circ"], "labelling"), (["construct", "--via", "oddness2"], "transitions")])
 def test_abort_names_the_search_that_stopped(command, search, tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
@@ -775,7 +796,7 @@ def test_hypothesis_exit_codes(tmp_path, capsys):
 
 def test_construct_circumference_abort_exit_code(tmp_path, capsys):
     # --node-limit bounds the circumference search too, and finding Petersen's
-    # 9-circuit takes 10 nodes
+    # 9-circuit takes 18 nodes
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
     assert main(["construct", "--via", "circumference", str(path), "--node-limit", "1"]) == 3

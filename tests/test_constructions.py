@@ -205,11 +205,14 @@ def test_circumference_pipeline_flower():
 
 
 def test_circumference_pipeline_budget_bounds_the_circumference(pete):
-    # finding Petersen's 9-circuit takes 10 nodes, the CDC through it 4
+    # finding Petersen's 9-circuit takes 18 nodes (8 to refute its
+    # 3-edge-colouring, then 10 of DFS), the CDC through it 4
     with pytest.raises(NodeLimitExceeded) as exc:
         cover_via_circumference(pete, node_limit=5)
     assert exc.value.nodes == 6
-    assert cover_via_circumference(pete, node_limit=10) == cover_via_circumference(pete)
+    with pytest.raises(NodeLimitExceeded):
+        cover_via_circumference(pete, node_limit=17)
+    assert cover_via_circumference(pete, node_limit=18) == cover_via_circumference(pete)
 
 
 def _refused(call, *args, **kwargs):

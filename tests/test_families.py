@@ -4,6 +4,7 @@ import pytest
 
 from conftest import DATA, load_corpus, relabelled
 from substrate import canonical_form, enumerate_cubic_graphs, graph6_edges, isomorphic
+from cyclecover import families
 from cyclecover.errors import GraphError
 from cyclecover.families import (
     _GOLDBERG_QUOTIENT,
@@ -154,6 +155,21 @@ def test_adjacency_parallel_edges_and_degree_cap():
     assert isinstance(g, CubicGraph) and g.m == 3
     with pytest.raises(GraphError, match="vertex 0 has degree 4 > 3"):
         parse_adjacency("0 1\n0 1\n0 1\n0 1\n")
+
+
+def test_adjacency_refuses_oversized_ids_before_building(monkeypatch):
+    # an id that needs more than graph6's 258,047 vertices is refused on its
+    # line, before any graph is allocated, however large it is
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "Multigraph", refuse)
+    for text, vertex in (("0 5000000\n", 5000000), ("1 2\n258047 0\n", 258047),
+                         (f"{10 ** 18} 1\n", 10 ** 18)):
+        with pytest.raises(GraphError, match=f"vertex {vertex} needs more than the 258047 "):
+            parse_adjacency(text)
+    with pytest.raises(AssertionError, match="a graph was built"):
+        parse_adjacency("258046 0\n")
 
 
 def test_adjacency_subcubic_gives_multigraph():

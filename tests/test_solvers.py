@@ -54,7 +54,7 @@ from cyclecover.solvers import (
     _every_cover,
     _join_search,
     _Joins,
-    _matching_keys,
+    _matching_sweep,
     _matchings,
     _partition_tables,
     _spectrum_over,
@@ -479,7 +479,7 @@ def test_scc_builds_no_matching_store(monkeypatch):
         raise AssertionError("scc listed the perfect matchings")
 
     monkeypatch.setattr(solvers, "enumerate_perfect_matchings", refuse)
-    monkeypatch.setattr(solvers, "_matching_keys", refuse)
+    monkeypatch.setattr(solvers, "_matching_sweep", refuse)
     p = petersen()  # fresh graph objects, whose store no earlier call holds
     k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     with open(os.path.join(DATA, "analyze_golden.g6")) as fh:
@@ -775,13 +775,48 @@ def test_matching_store_shared_by_consecutive_calls(monkeypatch):
 
 
 def test_matching_sweep_runs_once_per_graph():
-    # the listing and the store's masks both read the one memoised sweep
+    # the listing is the store, and its masks are the low halves of the
+    # keys that its one memoised sweep made
     g = flower(5)  # a fresh graph object, so no earlier test swept it
-    keys = _matching_keys(g)
     store = _matchings(g)
-    assert enumerate_perfect_matchings(g) == store.pms
-    assert _matching_keys(g) is keys
-    assert store.masks == [key & ((1 << g.m) - 1) for key in keys]
+    assert store.made == [] and list(enumerate_perfect_matchings(g)) == _least_vertex_matchings(g)
+    assert _matching_sweep(g) is store and len(store.made) == len(store) == 32
+    assert store.masks == [key & ((1 << g.m) - 1) for key in store.made]
+
+
+def test_listing_is_the_matching_store(monkeypatch):
+    # the public listing, read first, is the store that tau and oddness read
+    # after it: one public call and one sweep per graph
+    calls, sweeps = [], []
+    original, walk = solvers.enumerate_perfect_matchings, solvers._greatest_first
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings",
+                        lambda g: calls.append(g) or original(g))
+    monkeypatch.setattr(solvers, "_greatest_first", lambda *a: sweeps.append(a) or walk(*a))
+    for g in (petersen(), _random_cubic(24, random.Random(7))):  # fresh graph objects
+        listing = solvers.enumerate_perfect_matchings(g)
+        assert listing is _matchings(g) and listing[0] == _least_vertex_matchings(g)[0]
+        perfect_matching_index(g)
+        assert oddness(g)[1] == frozenset(range(g.m)) - listing[listing.least()[0]]
+        assert calls == [g] and len(sweeps) == 1 and _matchings(g) is listing
+        calls.clear()
+        sweeps.clear()
+
+
+def test_empty_matching_store_is_held(monkeypatch):
+    # three blocks at one centre vertex: deleting the centre leaves three odd
+    # components, so there is no perfect matching; the empty store is falsy
+    # but held, so oddness after tau builds no second one
+    block = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (4, 3)]
+    g = build_graph([(u + 5 * i, v + 5 * i) for i in range(3) for u, v in block]
+                    + [(4 + 5 * i, 15) for i in range(3)])
+    calls = []
+    original = solvers.enumerate_perfect_matchings
+    monkeypatch.setattr(solvers, "enumerate_perfect_matchings",
+                        lambda g: calls.append(g) or original(g))
+    assert perfect_matching_index(g).above_limit
+    with pytest.raises(HypothesisViolated, match="no perfect matching"):
+        oddness(g)
+    assert calls == [g] and not _matchings(g) and _matchings(g) == []
 
 
 def test_matching_readers_share_one_stream():
@@ -792,7 +827,7 @@ def test_matching_readers_share_one_stream():
     listing = iter(enumerate_perfect_matchings(g))
     head = [next(listing), next(listing)]
     i = _matchings(g).least()[0]
-    assert len(_matching_keys(g).made) == i + 1 > len(head)
+    assert len(_matchings(g).made) == i + 1 > len(head)
     assert head + list(listing) == _least_vertex_matchings(g)
 
 
@@ -806,10 +841,11 @@ def test_tau_and_oddness_make_only_the_keys_they_walk(monkeypatch):
         decoded.clear()
         assert perfect_matching_index(g).tau == (3 if lazy else 5)
         oddness(g)
-        i, keys = _matchings(g).least()[0], _matching_keys(g)
-        assert len(keys.made) == (i + 1 if lazy else 6)
-        assert (len(keys.made) < len(keys)) == lazy
-        assert set(decoded) == {keys.made[i]}
+        store = _matchings(g)
+        i = store.least()[0]
+        assert len(store.made) == (i + 1 if lazy else 6)
+        assert (len(store.made) < len(store)) == lazy
+        assert set(decoded) == {store.made[i]}
 
 
 def test_spectrum_builds_no_matching_store(monkeypatch):
@@ -880,13 +916,13 @@ def test_least_two_factor_is_read_by_tau_oddness_and_colouring(monkeypatch):
         odd, factor = oddness(g)
         store = _matchings(g)
         i, (least_odd, _), least = store.least()
-        assert (odd, factor) == (least_odd, frozenset(range(g.m)) - store.pms[i])
+        assert (odd, factor) == (least_odd, frozenset(range(g.m)) - store[i])
         walks.clear()
         res = perfect_matching_index(g)
         assert walks == []
         if g is colourable:
             even = frozenset(edges[j] for edges, _ in least for j in range(0, len(edges), 2))
-            assert res.tau == 3 and res.matchings == (store.pms[i], even, factor - even)
+            assert res.tau == 3 and res.matchings == (store[i], even, factor - even)
         else:
             assert least_odd and res.tau in (4, 5)
             searches.clear()
@@ -1154,20 +1190,31 @@ def _hamiltonian_class(g):
     return None
 
 
+def _colouring_nodes(g):
+    """The labelling nodes of g's 3-edge-colouring search, run in full."""
+    budget = _Budget()
+    solvers._label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
+    return budget.nodes
+
+
 def test_colour_route_spends_no_node(k4, prism, pete):
-    # a Hamiltonian colour class settles circumference before any DFS node;
-    # a colourable graph with none (corpus graph 3, n = 8, circumference 8)
-    # and the snarks still search
+    # under a node limit the colouring search spends the call's budget
+    # first; a Hamiltonian colour class then settles circumference before
+    # any DFS node; a colourable graph with none (corpus graph 3, n = 8,
+    # circumference 8) and the snarks still search
     hits = [g for g in load_bridgeless_corpus(12) if _hamiltonian_class(g) is not None]
     assert len(hits) == 96
     for g in (k4, prism, *hits):
-        assert circumference(g, node_limit=0)[0] == g.n
+        nodes = _colouring_nodes(g)
+        assert circumference(g, node_limit=nodes)[0] == g.n
+        with pytest.raises(NodeLimitExceeded, match="in labelling"):
+            circumference(g, node_limit=nodes - 1)
     miss = load_corpus(12)[3]
     assert miss.n == 8 and edge_colouring_3(miss) is not None
     assert _hamiltonian_class(miss) is None and circumference(miss)[0] == 8
     for g in (miss, pete, *load_snarks18()):
-        with pytest.raises(NodeLimitExceeded):
-            circumference(g, node_limit=0)
+        with pytest.raises(NodeLimitExceeded, match="in circumference"):
+            circumference(g, node_limit=_colouring_nodes(g))
 
 
 def test_circumference_n_iff_hamiltonian_two_factor():
@@ -1180,10 +1227,12 @@ def test_circumference_n_iff_hamiltonian_two_factor():
 
 
 def test_circumference_node_limit(j5):
-    with pytest.raises(NodeLimitExceeded) as exc:
-        circumference(j5, node_limit=5)
-    assert exc.value.nodes == 6
-    assert circumference(j5, node_limit=10**6) == circumference(j5)
+    # J5's colouring refutation takes 44 labelling nodes and its DFS 34 more
+    for limit, search in ((5, "labelling"), (44, "circumference"), (77, "circumference")):
+        with pytest.raises(NodeLimitExceeded) as exc:
+            circumference(j5, node_limit=limit)
+        assert (exc.value.search, exc.value.nodes) == (search, limit + 1)
+    assert circumference(j5, node_limit=78) == circumference(j5)
 
 
 def test_public_calls_leave_no_cyclic_garbage(k4, pete, j5):
@@ -1453,6 +1502,30 @@ def test_find_cdc_k5_two_factor(pete):
     got = find_cdc(flower(5), k=5, two_factor_class=True)
     assert got is not None
     assert validate(got, flower(5)).is_cdc
+
+
+def test_k_cdc_searches_at_most_m_classes(monkeypatch, k4, pete, j5):
+    # a nonempty class has two edges or more, so at most m classes are
+    # nonempty: with k > m the search runs over m classes, and empty classes
+    # make up the rest, before a 2-factor class
+    stars = []
+    search = solvers._label_search
+    monkeypatch.setattr(solvers, "_label_search",
+                        lambda g, star_list, *a: stars.append(len(star_list)) or search(g, star_list, *a))
+    for g in (k4, pete, j5):
+        for tf in (False, True):
+            base = find_cdc(g, k=g.m, two_factor_class=tf)
+            assert (base is None) == (g is pete and tf)
+            for k in (g.m + 1, g.m + 3, 60):
+                found = find_cdc(g, k=k, two_factor_class=tf)
+                if base is None:
+                    assert found is None
+                    continue
+                assert found.k == k and validate(found, g).is_cdc
+                head = base.classes[:-1] if tf else base.classes
+                assert found.classes == head + (frozenset(),) * (k - g.m) + base.classes[len(head):]
+            size = math.comb(g.m - 1, 2) if tf else math.comb(g.m, 3)
+            assert stars[-4:] == [size] * 4
 
 
 def test_spectrum_k4(k4):
