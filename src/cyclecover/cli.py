@@ -235,7 +235,7 @@ def cmd_circ(args) -> int:
 def cmd_cdc(args) -> int:
     g = _load_graph(args.graph, args.format)
     must = []
-    if args.contains:
+    if args.contains is not None:
         try:
             verts = [int(x) for x in args.contains.split(",")]
         except ValueError:
@@ -306,6 +306,9 @@ _INDEXED_FAMILIES = {"flower": families.flower, "goldberg": families.goldberg}
 def cmd_generate(args) -> int:
     spec = args.spec
     if spec[0] == "petersen":
+        if len(spec) != 1:
+            print("usage: generate petersen", file=sys.stderr)
+            return 1
         g = families.petersen()
     elif spec[0] in _INDEXED_FAMILIES:
         if len(spec) != 2:

@@ -130,43 +130,45 @@ def _g6_read_n(data: bytes):
     return n, pos
 
 
-_G6_BODY = bytes(range(63, 127))
-_G6_OCTAL = [""] * 63 + [format(x, "02o") for x in range(64)]  # a body byte's 6 bits
+# The body layout: bit k of the upper triangle, the pair (i, j) with
+# k = j(j - 1)/2 + i, is bit 32 >> k % 6 of body byte k // 6, and a body byte
+# is its 6-bit value plus 63.  _G6_BITS reads an ASCII body byte as its six
+# binary digits (None, which str.translate deletes, for a byte outside
+# 63..126); _G6_BYTES writes a 6-bit value as its body byte.
+_G6_BITS = [None] * 63 + [format(x, "06b") for x in range(64)] + [None]
+_G6_BYTES = bytes(range(63, 127)).ljust(256, b"?")
 
 
 def parse_graph6(line: str) -> CubicGraph:
     """Decode one graph6 line into a validated cubic graph.
 
-    The body's bytes, two octal digits each, fold into one integer.  With
-    the padding shifted off, its bit need_bits - 1 - k is bit k of the upper
-    triangle, column by column: the pair (i, j) with k = j(j - 1)/2 + i.
-    Its set bits, highest first, give the edges in that order.
+    Digit k of the body's binary digits is bit k of the upper triangle, so
+    its 1 digits, in order, give the edges column by column.
     """
     line = line.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
-    data = line.encode("ascii", errors="replace")
-    n, pos = _g6_read_n(data)
-    body = data[pos:]
+    if not line.isascii():
+        bad = next(c for c in line if not c.isascii())
+        raise GraphError(f"non-ASCII character {bad!r} in graph6 line")
+    n, pos = _g6_read_n(line.encode())
+    body = line[pos:]
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
     if len(body) != need_bytes:
         raise GraphError(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
-    bad = body.translate(None, _G6_BODY)
-    if bad:
-        raise GraphError(f"byte {bad[0]} outside graph6 range")
-    bits = int("0" + "".join(map(_G6_OCTAL.__getitem__, body)), 8)
-    pad = 6 * need_bytes - need_bits
-    if bits & ((1 << pad) - 1):
+    bits = body.translate(_G6_BITS)
+    if len(bits) != 6 * need_bytes:
+        bad = next(c for c in body if _G6_BITS[ord(c)] is None)
+        raise GraphError(f"byte {ord(bad)} outside graph6 range")
+    if "1" in bits[need_bits:]:
         raise GraphError("nonzero padding bits")
-    bits >>= pad
     edges = []
-    while bits:
-        b = bits.bit_length() - 1
-        k = need_bits - 1 - b
+    k = bits.find("1")
+    while k >= 0:
         j = (1 + isqrt(8 * k + 1)) >> 1
         edges.append((k - (j * (j - 1) >> 1), j))
-        bits ^= 1 << b
+        k = bits.find("1", k + 1)
     try:
         return CubicGraph(n, edges)
     except GraphError as exc:
@@ -186,22 +188,12 @@ def write_graph6(g: Multigraph) -> str:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise GraphError("graph too large for the supported graph6 sizes")
-    adj = [[False] * n for _ in range(n)]
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
-        adj[u][v] = adj[v][u] = True
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(adj[i][j])
-    while len(bits) % 6:
-        bits.append(False)
-    body = bytearray()
-    for t in range(0, len(bits), 6):
-        x = 0
-        for b in bits[t:t + 6]:
-            x = (x << 1) | int(b)
-        body.append(x + 63)
-    return (head + bytes(body)).decode("ascii")
+        i, j = sorted((u, v))
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return (head + body.translate(_G6_BYTES)).decode("ascii")
 
 
 # --------------------------------------------------------------------------

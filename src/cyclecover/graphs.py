@@ -359,13 +359,12 @@ def suppress_degree_two(g: Multigraph, edge_ids):
     if not keep:
         raise GraphError("graph is a disjoint union of circuits")
 
-    used_darts = set()
+    walked = set()
     new_edges = []
     paths = []
     for v in keep:
         for e in inc[v]:
-            start_dart = 2 * e if g.edges[e][0] == v else 2 * e + 1
-            if start_dart in used_darts:
+            if e in walked:  # an edge at a degree-3 vertex ends every chain it lies on
                 continue
             # walk from v along the chain of degree-2 vertices
             path = [e]
@@ -375,14 +374,11 @@ def suppress_degree_two(g: Multigraph, edge_ids):
                 nxt = e2 if e1 == path[-1] else e1
                 path.append(nxt)
                 cur = g.other_end(nxt, cur)
-            # mark both end darts so the chain is not traversed again
-            last = path[-1]
-            used_darts.add(start_dart)
-            used_darts.add(2 * last if g.edges[last][0] == cur else 2 * last + 1)
+            walked.update(path)
             new_edges.append((v, cur))
             paths.append(tuple(path))
 
-    unused = set(kept).difference(*paths)
+    unused = set(kept) - walked
     if unused:
         v = min(x for e in unused for x in g.edges[e])
         raise GraphError(f"component containing vertex {v} is a circuit")

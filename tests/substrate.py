@@ -10,7 +10,10 @@ the earlier per-2-factor route to the first cover.  ``factor_circuits`` and
 ``greedy_decomposition`` are the two walkers that ``graphs._walks``
 replaced, the references for its walks.  ``decode_joins_by_trace`` and
 ``graph6_edges`` are the earlier cover decode and graph6 reader, the
-references for ``solvers._decode_joins`` and ``families.parse_graph6``.
+references for ``solvers._decode_joins`` and ``families.parse_graph6``;
+``graph6_edges_octal`` and ``write_graph6_matrix`` are the graph6 reader and
+writer before the one body layout table, the references for the edges and
+bytes of ``families.parse_graph6`` and ``families.write_graph6``.
 ``pullback_by_decomposition`` and ``split_cover_by_decomposition`` are the
 earlier route to the covers read off an edge labelling, through the checked
 ``covers.decompose_even_subgraph``: the references for the pullback
@@ -21,6 +24,7 @@ module as they import ``conftest``.
 
 import itertools
 from collections import Counter
+from math import isqrt
 
 from cyclecover.constructions import _image, cover_from_cdc, merge_cdcs
 from cyclecover.covers import (
@@ -33,7 +37,7 @@ from cyclecover.covers import (
     trace_circuit,
 )
 from cyclecover.errors import GraphError
-from cyclecover.families import _g6_read_n
+from cyclecover.families import _MAX_N, _g6_read_n
 from cyclecover.graphs import CubicGraph, Multigraph, _walks, suppress_degree_two
 from cyclecover.solvers import _Joins, _join_search, find_cdc
 
@@ -516,3 +520,73 @@ def graph6_edges(line):
                 edges.append((i, j))
             idx += 1
     return edges
+
+
+_G6_OCTAL = [""] * 63 + [format(x, "02o") for x in range(64)]  # a body byte's 6 bits
+
+
+def graph6_edges_octal(line):
+    """The edges of a graph6 line from one integer: the body's bytes, two
+    octal digits each, fold into it, and with the padding shifted off its
+    bit need_bits - 1 - k is bit k of the upper triangle, the pair (i, j)
+    with k = j(j - 1)/2 + i.  Its set bits, highest first, give the edges;
+    the checks and messages are those of ``families.parse_graph6`` but the
+    first, since a non-ASCII character is read as ``?``."""
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    data = line.encode("ascii", errors="replace")
+    n, pos = _g6_read_n(data)
+    body = data[pos:]
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    if len(body) != need_bytes:
+        raise GraphError(f"expected {need_bytes} data bytes for n={n}, got {len(body)}")
+    bad = body.translate(None, bytes(range(63, 127)))
+    if bad:
+        raise GraphError(f"byte {bad[0]} outside graph6 range")
+    bits = int("0" + "".join(map(_G6_OCTAL.__getitem__, body)), 8)
+    pad = 6 * need_bytes - need_bits
+    if bits & ((1 << pad) - 1):
+        raise GraphError("nonzero padding bits")
+    bits >>= pad
+    edges = []
+    while bits:
+        b = bits.bit_length() - 1
+        k = need_bits - 1 - b
+        j = (1 + isqrt(8 * k + 1)) >> 1
+        edges.append((k - (j * (j - 1) >> 1), j))
+        bits ^= 1 << b
+    return edges
+
+
+def write_graph6_matrix(g):
+    """The graph6 line of a simple graph from its n x n adjacency matrix,
+    its upper triangle packed column by column, six bits a byte."""
+    if g.loops:
+        raise GraphError("graph6 cannot encode loops")
+    if g.has_parallel_edges:
+        raise GraphError("graph6 cannot encode parallel edges")
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    elif n <= _MAX_N:
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    else:
+        raise GraphError("graph too large for the supported graph6 sizes")
+    adj = [[False] * n for _ in range(n)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = True
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(adj[i][j])
+    while len(bits) % 6:
+        bits.append(False)
+    body = bytearray()
+    for t in range(0, len(bits), 6):
+        x = 0
+        for b in bits[t:t + 6]:
+            x = (x << 1) | int(b)
+        body.append(x + 63)
+    return (head + bytes(body)).decode("ascii")

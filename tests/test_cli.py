@@ -56,6 +56,21 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert (code, out) == (1, "") and err.startswith("error: ")
 
 
+def test_non_ascii_graph6_input_exits_1():
+    # stdin is read in the locale's encoding; the character was read as "?"
+    # and the line as a non-cubic graph
+    proc = subprocess.run([sys.executable, "-m", "cyclecover", "analyze", "-"],
+                          input="IheA@GUA\u00e9\n".encode(), capture_output=True, timeout=600,
+                          env=dict(_ENV, PYTHONIOENCODING="utf-8"))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == "error: non-ASCII character '\u00e9' in graph6 line\n"
+
+
+def test_generate_petersen_refuses_extra_words(capsys):
+    assert main(["generate", "petersen", "5"]) == 1
+    assert capsys.readouterr() == ("", "usage: generate petersen\n")
+
+
 def test_oversized_adjacency_input_exits_1(tmp_path, capsys):
     path = tmp_path / "big.adj"
     path.write_text("0 5000000\n")
@@ -270,6 +285,15 @@ def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] and payload["is_cdc"]
     assert [0, 1, 2, 3, 4] in payload["circuits"]
+
+
+def test_cdc_contains_refuses_an_empty_list(tmp_path, capsys):
+    # an empty --contains was taken for no --contains
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(petersen()) + "\n")
+    assert main(["cdc", str(path), "--contains", "", "--json"]) == 1
+    assert capsys.readouterr() == ("", "--contains is not a circuit: '' is not a comma-separated "
+                                       "list of vertex numbers\n")
 
 
 # the options of each command, all of which it reads (in some mode)

@@ -1,9 +1,19 @@
+import glob
+import json
 import os
+import random
 
 import pytest
 
 from conftest import DATA, load_corpus, relabelled
-from substrate import canonical_form, enumerate_cubic_graphs, graph6_edges, isomorphic
+from substrate import (
+    canonical_form,
+    enumerate_cubic_graphs,
+    graph6_edges,
+    graph6_edges_octal,
+    isomorphic,
+    write_graph6_matrix,
+)
 from cyclecover import families
 from cyclecover.errors import GraphError
 from cyclecover.families import (
@@ -124,6 +134,84 @@ def test_graph6_checks_in_order(line, message):
     with pytest.raises(GraphError, match=message):
         graph6_edges(line)
     with pytest.raises(GraphError, match=message):
+        parse_graph6(line)
+
+
+def _prism(k):
+    """The prism C_k x K2: two k-circuits joined rung by rung."""
+    return CubicGraph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                      + [(k + i, k + (i + 1) % k) for i in range(k)]
+                      + [(i, k + i) for i in range(k)])
+
+
+def test_graph6_lines_of_the_data_files_match_the_octal_reader():
+    # every line reads as the octal reader reads it and writes back as itself
+    for name in sorted(glob.glob(os.path.join(DATA, "*.g6"))):
+        with open(name) as fh:
+            for line in filter(None, map(str.strip, fh)):
+                g = parse_graph6(line)
+                assert list(g.edges) == graph6_edges_octal(line)
+                assert write_graph6(g) == line
+
+
+def _codec_graphs():
+    """Petersen, J5-J33, G5-G13, the prisms C_k x K2 for k = 3..200 and
+    k = 201, 534, 867, 1200 (the matrix writer is quadratic in n), and 200
+    random cubic graphs of 24-200 vertices."""
+    from test_solvers import _random_cubic
+
+    rng = random.Random(4606)
+    return [petersen(), *map(flower, range(5, 35, 2)), *map(goldberg, range(5, 15, 2)),
+            *map(_prism, [*range(3, 201), *range(201, 1201, 333)]),
+            *(_random_cubic(2 * rng.randrange(12, 101), rng) for _ in range(200))]
+
+
+def test_graph6_codec_matches_the_matrix_writer_and_the_octal_reader():
+    for g in _codec_graphs():
+        line = write_graph6(g)
+        assert line == write_graph6_matrix(g)
+        assert list(parse_graph6(line).edges) == graph6_edges_octal(line)
+
+
+# the graph6 lines behind the graph6 cases of error_golden.jsonl (test_cli's _error_cases)
+_GOLDEN_GRAPH6_LINES = {
+    "graph6 short": "I??",
+    "graph6 size": "~~",
+    "graph6 byte": "I???????\x7f",
+    "graph6 padding": "I???????@",
+    "graph6 isolated vertices": "D??",
+    "graph6 non-cubic": "Cw",
+    "analyze graph6 bad line": "A_",
+}
+
+
+def test_graph6_errors_of_the_golden_file_through_the_library():
+    with open(os.path.join(DATA, "error_golden.jsonl"), encoding="ascii") as fh:
+        golden = {rec["case"]: rec["stderr"] for rec in map(json.loads, fh) if rec["exit"]}
+    assert {case for case in golden if "graph6" in case} == set(_GOLDEN_GRAPH6_LINES)
+    for case, line in _GOLDEN_GRAPH6_LINES.items():
+        with pytest.raises(GraphError) as exc:
+            parse_graph6(line)
+        assert f"error: {exc.value}\n" == golden[case]
+
+
+def test_graph6_round_trip_in_the_long_size_form():
+    # C_3000 x K2 has 6,000 vertices, a four-byte size field
+    g = _prism(3000)
+    line = write_graph6(g)
+    assert line.startswith("~@\\o")
+    again = parse_graph6(line)
+    assert sorted(map(tuple, map(sorted, again.edges))) == sorted(map(tuple, map(sorted, g.edges)))
+    assert write_graph6(again) == line
+
+
+@pytest.mark.parametrize("line, char", [
+    ("IheA@GUA\u00e9", "\u00e9"),  # was read as "?", six zero bits: a non-cubic graph
+    ("I\u00e9eA@GUAo", "\u00e9"),
+    ("IheA@GUAo\u2192\u00e9", "\u2192"),  # the first of two
+])
+def test_graph6_refuses_a_non_ascii_character(line, char):
+    with pytest.raises(GraphError, match=f"^non-ASCII character '{char}' in graph6 line$"):
         parse_graph6(line)
 
 
