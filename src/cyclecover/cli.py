@@ -300,7 +300,8 @@ def cmd_construct(args) -> int:
     return 0
 
 
-_INDEXED_FAMILIES = {"flower": families.flower, "goldberg": families.goldberg}
+# each indexed family with its vertices per unit of K
+_INDEXED_FAMILIES = {"flower": (families.flower, 4), "goldberg": (families.goldberg, 8)}
 
 
 def cmd_generate(args) -> int:
@@ -311,15 +312,26 @@ def cmd_generate(args) -> int:
             return 1
         g = families.petersen()
     elif spec[0] in _INDEXED_FAMILIES:
-        if len(spec) != 2:
-            print(f"usage: generate {spec[0]} K", file=sys.stderr)
+        try:
+            k = int(spec[1]) if len(spec) == 2 else None
+        except ValueError:
+            k = None
+        if k is None:
+            print(f"usage: generate {spec[0]} K, with K an integer", file=sys.stderr)
             return 1
-        g = _INDEXED_FAMILIES[spec[0]](int(spec[1]))
+        build, per_k = _INDEXED_FAMILIES[spec[0]]
+        families._check_order(per_k * k)
+        g = build(k)
     elif spec[0] == "permutation":
-        if len(spec) != 2:
-            print("usage: generate permutation 0,2,4,1,3", file=sys.stderr)
+        try:
+            perm = tuple(int(x) for x in spec[1].split(",")) if len(spec) == 2 else None
+        except ValueError:
+            perm = None
+        if perm is None:
+            print("usage: generate permutation 0,2,4,1,3 (comma-separated integers)",
+                  file=sys.stderr)
             return 1
-        perm = tuple(int(x) for x in spec[1].split(","))
+        families._check_order(2 * len(perm))
         g = families.permutation_snark(perm)
     else:
         print(f"unknown family {spec[0]!r}", file=sys.stderr)

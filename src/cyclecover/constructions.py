@@ -7,8 +7,6 @@ bound, so a successful return is a machine-checked certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .covers import (
     Circuit,
     CycleCover,
@@ -20,7 +18,7 @@ from .covers import (
     trace_circuit,
     validate,
 )
-from .errors import GraphError, HypothesisViolated, StrongCdcNotFound, TauTooLarge
+from .errors import GraphError, HypothesisViolated, StrongCdcNotFound, TauTooLarge, _Record
 from .graphs import (
     CubicGraph,
     contract_two_factor,
@@ -40,14 +38,12 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    """A cover with the bound its construction guarantees and the inputs used."""
+class ConstructionResult(_Record):
+    """A cover (``CycleCover``) with the bound its construction guarantees
+    (``claimed_bound``, an int), the ``theorem`` applied (str) and the inputs
+    used (``certificate``, a dict)."""
 
-    cover: CycleCover
-    claimed_bound: int
-    theorem: str
-    certificate: dict
+    __slots__ = ("cover", "claimed_bound", "theorem", "certificate")
 
     @property
     def length(self) -> int:

@@ -8,18 +8,21 @@ circuits; ``KCdc`` groups a double cover into k even-subgraph colour classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import GraphError
+from .errors import GraphError, _Record
 from .graphs import Multigraph, _walks
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """A simple circuit: ``edges[i]`` joins ``vertices[i]`` to ``vertices[i+1]``."""
+class Circuit(_Record):
+    """A simple circuit: ``edges[i]`` joins ``vertices[i]`` to ``vertices[i+1]``
+    (both tuples of ints)."""
 
-    edges: tuple
-    vertices: tuple
+    __slots__ = ("edges", "vertices")
+
+    def __init__(self, edges, vertices):
+        # written out: circuits are the records built most, and the
+        # generic record constructor takes about twice as long
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertices", vertices)
 
     def __len__(self):
         return len(self.edges)
@@ -102,11 +105,11 @@ def decompose_even_subgraph(g: Multigraph, edge_ids):
                         key=Circuit.sort_key))
 
 
-@dataclass(frozen=True)
-class CycleCover:
-    """Multiset of circuits, stored sorted so equal covers compare equal."""
+class CycleCover(_Record):
+    """Multiset of circuits, stored sorted so equal covers compare equal:
+    ``circuits`` is a tuple of ``Circuit``."""
 
-    circuits: tuple
+    __slots__ = ("circuits",)
 
     @staticmethod
     def of(circuits) -> "CycleCover":
@@ -135,12 +138,12 @@ class CycleCover:
         return frozenset(e for e, w in enumerate(self.edge_weight(m)) if w == 1)
 
 
-@dataclass(frozen=True)
-class KCdc:
-    """k even subgraphs covering every edge exactly twice.  ``as_cover``
-    needs vertex degrees 0 and 2 in each, as on a cubic graph."""
+class KCdc(_Record):
+    """k even subgraphs covering every edge exactly twice, ``classes`` a
+    tuple of k frozensets of edge ids.  ``as_cover`` needs vertex degrees 0
+    and 2 in each, as on a cubic graph."""
 
-    classes: tuple
+    __slots__ = ("classes",)
 
     @staticmethod
     def of(classes) -> "KCdc":
@@ -189,16 +192,14 @@ def lift_cover(cover: CycleCover, rmap) -> CycleCover:
 # validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverReport:
-    ok: bool
-    problems: tuple
-    length: int
-    weight_histogram: dict
-    missing_edges: tuple
-    is_cdc: bool
-    is_one_two_cover: bool
-    weight_one_edges: frozenset
+class CoverReport(_Record):
+    """What ``validate`` found: ``ok`` (bool), ``problems`` (tuple of str),
+    ``length`` (int), ``weight_histogram`` (dict, weight -> number of edges),
+    ``missing_edges`` (tuple of edge ids), ``is_cdc`` and
+    ``is_one_two_cover`` (bool) and ``weight_one_edges`` (frozenset)."""
+
+    __slots__ = ("ok", "problems", "length", "weight_histogram", "missing_edges", "is_cdc",
+                 "is_one_two_cover", "weight_one_edges")
 
 
 def _check_circuit(g: Multigraph, c: Circuit, problems):
@@ -277,13 +278,9 @@ def validate(obj, g: Multigraph) -> CoverReport:
     hist = {}
     for x in w:
         hist[x] = hist.get(x, 0) + 1
-    return CoverReport(
-        ok=not problems,
-        problems=tuple(problems),
-        length=length,
-        weight_histogram=hist,
-        missing_edges=tuple(e for e in range(g.m) if w[e] == 0),
-        is_cdc=all(x == 2 for x in w),
-        is_one_two_cover=all(1 <= x <= 2 for x in w),
-        weight_one_edges=frozenset(e for e in range(g.m) if w[e] == 1),
-    )
+    # positional fields, in the order of CoverReport's docstring: a keyword
+    # call takes the generic record binding, which costs about twice as much
+    return CoverReport(not problems, tuple(problems), length, hist,
+                       tuple(e for e in range(g.m) if w[e] == 0),
+                       all(x == 2 for x in w), all(1 <= x <= 2 for x in w),
+                       frozenset(e for e in range(g.m) if w[e] == 1))

@@ -175,6 +175,13 @@ def parse_graph6(line: str) -> CubicGraph:
         raise GraphError(f"graph6 line decodes to a non-cubic graph: {exc}") from exc
 
 
+def _check_order(n: int):
+    """Refuse a graph of n vertices for output: neither format is read back
+    beyond ``_MAX_N`` vertices.  ``generate`` asks before it builds one."""
+    if n > _MAX_N:
+        raise GraphError("graph too large for the supported graph6 sizes")
+
+
 def write_graph6(g: Multigraph) -> str:
     """Encode a simple graph as one graph6 line (bit-exact standard encoding)."""
     if g.loops:
@@ -182,12 +189,11 @@ def write_graph6(g: Multigraph) -> str:
     if g.has_parallel_edges:
         raise GraphError("graph6 cannot encode parallel edges")
     n = g.n
+    _check_order(n)
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= _MAX_N:
-        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
-        raise GraphError("graph too large for the supported graph6 sizes")
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
         i, j = sorted((u, v))

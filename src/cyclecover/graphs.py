@@ -7,10 +7,9 @@ ids); loops are recorded and flagged on ``Multigraph`` but rejected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 
-from .errors import GraphError
+from .errors import GraphError, _Record
 
 
 def _one_graph_memo(build):
@@ -318,17 +317,16 @@ def _walks(g: Multigraph, keep):
 # surgery
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(_Record):
     """How the edges of a reduction map back to the graph it was taken from.
 
-    ``edge_path[e]`` lists, in traversal order, the edge ids of ``original``
-    that reduced edge ``e`` replaces; the interior vertices of each path have
-    degree 2 in the subgraph that was smoothed.
+    ``edge_path[e]`` (a tuple of tuples) lists, in traversal order, the edge
+    ids of ``original`` (a ``Multigraph``) that reduced edge ``e`` replaces;
+    the interior vertices of each path have degree 2 in the subgraph that
+    was smoothed.
     """
 
-    original: Multigraph
-    edge_path: tuple
+    __slots__ = ("original", "edge_path")
 
 
 def suppress_degree_two(g: Multigraph, edge_ids):
@@ -390,16 +388,14 @@ def suppress_degree_two(g: Multigraph, edge_ids):
     return reduced, ReductionMap(g, tuple(paths))
 
 
-@dataclass(frozen=True)
-class ContractionMap:
-    """Bookkeeping for ``contract_two_factor``.
+class ContractionMap(_Record):
+    """Bookkeeping for ``contract_two_factor``, two tuples of ints.
 
     ``vertex_map[v]`` is the contracted vertex for original vertex ``v``;
     ``edge_origin[e]`` is the original edge id behind contracted edge ``e``.
     """
 
-    vertex_map: tuple
-    edge_origin: tuple
+    __slots__ = ("vertex_map", "edge_origin")
 
 
 def is_spanning_regular(g: Multigraph, edge_ids, d: int) -> bool:

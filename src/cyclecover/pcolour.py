@@ -15,12 +15,11 @@ search uses this as its cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .covers import CycleCover, validate
 from .constructions import ConstructionResult, _check_result
-from .errors import GraphError, HypothesisViolated
+from .errors import GraphError, HypothesisViolated, _Record
 from .families import petersen
 from .graphs import CubicGraph
 from .solvers import (
@@ -44,14 +43,13 @@ _P_STAR_SET = frozenset(_P_STARS)
 _P_MATCHINGS = tuple(_matchings(REFERENCE).masks)
 
 
-@dataclass(frozen=True)
-class PetersenColouring:
-    """Edge map ``assignment[e of g] = edge of P``; every entry must be an
-    edge id of P, so no reader meets an unassigned or unknown edge
+class PetersenColouring(_Record):
+    """Edge map ``assignment[e of g] = edge of P``, a tuple; every entry must
+    be an edge id of P, so no reader meets an unassigned or unknown edge
     (``verify_petersen_colouring`` also checks that there is one entry per
     edge of g)."""
 
-    assignment: tuple
+    __slots__ = ("assignment",)
 
     def __post_init__(self):
         if any(a is None for a in self.assignment):

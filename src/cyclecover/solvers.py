@@ -10,12 +10,11 @@ value orders, so results are deterministic for a given graph.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, compress, islice
 
 from .covers import Circuit, CycleCover, KCdc, circuit_from_walk, trace_circuit
-from .errors import GraphError, HypothesisViolated, NodeLimitExceeded
+from .errors import GraphError, HypothesisViolated, NodeLimitExceeded, _Record
 from .graphs import CubicGraph, Multigraph, _one_graph_memo, _walks, bridges
 
 
@@ -251,21 +250,19 @@ class _CoverEngine:
                 banned[ci] = False
 
 
-@dataclass(frozen=True)
-class SccResult:
-    """``stage`` names the search that settled the optimum: "colouring"
+class SccResult(_Record):
+    """A shortest cover: ``length`` (int), ``cover`` (``CycleCover``),
+    ``optimal`` (bool), ``weight_cap_used`` (int), ``nodes`` (int) and
+    ``stage`` (str).
+
+    ``stage`` names the search that settled the optimum: "colouring"
     when a 3-edge-colouring gave a cover at 4m/3, else "4m/3", or "4m/3+e"
     at excess e >= 1 (``_structured_covers``), or "deepening" when a weight
     above 2 gives a shorter cover (only with ``cap`` >= 3).  ``nodes``
     counts the labelling nodes of the capped colouring search, then the
     transition and engine nodes."""
 
-    length: int
-    cover: CycleCover
-    optimal: bool
-    weight_cap_used: int
-    nodes: int
-    stage: str
+    __slots__ = ("length", "cover", "optimal", "weight_cap_used", "nodes", "stage")
 
 
 def _stage(g, length):
@@ -611,18 +608,17 @@ def _colouring_cover(g, label, classes) -> CycleCover:
                          for walk in _walks(g, _mask(e for e in range(g.m) if label[e] in cls)))
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
-    """``stage`` names the search that settled the optimum, as in
+class WeightSpectrum(_Record):
+    """The weights of every optimal cover: ``optimal_length`` (int),
+    ``per_edge`` (a tuple of frozensets, the weights edge e takes),
+    ``n_optimal_covers`` (int), ``nodes`` (int) and ``stage`` (str).
+
+    ``stage`` names the search that settled the optimum, as in
     ``SccResult``, and is "deepening" whenever the cover engine enumerated
     the covers.  ``nodes`` counts the transition choices of weight-2 edges
     that the joint search tried, then the engine nodes."""
 
-    optimal_length: int
-    per_edge: tuple
-    n_optimal_covers: int
-    nodes: int
-    stage: str
+    __slots__ = ("optimal_length", "per_edge", "n_optimal_covers", "nodes", "stage")
 
 
 def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> WeightSpectrum:
@@ -968,15 +964,14 @@ def _matching_cuts(g, holds):
     return cuts
 
 
-@dataclass(frozen=True)
-class TauResult:
-    """Perfect matching index with a witness; ``tau is None`` means AboveLimit.
-    ``nodes`` counts the labelling search over every k (0 when an even
-    2-factor settles tau = 3)."""
+class TauResult(_Record):
+    """Perfect matching index with a witness: ``tau`` (int, or None for
+    AboveLimit), ``matchings`` (a tuple of frozensets) and ``nodes`` (int,
+    default 0), which counts the labelling search over every k (0 when an
+    even 2-factor settles tau = 3)."""
 
-    tau: int | None
-    matchings: tuple
-    nodes: int = 0
+    __slots__ = ("tau", "matchings", "nodes")
+    _defaults = {"nodes": 0}
 
     @property
     def above_limit(self) -> bool:

@@ -11,11 +11,11 @@ import cyclecover
 from conftest import DATA, load_snarks18, relabelled
 from substrate import disjoint_union
 from cyclecover import (
-    build_graph, constructions, cover_via_oddness2, covers, flower, goldberg, pcolour, petersen,
-    solvers, two_cut_join,
+    build_graph, constructions, cover_via_oddness2, covers, families, flower, goldberg, pcolour,
+    petersen, solvers, two_cut_join,
 )
 from cyclecover.cli import build_parser, main
-from cyclecover.errors import HypothesisViolated
+from cyclecover.errors import GraphError, HypothesisViolated
 from cyclecover.families import parse_adjacency, parse_graph6, write_adjacency, write_graph6
 from cyclecover.graphs import Multigraph
 
@@ -69,6 +69,30 @@ def test_non_ascii_graph6_input_exits_1():
 def test_generate_petersen_refuses_extra_words(capsys):
     assert main(["generate", "petersen", "5"]) == 1
     assert capsys.readouterr() == ("", "usage: generate petersen\n")
+
+
+@pytest.mark.parametrize("spec", [
+    ["flower", "64513"],  # 258,052 vertices; 64,511 is the last K written
+    ["goldberg", "32257"],
+    ["permutation", ",".join(map(str, range(129025)))],
+], ids=["flower", "goldberg", "permutation"])
+@pytest.mark.parametrize("fmt", ["g6", "adj"])
+def test_generate_refuses_unreadable_sizes_before_building(spec, fmt, capsys, monkeypatch):
+    # neither format is read back beyond families._MAX_N vertices, so such a
+    # family member is refused before its graph is built (the sizes stay
+    # near the limit, so a regression costs an edge list, not the machine)
+    def build(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(families, "CubicGraph", build)
+    assert main(["generate", *spec, "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", "error: graph too large for the supported graph6 sizes\n")
+
+
+def test_generate_size_limit_is_the_readers_limit():
+    families._check_order(families._MAX_N)
+    with pytest.raises(GraphError, match="graph too large"):
+        families._check_order(families._MAX_N + 1)
 
 
 def test_oversized_adjacency_input_exits_1(tmp_path, capsys):
@@ -735,6 +759,9 @@ def _error_cases(tmp_path):
         ("generate flower x", ["generate", "flower", "x"]),
         ("generate even permutation", ["generate", "permutation", "0,1,2,3"]),
         ("generate no permutation", ["generate", "permutation", "0,0,1"]),
+        ("generate permutation word", ["generate", "permutation", "0,,1"]),
+        ("generate flower too large", ["generate", "flower", "64512"]),
+        ("generate goldberg too large", ["generate", "goldberg", "32256", "--format", "adj"]),
         ("cdc --k 1", ["cdc", path["p.g6"], "--k", "1"]),
         ("cdc --two-factor-class", ["cdc", path["p.g6"], "--two-factor-class"]),
         ("cdc --contains --k 5", ["cdc", path["p.g6"], "--contains", "0,1,2,3,4", "--k", "5"]),

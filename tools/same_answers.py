@@ -8,13 +8,14 @@ cache (the ``__pycache__`` directories under ``src/`` and ``perfbench/`` are
 removed first and none are written), and compares stdout, stderr and the
 exit code of every run:
 
-- ``generate`` of the Petersen graph P and the flower snarks J5, J7, J9;
+- ``generate`` of the Petersen graph P, the flower snarks J5, J7, J9, the
+  Goldberg snark G5 and ``perm5``, the permutation graph of (0, 2, 4, 1, 3);
 - ``analyze --json --no-timing`` on ``tests/data/analyze_golden.g6``,
   ``tests/data/analyze_snarks_golden.g6`` and the ``analyze_stream``
   benchmark streams of seeds 3, 7 and 11, written by PARENT_DIR's
   ``perfbench/bench_workloads.make_inputs``;
-- ``scc``, ``tau``, ``oddness`` and ``circ --json`` on K4, the prism, P,
-  J5, J7, J9 and both graphs of ``tests/data/snarks18.g6``.
+- ``scc``, ``tau``, ``oddness`` and ``circ --json`` on K4, the prism and
+  every generated graph, and both graphs of ``tests/data/snarks18.g6``.
 
 The graph inputs are PARENT_DIR's: its data files and its ``generate``
 output.  The first difference is printed, and the exit status is 1 on any
@@ -34,7 +35,8 @@ from bench_pairs import clear_bytecode
 STREAM_SEEDS = (3, 7, 11)
 STREAM_SECONDS = 45
 GENERATED = {"P": ["petersen"], "J5": ["flower", "5"], "J7": ["flower", "7"],
-             "J9": ["flower", "9"]}
+             "J9": ["flower", "9"], "G5": ["goldberg", "5"],
+             "perm5": ["permutation", "0,2,4,1,3"]}
 FIXED = {"K4": "C~", "prism": "E{Sw"}
 COMMANDS = (["scc"], ["tau"], ["oddness"], ["circ", "--json"])
 
