@@ -248,7 +248,9 @@ def girth(g: Multigraph) -> int:
     length dist(x) + dist(y) + 1, which holds a circuit no longer, and the
     BFS from a vertex of a shortest circuit meets one of exactly its length.
     Edges met while expanding depth d close walks of length at least 2d + 1,
-    so a root's BFS stops once that reaches the best length found.
+    so a root's BFS stops once that reaches the best length found.  With no
+    loop or parallel edge, no circuit is shorter than 3, so the roots stop
+    at the first triangle.
     """
     if g.loops:
         return 1
@@ -257,6 +259,8 @@ def girth(g: Multigraph) -> int:
     adj = [[(f, g.other_end(f, v)) for f in inc] for v, inc in enumerate(g.incident_edges)]
     best = g.n + 1  # longer than any circuit
     for root in range(g.n):
+        if best == 3:
+            break
         dist, via = [-1] * g.n, [-1] * g.n
         dist[root] = d = 0
         frontier = [root]
@@ -272,6 +276,13 @@ def girth(g: Multigraph) -> int:
             frontier = nxt
             d += 1
     return 0 if best > g.n else best
+
+
+def _mask(ids):
+    x = 0
+    for i in ids:
+        x |= 1 << i
+    return x
 
 
 def _walks(g: Multigraph, keep):

@@ -31,6 +31,7 @@ from cyclecover import (
     shortest_cycle_cover,
     suppress_degree_two,
     validate,
+    write_graph6,
 )
 from cyclecover.covers import CoverReport
 from cyclecover.errors import GraphError
@@ -62,7 +63,8 @@ def test_runtime_is_stdlib_only_and_single_process():
 
 def test_private_names_in_the_readme_are_defined():
     # a backticked `_name` or `module._name` in README.md names a function,
-    # class or variable defined in that module (any module without a prefix)
+    # class or variable defined in that module (any module without a prefix),
+    # or a private module of the package (`cyclecover._engine`)
     root = Path(cyclecover.__file__).parent
     defined = {}
     for path in root.glob("*.py"):
@@ -72,7 +74,7 @@ def test_private_names_in_the_readme_are_defined():
                 names.add(node.name)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names.add(node.id)
-    everywhere = set().union(*defined.values())
+    everywhere = set().union(defined, *defined.values())
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     refs = re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)", readme)
     assert refs, "no private name found"
@@ -97,6 +99,45 @@ def test_import_needs_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def _module_level_imports(tree):
+    """The import statements that run when the module is imported: all but
+    those inside a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_cover_engine_loads_on_demand(tmp_path):
+    # only weights above 2 and enumerate_circuits reach the engine, so no
+    # module imports it at module level and a default analyze leaves it out
+    root = Path(cyclecover.__file__).parent
+    for path in root.glob("*.py"):
+        for node in _module_level_imports(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            assert not any(name.rsplit(".", 1)[-1] == "_engine" for name in names), path.name
+    graph = tmp_path / "petersen.g6"
+    graph.write_text(write_graph6(petersen()) + "\n", encoding="ascii")
+    code = (
+        "import contextlib, io, sys, cyclecover, cyclecover.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cyclecover.cli.main(['analyze', {str(graph)!r}, '--json', '--no-timing'])\n"
+        "names = ('_CircuitSpace', '_circuits', '_CoverEngine', '_deepening', '_spectrum_over')\n"
+        "print(code, 'cyclecover._engine' in sys.modules,\n"
+        "      [n for n in names if hasattr(cyclecover.solvers, n)])\n"
+        "k4 = cyclecover.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])\n"
+        "print(len(cyclecover.enumerate_circuits(k4)), 'cyclecover._engine' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "0 False []\n7 True\n"
 
 
 def _records():

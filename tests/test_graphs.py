@@ -550,7 +550,13 @@ def test_girth_matches_per_edge_oracle():
     from cyclecover import flower, goldberg
 
     rng = random.Random(1985)
-    graphs = [*load_corpus(12), *load_snarks18(), petersen(), flower(7), goldberg(5)]
+    # the flower snarks J5-J21, the Goldberg snarks G5-G9 and the prisms
+    # C_k x K2 (girth 3 at k = 3, else 4) beside the corpus
+    prisms = [build_graph([(i, (i + 1) % k) for i in range(k)]
+                          + [(k + i, k + (i + 1) % k) for i in range(k)]
+                          + [(i, k + i) for i in range(k)]) for k in range(3, 13)]
+    graphs = [*load_corpus(12), *load_snarks18(), petersen(), *map(flower, range(5, 22, 2)),
+              *map(goldberg, (5, 7, 9)), *prisms]
     for i in range(300):
         # loops, parallel edges, isolated vertices and forests; every other
         # graph simple

@@ -17,6 +17,7 @@ from substrate import (
     truncation,
 )
 from cyclecover import (
+    _engine,
     build_graph,
     flower,
     goldberg,
@@ -43,21 +44,17 @@ from cyclecover.errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
+from cyclecover._engine import _CircuitSpace, _circuits, _CoverEngine, _deepening, _spectrum_over
 from cyclecover.solvers import (
     _bfs_edges,
     _Budget,
-    _CircuitSpace,
-    _circuits,
-    _CoverEngine,
     _decode_joins,
-    _deepening,
     _every_cover,
     _join_search,
     _Joins,
     _matching_sweep,
     _matchings,
     _partition_tables,
-    _spectrum_over,
     _structured_covers,
     circumference,
     edge_colouring_3,
@@ -210,7 +207,7 @@ def test_every_circuit_matches_dfs_oracle():
 def _space_of(g, walks):
     """A ``_CircuitSpace`` of g over the given circuit walks only."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_circuits", lambda _: walks)
+        mp.setattr(_engine, "_circuits", lambda _: walks)
         return _CircuitSpace(g)
 
 
@@ -405,14 +402,18 @@ def test_transition_search_counts_one_running_budget(pete, j5):
     assert (exc.value.search, exc.value.nodes) == ("transitions", res.nodes)
 
 
-def test_stage_names_the_settling_search(k4, pete, j5):
+def test_stage_names_the_settling_search(monkeypatch, k4, pete, j5):
     # a colourable graph's cover comes from its colouring; the spectrum
     # searches every cover at 4m/3
     assert shortest_cycle_cover(k4).stage == "colouring"
     assert edge_weight_spectrum(k4).stage == "4m/3"
     for g, stage in ((j5, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
-    assert _spectrum_over(_CircuitSpace(k4), 2, 8, _Budget()).stage == "deepening"
+    # the engine's spectrum, at cap 3 past a cap-2 optimum of 4m/3 + 2 (a
+    # stand-in level search reports K4's 8 as 10)
+    levels = solvers._structured_covers
+    monkeypatch.setattr(solvers, "_structured_covers", lambda g, budget: (10, levels(g, budget)[1]))
+    assert edge_weight_spectrum(k4, cap=3).stage == "deepening"
 
 
 def test_decode_builds_the_covers_the_trace_reference_builds(pete, j5):
@@ -623,8 +624,8 @@ def test_cap_two_optima_run_no_cover_engine(monkeypatch, pete):
         raise AssertionError("a cap-2 optimum built a circuit space or an engine")
 
     g = two_cut_join(pete, 0, pete, 0)
-    monkeypatch.setattr(solvers, "_CircuitSpace", refuse)
-    monkeypatch.setattr(solvers, "_CoverEngine", refuse)
+    monkeypatch.setattr(_engine, "_CircuitSpace", refuse)
+    monkeypatch.setattr(_engine, "_CoverEngine", refuse)
     res = shortest_cycle_cover(g)
     three = shortest_cycle_cover(g, cap=3)
     assert (three.length, three.cover, three.nodes, three.stage) == (
@@ -633,6 +634,29 @@ def test_cap_two_optima_run_no_cover_engine(monkeypatch, pete):
     for cross in (False, True):
         spec = edge_weight_spectrum(two_cut_join(pete, 0, pete, 0, cross=cross))
         assert (spec.optimal_length, spec.n_optimal_covers, spec.stage) == (42, 272, "4m/3+2")
+
+
+def test_spectrum_reaches_the_engine_past_the_levels(pete):
+    # at cap 3 the spectrum of P+P lists every cover of the levels (354,
+    # 9,280 and 71,108 transition nodes), finds no target below 42 and
+    # then spends its next node in the engine, loaded on demand
+    g = two_cut_join(pete, 0, pete, 0)
+    with pytest.raises(NodeLimitExceeded) as exc:
+        edge_weight_spectrum(g, cap=3, node_limit=354 + 9280 + 71108)
+    assert (exc.value.search, exc.value.nodes) == ("cover engine", 80_743)
+
+
+def test_scc_deepening_through_the_public_call(monkeypatch, pete):
+    # no small graph has a cap-2 optimum of 4m/3 + 3, so a stand-in level
+    # search reports P+P's 42 as 43: the deepening then finds 42 in 8,304
+    # engine nodes after 14 labelling and 11,242 transition nodes (19,560)
+    levels = solvers._structured_covers
+    monkeypatch.setattr(solvers, "_structured_covers",
+                        lambda g, budget, first=False: (43, levels(g, budget, first)[1]))
+    g = two_cut_join(pete, 0, pete, 0)
+    res = shortest_cycle_cover(g, cap=3)
+    assert (res.length, res.stage, res.nodes) == (42, "deepening", 19_560)
+    assert validate(res.cover, g).ok
 
 
 def test_perfect_matchings(k4, pete):
@@ -1487,8 +1511,8 @@ def test_find_cdc_runs_no_cover_engine(monkeypatch, pete):
 
     cdc = find_cdc(pete)
     pair = next((c1, c2) for c1, c2 in combinations(cdc.circuits, 2) if c1.edge_set & c2.edge_set)
-    monkeypatch.setattr(solvers, "_CircuitSpace", refuse)
-    monkeypatch.setattr(solvers, "_CoverEngine", refuse)
+    monkeypatch.setattr(_engine, "_CircuitSpace", refuse)
+    monkeypatch.setattr(_engine, "_CoverEngine", refuse)
     assert find_cdc(pete) == cdc
     _, longest = circumference(pete)
     assert _holds_cdc(pete, find_cdc(pete, must_contain=[longest]), [longest])
@@ -1549,8 +1573,8 @@ def _full_space(g, length, cap=2):
     """(length, covers, per_edge) of the covers of that length, enumerated
     over every circuit of g: the engine's route, which runs only with a cap
     of 3 or more."""
-    spec = _spectrum_over(_CircuitSpace(g), cap, length, _Budget())
-    return spec.optimal_length, spec.n_optimal_covers, spec.per_edge
+    per_edge, covers = _spectrum_over(_CircuitSpace(g), cap, length, _Budget())
+    return length, covers, per_edge
 
 
 def test_spectrum_matches_full_space_route(k4, pete):

@@ -14,8 +14,11 @@ exit code of every run:
   ``tests/data/analyze_snarks_golden.g6`` and the ``analyze_stream``
   benchmark streams of seeds 3, 7 and 11, written by PARENT_DIR's
   ``perfbench/bench_workloads.make_inputs``;
-- ``scc``, ``tau``, ``oddness`` and ``circ --json`` on K4, the prism and
-  every generated graph, and both graphs of ``tests/data/snarks18.g6``.
+- ``scc``, ``scc --cap 3 --json``, ``tau``, ``oddness``, ``circ --json``
+  and ``cdc --json`` on K4, the prism and every generated graph, and both
+  graphs of ``tests/data/snarks18.g6``;
+- ``spectrum --json`` on the graphs whose covers are listed in well under
+  a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534).
 
 The graph inputs are PARENT_DIR's: its data files and its ``generate``
 output.  The first difference is printed, and the exit status is 1 on any
@@ -38,7 +41,9 @@ GENERATED = {"P": ["petersen"], "J5": ["flower", "5"], "J7": ["flower", "7"],
              "J9": ["flower", "9"], "G5": ["goldberg", "5"],
              "perm5": ["permutation", "0,2,4,1,3"]}
 FIXED = {"K4": "C~", "prism": "E{Sw"}
-COMMANDS = (["scc"], ["tau"], ["oddness"], ["circ", "--json"])
+COMMANDS = (["scc"], ["scc", "--cap", "3", "--json"], ["tau"], ["oddness"], ["circ", "--json"],
+            ["cdc", "--json"])
+SPECTRUM = ("K4", "prism", "P", "J5", "perm5")
 
 
 def run(checkout: Path, argv) -> tuple:
@@ -86,6 +91,8 @@ def cases(graphs, streams):
             for name, path in streams.items()]
     out += [(f"{' '.join(cmd)} {name}", [cmd[0], str(path), *cmd[1:]])
             for name, path in graphs.items() for cmd in COMMANDS]
+    out += [(f"spectrum --json {name}", ["spectrum", str(graphs[name]), "--json"])
+            for name in SPECTRUM]
     return out
 
 
