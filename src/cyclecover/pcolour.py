@@ -17,20 +17,14 @@ from __future__ import annotations
 
 from functools import cache
 
+from ._labelling import _label_search
+from ._transitions import _decode_joins
 from .covers import CycleCover, validate
 from .constructions import ConstructionResult, _check_result
 from .errors import GraphError, HypothesisViolated, _Record
 from .families import petersen
 from .graphs import CubicGraph
-from .solvers import (
-    _Budget,
-    _colouring_cover,
-    _decode_joins,
-    _label_search,
-    _matching_cuts,
-    _matchings,
-    _structured_covers,
-)
+from .solvers import _Budget, _colouring_cover, _matching_cuts, _matchings, _structured_covers
 
 REFERENCE = petersen()
 
@@ -78,7 +72,7 @@ def verify_petersen_colouring(g: CubicGraph, colouring: PetersenColouring):
 
 
 def find_petersen_colouring(g: CubicGraph, node_limit=None):
-    """A Petersen colouring by the labelling search of ``solvers`` (the labels
+    """A Petersen colouring by the labelling search of ``_labelling`` (the labels
     are the edges of P, the stars its vertex stars); None if none exists.
 
     The preimage of each perfect matching of P is a perfect matching of g

@@ -113,16 +113,22 @@ def _module_level_imports(tree):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _imported(node):
+    """The last dotted part of every name an import statement names: its
+    module and the names it imports."""
+    names = [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names.append(node.module or "")
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
 def test_cover_engine_loads_on_demand(tmp_path):
     # only weights above 2 and enumerate_circuits reach the engine, so no
     # module imports it at module level and a default analyze leaves it out
     root = Path(cyclecover.__file__).parent
     for path in root.glob("*.py"):
         for node in _module_level_imports(ast.parse(path.read_text(), str(path))):
-            names = [a.name for a in node.names]
-            if isinstance(node, ast.ImportFrom):
-                names.append(node.module or "")
-            assert not any(name.rsplit(".", 1)[-1] == "_engine" for name in names), path.name
+            assert "_engine" not in _imported(node), path.name
     graph = tmp_path / "petersen.g6"
     graph.write_text(write_graph6(petersen()) + "\n", encoding="ascii")
     code = (
@@ -138,6 +144,30 @@ def test_cover_engine_loads_on_demand(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "0 False []\n7 True\n"
+
+
+def test_search_engines_are_leaves_below_solvers():
+    # the matching sweep, the labelling search and the transition search
+    # import nothing from the modules above them, so no import cycle forms;
+    # solvers imports all three at load time, and every solver the package
+    # re-exports from solvers is defined there (the benchmark's tracer names
+    # its spans by ``__module__``)
+    root = Path(cyclecover.__file__).parent
+    for engine in ("_sweep", "_labelling", "_transitions"):
+        tree = ast.parse((root / f"{engine}.py").read_text(), engine)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not _imported(node) & {"solvers", "constructions", "pcolour", "cli"}, engine
+    solvers = ast.parse((root / "solvers.py").read_text())
+    loaded = {node.module for node in _module_level_imports(solvers)
+              if isinstance(node, ast.ImportFrom) and node.level}
+    assert {"_sweep", "_labelling", "_transitions"} <= loaded
+    init = ast.parse((root / "__init__.py").read_text())
+    (exported,) = [[a.name for a in node.names] for node in init.body
+                   if isinstance(node, ast.ImportFrom) and node.module == "solvers"]
+    assert exported
+    assert [name for name in exported
+            if getattr(cyclecover.solvers, name).__module__ != "cyclecover.solvers"] == []
 
 
 def _records():

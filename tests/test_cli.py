@@ -11,8 +11,8 @@ import cyclecover
 from conftest import DATA, load_snarks18, relabelled
 from substrate import disjoint_union
 from cyclecover import (
-    build_graph, constructions, cover_via_oddness2, covers, families, flower, goldberg, pcolour,
-    petersen, solvers, two_cut_join,
+    _sweep, build_graph, constructions, cover_via_oddness2, covers, families, flower, goldberg,
+    pcolour, petersen, solvers, two_cut_join,
 )
 from cyclecover.cli import build_parser, main
 from cyclecover.errors import GraphError, HypothesisViolated
@@ -587,13 +587,13 @@ def test_analyze_counts_few_two_factors(monkeypatch, capsys):
     # the store's one walk to its least 2-factor stops at the first
     # Hamiltonian one, so the golden graphs count 25 of their 1,189 2-factors
     counted = []
-    original = solvers._Matchings._count
+    original = _sweep._Matchings._count
 
     def counting(store, pm):
         counted.append(pm)
         return original(store, pm)
 
-    monkeypatch.setattr(solvers._Matchings, "_count", counting)
+    monkeypatch.setattr(_sweep._Matchings, "_count", counting)
     assert main(["analyze", os.path.join(DATA, "analyze_golden.g6"), "--json", "--no-timing"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
     assert len(counted) == 25
@@ -604,7 +604,7 @@ def test_analyze_builds_no_holder_masks_and_traces_no_circuit(monkeypatch, capsy
     # per-edge holder masks (the transposition of every stored matching),
     # and each cover circuit comes from the decode's own walk
     calls = {"holders": 0, "trace_circuit": 0}
-    holders, trace = solvers._Matchings.__dict__["holders"], covers.trace_circuit
+    holders, trace = _sweep._Matchings.__dict__["holders"], covers.trace_circuit
 
     def reading(store):
         calls["holders"] += store._holders is None
@@ -614,7 +614,7 @@ def test_analyze_builds_no_holder_masks_and_traces_no_circuit(monkeypatch, capsy
         calls["trace_circuit"] += 1
         return trace(*args)
 
-    monkeypatch.setattr(solvers._Matchings, "holders", property(reading))
+    monkeypatch.setattr(_sweep._Matchings, "holders", property(reading))
     for module in (cyclecover, covers, solvers, constructions, pcolour):
         if getattr(module, "trace_circuit", None) is trace:
             monkeypatch.setattr(module, "trace_circuit", tracing)

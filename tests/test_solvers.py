@@ -18,6 +18,7 @@ from substrate import (
 )
 from cyclecover import (
     _engine,
+    _sweep,
     build_graph,
     flower,
     goldberg,
@@ -726,7 +727,7 @@ def test_perfect_matchings_match_least_vertex_oracle(k4, pete, j5, monkeypatch):
     assert len(enumerate_perfect_matchings(j11)) == 2048
     assert enumerate_perfect_matchings(star) == []
     # the length is the sweep's count, with no matching listed
-    monkeypatch.setattr(solvers, "_greatest_first", _make_no_key)
+    monkeypatch.setattr(_sweep, "_greatest_first", _make_no_key)
     for g, count in ((flower(25), 2 ** 25), (flower(33), 2 ** 33), (goldberg(13), 9_994_664)):
         pms = enumerate_perfect_matchings(g)
         assert len(pms) == count and pms
@@ -810,12 +811,13 @@ def test_matching_sweep_runs_once_per_graph():
 
 def test_listing_is_the_matching_store(monkeypatch):
     # the public listing, read first, is the store that tau and oddness read
-    # after it: one public call and one sweep per graph
+    # after it: one public call and one sweep per graph (the sweep starts its
+    # walk in ``_sweep``, the public call goes through ``solvers``)
     calls, sweeps = [], []
-    original, walk = solvers.enumerate_perfect_matchings, solvers._greatest_first
+    original, walk = solvers.enumerate_perfect_matchings, _sweep._greatest_first
     monkeypatch.setattr(solvers, "enumerate_perfect_matchings",
                         lambda g: calls.append(g) or original(g))
-    monkeypatch.setattr(solvers, "_greatest_first", lambda *a: sweeps.append(a) or walk(*a))
+    monkeypatch.setattr(_sweep, "_greatest_first", lambda *a: sweeps.append(a) or walk(*a))
     for g in (petersen(), _random_cubic(24, random.Random(7))):  # fresh graph objects
         listing = solvers.enumerate_perfect_matchings(g)
         assert listing is _matchings(g) and listing[0] == _least_vertex_matchings(g)[0]
@@ -859,8 +861,8 @@ def test_tau_and_oddness_make_only_the_keys_they_walk(monkeypatch):
     # a Hamiltonian 2-factor ends the least walk, and the one matching
     # decoded is its witness; Petersen's walk makes all 6 keys
     decoded = []
-    decode = solvers._decoded
-    monkeypatch.setattr(solvers, "_decoded", lambda key, m: decoded.append(key) or decode(key, m))
+    decode = _sweep._decoded  # read by the store's ``__getitem__``
+    monkeypatch.setattr(_sweep, "_decoded", lambda key, m: decoded.append(key) or decode(key, m))
     for g, lazy in ((_random_cubic(24, random.Random(7)), True), (petersen(), False)):
         decoded.clear()
         assert perfect_matching_index(g).tau == (3 if lazy else 5)
@@ -908,8 +910,8 @@ def test_matching_store_counts_only_the_factors_it_needs(monkeypatch):
     # before the last matching; Petersen has none, so its walk reads them
     # all, and the readers of the store after it walk nothing
     counted = []
-    count = solvers._Matchings._count
-    monkeypatch.setattr(solvers._Matchings, "_count",
+    count = _sweep._Matchings._count
+    monkeypatch.setattr(_sweep._Matchings, "_count",
                         lambda store, pm: counted.append(pm) or count(store, pm))
     rng = random.Random(7)
     for g, lazy in ((_random_cubic(24, rng), True), (petersen(), False)):
@@ -929,10 +931,11 @@ def test_matching_store_counts_only_the_factors_it_needs(monkeypatch):
 def test_least_two_factor_is_read_by_tau_oddness_and_colouring(monkeypatch):
     # tau's tau-3 witness is the least 2-factor's matching and the edges at
     # even and odd places of its walks; tau after oddness walks no 2-factor
-    # again, and on a snark the colouring is then refuted with no search
+    # again (the store walks its 2-factors through ``_sweep``'s ``_walks``),
+    # and on a snark the colouring is then refuted with no search
     walks, searches = [], []
-    walk, search = solvers._walks, solvers._label_search
-    monkeypatch.setattr(solvers, "_walks", lambda *a: walks.append(a) or walk(*a))
+    walk, search = _sweep._walks, solvers._label_search
+    monkeypatch.setattr(_sweep, "_walks", lambda *a: walks.append(a) or walk(*a))
     monkeypatch.setattr(solvers, "_label_search",
                         lambda *a, **kw: searches.append(a) or search(*a, **kw))
     colourable = load_corpus(12)[12]

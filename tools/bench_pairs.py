@@ -69,11 +69,14 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
 def verdict(parent, change, iqr, wins, sign, bound) -> str:
     """The verdict on one metric, from both sides' runs, the parent's IQR
     and the change's pair-win share; ``sign * (a - b) > 0`` when a reads
-    worse than b."""
+    worse than b.  The relative tests multiply by the parent's median
+    rather than divide, so a parent median of 0 (``jobs_per_s`` when every
+    job fails) calls any spread unresolved and any worsening a regression."""
     p, c = statistics.median(parent), statistics.median(change)
-    if iqr / p > bound and not all(sign * (x - y) < 0 for x in change for y in parent):
+    scale = bound * abs(p)
+    if iqr > scale and not all(sign * (x - y) < 0 for x in change for y in parent):
         return "unresolved"
-    if sign * (c - p) / p > bound:
+    if sign * (c - p) > scale:
         return "regressed"
     if wins >= 0.9 and sign * (p - c) > iqr:
         return "gain"

@@ -18,6 +18,14 @@ with one (``compileall`` of ``src/``).  Each child's wall time and its own
 peak resident set size (``ru_maxrss`` from ``os.wait4``) are read.  The
 tool prints, per case and side, the median and the interquartile range
 (IQR) of both, and the share of pairs in which the change reads lower.
+
+Without a cache the compiler can set a process's peak, so the tool then
+prints, for each module of either side's ``src/cyclecover``, its compile
+peak: the median over RUNS fresh interpreters, the sides interleaved, of
+how far ``compile`` of the module's source raises the interpreter's
+``ru_maxrss``, after importing the checkout's ``perfbench/run.py`` with no
+bytecode cache, as the benchmark starts (a module that compiles inside the
+heap's existing slack reads 0).
 It writes nothing outside the two checkouts.  The exit status is 1 when a
 child fails.
 """
@@ -36,6 +44,18 @@ from bench_pairs import clear_bytecode
 PETERSEN = "IheA@GUAo\n"
 CASES = {"import": (["-c", "import cyclecover"], ""),
          "analyze": (["-m", "cyclecover", "analyze", "-", "--json", "--no-timing"], PETERSEN)}
+# the KiB that compiling the source file argv[1] adds to the peak RSS of an
+# interpreter that has imported perfbench's modules, as the benchmark does
+# before it imports the package
+COMPILE_PEAK = """
+import resource, sys
+sys.path.insert(0, "perfbench")
+import run
+source = open(sys.argv[1], encoding="utf-8").read()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+compile(source, sys.argv[1], "exec")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
 
 
 def measure(checkout: Path, args, stdin: str, cached: bool) -> tuple:
@@ -56,6 +76,35 @@ def measure(checkout: Path, args, stdin: str, cached: bool) -> tuple:
     if proc.returncode:
         sys.exit(f"cold_start: {' '.join(args)} exited {proc.returncode} in {checkout}")
     return 1000 * wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def compile_peak(module: Path) -> float:
+    """The MB that compiling ``module`` adds to a fresh interpreter's peak."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", COMPILE_PEAK, str(module)],
+                          cwd=module.parents[2], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"cold_start: compiling {module} exited {proc.returncode}")
+    return int(proc.stdout) / 1024
+
+
+def compile_peaks(sides: dict, runs: int):
+    """Print each module's median compile peak on both sides, interleaved."""
+    for checkout in sides.values():
+        clear_bytecode(checkout)
+    package = {side: checkout / "src" / "cyclecover" for side, checkout in sides.items()}
+    names = sorted({path.name for root in package.values() for path in root.glob("*.py")})
+    print(f"\ncompile peak, MB above the interpreter's (median of {runs} fresh interpreters)")
+    print(f"{'module':<18} {'parent':>7} {'change':>7}")
+    for name in names:
+        got = {side: [] for side in sides}
+        for i in range(runs):
+            for side in (("parent", "change") if i % 2 else ("change", "parent")):
+                if (package[side] / name).exists():
+                    got[side].append(compile_peak(package[side] / name))
+        cells = [f"{statistics.median(got[side]):7.2f}" if got[side] else f"{'-':>7}"
+                 for side in sides]
+        print(f"{name:<18} {' '.join(cells)}", flush=True)
 
 
 def spread(values) -> str:
@@ -94,6 +143,7 @@ def main(argv) -> int:
                 tail = f"  {lower[0]:.0%}, {lower[1]:.0%}" if side == "change" else ""
                 print(f"{'with' if cached else 'without':<15} {case:<8} {side:<7} "
                       f"{spread(walls)} {spread(rss)}{tail}", flush=True)
+    compile_peaks(sides, runs)
     return 0
 
 
