@@ -21,6 +21,15 @@ from .graphs import CubicGraph, cyclic_connectivity_at_least, girth, is_bridgele
 SCHEMA = "cyclecover/report-v1"
 
 
+class _Refused(Exception):
+    """A command's refusal of its input: ``main`` prints the message and
+    returns the exit code (1, or 2 for a proven negative)."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -46,16 +55,10 @@ def _load_graphs(path: str, fmt: str | None):
     yield g
 
 
-def _load_graph(path: str, fmt: str | None):
-    """The first graph of the input; the lines after it are not read."""
-    g = next(_load_graphs(path, fmt), None)
-    if g is None:
-        raise GraphError("no graph in input")
-    return g
-
-
 def _emit(obj, as_json: bool):
-    if as_json:
+    if isinstance(obj, str):  # a file's text, as it is written
+        sys.stdout.write(obj)
+    elif as_json:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
         for key in sorted(obj):
@@ -77,9 +80,22 @@ def _cover_payload(g, cover: CycleCover):
     }
 
 
+def _run(args) -> int:
+    """A graph command: ``args.report`` of the first graph of the input (the
+    lines after it are not read) and ``args``, printed by ``_emit``.  The
+    report comes alone (exit 0) or with its exit code."""
+    g = next(_load_graphs(args.graph, args.format), None)
+    if g is None:
+        raise GraphError("no graph in input")
+    out = args.report(g, args)
+    report, code = out if isinstance(out, tuple) else (out, 0)
+    _emit(report, args.json)
+    return code
+
+
 def cmd_analyze(args) -> int:
     if args.verify_cover:
-        return _verify_cover(_load_graph(args.graph, args.format), args)
+        return _run(args)
     for idx, g in enumerate(_load_graphs(args.graph, args.format)):
         report = {"schema": SCHEMA, "source": args.graph, "index": idx,
                   "n": g.n, "m": g.m, "girth": girth(g)}
@@ -136,8 +152,9 @@ def _edge_index(g):
     return index
 
 
-def _walk_edges(index, verts):
-    """Edge ids along the closed vertex walk, or the first missing pair.
+def _walk_edges(index, verts, missing: str):
+    """Edge ids along the closed vertex walk; the first pair with no edge is
+    refused with ``missing``, formatted with its two ends.
 
     Each step takes the least id of its pair that the walk has not used yet,
     or the least id once all are used, so a walk round a digon takes both of
@@ -148,11 +165,11 @@ def _walk_edges(index, verts):
         v = verts[(i + 1) % len(verts)]
         ids = index.get((u, v))
         if ids is None:
-            return None, (u, v)
+            raise _Refused(missing.format(u, v))
         e = next((e for e in ids if e not in used), ids[0])
         used.add(e)
         edges.append(e)
-    return edges, None
+    return edges
 
 
 def _ints(value):
@@ -160,7 +177,7 @@ def _ints(value):
     return isinstance(value, list) and value and all(type(v) is int for v in value)
 
 
-def _verify_cover(g, args) -> int:
+def _verify_cover(g, args):
     """Re-validate a certificate.  Its edge ids, when it lists them, must
     join the steps of their walks; a walk without them takes the edges of
     ``_walk_edges``."""
@@ -168,199 +185,159 @@ def _verify_cover(g, args) -> int:
     index = _edge_index(g)
     walks = cert.get("circuits") if isinstance(cert, dict) else None
     if not isinstance(walks, list) or not all(_ints(w) for w in walks):
-        print("a certificate lists its circuits as nonempty lists of vertices", file=sys.stderr)
-        return 1
+        raise _Refused("a certificate lists its circuits as nonempty lists of vertices")
     listed = cert.get("circuit_edges", [None] * len(walks))
     if not isinstance(listed, list) or len(listed) != len(walks):
-        print("circuit_edges must list the edge ids of every circuit", file=sys.stderr)
-        return 1
+        raise _Refused("circuit_edges must list the edge ids of every circuit")
     circuits = []
     for verts, ids in zip(walks, listed):
-        edges, missing = _walk_edges(index, verts)
-        if missing:
-            print(f"no edge {missing[0]}-{missing[1]} in the graph", file=sys.stderr)
-            return 1
+        edges = _walk_edges(index, verts, "no edge {}-{} in the graph")
         if ids is not None:
             steps = zip(verts, verts[1:] + verts[:1])
             if (not _ints(ids) or len(ids) != len(verts)
                     or any(e not in index[uv] for e, uv in zip(ids, steps))):
-                print(f"edge ids {ids} do not follow the walk {verts}", file=sys.stderr)
-                return 1
+                raise _Refused(f"edge ids {ids} do not follow the walk {verts}")
             edges = ids
         circuits.append(circuit_from_walk(edges, verts))
     cover = CycleCover.of(circuits)
-    report = validate(cover, g)
     payload = _cover_payload(g, cover)
     payload["matches_claimed_length"] = cover.length == cert.get("length")
     bound = cert.get("claimed_bound")
     payload["within_claimed_bound"] = bound is None or cover.length <= bound
-    _emit(payload, args.json)
-    return 0 if report.ok and payload["within_claimed_bound"] else 2
+    return payload, 0 if payload["valid"] and payload["within_claimed_bound"] else 2
 
 
-def cmd_scc(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def cmd_scc(g, args):
     res = solvers.shortest_cycle_cover(g, cap=args.cap, node_limit=args.node_limit)
-    out = {"scc": res.length, "optimal": res.optimal, "cap": res.weight_cap_used,
-           "nodes": res.nodes, "stage": res.stage}
-    out.update(_cover_payload(g, res.cover))
-    _emit(out, args.json)
-    return 0
+    return {"scc": res.length, "optimal": res.optimal, "cap": res.weight_cap_used,
+            "nodes": res.nodes, "stage": res.stage, **_cover_payload(g, res.cover)}
 
 
-def cmd_tau(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def cmd_tau(g, args):
     res = solvers.perfect_matching_index(g, limit=args.limit, node_limit=args.node_limit)
-    out = {"tau": res.tau, "above_limit": res.above_limit,
-           "matchings": [sorted(mm) for mm in res.matchings], "nodes": res.nodes}
-    _emit(out, args.json)
-    return 0
+    return {"tau": res.tau, "above_limit": res.above_limit,
+            "matchings": [sorted(mm) for mm in res.matchings], "nodes": res.nodes}
 
 
-def cmd_oddness(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def cmd_oddness(g, args):
     odd, factor = solvers.oddness(g)
-    _emit({"oddness": odd, "two_factor": sorted(factor)}, args.json)
-    return 0
+    return {"oddness": odd, "two_factor": sorted(factor)}
 
 
-def cmd_circ(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def cmd_circ(g, args):
     length, circ = solvers.circumference(g, node_limit=args.node_limit)
-    _emit({"circumference": length,
-           "circuit": list(circ.vertices) if circ else None}, args.json)
-    return 0
+    return {"circumference": length, "circuit": list(circ.vertices) if circ else None}
 
 
-def cmd_cdc(args) -> int:
-    g = _load_graph(args.graph, args.format)
-    must = []
-    if args.contains is not None:
-        try:
-            verts = [int(x) for x in args.contains.split(",")]
-        except ValueError:
-            print(f"--contains is not a circuit: {args.contains!r} is not a comma-separated "
-                  "list of vertex numbers", file=sys.stderr)
-            return 1
-        edges, missing = _walk_edges(_edge_index(g), verts)
-        if missing:
-            print(f"--contains names a missing edge {missing[0]}-{missing[1]}", file=sys.stderr)
-            return 1
-        if len(set(verts)) != len(verts) or len(set(edges)) != len(edges):
-            print("--contains is not a circuit: it repeats a vertex or an edge", file=sys.stderr)
-            return 1
-        must.append(circuit_from_walk(edges, verts))
+def _forced_circuit(g, text):
+    """The circuit that ``cdc --contains`` names as a closed vertex walk; one
+    vertex, or a repeated one, is refused before any edge is looked up."""
+    try:
+        verts = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise _Refused(f"--contains is not a circuit: {text!r} is not a comma-separated "
+                       "list of vertex numbers") from None
+    if len(verts) < 2:
+        raise _Refused("--contains is not a circuit: it names one vertex")
+    repeats = "--contains is not a circuit: it repeats a vertex or an edge"
+    if len(set(verts)) != len(verts):
+        raise _Refused(repeats)
+    edges = _walk_edges(_edge_index(g), verts, "--contains names a missing edge {}-{}")
+    if len(set(edges)) != len(edges):  # a digon's walk round one edge
+        raise _Refused(repeats)
+    return circuit_from_walk(edges, verts)
+
+
+def cmd_cdc(g, args):
+    must = [] if args.contains is None else [_forced_circuit(g, args.contains)]
     res = solvers.find_cdc(g, must_contain=must, k=args.k,
                            two_factor_class=args.two_factor_class,
                            node_limit=args.node_limit)
     if res is None:
-        _emit({"found": False, "proven_infeasible": True}, args.json)
-        return 2
+        return {"found": False, "proven_infeasible": True}, 2
     if args.k is None:
-        out = {"found": True}
-        out.update(_cover_payload(g, res))
-    else:
-        out = {"found": True, "k": res.k,
-               "classes": [sorted(cls) for cls in res.classes]}
-    _emit(out, args.json)
-    return 0
+        return {"found": True, **_cover_payload(g, res)}
+    return {"found": True, "k": res.k, "classes": [sorted(cls) for cls in res.classes]}
 
 
-def cmd_spectrum(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def cmd_spectrum(g, args):
     res = solvers.edge_weight_spectrum(g, cap=args.cap, node_limit=args.node_limit)
-    forced = [e for e in range(g.m) if res.per_edge[e] == frozenset({1})]
-    out = {"optimal_length": res.optimal_length,
-           "n_optimal_covers": res.n_optimal_covers,
-           "per_edge": [sorted(s) for s in res.per_edge],
-           "forced_weight_one_edges": forced, "stage": res.stage}
-    _emit(out, args.json)
-    return 0
+    return {"optimal_length": res.optimal_length, "n_optimal_covers": res.n_optimal_covers,
+            "per_edge": [sorted(s) for s in res.per_edge], "stage": res.stage,
+            "forced_weight_one_edges": [e for e in range(g.m) if res.per_edge[e] == {1}]}
 
 
-def cmd_construct(args) -> int:
-    g = _load_graph(args.graph, args.format)
-    if args.via == "tau4":
-        res = constructions.scc_cover_from_tau4(g, node_limit=args.node_limit)
-    elif args.via == "circumference":
-        res = constructions.cover_via_circumference(g, node_limit=args.node_limit)
-    elif args.via == "oddness2":
-        res = constructions.cover_via_oddness2(g, node_limit=args.node_limit,
-                                               force_base=args.force_base)
-    else:  # petersen
-        colouring = pcol.find_petersen_colouring(g, node_limit=args.node_limit)
-        if colouring is None:
-            print("no Petersen colouring exists", file=sys.stderr)
-            return 2
-        res = pcol.best_pullback_cover(g, colouring)
-    out = {"via": args.via, "length": res.length, "claimed_bound": res.claimed_bound,
-           "theorem": res.theorem}
-    out.update(_cover_payload(g, res.cover))
-    _emit(out, args.json)
-    return 0
+def _petersen_colouring(g, args):
+    """A Petersen colouring of g, or the refusal (exit 2) when none exists."""
+    colouring = pcol.find_petersen_colouring(g, node_limit=args.node_limit)
+    if colouring is None:
+        raise _Refused("no Petersen colouring exists", 2)
+    return colouring
+
+
+# ``construct --via``: each construction, in the order of the parser's choices
+_CONSTRUCTIONS = {
+    "circumference": lambda g, args: constructions.cover_via_circumference(
+        g, node_limit=args.node_limit),
+    "oddness2": lambda g, args: constructions.cover_via_oddness2(
+        g, node_limit=args.node_limit, force_base=args.force_base),
+    "tau4": lambda g, args: constructions.scc_cover_from_tau4(g, node_limit=args.node_limit),
+    "petersen": lambda g, args: pcol.best_pullback_cover(g, _petersen_colouring(g, args)),
+}
+
+
+def cmd_construct(g, args):
+    res = _CONSTRUCTIONS[args.via](g, args)
+    return {"via": args.via, "length": res.length, "claimed_bound": res.claimed_bound,
+            "theorem": res.theorem, **_cover_payload(g, res.cover)}
 
 
 # each indexed family with its vertices per unit of K
 _INDEXED_FAMILIES = {"flower": (families.flower, 4), "goldberg": (families.goldberg, 8)}
+# each family's usage line, for words after its name that name no member
+_USAGE = {"petersen": "petersen", "flower": "flower K, with K an integer",
+          "goldberg": "goldberg K, with K an integer",
+          "permutation": "permutation 0,2,4,1,3 (comma-separated integers)"}
 
 
 def cmd_generate(args) -> int:
-    spec = args.spec
-    if spec[0] == "petersen":
-        if len(spec) != 1:
-            print("usage: generate petersen", file=sys.stderr)
-            return 1
+    family, *words = args.spec
+    try:  # the integers of one comma-separated word
+        ints = tuple(int(x) for x in words[0].split(",")) if len(words) == 1 else None
+    except ValueError:
+        ints = None
+    if family == "petersen" and not words:
         g = families.petersen()
-    elif spec[0] in _INDEXED_FAMILIES:
-        try:
-            k = int(spec[1]) if len(spec) == 2 else None
-        except ValueError:
-            k = None
-        if k is None:
-            print(f"usage: generate {spec[0]} K, with K an integer", file=sys.stderr)
-            return 1
-        build, per_k = _INDEXED_FAMILIES[spec[0]]
-        families._check_order(per_k * k)
-        g = build(k)
-    elif spec[0] == "permutation":
-        try:
-            perm = tuple(int(x) for x in spec[1].split(",")) if len(spec) == 2 else None
-        except ValueError:
-            perm = None
-        if perm is None:
-            print("usage: generate permutation 0,2,4,1,3 (comma-separated integers)",
-                  file=sys.stderr)
-            return 1
-        families._check_order(2 * len(perm))
-        g = families.permutation_snark(perm)
+    elif family in _INDEXED_FAMILIES and ints and len(ints) == 1:
+        build, per_k = _INDEXED_FAMILIES[family]
+        families._check_order(per_k * ints[0])
+        g = build(ints[0])
+    elif family == "permutation" and ints:
+        families._check_order(2 * len(ints))
+        g = families.permutation_snark(ints)
     else:
-        print(f"unknown family {spec[0]!r}", file=sys.stderr)
-        return 1
-    if args.format == "adj":
-        sys.stdout.write(families.write_adjacency(g))
-    else:
-        print(families.write_graph6(g))
+        raise _Refused(f"usage: generate {_USAGE[family]}" if family in _USAGE
+                       else f"unknown family {family!r}")
+    adj = args.format == "adj"
+    _emit(families.write_adjacency(g) if adj else families.write_graph6(g) + "\n", False)
     return 0
 
 
-def cmd_pcolour(args) -> int:
-    # find reads --node-limit, verify and pullback read --colouring
+def _pcolour_flags(args) -> int:
+    """``pcolour``, whose flags are checked before the graph is read: find
+    reads --node-limit, verify and pullback read --colouring."""
     find = args.action == "find"
     unread, value = ("--colouring", args.colouring) if find else ("--node-limit", args.node_limit)
     if value is not None:
-        print(f"pcolour {args.action} does not take {unread}", file=sys.stderr)
-        return 1
+        raise _Refused(f"pcolour {args.action} does not take {unread}")
     if not find and not args.colouring:
-        print("--colouring FILE is required", file=sys.stderr)
-        return 1
-    g = _load_graph(args.graph, args.format)
-    if find:
-        colouring = pcol.find_petersen_colouring(g, node_limit=args.node_limit)
-        if colouring is None:
-            print("no Petersen colouring exists", file=sys.stderr)
-            return 2
-        sys.stdout.write(pcol.format_colouring(g, colouring))
-        return 0
+        raise _Refused("--colouring FILE is required")
+    return _run(args)
+
+
+def cmd_pcolour(g, args):
+    if args.action == "find":
+        return pcol.format_colouring(g, _petersen_colouring(g, args))
     colouring = pcol.parse_colouring(g, _read_text(args.colouring))
     if args.action == "verify":
         ok, bad = pcol.verify_petersen_colouring(g, colouring)
@@ -368,15 +345,10 @@ def cmd_pcolour(args) -> int:
                "fiber_sizes": list(colouring.fiber_sizes())}
         if not ok:
             out["violating_vertex"] = bad
-        _emit(out, args.json)
-        return 0 if ok else 2
-    # pullback
+        return out, 0 if ok else 2
     res = pcol.best_pullback_cover(g, colouring)
-    out = {"length": res.length, "claimed_bound": res.claimed_bound,
-           "balanced": res.certificate["balanced"]}
-    out.update(_cover_payload(g, res.cover))
-    _emit(out, args.json)
-    return 0
+    return {"length": res.length, "claimed_bound": res.claimed_bound,
+            "balanced": res.certificate["balanced"], **_cover_payload(g, res.cover)}
 
 
 def _node_count(text: str) -> int:
@@ -400,54 +372,48 @@ def build_parser() -> argparse.ArgumentParser:
                 "--node-limit": {"type": _node_count, "default": None},
                 "--no-timing": {"action": "store_true"}}
 
-    def common(p, *flags):
+    def common(p, report, *flags):
+        """A graph command, which ``_run`` runs on ``report``."""
         p.add_argument("graph", help="input file or - for stdin")
         p.add_argument("--format", choices=("g6", "adj"), default=None)
         for flag in flags:
             p.add_argument(flag, **optional[flag])
         p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=_run, report=report)
 
     p = sub.add_parser("analyze", help="full structural report")
-    common(p, "--cap", "--node-limit", "--no-timing")
+    common(p, _verify_cover, "--cap", "--node-limit", "--no-timing")
     p.add_argument("--verify-cover", metavar="CERT",
                    help="re-validate a construct certificate (JSON) instead")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("scc", help="shortest cycle cover")
-    common(p, "--cap", "--node-limit")
-    p.set_defaults(fn=cmd_scc)
+    common(p, cmd_scc, "--cap", "--node-limit")
 
     p = sub.add_parser("tau", help="perfect matching index")
-    common(p, "--node-limit")
+    common(p, cmd_tau, "--node-limit")
     p.add_argument("--limit", type=int, default=5)
-    p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("oddness", help="minimum odd components over 2-factors")
-    common(p)
-    p.set_defaults(fn=cmd_oddness)
+    common(p, cmd_oddness)
 
     p = sub.add_parser("circ", help="circumference")
-    common(p, "--node-limit")
-    p.set_defaults(fn=cmd_circ)
+    common(p, cmd_circ, "--node-limit")
 
     p = sub.add_parser("cdc", help="cycle double cover search")
-    common(p, "--node-limit")
+    common(p, cmd_cdc, "--node-limit")
     p.add_argument("--contains", help="comma-separated vertex circuit to force")
     p.add_argument("--k", type=int, default=None, help="number of colour classes")
     p.add_argument("--two-factor-class", action="store_true")
-    p.set_defaults(fn=cmd_cdc)
 
     p = sub.add_parser("spectrum", help="edge weights over all optimal covers")
-    common(p, "--cap", "--node-limit")
-    p.set_defaults(fn=cmd_spectrum)
+    common(p, cmd_spectrum, "--cap", "--node-limit")
 
     p = sub.add_parser("construct", help="build a short cover from a theorem")
-    common(p, "--node-limit")
-    p.add_argument("--via", required=True,
-                   choices=("circumference", "oddness2", "tau4", "petersen"))
+    common(p, cmd_construct, "--node-limit")
+    p.add_argument("--via", required=True, choices=tuple(_CONSTRUCTIONS))
     p.add_argument("--force-base", action="store_true",
                    help="skip the oddness-2 consecutive-vertices refinement")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("generate", help="emit a named family member")
     p.add_argument("spec", nargs="+",
@@ -457,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pcolour", help="Petersen colouring front end")
     p.add_argument("action", choices=("find", "verify", "pullback"))
-    common(p, "--node-limit")
+    common(p, cmd_pcolour, "--node-limit")
     p.add_argument("--colouring", help="colouring file (for verify/pullback)")
-    p.set_defaults(fn=cmd_pcolour)
+    p.set_defaults(fn=_pcolour_flags)
 
     return top
 
@@ -472,6 +438,9 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     try:
         return args.fn(args)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except HypothesisViolated as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2

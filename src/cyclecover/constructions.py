@@ -29,6 +29,7 @@ from .graphs import (
     suppress_degree_two,
 )
 from .solvers import (
+    _Budget,
     _colouring_cover,
     circumference,
     find_cdc,
@@ -233,11 +234,14 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     Splits g into the chordless part (searched for a CDC through the circuit)
     and the circuit-plus-chords part (3-edge-coloured), merges the two CDCs,
     and applies the CDC-minus-subgraph step to the lifted (1,3) colour class.
+    The circumference search and the CDC search spend one budget of
+    ``node_limit`` nodes.
     """
     if not is_connected(g) or not is_bridgeless(g):
         raise HypothesisViolated("graph must be 2-connected")
+    budget = _Budget(node_limit)
     if longest is None:
-        _, longest = circumference(g, node_limit=node_limit)
+        _, longest = circumference(g, node_limit=budget)
     else:
         longest = circuit_of(g, longest)
     k = g.n - len(longest)
@@ -255,14 +259,14 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
 
     if not chords:
         # the chordless part is g itself: one CDC through the circuit suffices
-        cdc = _cdc_through(g, [longest], node_limit, "through the given circuit")
+        cdc = _cdc_through(g, [longest], budget, "through the given circuit")
         cover = _drop_circuits(g, cdc, [longest])
         return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
     chord_set = set(chords)
     cover = _split_cover(g, c_set, c_set | chord_set,
                          [e for e in range(g.m) if e not in chord_set], [longest],
-                         node_limit, "chord-free reduction")
+                         budget, "chord-free reduction")
     return _check_result(g, cover, base + 4 * k, "circumference", cert)
 
 

@@ -30,6 +30,9 @@ class _Budget:
     ``spend(search)`` counts one node and raises ``NodeLimitExceeded(search,
     nodes)`` once the count passes ``limit`` (None: no limit), so ``nodes``
     is always the running total of the call, and an abort reports it.
+    ``circumference`` and the circuit-form ``find_cdc`` also take a budget
+    for ``node_limit`` (``of``) and spend it on, so that a construction's
+    stages share one.
     """
 
     __slots__ = ("limit", "nodes")
@@ -37,6 +40,11 @@ class _Budget:
     def __init__(self, limit=None):
         self.limit = float("inf") if limit is None else limit
         self.nodes = 0
+
+    @classmethod
+    def of(cls, node_limit):
+        """``node_limit`` itself when it is a budget, else a new one."""
+        return node_limit if isinstance(node_limit, cls) else cls(node_limit)
 
     def spend(self, search):
         self.nodes += 1
@@ -374,8 +382,8 @@ def circumference(g: Multigraph, node_limit=None):
     """
     n = g.n
     cubic = all(d == 3 for d in g.degrees())
-    budget = _Budget(node_limit)
-    if cubic and node_limit is not None:  # the colouring spends the budget, reading no memo
+    budget = _Budget.of(node_limit)
+    if cubic and budget.limit < float("inf"):  # the colouring spends the budget, reading no memo
         labels = None if g.loops else _label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
         colours = None if labels is None else tuple(labels)
         _colouring.keep(g, colours)
@@ -526,8 +534,8 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
                 if (e, s0) in taken or pins.setdefault(e, s0 ^ s1) != s0 ^ s1:
                     return None  # a transition taken twice, or two that no choice holds
                 taken.add((e, s0))
-        found = next(_join_search(_Joins(g, range(g.n)), _bfs_edges(g), 0, _Budget(node_limit),
-                                  pins), None)
+        found = next(_join_search(_Joins(g, range(g.n)), _bfs_edges(g), 0,
+                                  _Budget.of(node_limit), pins), None)
         return None if found is None else _decode_joins(g, found[1])
     if must_contain:
         raise GraphError("must_contain is only available in the circuit-form search")

@@ -299,9 +299,10 @@ def test_cdc_without_contains_on_j7(tmp_path, capsys):
 def test_cdc_contains_rejects_a_walk_that_is_no_circuit(tmp_path, capsys):
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(petersen()) + "\n")
-    # edge 0-1 twice, a walk that repeats its vertices, then two lists that
-    # are not all vertex numbers
-    for walk in ("0,1", "0,1,0,1", "a,b", "0,,1"):
+    # edge 0-1 twice, a walk that repeats its vertices, two lists that are
+    # not all vertex numbers, and walks that close on themselves, which are
+    # refused before any edge 0-0 is looked up
+    for walk in ("0,1", "0,1,0,1", "a,b", "0,,1", "0", "0,0", "0,1,0"):
         assert main(["cdc", str(path), "--contains", walk, "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--contains is not a circuit" in captured.err
@@ -707,6 +708,68 @@ def test_scc_golden(tmp_path, capsys):
         lines.append(json.dumps({"graph": name, "exit": code, "stdout": out, "stderr": err}) + "\n")
     with open(os.path.join(DATA, "scc_golden.jsonl"), encoding="ascii") as fh:
         assert "".join(lines) == fh.read()
+
+
+# the runs of every graph, each plain or JSON, then the forced circuits of
+# ``cdc --contains`` on the graphs named
+_COMMANDS = (["tau"], ["tau", "--limit", "4", "--json"], ["oddness"], ["oddness", "--json"],
+             ["circ"], ["circ", "--json"], ["cdc"], ["cdc", "--k", "5", "--json"],
+             ["cdc", "--k", "5", "--two-factor-class"], ["spectrum"], ["spectrum", "--json"],
+             ["construct", "--via", "tau4"], ["construct", "--via", "petersen", "--json"])
+_CONTAINS = {"petersen": "0,1,2,3,4", "J5": "5,0,10,11,1,6"}
+
+
+def _command_lines(tmp_path, capsys):
+    """One golden line per run: its argv (the files named), exit code,
+    stdout and stderr.  ``pcolour verify`` and ``pullback`` read the
+    colouring that ``find`` printed just before, and ``analyze
+    --verify-cover`` the ``construct --json`` certificate, as printed and
+    with its bound lowered below its length."""
+    first, second = load_snarks18()
+    graphs = [("K4", parse_graph6("C~")), ("prism", parse_graph6("E{Sw")),
+              ("petersen", petersen()), ("J5", flower(5)), ("snarks18[0]", first),
+              ("snarks18[1]", second)]
+    files = {name: str(tmp_path / name) for name in ("colouring", "certificate", "over_bound")}
+    names = {path: name for name, path in files.items()}
+    gfile = str(tmp_path / "graph")
+    lines = []
+
+    def run(*argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        shown = [names.get(arg, arg) for arg in argv]
+        lines.append(json.dumps({"argv": shown, "exit": code, "stdout": out, "stderr": err}) + "\n")
+        return out
+
+    def write(path, text):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+    for spec in (["petersen"], ["flower", "5"], ["goldberg", "5"], ["permutation", "0,2,4,1,3"]):
+        run("generate", *spec, "--format", "adj")
+    for name, g in graphs:
+        write(gfile, write_graph6(g) + "\n")
+        names[gfile] = name
+        for cmd in _COMMANDS:
+            run(cmd[0], gfile, *cmd[1:])
+        if name in _CONTAINS:
+            run("cdc", gfile, "--contains", _CONTAINS[name])
+        write(files["colouring"], run("pcolour", "find", gfile))
+        for action, flags in (("verify", []), ("verify", ["--json"]), ("pullback", ["--json"])):
+            run("pcolour", action, gfile, "--colouring", files["colouring"], *flags)
+        cert = json.loads(run("construct", gfile, "--via", "circumference", "--json"))
+        write(files["certificate"], json.dumps(cert))
+        write(files["over_bound"], json.dumps(dict(cert, claimed_bound=cert["length"] - 1)))
+        for which in ("certificate", "over_bound"):
+            run("analyze", gfile, "--verify-cover", files[which])
+    return lines
+
+
+def test_command_golden(tmp_path, capsys):
+    # the output of every command that succeeds, as the CLI prints it, and
+    # the refusal of a certificate over its claimed bound (exit 2)
+    with open(os.path.join(DATA, "command_golden.jsonl"), encoding="ascii") as fh:
+        assert "".join(_command_lines(tmp_path, capsys)) == fh.read()
 
 
 def _error_cases(tmp_path):

@@ -206,13 +206,17 @@ def test_circumference_pipeline_flower():
 
 def test_circumference_pipeline_budget_bounds_the_circumference(pete):
     # finding Petersen's 9-circuit takes 18 nodes (8 to refute its
-    # 3-edge-colouring, then 10 of DFS), the CDC through it 4
+    # 3-edge-colouring, then 10 of DFS), the CDC through it 6, all from one
+    # budget
     with pytest.raises(NodeLimitExceeded) as exc:
         cover_via_circumference(pete, node_limit=5)
     assert exc.value.nodes == 6
     with pytest.raises(NodeLimitExceeded):
         cover_via_circumference(pete, node_limit=17)
-    assert cover_via_circumference(pete, node_limit=18) == cover_via_circumference(pete)
+    with pytest.raises(NodeLimitExceeded) as exc:
+        cover_via_circumference(pete, node_limit=23)
+    assert (exc.value.search, exc.value.nodes) == ("transitions", 24)
+    assert cover_via_circumference(pete, node_limit=24) == cover_via_circumference(pete)
 
 
 def _refused(call, *args, **kwargs):

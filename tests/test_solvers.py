@@ -1664,8 +1664,9 @@ def _least_limit(call):
     ("labelling", lambda limit: find_petersen_colouring(flower(5), node_limit=limit), None),
     ("circumference", lambda limit: circumference(flower(5), node_limit=limit), None),
     ("cover engine", _deepened, lambda res: res[2]),
+    ("transitions", lambda limit: cover_via_circumference(flower(5), node_limit=limit), None),
 ], ids=["scc", "spectrum", "circuit cdc", "k-class cdc", "tau", "petersen colouring",
-        "circumference", "deepening"])
+        "circumference", "deepening", "circumference construction"])
 def test_node_limit_of_the_nodes_spent_returns_the_unlimited_result(search, call, reported):
     # every search of a call spends one budget: a limit of the nodes it
     # spent returns the unlimited result, and one node less aborts it with
@@ -1711,3 +1712,59 @@ def test_three_disjoint_paths_refuses_endpoints_that_are_no_vertices(pete, s, t)
     # a bad endpoint is no proven negative (HypothesisViolated)
     with pytest.raises(ValueError, match="must be vertices 0..9"):
         three_disjoint_paths(pete, s, t)
+
+
+def _least_three_paths(mg, s, t):
+    """The least total length of three pairwise edge-disjoint simple s-t
+    paths of ``mg``, over every such triple, or None when there is none."""
+    paths = []
+
+    def extend(v, seen, edges):
+        if v == t:
+            paths.append(frozenset(edges))
+            return
+        for e in mg.incident_edges[v]:
+            w = mg.other_end(e, v)
+            if w not in seen:
+                extend(w, seen | {w}, edges + [e])
+
+    extend(s, {s}, [])
+    return min((len(a) + len(b) + len(c) for a, b, c in combinations(paths, 3)
+                if not a & b and not a & c and not b & c), default=None)
+
+
+def _random_multigraphs(seed, count):
+    """Random loopless multigraphs of 3-7 vertices with n to 2n edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        yield Multigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n, 2 * n))])
+
+
+def test_three_disjoint_paths_against_every_triple_of_paths():
+    # successive shortest paths take a residual edge back (cancel the flow of
+    # an earlier path) where an earlier shortest path blocks the optimum, as
+    # the third path from 3 to 5 in the first graph does, and a few of the
+    # random cases; the paths returned must be three edge-disjoint walks from
+    # s to t whose total length d is the least
+    first = Multigraph(7, [(0, 4), (1, 0), (0, 4), (5, 2), (1, 3), (1, 4), (4, 2), (6, 3),
+                           (2, 1), (4, 5), (0, 5), (4, 6), (6, 3), (6, 0)])
+    cases = [(first, 3, 5)]
+    cases += [(mg, s, t) for mg in _random_multigraphs(5, 100)
+              for s in range(mg.n) for t in range(mg.n) if s != t]
+    for mg, s, t in cases:
+        want = _least_three_paths(mg, s, t)
+        if want is None:
+            with pytest.raises(HypothesisViolated, match="disjoint paths exist"):
+                three_disjoint_paths(mg, s, t)
+            continue
+        paths, d = three_disjoint_paths(mg, s, t)
+        assert d == sum(map(len, paths)) == want
+        used = [e for p in paths for e in p]
+        assert len(set(used)) == len(used)
+        for path in paths:
+            v = s
+            for e in path:
+                assert v in mg.edges[e]
+                v = mg.other_end(e, v)
+            assert v == t

@@ -14,15 +14,25 @@ exit code of every run:
   ``tests/data/analyze_snarks_golden.g6`` and the ``analyze_stream``
   benchmark streams of seeds 3, 7 and 11, written by PARENT_DIR's
   ``perfbench/bench_workloads.make_inputs``;
-- ``scc``, ``scc --cap 3 --json``, ``tau``, ``oddness``, ``circ --json``
-  and ``cdc --json`` on K4, the prism and every generated graph, and both
-  graphs of ``tests/data/snarks18.g6``;
+- ``generate --format adj`` of the same graphs;
+- ``scc``, ``scc --cap 3 --json``, ``tau``, ``tau --limit 4``,
+  ``oddness``, ``circ --json``, ``cdc --json``, ``cdc --k 5
+  --two-factor-class --json``, ``construct --via`` each construction and
+  ``construct --via oddness2 --force-base`` on K4, the prism and every
+  generated graph, and both graphs of ``tests/data/snarks18.g6``;
+- on each of those graphs, ``pcolour find``, then ``pcolour verify`` and
+  ``pcolour pullback --json`` of the colouring that PARENT_DIR's ``find``
+  printed, and ``analyze --verify-cover`` of PARENT_DIR's ``construct
+  --via circumference --json`` certificate;
 - ``spectrum --json`` on the graphs whose covers are listed in well under
-  a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534).
+  a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534);
+- two refusals: ``scc`` of a missing file, and ``cdc --contains 0,1`` on
+  P, a walk that takes one edge twice.
 
-The graph inputs are PARENT_DIR's: its data files and its ``generate``
-output.  The first difference is printed, and the exit status is 1 on any
-difference, else 0.
+Every run takes well under a second.  The graph inputs are PARENT_DIR's:
+its data files, its ``generate`` output and the colourings and
+certificates above.  The first difference is printed, and the exit status
+is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -41,8 +51,12 @@ GENERATED = {"P": ["petersen"], "J5": ["flower", "5"], "J7": ["flower", "7"],
              "J9": ["flower", "9"], "G5": ["goldberg", "5"],
              "perm5": ["permutation", "0,2,4,1,3"]}
 FIXED = {"K4": "C~", "prism": "E{Sw"}
-COMMANDS = (["scc"], ["scc", "--cap", "3", "--json"], ["tau"], ["oddness"], ["circ", "--json"],
-            ["cdc", "--json"])
+COMMANDS = (["scc"], ["scc", "--cap", "3", "--json"], ["tau"], ["tau", "--limit", "4"],
+            ["oddness"], ["circ", "--json"], ["cdc", "--json"],
+            ["cdc", "--k", "5", "--two-factor-class", "--json"],
+            *(["construct", "--via", via]
+              for via in ("circumference", "oddness2", "tau4", "petersen")),
+            ["construct", "--via", "oddness2", "--force-base"])
 SPECTRUM = ("K4", "prism", "P", "J5", "perm5")
 
 
@@ -75,6 +89,14 @@ def write_inputs(parent: Path, tmp: Path):
     for i, line in enumerate(snarks):
         graphs[f"snarks18[{i}]"] = tmp / f"snarks18_{i}.g6"
         graphs[f"snarks18[{i}]"].write_text(line + "\n", encoding="ascii")
+    for name, path in list(graphs.items()):
+        for suffix, argv in (("col", ["pcolour", "find", str(path)]),
+                             ("cert", ["construct", str(path), "--via", "circumference",
+                                       "--json"])):
+            code, out, err = run(parent, argv)
+            if code:
+                sys.exit(f"same_answers: {argv[0]} {name} failed in {parent}:\n{err}")
+            path.with_suffix(f".{suffix}").write_text(out, encoding="ascii")
     streams = {name: data / name for name in ("analyze_golden.g6", "analyze_snarks_golden.g6")}
     for seed in STREAM_SEEDS:
         rundir = tmp / f"stream{seed}"
@@ -86,13 +108,24 @@ def write_inputs(parent: Path, tmp: Path):
 
 def cases(graphs, streams):
     """(label, argv) of every compared run."""
-    out = [(f"generate {' '.join(spec)}", ["generate", *spec]) for spec in GENERATED.values()]
+    out = [(f"generate {' '.join(spec)}{fmt}", ["generate", *spec, *fmt.split()])
+           for fmt in ("", " --format adj") for spec in GENERATED.values()]
     out += [(f"analyze {name}", ["analyze", str(path), "--json", "--no-timing"])
             for name, path in streams.items()]
     out += [(f"{' '.join(cmd)} {name}", [cmd[0], str(path), *cmd[1:]])
             for name, path in graphs.items() for cmd in COMMANDS]
+    for name, path in graphs.items():
+        col, cert = str(path.with_suffix(".col")), str(path.with_suffix(".cert"))
+        out += [(f"pcolour find {name}", ["pcolour", "find", str(path)]),
+                (f"pcolour verify {name}", ["pcolour", "verify", str(path), "--colouring", col]),
+                (f"pcolour pullback --json {name}",
+                 ["pcolour", "pullback", str(path), "--colouring", col, "--json"]),
+                (f"analyze --verify-cover {name}", ["analyze", str(path), "--verify-cover", cert])]
     out += [(f"spectrum --json {name}", ["spectrum", str(graphs[name]), "--json"])
             for name in SPECTRUM]
+    missing = graphs["P"].with_name("missing.g6")
+    out += [("scc of a missing file", ["scc", str(missing)]),
+            ("cdc --contains 0,1 P", ["cdc", str(graphs["P"]), "--contains", "0,1"])]
     return out
 
 
