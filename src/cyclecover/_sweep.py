@@ -165,30 +165,34 @@ class _Matchings(Sequence):
     order of their sorted edge tuples, and the least 2-factor they leave:
     the store that ``enumerate_perfect_matchings`` returns.
 
-    ``len`` is the sweep's count.  ``made`` holds the keys made so far: key
-    i is made by the walk, with the keys before it, on its first read, so
-    every reader sees one sequence; a matching is decoded on each read.
-    ``least()`` is the first 2-factor in that order with the least (odd
-    circuits, circuits) key, walked once and memoised; it makes the keys
-    only up to where it stops.  ``masks[i]`` is matching i as an edge mask,
-    the low half of its key, and makes every key.  ``holders[e]``, built on
-    first use, is the set of matchings that hold edge e, as a bitmask over
-    their indices.  A store with no matching is falsy.
+    ``size`` is the sweep's count (``len`` raises ``OverflowError`` past
+    ``sys.maxsize``).  ``made`` holds the keys made so far: key i is made by
+    the walk, with the keys before it, on its first read, so every reader sees
+    one sequence; a matching is decoded on each read.  ``least()`` is the
+    first 2-factor in that order with the least (odd circuits, circuits) key,
+    walked once and memoised; it makes the keys only up to where it stops, and
+    ``walked`` holds it once walked, else None.  ``masks[i]`` is matching i as
+    an edge mask, the low half of its key, and makes every key.
+    ``holders[e]``, built on first use, is the set of matchings that hold edge
+    e, as a bitmask over their indices.  A store with no matching is falsy.
     """
 
-    __slots__ = ("g", "made", "_size", "_walk", "_masks", "_least", "_holders")
+    __slots__ = ("g", "made", "size", "_walk", "_masks", "walked", "_holders")
 
     def __init__(self, g, size, walk):
-        self.g, self.made, self._size, self._walk = g, [], size, walk
-        self._masks = self._least = self._holders = None
+        self.g, self.made, self.size, self._walk = g, [], size, walk
+        self._masks = self.walked = self._holders = None
 
     def __len__(self):
-        return self._size
+        return self.size
+
+    def __bool__(self):
+        return self.size > 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(self._size)[i]]
-        return _decoded(self._key(range(self._size)[i]), self.g.m)
+            return [self[j] for j in range(self.size)[i]]
+        return _decoded(self._key(range(self.size)[i]), self.g.m)
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, _Matchings) else other)
@@ -224,16 +228,16 @@ class _Matchings(Sequence):
         ``walks`` are its circuits' ``_walks``; None with no matching.  The
         walk stops at the first Hamiltonian 2-factor, since (0, 1) is the
         least key there is."""
-        if self._least is None:
+        if self.walked is None:
             best, full = None, (1 << self.g.m) - 1
-            for i in range(self._size):
+            for i in range(self.size):
                 key, walks = self._count(self._key(i) & full)
                 if best is None or key < best[1]:
                     best = i, key, walks
                     if key == (0, 1):
                         break
-            self._least = best
-        return self._least
+            self.walked = best
+        return self.walked
 
     def _count(self, pm):
         walks = _walks(self.g, ((1 << self.g.m) - 1) & ~pm)

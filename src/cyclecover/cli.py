@@ -110,11 +110,12 @@ def cmd_analyze(args) -> int:
         report["bridgeless"] = run("bridgeless", lambda: is_bridgeless(g))
         report["cyclically_4_edge_connected"] = run(
             "cyclic_connectivity", lambda: cyclic_connectivity_at_least(g, 4))
+        budget = solvers._Budget(args.node_limit)  # one for every search of this graph
         if report["bridgeless"]:
             scc = run("scc", lambda: solvers.shortest_cycle_cover(
-                g, cap=args.cap, node_limit=args.node_limit))
+                g, cap=args.cap, node_limit=budget))
             report["scc"] = scc.length
-            tau = run("tau", lambda: solvers.perfect_matching_index(g, node_limit=args.node_limit))
+            tau = run("tau", lambda: solvers.perfect_matching_index(g, node_limit=budget))
             report["tau"] = tau.tau
             odd = run("oddness", lambda: solvers.oddness(g))
             report["oddness"] = odd[0]
@@ -125,7 +126,7 @@ def cmd_analyze(args) -> int:
         # after oddness, so that a snark's least 2-factor settles it
         colouring = run("edge_colouring_3", lambda: solvers.edge_colouring_3(g))
         report["three_edge_colourable"] = colouring is not None
-        circ = run("circumference", lambda: solvers.circumference(g, node_limit=args.node_limit))
+        circ = run("circumference", lambda: solvers.circumference(g, node_limit=budget))
         report["circumference"] = circ[0]
         ok = True
         if report["three_edge_colourable"] and report["bridgeless"]:

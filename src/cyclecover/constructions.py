@@ -239,7 +239,7 @@ def cover_via_circumference(g: CubicGraph, longest: Circuit | None = None,
     """
     if not is_connected(g) or not is_bridgeless(g):
         raise HypothesisViolated("graph must be 2-connected")
-    budget = _Budget(node_limit)
+    budget = _Budget.of(node_limit)
     if longest is None:
         _, longest = circumference(g, node_limit=budget)
     else:

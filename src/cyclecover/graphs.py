@@ -15,8 +15,7 @@ from .errors import GraphError, _Record
 def _one_graph_memo(build):
     """``build(g)`` memoised for the last graph it was called on.  Graphs are
     immutable and hash by identity, so consecutive calls on one graph share
-    one value; ``held(g)`` reads that value, or None, without building it,
-    and ``keep(g, value)`` stores a value that ``build(g)`` would return."""
+    one value; ``held(g)`` reads that value, or None, without building it."""
     memo = [None, None]
 
     @wraps(build)
@@ -25,11 +24,7 @@ def _one_graph_memo(build):
             memo[:] = g, build(g)
         return memo[1]
 
-    def keep(g, value):
-        memo[:] = g, value
-
     cached.held = lambda g: memo[1] if memo[0] is g else None
-    cached.keep = keep
     return cached
 
 

@@ -82,7 +82,7 @@ def find_petersen_colouring(g: CubicGraph, node_limit=None):
     complete fails at once, whatever the edge order.  The store is filled
     before the search and ``node_limit`` bounds only the labelling nodes.
     """
-    assignment = _label_search(g, _P_STARS, _Budget(node_limit),
+    assignment = _label_search(g, _P_STARS, _Budget.of(node_limit),
                                cuts=_matching_cuts(g, _P_MATCHINGS))
     return None if assignment is None else PetersenColouring(tuple(assignment))
 

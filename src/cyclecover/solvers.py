@@ -1,7 +1,7 @@
 """Exact solvers: circuits, covers, matchings, colourings, connectivity search.
 
 Everything here is exhaustive or branch-and-bound with proofs by search
-completion.  The searches of one public call spend one node budget
+completion.  The searches of one command spend one node budget
 (``_Budget``), whose limit aborts them (``NodeLimitExceeded``), never
 conflated with a proven negative answer.  All searches use fixed variable and
 value orders, so results are deterministic for a given graph.
@@ -25,14 +25,13 @@ from .graphs import CubicGraph, Multigraph, _mask, _one_graph_memo, _walks, brid
 
 
 class _Budget:
-    """The node budget of one public call, which its searches spend in turn.
+    """The node budget of one command, which its searches spend in turn.
 
     ``spend(search)`` counts one node and raises ``NodeLimitExceeded(search,
     nodes)`` once the count passes ``limit`` (None: no limit), so ``nodes``
-    is always the running total of the call, and an abort reports it.
-    ``circumference`` and the circuit-form ``find_cdc`` also take a budget
-    for ``node_limit`` (``of``) and spend it on, so that a construction's
-    stages share one.
+    is always the running total, and an abort reports it; ``charge`` spends
+    many at once.  Every public search entry takes a budget for
+    ``node_limit`` (``of``), so the stages of one command share one.
     """
 
     __slots__ = ("limit", "nodes")
@@ -50,6 +49,12 @@ class _Budget:
         self.nodes += 1
         if self.nodes > self.limit:
             raise NodeLimitExceeded(search, self.nodes)
+
+    def charge(self, search, nodes):
+        if self.nodes + nodes > self.limit:
+            self.nodes = max(self.nodes, int(self.limit)) + 1
+            raise NodeLimitExceeded(search, self.nodes)
+        self.nodes += nodes
 
 
 # --------------------------------------------------------------------------
@@ -117,27 +122,17 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
 
     The colouring search of ``_colouring`` runs first, capped at 4m nodes;
     a colouring found gives the least length, 4m/3, by the colour pairs
-    (0, 2) and (1, 2), and is kept in ``_colouring``'s memo.  Reaching the
-    cap proves nothing, so the witness is then the first cover of
-    ``_structured_covers``, the cap-2 optimum 4m/3 + e.  With ``cap`` >= 3
-    and e >= 3, ``_deepening`` then looks for a shorter cover with a weight
-    above 2, and its witness wins.  Every stage spends one budget of
-    ``node_limit`` nodes, and no memo read can change the result.
+    (0, 2) and (1, 2).  Reaching the cap proves nothing, so the witness is
+    then the first cover of ``_structured_covers``, the cap-2 optimum 4m/3 +
+    e.  With ``cap`` >= 3 and e >= 3, ``_deepening`` then looks for a
+    shorter cover with a weight above 2, and its witness wins.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    budget = _Budget(node_limit)
-    limit, budget.limit = budget.limit, min(budget.limit, 4 * g.m)
-    try:
-        colours = _label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
-    except NodeLimitExceeded:
-        if budget.nodes > limit:
-            raise
-        colours = None  # the cap, not node_limit: a miss
-    budget.limit = limit
+    budget = _Budget.of(node_limit)
+    colours = _colouring(g, budget, cap=4 * g.m)
     if colours is not None:
-        _colouring.keep(g, tuple(colours))
         length, cover, stage = 2 * g.n, _colouring_cover(g, colours, ((0, 2), (1, 2))), "colouring"
     else:
         length, [(_, run)] = _structured_covers(g, budget, first=True)
@@ -184,13 +179,12 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
     has weight 1 on its weight-1 edges and 2 elsewhere.  With ``cap`` >= 3
     and a cap-2 optimum of 4m/3 + 2 or more, a weight above 2 may give
     covers as short (see ``_deepening``), so the engine enumerates every
-    cover of the optimum over all circuits.  ``nodes`` counts the search
-    nodes of every stage, all within one ``node_limit``.
+    cover of the optimum over all circuits.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
     _check_coverable(g)
-    budget = _Budget(node_limit)
+    budget = _Budget.of(node_limit)
     length, covers = _structured_covers(g, budget)
     if cap == 2 or length < 2 * g.n + 2:
         one = two = 0  # the edges of weight 1, and of weight 2, in some cover
@@ -216,7 +210,7 @@ def enumerate_perfect_matchings(g: Multigraph):
     """All perfect matchings as frozensets of edge ids, sorted by their
     sorted edge tuples: g's one matching store (``_Matchings``), which tau,
     oddness and the labelling cuts read too.  A read-only sequence whose
-    ``len`` is the sweep's count, with no listing, whose matchings are made
+    ``size`` is the sweep's count, with no listing, whose matchings are made
     as they are read, and which equals the list of the same matchings."""
     return _matching_sweep(g)
 
@@ -248,7 +242,7 @@ def _matching_cuts(g, holds):
     matching of g.
     """
     store = _matchings(g)
-    holders, every = store.holders, (1 << len(store)) - 1
+    holders, every = store.holders, (1 << store.size) - 1
 
     def cuts(dom):
         groups = {}  # domain: [AND of holders, AND of complements, edges]
@@ -310,11 +304,8 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
     ``_partition_tables(k)``; matching i of its witness is the edges whose
     label holds i.  Its cuts (``_matching_cuts``) keep each matching i one of
     the store's, so a label that no perfect matching completes fails at
-    once, whatever the edge order.  An edge that no perfect matching holds
-    (a loop, or an edge beside a bridge) puts tau above any limit, with no
-    search.  The labelling nodes over every k spend one budget of
-    ``node_limit`` nodes; an abort raises ``NodeLimitExceeded`` with the
-    nodes spent.
+    once, whatever the edge order.  An edge in no perfect matching (a loop,
+    or an edge beside a bridge) puts tau above any limit, with no search.
     """
     store = _matchings(g)
     if limit < 3 or not store:
@@ -325,7 +316,7 @@ def perfect_matching_index(g: CubicGraph, limit: int = 5, node_limit=None) -> Ta
         return TauResult(3, (store[i], *halves))
     if not all(store.holders):
         return TauResult(None, ())  # an edge in no perfect matching
-    budget = _Budget(node_limit)
+    budget = _Budget.of(node_limit)
     for k in range(4, limit + 1):
         subsets, stars = _partition_tables(k)
         holds = [_mask(a for a, s in enumerate(subsets) if s >> i & 1) for i in range(k)]
@@ -358,19 +349,16 @@ def oddness(g: CubicGraph):
 def circumference(g: Multigraph, node_limit=None):
     """Exact longest circuit, with a witness.
 
-    On a cubic graph the 3-edge-colouring comes first: when the 2-factor
-    left by one of its colour classes (colour 0, 1, 2 in turn) is a single
-    circuit, that Hamiltonian circuit is the answer, with no DFS.  With no
-    ``node_limit`` it is read from ``_colouring``'s memo; under a limit its
-    labelling search spends the call's budget first, reads no memo and
-    keeps its result in that memo.
-    Otherwise the witness is the first longest circuit of a DFS from each
-    anchor v0, the least vertex of the circuits it explores, along edges in
-    id order.  A first pass keeps only a Hamiltonian circuit (its best
-    starts at n - 1).  A Hamiltonian cubic graph is 3-edge-colourable, so
-    that pass is skipped for a cubic graph with no 3-edge-colouring.
-    Failing it, an improving pass stops at its first circuit of length
-    n - 1.
+    On a cubic graph the 3-edge-colouring comes first: when the 2-factor left
+    by one of its colour classes (colour 0, 1, 2 in turn) is a single circuit,
+    that Hamiltonian circuit is the answer, with no DFS, once ``_colouring``
+    has charged its labelling nodes.  Otherwise the witness is the first
+    longest circuit of a DFS from each anchor v0, the least vertex of the
+    circuits it explores, along edges in id order.  A first pass keeps only a
+    Hamiltonian circuit (its best starts at n - 1).  A Hamiltonian cubic graph
+    is 3-edge-colourable, so that pass is skipped for a cubic graph with no
+    3-edge-colouring.  Failing it, an improving pass stops at its first circuit
+    of length n - 1.
 
     Extending the path to w, let R be the free vertices (unvisited, above v0)
     that w reaches through free vertices.  The rest of the circuit runs from
@@ -383,12 +371,7 @@ def circumference(g: Multigraph, node_limit=None):
     n = g.n
     cubic = all(d == 3 for d in g.degrees())
     budget = _Budget.of(node_limit)
-    if cubic and budget.limit < float("inf"):  # the colouring spends the budget, reading no memo
-        labels = None if g.loops else _label_search(g, [{0, 1, 2}], budget, [1, 2, 4])
-        colours = None if labels is None else tuple(labels)
-        _colouring.keep(g, colours)
-    else:
-        colours = _colouring(g) if cubic else None
+    colours = _colouring(g, budget) if cubic else None
     if colours is not None:
         for c in range(3):
             walks = _walks(g, _mask(e for e in range(g.m) if colours[e] != c))
@@ -549,7 +532,7 @@ def find_cdc(g: CubicGraph, must_contain=(), k=None, two_factor_class=False, nod
              for a, b, c in combinations(range(used), 3) if tf in (None, c)]
     # the classes other than the 2-factor class are interchangeable
     symbols = [_mask(c for c in p if c != tf) for p in pairs]
-    labels = _label_search(g, stars, _Budget(node_limit), symbols)
+    labels = _label_search(g, stars, _Budget.of(node_limit), symbols)
     if labels is None:
         return None
     classes = [frozenset(e for e in range(g.m) if c in pairs[labels[e]]) for c in range(used)]
@@ -635,28 +618,43 @@ def three_disjoint_paths(mg: Multigraph, s: int, t: int):
 # 3-edge-colourings (the labelling search itself is in ``_labelling``)
 # --------------------------------------------------------------------------
 
-@_one_graph_memo
-def _colouring(g):
-    """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None
-    (proven impossible; always so with a loop).  A one-graph memo like
-    ``_matching_sweep``, read by ``edge_colouring_3`` and ``circumference``;
-    ``shortest_cycle_cover`` keeps here what its capped run of this search
-    finds, the same colouring, since the search is deterministic.
+_searched = _one_graph_memo(lambda g: [])  # _colouring's [labels, nodes] of g, once searched
+
+
+def _colouring(g, budget=None, cap=None):
+    """The first 3-edge-colouring of ``g`` as a tuple of labels 0-2, or None:
+    proven impossible (always so with a loop) or, with ``cap``, not found in
+    ``cap`` nodes of its own.  The search spends ``budget`` (None: its own),
+    and one that finishes leaves its labels and nodes in the one-graph memo
+    ``_searched``.  A read charges ``budget`` what a fresh search would
+    spend: those nodes, or ``cap + 1`` as a miss when they pass ``cap``,
+    aborting at the limit + 1, so no read changes a result or a node count.
 
     A loopless cubic graph is 3-edge-colourable exactly when some 2-factor is
     even (two colour classes form one; an even 2-factor's circuits coloured
     alternately, with its matching, give a colouring).  So when g's store is
     held and its least 2-factor, already walked, has an odd circuit (as after
-    ``oddness`` or tau on a snark), the answer is None with no search; this
-    never starts the walk.
+    ``oddness`` or tau on a snark), the answer is None with no search.  That
+    refutation has no node count: only a caller with no cap or limit reads it.
     """
     if g.loops:
         return None
-    least = None if (store := _matching_sweep.held(g)) is None else store._least
-    if least and least[1][0] and all(d == 3 for d in g.degrees()):
-        return None
-    labels = _label_search(g, [{0, 1, 2}], _Budget(), [1, 2, 4])
-    return None if labels is None else tuple(labels)
+    budget, record = _Budget.of(budget), _searched(g)
+    if not record:
+        if cap is None and budget.limit == float("inf"):
+            least = (store := _matching_sweep.held(g)) and store.walked
+            if least and least[1][0] and all(d == 3 for d in g.degrees()):
+                return None
+        own = _Budget(min(budget.limit - budget.nodes, float("inf") if cap is None else cap))
+        try:
+            labels = _label_search(g, [{0, 1, 2}], own, [1, 2, 4])
+            record += None if labels is None else tuple(labels), own.nodes
+        except NodeLimitExceeded:  # the cap or the limit stopped it: charged, not recorded
+            record = [None, own.nodes]
+    labels, nodes = record
+    missed = cap is not None and nodes > cap
+    budget.charge("labelling", cap + 1 if missed else nodes)
+    return None if missed else labels
 
 
 def edge_colouring_3(g: Multigraph):

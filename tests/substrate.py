@@ -18,8 +18,9 @@ bytes of ``families.parse_graph6`` and ``families.write_graph6``.
 earlier route to the covers read off an edge labelling, through the checked
 ``covers.decompose_even_subgraph``: the references for the pullback
 ``solvers._colouring_cover`` and for ``constructions._split_cover``.
-``disjoint_union`` builds disconnected cubic graphs.  Tests import this
-module as they import ``conftest``.
+``disjoint_union`` builds disconnected cubic graphs, and ``prism_graph``
+the prisms C_k x K2.  Tests import this module as they import
+``conftest``.
 """
 
 import itertools
@@ -247,6 +248,12 @@ def disjoint_union(*graphs) -> CubicGraph:
         edges += [(u + n, v + n) for u, v in g.edges]
         n += g.n
     return CubicGraph(n, edges)
+
+
+def prism_graph(k) -> CubicGraph:
+    """The prism C_k x K2: two k-circuits joined rung by rung."""
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return CubicGraph(2 * k, edges + [(i, k + i) for i in range(k)])
 
 
 def truncation(g: Multigraph, X) -> Multigraph:

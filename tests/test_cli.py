@@ -9,7 +9,7 @@ import pytest
 
 import cyclecover
 from conftest import DATA, load_snarks18, relabelled
-from substrate import disjoint_union
+from substrate import disjoint_union, prism_graph
 from cyclecover import (
     _sweep, build_graph, constructions, cover_via_oddness2, covers, families, flower, goldberg,
     pcolour, petersen, solvers, two_cut_join,
@@ -989,11 +989,23 @@ def test_broken_colouring_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["circ", "oddness"])
 def test_recursion_limit_is_an_abort(command, tmp_path):
     # on the prism C_1200 x K2 these searches recurse deeper than Python allows
-    k = 1200
-    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
-    edges += [(i, k + i) for i in range(k)]
     path = tmp_path / "prism.adj"
-    path.write_text(write_adjacency(build_graph(edges)))
+    path.write_text(write_adjacency(prism_graph(1200)))
     code, out, err = run_cli([command, str(path)])
     assert code == 3 and out == ""
     assert "search aborted: recursion limit exceeded" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, answer", [
+    ("tau", {"tau": 3}), ("oddness", {"oddness": 0}),
+    ("analyze", {"tau": 3, "oddness": 0, "scc": 368, "circumference": 184}),
+], ids=["tau", "oddness", "analyze"])
+def test_matching_counts_past_maxsize_answer(command, answer, tmp_path):
+    # the prism C_92 x K2 has 16,860,207,025,497,407,049 perfect matchings,
+    # more than ``len`` can return: the store's truth value is its size
+    path = tmp_path / "prism.g6"
+    path.write_text(write_graph6(prism_graph(92)) + "\n")
+    code, out, err = run_cli([command, str(path), "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert {key: report[key] for key in answer} == answer

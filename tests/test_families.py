@@ -12,6 +12,7 @@ from substrate import (
     graph6_edges,
     graph6_edges_octal,
     isomorphic,
+    prism_graph,
     write_graph6_matrix,
 )
 from cyclecover import families
@@ -137,13 +138,6 @@ def test_graph6_checks_in_order(line, message):
         parse_graph6(line)
 
 
-def _prism(k):
-    """The prism C_k x K2: two k-circuits joined rung by rung."""
-    return CubicGraph(2 * k, [(i, (i + 1) % k) for i in range(k)]
-                      + [(k + i, k + (i + 1) % k) for i in range(k)]
-                      + [(i, k + i) for i in range(k)])
-
-
 def test_graph6_lines_of_the_data_files_match_the_octal_reader():
     # every line reads as the octal reader reads it and writes back as itself
     for name in sorted(glob.glob(os.path.join(DATA, "*.g6"))):
@@ -162,7 +156,7 @@ def _codec_graphs():
 
     rng = random.Random(4606)
     return [petersen(), *map(flower, range(5, 35, 2)), *map(goldberg, range(5, 15, 2)),
-            *map(_prism, [*range(3, 201), *range(201, 1201, 333)]),
+            *map(prism_graph, [*range(3, 201), *range(201, 1201, 333)]),
             *(_random_cubic(2 * rng.randrange(12, 101), rng) for _ in range(200))]
 
 
@@ -197,7 +191,7 @@ def test_graph6_errors_of_the_golden_file_through_the_library():
 
 def test_graph6_round_trip_in_the_long_size_form():
     # C_3000 x K2 has 6,000 vertices, a four-byte size field
-    g = _prism(3000)
+    g = prism_graph(3000)
     line = write_graph6(g)
     assert line.startswith("~@\\o")
     again = parse_graph6(line)

@@ -28,7 +28,7 @@ def test_scc_colour_covers_match_the_decomposing_route():
     for g in (*load_bridgeless_corpus(12), *_random_cubic_24_to_40()):
         res = shortest_cycle_cover(g)
         if res.stage == "colouring":
-            colours = solvers._colouring.held(g)
+            colours = solvers._colouring(g)
             assert res.cover == pullback_by_decomposition(g, colours, ((0, 2), (1, 2)))
             coloured += 1
     assert coloured > 60

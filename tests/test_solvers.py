@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import sys
 from collections import Counter
 from itertools import combinations, islice
 
@@ -13,6 +14,7 @@ from substrate import (
     decode_joins_by_trace,
     disjoint_union,
     join_search,
+    prism_graph,
     transition_covers,
     truncation,
 )
@@ -36,6 +38,7 @@ from cyclecover.covers import (
     trace_circuit,
     validate,
 )
+from cyclecover.cli import build_parser, main
 from cyclecover.constructions import (
     cover_via_circumference,
     cover_via_oddness2,
@@ -529,9 +532,9 @@ def test_colour_route_checked_by_the_joint_search():
 def test_results_do_not_depend_on_call_history(k4, prism):
     # each public solver on a graph no call has seen (a fresh copy) gives
     # what it gives after any other solver on that graph, after all of them,
-    # and after a call on another graph, witnesses and nodes included.  scc
-    # keeps its colouring in the memo that edge_colouring_3 and
-    # circumference read, and reads none itself
+    # and after a call on another graph, witnesses and nodes included.  scc,
+    # edge_colouring_3 and circumference share one colouring memo, whose
+    # reads are charged the nodes of the search they save
     calls = {
         "scc": shortest_cycle_cover,
         "spectrum": edge_weight_spectrum,
@@ -556,6 +559,40 @@ def test_results_do_not_depend_on_call_history(k4, prism):
                 assert solve(h) == cold, name
                 solve(CubicGraph(prism.n, prism.edges))
                 assert solve(h) == cold, name
+
+
+def _outcome(solve, g, limit):
+    """``solve(g, node_limit=limit)``, or the search and nodes of its abort."""
+    try:
+        return solve(g, node_limit=limit)
+    except NodeLimitExceeded as exc:
+        return exc.search, exc.nodes
+
+
+def test_limited_results_do_not_depend_on_call_history():
+    # under a node limit, scc and circumference return the same result (scc's
+    # nodes included), or abort at the same point, whatever ran on the graph
+    # before: scc and circumference read the colouring memo that the other
+    # calls leave, and each read is charged the nodes of the search it
+    # saves.  The limits sit at the colouring's nodes, at each call's own
+    # total and at scc's cap of 4m (G5's colouring search needs 1,898 nodes,
+    # past its cap of 240)
+    befores = [[edge_colouring_3], [shortest_cycle_cover], [circumference], [oddness, edge_colouring_3]]
+    for g in (flower(5), goldberg(5), petersen(), relabelled(_random_cubic(24, random.Random(24)), 24)):
+        colouring, cap = _colouring_nodes(g), 4 * g.m
+        total = _least_limit(lambda limit: circumference(CubicGraph(g.n, g.edges), node_limit=limit))
+        calls = {
+            "scc": (shortest_cycle_cover, {cap, cap + 1, shortest_cycle_cover(g).nodes}),
+            "circumference": (circumference, {total}),
+        }
+        for name, (solve, limits) in calls.items():
+            for limit in sorted({colouring - 1, colouring, *limits, *(x - 1 for x in limits)}):
+                cold = _outcome(solve, CubicGraph(g.n, g.edges), limit)
+                for before in befores:
+                    h = CubicGraph(g.n, g.edges)
+                    for other in before:
+                        other(h)
+                    assert _outcome(solve, h, limit) == cold, (name, limit, before)
 
 
 def test_disconnected_covers_add_up(k4, pete, j5):
@@ -954,6 +991,16 @@ def test_least_two_factor_is_read_by_tau_oddness_and_colouring(monkeypatch):
             assert least_odd and res.tau in (4, 5)
             searches.clear()
             assert edge_colouring_3(g) is None and searches == []
+
+
+def test_matching_store_past_maxsize():
+    # the prism C_92 x K2 has more perfect matchings than ``len`` returns:
+    # the store is true and its ``size`` holds the count
+    store = enumerate_perfect_matchings(prism_graph(92))
+    assert store and store.size == 16_860_207_025_497_407_049 > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(store)
+    assert store.least()[1] == (0, 1)
 
 
 def test_matching_store_holders(pete, j5):
@@ -1678,6 +1725,31 @@ def test_node_limit_of_the_nodes_spent_returns_the_unlimited_result(search, call
     with pytest.raises(NodeLimitExceeded) as exc:
         call(spent - 1)
     assert (exc.value.search, exc.value.nodes) == (search, spent)
+
+
+@pytest.mark.parametrize("g", [flower(5), petersen()], ids=["J5", "P"])
+def test_analyze_spends_one_budget_per_graph(g, tmp_path, capsys):
+    # analyze's scc, tau and circumference spend one budget per graph: the
+    # least limit under which it returns is the sum of their nodes alone and
+    # prints the unlimited report, and one node less aborts in the last
+    # stage's search, circumference's DFS, with the nodes spent
+    path = tmp_path / "g.g6"
+    path.write_text(write_graph6(g) + "\n")
+    argv = ["analyze", str(path), "--json", "--no-timing"]
+
+    def analyze(limit):
+        args = build_parser().parse_args(argv + ([] if limit is None else ["--node-limit", str(limit)]))
+        args.fn(args)
+        return capsys.readouterr().out
+
+    read = parse_graph6(write_graph6(g))  # the graph as analyze reads it
+    circ = _least_limit(lambda limit: circumference(CubicGraph(read.n, read.edges), node_limit=limit))
+    least = _least_limit(analyze)
+    assert least == shortest_cycle_cover(read).nodes + perfect_matching_index(read).nodes + circ
+    assert analyze(least) == analyze(None)
+    assert main(argv + ["--node-limit", str(least - 1)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"search aborted: node limit exceeded in circumference after {least} nodes\n")
 
 
 def test_three_disjoint_paths_contracted_petersen(pete):

@@ -27,12 +27,18 @@ exit code of every run:
 - ``spectrum --json`` on the graphs whose covers are listed in well under
   a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534);
 - two refusals: ``scc`` of a missing file, and ``cdc --contains 0,1`` on
-  P, a walk that takes one edge twice.
+  P, a walk that takes one edge twice;
+- ``analyze --json --no-timing --node-limit N`` on J5, P and G5 at the
+  limits of ``ANALYZE_LIMITS``, which fall on both sides of the nodes of
+  each stage and of their sum;
+- ``tau``, ``oddness`` and ``analyze --json --no-timing`` on the prism
+  C_92 x K2, whose perfect matchings outnumber ``sys.maxsize``.
 
 Every run takes well under a second.  The graph inputs are PARENT_DIR's:
 its data files, its ``generate`` output and the colourings and
-certificates above.  The first difference is printed, and the exit status
-is 1 on any difference, else 0.
+certificates above.  Every run that differs is listed, with the first
+differing line of each field, and the exit status is 1 on any difference,
+else 0.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ COMMANDS = (["scc"], ["scc", "--cap", "3", "--json"], ["tau"], ["tau", "--limit"
               for via in ("circumference", "oddness2", "tau4", "petersen")),
             ["construct", "--via", "oddness2", "--force-base"])
 SPECTRUM = ("K4", "prism", "P", "J5", "perm5")
+ANALYZE_LIMITS = (50, 100, 150, 200, 1000, 1200, 10000)
+PRISM_K = 92
 
 
 def run(checkout: Path, argv) -> tuple:
@@ -69,7 +77,8 @@ def run(checkout: Path, argv) -> tuple:
 
 
 def write_inputs(parent: Path, tmp: Path):
-    """The graph files and the analyze inputs, each as {label: path}."""
+    """The graph files and the analyze inputs, each as {label: path}, and
+    the file of the prism C_92 x K2."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(parent / "perfbench"))
     import bench_workloads
@@ -97,16 +106,19 @@ def write_inputs(parent: Path, tmp: Path):
             if code:
                 sys.exit(f"same_answers: {argv[0]} {name} failed in {parent}:\n{err}")
             path.with_suffix(f".{suffix}").write_text(out, encoding="ascii")
+    k, large = PRISM_K, tmp / "prism92.adj"
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    large.write_text("".join(f"{u} {v}\n" for u, v in edges + [(i, k + i) for i in range(k)]))
     streams = {name: data / name for name in ("analyze_golden.g6", "analyze_snarks_golden.g6")}
     for seed in STREAM_SEEDS:
         rundir = tmp / f"stream{seed}"
         rundir.mkdir()
         bench_workloads.make_inputs("analyze_stream", seed, STREAM_SECONDS, rundir)
         streams[f"analyze_stream seed {seed}"] = rundir / bench_workloads.STREAM
-    return graphs, streams
+    return graphs, streams, large
 
 
-def cases(graphs, streams):
+def cases(graphs, streams, large):
     """(label, argv) of every compared run."""
     out = [(f"generate {' '.join(spec)}{fmt}", ["generate", *spec, *fmt.split()])
            for fmt in ("", " --format adj") for spec in GENERATED.values()]
@@ -126,6 +138,11 @@ def cases(graphs, streams):
     missing = graphs["P"].with_name("missing.g6")
     out += [("scc of a missing file", ["scc", str(missing)]),
             ("cdc --contains 0,1 P", ["cdc", str(graphs["P"]), "--contains", "0,1"])]
+    out += [(f"analyze --node-limit {limit} {name}",
+             ["analyze", str(graphs[name]), "--json", "--no-timing", "--node-limit", str(limit)])
+            for name in ("J5", "P", "G5") for limit in ANALYZE_LIMITS]
+    out += [(f"{' '.join(cmd)} C_92 x K2", [cmd[0], str(large), *cmd[1:]])
+            for cmd in (["tau"], ["oddness"], ["analyze", "--json", "--no-timing"])]
     return out
 
 
@@ -144,16 +161,22 @@ def main(argv) -> int:
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     for checkout in (parent, change):
         clear_bytecode(checkout)
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         todo = cases(*write_inputs(parent, Path(tmp)))
         for label, args in todo:
             a, b = run(parent, args), run(change, args)
-            for field, x, y in zip(("exit code", "stdout", "stderr"), a, b):
-                if x != y:
-                    detail = f"{x} != {y}" if field == "exit code" else first_difference(x, y)
-                    print(f"differ: {label}: {field}: {detail}")
-                    return 1
-            print(f"same: {label} (exit {a[0]})", flush=True)
+            fields = [(field, x, y) for field, x, y in zip(("exit code", "stdout", "stderr"), a, b)
+                      if x != y]
+            for field, x, y in fields:
+                detail = f"{x} != {y}" if field == "exit code" else first_difference(x, y)
+                print(f"differ: {label}: {field}: {detail}", flush=True)
+            if not fields:
+                print(f"same: {label} (exit {a[0]})", flush=True)
+            differ += bool(fields)
+    if differ:
+        print(f"different answers: {differ} of {len(todo)} runs, parent {parent}, change {change}")
+        return 1
     print(f"same answers: {len(todo)} runs, parent {parent}, change {change}")
     return 0
 
