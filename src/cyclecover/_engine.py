@@ -4,7 +4,8 @@ Only weights above 2 need it, so only ``solvers`` loads it, on first use:
 ``shortest_cycle_cover`` and ``edge_weight_spectrum`` with ``cap`` >= 3 and
 a cap-2 optimum of 4m/3 + 2 or more, and ``enumerate_circuits``.  No module
 imports it at module level, so ``import cyclecover`` does not compile it.
-The searches spend the caller's ``solvers._Budget``.
+Each call makes one run of the engine (``_shortest_covers``), which spends
+the caller's ``solvers._Budget``.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ class _CircuitSpace:
 
 
 def _circuits(g: Multigraph):
-    """Every circuit of g, for ``_deepening`` and ``_spectrum_over``; each
-    once, as the (edges, vertices) walk that leaves its least edge e0 at the
-    first end of e0.  (The covers with weights <= 2, and the circuit-form
-    double covers, need no circuit list: see ``_every_cover`` and
-    ``find_cdc``.)"""
+    """Every circuit of g, for ``_shortest_covers``; each once, as the
+    (edges, vertices) walk that leaves its least edge e0 at the first end of
+    e0.  (The covers with weights <= 2, and the circuit-form double covers,
+    need no circuit list: see ``_every_cover`` and ``find_cdc``.)"""
     moves = [[] for _ in range(g.n)]  # (edge, far end) per vertex, loops left out
     for e, (u, v) in enumerate(g.edges):
         if u != v:
@@ -176,7 +176,8 @@ class _CoverEngine:
     def covers(self, bound):
         """Every cover of length <= bound, as its tuple of circuit indices,
         in the fixed DFS order; a cover ends its branch.  Exhausting the
-        generator proves there is no other."""
+        generator proves there is no other.  At a cover, ``length`` and ``w``
+        are its own, and the caller may lower ``bound`` for the rest."""
         self.bound = bound
         return self._dfs()
 
@@ -185,14 +186,13 @@ class _CoverEngine:
         if e < 0:  # no edge is short of its coverage
             yield tuple(self.chosen)
             return
-        rem = self.bound - self.length
         unban = []
         lengths = self.space.lengths
         masks = self.space.masks
         banned = self.banned
         try:
             for ci in self.space.by_edge[e]:
-                if lengths[ci] > rem or banned[ci]:
+                if lengths[ci] > self.bound - self.length or banned[ci]:
                     continue
                 # this also keeps every vertex within vcap: where at most one
                 # unit of vcap - w(v) is left, a circuit through v takes two
@@ -212,35 +212,31 @@ class _CoverEngine:
                 banned[ci] = False
 
 
-def _deepening(g, cap, below, budget):
-    """The optimum shorter than ``below``, the cap-2 optimum, by iterative
-    deepening of the branch and bound over all circuits.  An edge of weight
-    3 or more puts both its ends at weight 6 or more, so the targets start
-    at 4m/3 + 2.  Returns (length, witness indices, space); length and
-    witness are None when no cover is shorter."""
+def _shortest_covers(g, cap, bound, budget, first=False):
+    """The covers of least length up to ``bound`` with weights up to
+    ``cap``, by one engine run over every circuit of g: (length, covers,
+    space), each cover as (circuit indices, edge weights); (None, [], space)
+    when none is that short.
+
+    Each cover found is the incumbent: it lowers the run's bound to its
+    length and restarts the covers kept, so the run ends with every cover of
+    the optimum, once.  The engine meets covers in an order that its bound
+    does not change (a candidate skipped as too long is not banned, and fits
+    at no node below).  With ``first`` the bound drops one below the
+    incumbent, which keeps the first cover of the optimum, for a ``bound``
+    below the cap-2 optimum: a shorter cover needs a weight of 3 or more,
+    which puts both ends of its edge at weight 6 or more, so no run starts
+    below 4m/3 + 2 and the run stops at its first cover that long.
+    """
     space = _CircuitSpace(g)
-    ones, caps = [1] * g.m, [cap] * g.m
-    for target in range(2 * g.n + 2, below):
-        found = next(_CoverEngine(g, space, ones, caps, budget).covers(target), None)
-        if found is not None:
-            return target, found, space
-    return None, None, space
-
-
-def _spectrum_over(space, cap, length, budget):
-    """The spectrum of the covers of the optimum ``length`` over every
-    circuit of ``space`` (the engine visits each multiset once, and no cover
-    is shorter): the weights each edge takes, a tuple of frozensets, and the
-    number of covers."""
-    g = space.g
-    attained = [set() for _ in range(g.m)]
-    covers = 0
-    for chosen in _CoverEngine(g, space, [1] * g.m, [cap] * g.m, budget).covers(length):
-        covers += 1
-        w = [0] * g.m
-        for ci in chosen:
-            for e in space.elists[ci]:
-                w[e] += 1
-        for e in range(g.m):
-            attained[e].add(w[e])
-    return tuple(frozenset(s) for s in attained), covers
+    engine = _CoverEngine(g, space, [1] * g.m, [cap] * g.m, budget)
+    floor = 2 * g.n + 2 if first else 0
+    length, covers = None, []
+    for chosen in engine.covers(bound) if bound >= floor else ():
+        if engine.length != length:
+            length, covers = engine.length, []
+        covers.append((chosen, tuple(engine.w)))
+        engine.bound = length - first
+        if length <= floor:
+            break
+    return length, covers, space

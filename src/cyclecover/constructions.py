@@ -333,8 +333,6 @@ def _oddness2_edges(g, f, comps, links, force_base, node_limit):
             links = _consecutive_cross_links(g, c1, c2)
             refined = links is not None
         if links is None:
-            if len(cross) < 3:
-                raise HypothesisViolated("fewer than three edges join the two circuits")
             links = cross[:3]
     links = list(links)
     _check_edge_ids(g, links, f"links {links}")
@@ -343,9 +341,6 @@ def _oddness2_edges(g, f, comps, links, force_base, node_limit):
     for e in links:
         if e not in cross:
             raise HypothesisViolated(f"edge {e} does not join the two circuits")
-    ends = [v for e in links for v in g.edges[e]]
-    if len(set(ends)) != 6:
-        raise HypothesisViolated("connecting edges share an endpoint")
 
     bound = base + (1 if refined else 2)
     cert = {"two_factor": f, "links": tuple(links), "refined": refined}

@@ -74,12 +74,12 @@ class SccResult(_Record):
     ``optimal`` (bool), ``weight_cap_used`` (int), ``nodes`` (int) and
     ``stage`` (str).
 
-    ``stage`` names the search that settled the optimum: "colouring"
-    when a 3-edge-colouring gave a cover at 4m/3, else "4m/3", or "4m/3+e"
-    at excess e >= 1 (``_structured_covers``), or "deepening" when a weight
-    above 2 gives a shorter cover (only with ``cap`` >= 3).  ``nodes``
-    counts the labelling nodes of the capped colouring search, then the
-    transition and engine nodes."""
+    ``stage`` names the search that settled the optimum: "colouring" when a
+    3-edge-colouring gave a cover at 4m/3, else "4m/3", or "4m/3+e" at
+    excess e >= 1 (``_structured_covers``), or "deepening" when the cover
+    engine finds a shorter one, with a weight above 2 (only with ``cap`` >=
+    3).  ``nodes`` counts the labelling nodes of the capped colouring
+    search, then the transition and engine nodes."""
 
     __slots__ = ("length", "cover", "optimal", "weight_cap_used", "nodes", "stage")
 
@@ -124,8 +124,8 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
     a colouring found gives the least length, 4m/3, by the colour pairs
     (0, 2) and (1, 2).  Reaching the cap proves nothing, so the witness is
     then the first cover of ``_structured_covers``, the cap-2 optimum 4m/3 +
-    e.  With ``cap`` >= 3 and e >= 3, ``_deepening`` then looks for a
-    shorter cover with a weight above 2, and its witness wins.
+    e.  With ``cap`` >= 3 and e >= 3, one engine run (``_shortest_covers``)
+    then looks for a shorter cover with a weight above 2, and its witness wins.
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
@@ -138,11 +138,12 @@ def shortest_cycle_cover(g: CubicGraph, cap: int = 2, node_limit=None) -> SccRes
         length, [(_, run)] = _structured_covers(g, budget, first=True)
         cover, stage = _decode_joins(g, run), _stage(g, length)
     if cap > 2 and length > 2 * g.n + 2:
-        from ._engine import _deepening
+        from ._engine import _shortest_covers
 
-        shorter, found, space = _deepening(g, cap, length, budget)
-        if found is not None:
-            length, cover, stage = shorter, CycleCover.of(map(space.circuit, found)), "deepening"
+        shorter, found, space = _shortest_covers(g, cap, length - 1, budget, first=True)
+        if found:
+            [(chosen, _)] = found
+            length, cover, stage = shorter, CycleCover.of(map(space.circuit, chosen)), "deepening"
     assert cover.length == length
     return SccResult(length, cover, True, cap, budget.nodes, stage)
 
@@ -178,8 +179,9 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
     their transitions together and builds no matching store; such a cover
     has weight 1 on its weight-1 edges and 2 elsewhere.  With ``cap`` >= 3
     and a cap-2 optimum of 4m/3 + 2 or more, a weight above 2 may give
-    covers as short (see ``_deepening``), so the engine enumerates every
-    cover of the optimum over all circuits.
+    covers as short, so one run of the cover engine over all circuits,
+    bounded by the cap-2 optimum and then by each shorter cover it meets,
+    enumerates every cover of the optimum (``_shortest_covers``).
     """
     if cap < 2:
         raise ValueError("no cycle cover of a cubic graph has all weights below 2")
@@ -194,12 +196,11 @@ def edge_weight_spectrum(g: CubicGraph, cap: int = 2, node_limit=None) -> Weight
         per_edge = tuple(frozenset(w for w, held in ((1, one), (2, two)) if held >> e & 1)
                          for e in range(g.m))
         return WeightSpectrum(length, per_edge, len(covers), budget.nodes, _stage(g, length))
-    from ._engine import _deepening, _spectrum_over
+    from ._engine import _shortest_covers
 
-    shorter, _, space = _deepening(g, cap, length, budget)
-    length = shorter or length
-    per_edge, covers = _spectrum_over(space, cap, length, budget)
-    return WeightSpectrum(length, per_edge, covers, budget.nodes, "deepening")
+    length, covers, _ = _shortest_covers(g, cap, length, budget)
+    per_edge = tuple(map(frozenset, zip(*(w for _, w in covers))))
+    return WeightSpectrum(length, per_edge, len(covers), budget.nodes, "deepening")
 
 
 # --------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_cover_engine_loads_on_demand(tmp_path):
         "import contextlib, io, sys, cyclecover, cyclecover.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cyclecover.cli.main(['analyze', {str(graph)!r}, '--json', '--no-timing'])\n"
-        "names = ('_CircuitSpace', '_circuits', '_CoverEngine', '_deepening', '_spectrum_over')\n"
+        "names = ('_CircuitSpace', '_circuits', '_CoverEngine', '_shortest_covers')\n"
         "print(code, 'cyclecover._engine' in sys.modules,\n"
         "      [n for n in names if hasattr(cyclecover.solvers, n)])\n"
         "k4 = cyclecover.build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])\n"

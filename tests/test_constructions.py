@@ -204,6 +204,15 @@ def test_circumference_pipeline_flower():
     assert res.length >= shortest_cycle_cover(j5).length
 
 
+def test_circumference_pipeline_through_a_chordless_circuit(pete):
+    # no longest circuit of a small bridgeless graph was found without a
+    # chord, so only a given circuit reaches the chordless branch: P's outer
+    # 5-circuit, through which one CDC of P itself is searched
+    res = cover_via_circumference(pete, longest=trace_circuit(pete, [0, 1, 2, 3, 4]))
+    assert (res.length, res.claimed_bound, res.certificate["k"]) == (25, 40, 5)
+    assert validate(res.cover, pete).ok
+
+
 def test_circumference_pipeline_budget_bounds_the_circumference(pete):
     # finding Petersen's 9-circuit takes 18 nodes (8 to refute its
     # 3-edge-colouring, then 10 of DFS), the CDC through it 6, all from one
@@ -364,6 +373,19 @@ def test_oddness2_refuses_a_link_graph_that_is_not_2_connected():
         with pytest.raises(HypothesisViolated) as exc:
             cover_via_oddness2(g, two_factor=factor, links=paths)
         assert str(exc.value).startswith(f"links {paths} end {k} times on a {size}-circuit")
+    # paths that share a matching edge, and a path through a 2-factor edge
+    edge = min(factor)
+    for paths, message in (([(14,), (14, 22), (26,)], "paths share a matching edge"),
+                           ([(edge,), (14,), (22,)], "path edges must be matching edges")):
+        with pytest.raises(HypothesisViolated, match=message):
+            cover_via_oddness2(g, two_factor=factor, links=paths)
+
+
+def test_oddness2_refuses_a_link_that_does_not_join_the_circuits(pete):
+    # P's least 2-factor has two 5-circuits: edge 0 joins them, edge 1 lies
+    # on one
+    with pytest.raises(HypothesisViolated, match="edge 1 does not join the two circuits"):
+        cover_via_oddness2(pete, links=[0, 1, 2])
 
 
 def test_oddness2_refuses_a_two_factor_that_is_not_one(pete):

@@ -161,3 +161,5 @@ def test_colouring_file_roundtrip(j5):
     c = find_petersen_colouring(j5)
     text = format_colouring(j5, c)
     assert parse_colouring(j5, text) == c
+    # a comment line and a blank line read as nothing
+    assert parse_colouring(j5, "# the colouring of J5\n\n" + text) == c

@@ -48,7 +48,7 @@ from cyclecover.errors import GraphError, HypothesisViolated, NodeLimitExceeded
 from cyclecover.families import parse_graph6, write_graph6
 from cyclecover.graphs import CubicGraph, Multigraph, contract_two_factor, is_spanning_regular
 from cyclecover.pcolour import find_petersen_colouring
-from cyclecover._engine import _CircuitSpace, _circuits, _CoverEngine, _deepening, _spectrum_over
+from cyclecover._engine import _CircuitSpace, _circuits, _CoverEngine, _shortest_covers
 from cyclecover.solvers import (
     _bfs_edges,
     _Budget,
@@ -414,10 +414,16 @@ def test_stage_names_the_settling_search(monkeypatch, k4, pete, j5):
     for g, stage in ((j5, "4m/3"), (pete, "4m/3+1"), (two_cut_join(pete, 0, k4, 0), "4m/3+1")):
         assert shortest_cycle_cover(g).stage == edge_weight_spectrum(g).stage == stage
     # the engine's spectrum, at cap 3 past a cap-2 optimum of 4m/3 + 2 (a
-    # stand-in level search reports K4's 8 as 10)
+    # stand-in level search reports K4's 8 as 10): the engine's run, bounded
+    # at 10, lowers its bound to the covers of 8 it meets and keeps those,
+    # the covers the levels list
+    plain = edge_weight_spectrum(k4)
     levels = solvers._structured_covers
     monkeypatch.setattr(solvers, "_structured_covers", lambda g, budget: (10, levels(g, budget)[1]))
-    assert edge_weight_spectrum(k4, cap=3).stage == "deepening"
+    spec = edge_weight_spectrum(k4, cap=3)
+    assert spec.stage == "deepening"
+    assert (spec.optimal_length, spec.n_optimal_covers, spec.per_edge) == (
+        8, plain.n_optimal_covers, plain.per_edge)
 
 
 def test_decode_builds_the_covers_the_trace_reference_builds(pete, j5):
@@ -638,21 +644,29 @@ def test_scc_deepening_petersen_pair(pete):
 
 
 def test_deepening_searches_only_below_the_cap_two_optimum(pete):
-    # a weight above 2 makes a cover at least 4m/3 + 2 long, so the targets
-    # start there and stop below the bound: none is left below 42, and the
-    # engine at cap 3 takes 8,304 nodes to meet target 42
+    # a weight above 2 makes a cover at least 4m/3 + 2 long, so scc's run
+    # starts at no bound below that and stops at its first cover that long:
+    # no run below 42, and the engine at cap 3 takes 8,304 nodes to meet 42
     g = two_cut_join(pete, 0, pete, 0)
     budget = _budget(spent=5)
-    length, found, _ = _deepening(g, 3, 42, budget)
-    assert (length, found, budget.nodes) == (None, None, 5)
+    length, found, _ = _shortest_covers(g, 3, 41, budget, first=True)
+    assert (length, found, budget.nodes) == (None, [], 5)
     budget = _Budget()
-    length, found, space = _deepening(g, 3, 43, budget)
+    length, [(chosen, weights)], space = _shortest_covers(g, 3, 42, budget, first=True)
     assert (length, budget.nodes) == (42, 8304)
-    cover = CycleCover.of(map(space.circuit, found))
+    cover = CycleCover.of(map(space.circuit, chosen))
     assert cover.length == 42 and validate(cover, g).ok
+    assert list(weights) == [sum(e in c.edge_set for c in cover.circuits) for e in range(g.m)]
     with pytest.raises(NodeLimitExceeded) as exc:
-        _deepening(g, 3, 43, _Budget(8303))
+        _shortest_covers(g, 3, 42, _Budget(8303), first=True)
     assert (exc.value.search, exc.value.nodes) == ("cover engine", 8304)
+    # from a higher bound the run lowers it at each cover it meets and ends
+    # at the same first cover of 42: the engine's order does not depend on
+    # its bound
+    for bound, nodes in ((43, 18_848), (44, 27_266)):
+        budget = _Budget()
+        assert _shortest_covers(g, 3, bound, budget, first=True)[:2] == (42, [(chosen, weights)])
+        assert budget.nodes == nodes
 
 
 def test_cap_two_optima_run_no_cover_engine(monkeypatch, pete):
@@ -1175,6 +1189,8 @@ def test_circumference(k4, pete):
     assert circumference(flower(5))[0] == 19
     assert circumference(flower(9))[0] == 35
     assert circumference(goldberg(5))[0] == 39
+    # a path has no circuit at all
+    assert circumference(Multigraph(3, [(0, 1), (1, 2)])) == (0, None)
 
 
 def _dfs_circumference(g):
@@ -1392,6 +1408,15 @@ def test_edge_colouring(k4, pete):
     assert edge_colouring_3(pete) is None
     g = CubicGraph(2, [(0, 1), (0, 1), (0, 1)])
     assert edge_colouring_3(g) is not None
+
+
+def test_edge_colouring_beyond_cubic_graphs():
+    # a vertex of degree 2 takes two distinct colours of three, and the
+    # star K_{1,4} has four edges at one vertex, which three colours cannot
+    # tell apart
+    assert edge_colouring_3(Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) == \
+        {0: 1, 1: 2, 2: 1, 3: 2}
+    assert edge_colouring_3(Multigraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])) is None
 
 
 def _labelling_records(monkeypatch):
@@ -1620,11 +1645,12 @@ _PERMS = ((1, 0, 5, 2, 6, 4, 3), (6, 0, 3, 1, 4, 2, 5))
 
 
 def _full_space(g, length, cap=2):
-    """(length, covers, per_edge) of the covers of that length, enumerated
-    over every circuit of g: the engine's route, which runs only with a cap
-    of 3 or more."""
-    per_edge, covers = _spectrum_over(_CircuitSpace(g), cap, length, _Budget())
-    return length, covers, per_edge
+    """(length, covers, per_edge) of the shortest covers up to that length,
+    enumerated over every circuit of g: the engine's route, which runs only
+    with a cap of 3 or more (covers 0 when none is that short)."""
+    least, covers, _ = _shortest_covers(g, cap, length, _Budget())
+    per_edge = tuple(map(frozenset, zip(*(w for _, w in covers))))
+    return least or length, len(covers), per_edge
 
 
 def test_spectrum_matches_full_space_route(k4, pete):
@@ -1674,10 +1700,11 @@ def test_spectrum_node_budget_spans_every_search(j5):
 
 
 def _deepened(limit):
-    """The engine's entry: the cap-3 deepening of P+P below its cap-2
-    optimum, with the nodes it spent."""
+    """The engine's entry as scc calls it: the cap-3 run of P+P below its
+    cap-2 optimum of 43 (a stand-in for 42), with the nodes it spent."""
     budget = _Budget(limit)
-    length, found, _ = _deepening(two_cut_join(petersen(), 0, petersen(), 0), 3, 43, budget)
+    g = two_cut_join(petersen(), 0, petersen(), 0)
+    length, found, _ = _shortest_covers(g, 3, 42, budget, first=True)
     return length, found, budget.nodes
 
 

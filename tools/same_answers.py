@@ -25,7 +25,13 @@ exit code of every run:
   printed, and ``analyze --verify-cover`` of PARENT_DIR's ``construct
   --via circumference --json`` certificate;
 - ``spectrum --json`` on the graphs whose covers are listed in well under
-  a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534);
+  a second: K4, the prism, P, J5 and ``perm5`` (J9 has 143,534), and
+  ``spectrum --cap 3 --json`` on K4, P and J5;
+- on P+P, ``two_cut_join(petersen(), 0, petersen(), 0)``, whose cap-2
+  optimum 4m/3 + 2 sends a cap above 2 to the cover engine: ``scc --cap 4
+  --json``, and ``spectrum --cap 3 --node-limit N`` at the limits of
+  ``JOIN_LIMITS``, past the transition nodes, so that both sides abort
+  inside the engine (the unlimited run takes over a minute);
 - two refusals: ``scc`` of a missing file, and ``cdc --contains 0,1`` on
   P, a walk that takes one edge twice;
 - ``analyze --json --no-timing --node-limit N`` on J5, P and G5 at the
@@ -34,11 +40,12 @@ exit code of every run:
 - ``tau``, ``oddness`` and ``analyze --json --no-timing`` on the prism
   C_92 x K2, whose perfect matchings outnumber ``sys.maxsize``.
 
-Every run takes well under a second.  The graph inputs are PARENT_DIR's:
-its data files, its ``generate`` output and the colourings and
-certificates above.  Every run that differs is listed, with the first
-differing line of each field, and the exit status is 1 on any difference,
-else 0.
+Every run takes well under a second, but for the engine runs on P+P (about
+2 and 12 seconds).  The graph inputs are PARENT_DIR's: its data files, its
+``generate`` output and the colourings and certificates above, and the
+graph6 lines of K4, the prism and P+P below.  Every run that differs is
+listed, with the first differing line of each field, and the exit status
+is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ COMMANDS = (["scc"], ["scc", "--cap", "3", "--json"], ["tau"], ["tau", "--limit"
               for via in ("circumference", "oddness2", "tau4", "petersen")),
             ["construct", "--via", "oddness2", "--force-base"])
 SPECTRUM = ("K4", "prism", "P", "J5", "perm5")
+SPECTRUM_CAP3 = ("K4", "P", "J5")
+JOIN = "SHeA@GUAs?G??@??_@G?O?@??AO?Ao?@W"  # P+P
+JOIN_LIMITS = (200_000, 1_000_000)
 ANALYZE_LIMITS = (50, 100, 150, 200, 1000, 1200, 10000)
 PRISM_K = 92
 
@@ -78,7 +88,7 @@ def run(checkout: Path, argv) -> tuple:
 
 def write_inputs(parent: Path, tmp: Path):
     """The graph files and the analyze inputs, each as {label: path}, and
-    the file of the prism C_92 x K2."""
+    the files of the prism C_92 x K2 and of P+P."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(parent / "perfbench"))
     import bench_workloads
@@ -115,10 +125,12 @@ def write_inputs(parent: Path, tmp: Path):
         rundir.mkdir()
         bench_workloads.make_inputs("analyze_stream", seed, STREAM_SECONDS, rundir)
         streams[f"analyze_stream seed {seed}"] = rundir / bench_workloads.STREAM
-    return graphs, streams, large
+    join = tmp / "join.g6"
+    join.write_text(JOIN + "\n", encoding="ascii")
+    return graphs, streams, large, join
 
 
-def cases(graphs, streams, large):
+def cases(graphs, streams, large, join):
     """(label, argv) of every compared run."""
     out = [(f"generate {' '.join(spec)}{fmt}", ["generate", *spec, *fmt.split()])
            for fmt in ("", " --format adj") for spec in GENERATED.values()]
@@ -135,6 +147,12 @@ def cases(graphs, streams, large):
                 (f"analyze --verify-cover {name}", ["analyze", str(path), "--verify-cover", cert])]
     out += [(f"spectrum --json {name}", ["spectrum", str(graphs[name]), "--json"])
             for name in SPECTRUM]
+    out += [(f"spectrum --cap 3 --json {name}",
+             ["spectrum", str(graphs[name]), "--cap", "3", "--json"]) for name in SPECTRUM_CAP3]
+    out += [("scc --cap 4 --json P+P", ["scc", str(join), "--cap", "4", "--json"])]
+    out += [(f"spectrum --cap 3 --node-limit {limit} P+P",
+             ["spectrum", str(join), "--cap", "3", "--node-limit", str(limit)])
+            for limit in JOIN_LIMITS]
     missing = graphs["P"].with_name("missing.g6")
     out += [("scc of a missing file", ["scc", str(missing)]),
             ("cdc --contains 0,1 P", ["cdc", str(graphs["P"]), "--contains", "0,1"])]
